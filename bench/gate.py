@@ -4,7 +4,8 @@ Every request output is checked two ways:
 
 * an independent floating-point check: numpy eigenvalues of rho^Gamma and
   of both reduction matrices must give the exact answer's negative count,
-  and numpy's matrix rank its state rank.  Floating values that are
+  numpy's matrix rank its state rank, and the rank of a float Jacobian
+  (forward-mode derivatives) its Jacobian rank.  Floating values that are
   neither clearly zero nor clearly nonzero make the check inconclusive;
   such a check is skipped and counted as unchecked, never as a pass;
 * invariants: inertia sums to 9, ppt-family states are gamma-fixed (so
@@ -15,6 +16,8 @@ of the 18 parameters, not with the package's exact constructors.  The
 inputs are recovered with the package's own code: scan rows from the
 scan's seed through ``checkerboard.sampling``, and ppt-kind parameters
 through ``derive_full_params``, whose result the gamma-fixed check tests.
+The ppt-family Jacobian likewise differentiates the package's
+``complete_parameters``, evaluated on float duals rather than exact jets.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ SIGN_TOL = 1e-6
 CSV_HEADER = ("sample_index,seed_offset,generic_t1,generic_t2,ppt,n_neg,"
               "reduction_violated,rank,notes")
 JACOBIAN_RANK_BOUND = {"full": 28, "ppt": 13}
+
+# The checkerboard's two blocks: the 4x4 on odd and the 5x5 on even positions.
+_BLOCK_POSITIONS = ((1, 3, 5, 7), (0, 2, 4, 6, 8))
 
 # (letter, first-qutrit index, second-qutrit index) of each generating vector.
 _VECTOR_SLOTS = (
@@ -121,6 +127,138 @@ def float_reduction_violated(m: np.ndarray) -> bool:
     return any(float_inertia(r)[0] > 0 for r in reduction_matrices(m))
 
 
+# ---------------------------------------------------------------------------
+# Jacobian ranks in floating point.
+
+
+class Dual:
+    """A complex float with its gradient over real parameter slots.
+
+    Forward-mode derivatives with the product and quotient rules, in
+    floating point.  The slots are real, so conjugation acts entrywise on
+    the gradient.
+    """
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value, grad):
+        self.value = complex(value)
+        self.grad = grad
+
+    @staticmethod
+    def lift(other) -> "Dual":
+        return other if isinstance(other, Dual) else Dual(complex(other), 0)
+
+    def __bool__(self):
+        return self.value != 0
+
+    def conj(self) -> "Dual":
+        return Dual(self.value.conjugate(), np.conj(self.grad))
+
+    def __neg__(self):
+        return Dual(-self.value, -self.grad)
+
+    def __add__(self, other):
+        o = Dual.lift(other)
+        return Dual(self.value + o.value, self.grad + o.grad)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = Dual.lift(other)
+        return Dual(self.value - o.value, self.grad - o.grad)
+
+    def __rsub__(self, other):
+        return Dual.lift(other) - self
+
+    def __mul__(self, other):
+        o = Dual.lift(other)
+        return Dual(self.value * o.value, self.grad * o.value + self.value * o.grad)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = Dual.lift(other)
+        return Dual(self.value / o.value,
+                    (self.grad * o.value - self.value * o.grad) / (o.value * o.value))
+
+
+def _complex_duals(values: dict, letters, first_slot: int, slots: int) -> dict:
+    """Duals of complex parameters, each over two real slots (re, im)."""
+    duals = {}
+    for idx, ch in enumerate(letters):
+        grad = np.zeros(slots, dtype=complex)
+        grad[first_slot + 2 * idx] = 1
+        grad[first_slot + 2 * idx + 1] = 1j
+        duals[ch] = Dual(values[ch], grad)
+    return duals
+
+
+def _state_gradient(duals: dict, slots: int) -> np.ndarray:
+    """Derivatives of the unnormalized state, shape (9, 9, slots)."""
+    vecs = np.zeros((4, 9), dtype=complex)
+    grads = np.zeros((4, 9, slots), dtype=complex)
+    for vi, vector_slots in enumerate(_VECTOR_SLOTS):
+        for ch, ia, jb in vector_slots:
+            vecs[vi, 3 * ia + jb] = duals[ch].value
+            grads[vi, 3 * ia + jb] = duals[ch].grad
+    return (np.einsum("krs,kc->rcs", grads, vecs.conj())
+            + np.einsum("kr,kcs->rcs", vecs, grads.conj()))
+
+
+def float_jacobian_psi(params) -> np.ndarray:
+    """28x36 real Jacobian of the full-family map at CheckerParams ``params``.
+
+    The map sends the 36 real slots of the 18 parameters to the first two
+    columns of both checkerboard blocks: their diagonal entries and the
+    real and imaginary parts of the entries below the diagonal.
+    """
+    values = {ch: complex(v) for ch, v in params.as_dict().items()}
+    dm = _state_gradient(_complex_duals(values, sorted(values), 0, 36), 36)
+    rows = []
+    for block in _BLOCK_POSITIONS:
+        rows += [dm[block[d], block[d]].real for d in range(2)]
+        for ri in range(len(block)):
+            for ci in range(min(ri, 2)):
+                rows += [dm[block[ri], block[ci]].real, dm[block[ri], block[ci]].imag]
+    return np.array(rows)
+
+
+def float_jacobian_lambda(sp) -> np.ndarray:
+    """41x13 complex Jacobian of the ppt-family map at SubfamilyParams ``sp``.
+
+    The map sends t, x, y and ten complex parameters through the parameter
+    completion to the 41 independent real coordinates of the Hermitian
+    state (its diagonal, and the real and imaginary parts of the nonzero
+    entries below it).  The columns are d/dt, d/dx, d/dy and the
+    holomorphic derivative d/dz = (d/dRe z - i d/dIm z)/2 of each complex
+    parameter, as the paper counts the subfamily's parameters.
+    """
+    from checkerboard.subfamily import COMPLEX_LETTERS, complete_parameters
+
+    slots = 3 + 2 * len(COMPLEX_LETTERS)
+    reals = [Dual(float(getattr(sp, name)), np.eye(slots, dtype=complex)[k])
+             for k, name in enumerate("txy")]
+    free = _complex_duals({ch: complex(getattr(sp, ch)) for ch in COMPLEX_LETTERS},
+                          COMPLEX_LETTERS, 3, slots)
+    duals = complete_parameters(*reals, *(free[ch] for ch in COMPLEX_LETTERS))
+    dm = _state_gradient(duals, slots)
+    rows = [dm[d, d].real for d in range(9)]
+    for r in range(9):
+        for c in range(r):
+            if (r + c) % 2 == 0:
+                rows += [dm[r, c].real, dm[r, c].imag]
+    real = np.array(rows)
+    return np.column_stack([real[:, :3]] + [(real[:, k] - 1j * real[:, k + 1]) / 2
+                                            for k in range(3, slots, 2)])
+
+
+def float_jacobian_rank(family: str, params) -> int:
+    """Rank of the float Jacobian; ``params`` is what the scan drew."""
+    jac = float_jacobian_psi(params) if family == "full" else float_jacobian_lambda(params)
+    return float_rank(jac)
+
+
 def _to_complex(obj) -> complex:
     return complex(float(Fraction(obj["re"])), float(Fraction(obj["im"])))
 
@@ -145,21 +283,22 @@ def _scan_args(argv: list) -> dict:
             "seed": int(opts["--seed"]), "target": opts.get("--target", "ppt")}
 
 
-def _sample_values(family: str, seed: int, idx: int):
-    """The complex parameters the scan draws for one sample, or None if singular."""
+def _sample_values(family: str, seed: int, idx: int) -> tuple:
+    """(drawn parameters, their 18 complex values or None if singular) of one sample."""
     from checkerboard import sampling
     from checkerboard.errors import SingularParameterError
     from checkerboard.subfamily import derive_full_params
 
     rng = sampling.rng_for(seed, idx)
     if family == "full":
-        full = sampling.random_checker_params(rng)
+        drawn = full = sampling.random_checker_params(rng)
     else:
+        drawn = sampling.draw_subfamily_params(rng)
         try:
-            full = derive_full_params(sampling.draw_subfamily_params(rng))
+            full = derive_full_params(drawn)
         except SingularParameterError:
-            return None
-    return {ch: complex(v) for ch, v in full.as_dict().items()}
+            return drawn, None
+    return drawn, {ch: complex(v) for ch, v in full.as_dict().items()}
 
 
 def check_state_facts(tally: Tally, values: dict, family: str, *, ppt: bool,
@@ -198,7 +337,7 @@ def check_scan(tally: Tally, argv: list, stdout: str) -> dict:
         if len(cells) != 9 or cells[0] != str(idx):
             tally.expect(False, f"row {idx} malformed")
             continue
-        values = _sample_values(family, args["seed"], idx)
+        drawn, values = _sample_values(family, args["seed"], idx)
         if family == "ppt":
             counts["ppt_rows"] += 1
         if values is None:
@@ -213,6 +352,8 @@ def check_scan(tally: Tally, argv: list, stdout: str) -> dict:
         if target == "max-rank":
             tally.expect(0 < rank_field <= JACOBIAN_RANK_BOUND[family],
                          f"row {idx} Jacobian rank out of bounds")
+            tally.float_check(lambda: float_jacobian_rank(family, drawn) == rank_field,
+                              "Jacobian rank")
             max_jrank = max(max_jrank or 0, rank_field)
             state_rank = None
         else:

@@ -34,14 +34,10 @@ sys.path.insert(0, str(BENCH_DIR))
 
 import gate  # noqa: E402
 import tracing  # noqa: E402
+import worker  # noqa: E402
 import workloads  # noqa: E402
 
-# Seconds between set-up samples in the loop: about a dozen per run.
-SETUP_EVERY_S = 2.5
 IMPORTTIME_RUNS = 3
-# The output digest covers this many first requests, so that it is the same
-# for every commit that gives the same outputs, however fast it runs.
-DIGEST_REQUESTS = 6
 # Every run ends within this many seconds of wall time, or fails.
 RUN_DEADLINE_S = 170
 
@@ -136,8 +132,12 @@ def source_fingerprint() -> dict:
     return {"commit": commit, "src_sha256": digest.hexdigest()}
 
 
-def gate_records(requests, records, input_dir) -> dict:
-    """Run the correctness gate over every record; returns counts and the digest."""
+def gate_records(requests, records, input_dir, digest_requests: int) -> dict:
+    """Run the correctness gate over every record; returns counts and the digest.
+
+    The digest covers the plain outputs of the first ``digest_requests``
+    requests.
+    """
     totals = {"attempted": 0, "failed": 0, "ppt_rows": 0, "singular_rows": 0,
               "checked": 0, "unchecked": 0}
     failures = []
@@ -154,7 +154,7 @@ def gate_records(requests, records, input_dir) -> dict:
             plain_items[rec["index"]] = counts["items"]
         elif first_outputs.get(rec["index"]) != output:
             tally.expect(False, "traced output differs from the untraced one")
-        if rec["passname"] == "plain" and rec["index"] < DIGEST_REQUESTS:
+        if rec["passname"] == "plain" and rec["index"] < digest_requests:
             digest.update(output.encode() + b"\0")
         totals["attempted"] += 1
         totals["failed"] += bool(tally.failures)
@@ -191,12 +191,12 @@ def latency_stats(latencies_s, items: int) -> dict:
             "latency_ms.tail": percentile(latencies_ms, tail_p)}
 
 
-def end_to_end_metrics(plain, totals, worker) -> tuple:
+def end_to_end_metrics(plain, totals, result) -> tuple:
     items = sum(totals["plain_items"].values())
     values = {
-        "setup_s": statistics.median(worker["setup_samples_s"]),
+        "setup_s": statistics.median(result["setup_samples_s"]),
         **latency_stats([scaled_latency_s(rec) for rec in plain], items),
-        "peak_rss_mb": worker["peak_rss_kb"] / 1024,
+        "peak_rss_mb": result["peak_rss_kb"] / 1024,
     }
     metrics = {name: (values[name], unit) for name, unit in END_TO_END_UNITS.items()}
     probes = [rec["probe_before_s"] for rec in plain]
@@ -207,7 +207,7 @@ def end_to_end_metrics(plain, totals, worker) -> tuple:
                                   "min": min(probes) * 1000, "max": max(probes) * 1000}}
 
 
-def per_layer_metrics(plain, traced, totals, out: Path, gen_stats, deadline) -> tuple:
+def per_layer_metrics(plain, traced, totals, out: Path, deadline) -> tuple:
     with open(out.with_suffix(".spans.jsonl"), encoding="utf-8") as fh:
         spans = [(s["name"], s["start"], s["end"], s["parent"], s["request"])
                  for s in map(json.loads, fh)]
@@ -217,10 +217,10 @@ def per_layer_metrics(plain, traced, totals, out: Path, gen_stats, deadline) -> 
     values = tracing.layer_metrics(spans, len(traced), round(traced_s * 1e9))
     metrics = {name: (v, SPAN_METRIC_UNITS[name.rsplit(".", 1)[1]])
                for name, v in values.items()}
-    if gen_stats:  # inputs drawn by the generator, not the program's sampler
-        share = gen_stats["ppt_singular"] / gen_stats["ppt_draws"]
-    else:
-        share = totals["singular_rows"] / max(1, totals["ppt_rows"])
+    # Singular rows of the program's own sampler.  certify-bigcoef has no
+    # scan rows, so it reads 0 there; its generator's rejections are only
+    # in the details.
+    share = totals["singular_rows"] / max(1, totals["ppt_rows"])
     extras = {
         "charpoly.input_bits.max": bits.get("charpoly", 0),
         "matrices.input_bits.max": bits.get("matrices", 0),
@@ -251,24 +251,23 @@ def main(argv=None) -> int:
     input_dir = work / "inputs"
     requests, gen_stats = workloads.generate(args.workload, args.seed, input_dir)
 
-    out = work / "records.jsonl"
-    worker_argv = [sys.executable, str(BENCH_DIR / "worker.py"),
-                   "--requests", "requests.json", "--out", str(out),
-                   "--seconds", str(args.seconds), "--min-requests", str(DIGEST_REQUESTS)]
+    out = input_dir / worker.RECORDS_FILE
+    worker_argv = [sys.executable, str(BENCH_DIR / "worker.py"), "--workload", args.workload,
+                   "--seconds", str(args.seconds)] + (["--trace"] if args.trace else [])
     # The worker's own import is the first in a fresh checkout and writes the
     # bytecode caches an installed copy would have, so it is not a sample.
-    worker_argv += ["--trace"] if args.trace else ["--setup-every", str(SETUP_EVERY_S)]
-    worker = json.loads(_run_child(worker_argv, deadline, cwd=input_dir).stdout)
+    result = json.loads(_run_child(worker_argv, deadline, cwd=input_dir).stdout)
 
     records = read_records(out)
     plain = [rec for rec in records if rec["passname"] == "plain"]
     traced = [rec for rec in records if rec["passname"] == "traced"]
-    totals = gate_records(requests, records, input_dir)
+    digest_requests = workloads.DIGEST_REQUESTS[args.workload]
+    totals = gate_records(requests, records, input_dir, digest_requests)
 
     if args.trace:
-        metrics, extra = per_layer_metrics(plain, traced, totals, out, gen_stats, deadline)
+        metrics, extra = per_layer_metrics(plain, traced, totals, out, deadline)
     else:
-        metrics, extra = end_to_end_metrics(plain, totals, worker)
+        metrics, extra = end_to_end_metrics(plain, totals, result)
 
     import numpy
 
@@ -287,9 +286,9 @@ def main(argv=None) -> int:
         "requests": len(plain), "items": sum(totals["plain_items"].values()),
         "error_rate": totals["failed"] / totals["attempted"],
         "float_checks": totals["checked"], "float_checks_unchecked": totals["unchecked"],
-        "digest_requests": min(DIGEST_REQUESTS, len(plain)),
-        "digest_sha256": totals["digest_sha256"],
-        "worker_setup_s": worker["setup_s"], "setup_samples_s": worker["setup_samples_s"],
+        "digest_requests": digest_requests, "digest_sha256": totals["digest_sha256"],
+        "generator": gen_stats,
+        "worker_setup_s": result["setup_s"], "setup_samples_s": result["setup_samples_s"],
         "failures": totals["failures"], **extra,
     }
     (work / "details.json").write_text(json.dumps(details, indent=1) + "\n", encoding="utf-8")

@@ -46,21 +46,25 @@ def test_nearest_rank_percentile():
 
 
 def test_self_time_of_nested_spans():
-    # root [0, 100] holds a [10, 40] and b [50, 90]; a holds c [20, 30].
+    # root [0, 100] holds a [10, 40] and b [50, 90]; a holds c [20, 30];
+    # the harness sized b's input in [42, 48].
     spans = [
         ["cli.main", 0, 100, -1, 0],
         ["criteria.is_ppt", 10, 40, 0, 0],
         ["charpoly.char_poly", 20, 30, 1, 0],
+        [tracing.BITS_SPAN, 42, 48, 0, 0],
         ["matrices.rank", 50, 90, 0, 0],
     ]
-    assert tracing.self_times(spans) == [30, 20, 10, 40]
+    assert tracing.self_times(spans) == [24, 20, 10, 6, 40]
     metrics = tracing.layer_metrics(spans, requests=2, request_ns=100)
     assert metrics["cli.main.calls"] == 0.5
+    assert metrics["cli.main.self_share"] == 0.24
     assert metrics["criteria.is_ppt.self_ms"] == 20 / 1e6 / 2
     assert metrics["matrices.rank.self_share"] == 0.4
     assert metrics["jets.jet_rank.calls"] == 0
+    assert not any(name.startswith(tracing.BITS_SPAN) for name in metrics)
     shares = sum(v for k, v in metrics.items() if k.endswith("self_share"))
-    assert abs(shares - 1.0) < 1e-12
+    assert abs(shares - 0.94) < 1e-12
 
 
 def _tree(path: Path) -> dict:
@@ -75,6 +79,14 @@ def test_generator_is_deterministic_in_the_seed(tmp_path):
         assert first == again
         assert _tree(tmp_path / workload / "a") == _tree(tmp_path / workload / "b")
         assert _tree(tmp_path / workload / "a") != _tree(tmp_path / workload / "c")
+
+
+def test_digest_prefix_holds_every_kind_of_request(tmp_path):
+    for workload in workloads.WORKLOADS:
+        requests, _ = workloads.generate(workload, 1, tmp_path / workload)
+        prefix = requests[:workloads.DIGEST_REQUESTS[workload]]
+        assert ({(r["op"], r["family"]) for r in prefix}
+                == {(r["op"], r["family"]) for r in requests})
 
 
 def _run_cli(argv, cwd: Path) -> str:
@@ -127,6 +139,22 @@ def test_gate_rejects_a_wrong_scan_row(tmp_path):
     assert tally.failures
 
 
+def test_gate_rejects_a_jacobian_rank_lowered_by_one(tmp_path):
+    for family in ("full", "ppt"):
+        request = {"argv": ["scan", "--family", family, "--samples", "2", "--seed", "2",
+                            "--target", "max-rank"], "family": family, "op": "scan"}
+        stdout = _run_cli(request["argv"], tmp_path)
+        tally, counts = gate.check_request(request, _record(stdout), tmp_path)
+        assert tally.failures == [] and tally.unchecked == 0 and counts["items"] == 2
+
+        lines = stdout.splitlines()
+        cells = lines[1].split(",")
+        cells[7] = str(int(cells[7]) - 1)
+        lines[1] = ",".join(cells)
+        tally, _ = gate.check_request(request, _record("\n".join(lines) + "\n"), tmp_path)
+        assert "Jacobian rank" in tally.failures
+
+
 def test_gate_counts_tracebacks_and_exit_codes():
     request = {"argv": ["scan"], "family": "full", "op": "scan"}
     tally, _ = gate.check_request(request, {"rc": None, "error": "Traceback", "stdout": "",
@@ -169,6 +197,9 @@ def test_tracer_patches_every_namespace_and_restores_them():
     assert is_ppt and all(tracer.spans[span[3]][0] == "cli.main" for span in is_ppt)
     assert all(span[1] <= span[2] for span in tracer.spans)
     assert tracer.input_bits["charpoly"] > 0
+    # The harness sizes char_poly's input in a span of its own, beside the call.
+    bits = [span for span in tracer.spans if span[0] == tracing.BITS_SPAN]
+    assert bits and all(span[1] <= span[2] for span in bits)
 
 
 def test_benchmark_json_lists_exactly_the_reported_metrics():

@@ -34,9 +34,13 @@ LAYERS = {
 }
 
 # Functions whose matrix argument is sized: the largest numerator or
-# denominator bit length among its entries is kept per layer.
+# denominator bit length among its entries is kept per layer.  The sizing
+# is the harness's own work, so it runs in a span named BITS_SPAN under the
+# caller: the caller's self time leaves it out, and layer_metrics ignores
+# the span.
 INPUT_BITS = {"charpoly.char_poly": "charpoly", "matrices.rank": "matrices",
               "matrices.det": "matrices"}
+BITS_SPAN = "trace.input_bits"
 
 SPAN_NAMES = tuple(f"{mod}.{fn}" for mod, fns in LAYERS.items() for fn in fns)
 
@@ -67,9 +71,13 @@ class Tracer:
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
+            parent = stack[-1] if stack else -1
             if bits_layer:
+                bits_span = [BITS_SPAN, clock(), 0, parent, self.request]
+                spans.append(bits_span)
                 input_bits[bits_layer] = max(input_bits[bits_layer], matrix_bits(args[0]))
-            span = [name, 0, 0, stack[-1] if stack else -1, self.request]
+                bits_span[2] = clock()
+            span = [name, 0, 0, parent, self.request]
             stack.append(len(spans))
             spans.append(span)
             span[1] = clock()
@@ -120,11 +128,14 @@ def layer_metrics(spans, requests: int, request_ns: int) -> dict:
     """Per wrapped function: calls and self ms per request, and self share.
 
     ``request_ns`` is the summed latency of the traced requests; the share
-    is each function's self time as a fraction of it.
+    is each function's self time as a fraction of it.  BITS_SPAN spans
+    count in no function's figures.
     """
     calls = dict.fromkeys(SPAN_NAMES, 0)
     own_ns = dict.fromkeys(SPAN_NAMES, 0)
     for span, own in zip(spans, self_times(spans)):
+        if span[0] == BITS_SPAN:
+            continue
         calls[span[0]] += 1
         own_ns[span[0]] += own
     out = {}

@@ -1,15 +1,16 @@
 """Closed-loop worker: one process, one client, in-process ``cli.main`` calls.
 
-Run from the directory holding the generated inputs, with the package's
-``src`` on ``PYTHONPATH``.  ``--setup-only`` measures the set-up (import
-``checkerboard.cli`` and build its parser) and exits; ``--setup-every``
-samples that in fresh processes between requests.  Otherwise the
-worker sends the requests of ``--requests`` in order, each only after the
-previous one finished, for ``--seconds`` seconds, and appends one JSON
-record per request to ``--out``, with the times of the speed probes run
-just before and after it.  With ``--trace`` every request is sent
-twice in a row, plain and then with spans installed, and the spans are
-written next to ``--out``.
+Run from the directory holding the generated inputs of ``--workload``,
+with the package's ``src`` on ``PYTHONPATH``.  ``--setup-only`` measures
+the set-up (import ``checkerboard.cli`` and build its parser) and exits.
+Otherwise the worker sends the requests of ``requests.json`` in order,
+each only after the previous one finished, for ``--seconds`` seconds (and
+at least the workload's digest prefix), and writes one JSON record per
+request to ``records.jsonl``, with the times of the speed probes run just
+before and after it.  Plain runs also sample the set-up time of fresh
+processes between requests.  With ``--trace`` every request is sent twice
+in a row, plain and then with spans installed, and the spans are written
+next to the records.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ import traceback
 from pathlib import Path
 
 PROBE_TERMS = 250
+# Seconds between set-up samples in a plain run: about a dozen per run.
+SETUP_EVERY_S = 2.5
+RECORDS_FILE = "records.jsonl"
 
 
 def speed_probe() -> float:
@@ -101,25 +105,25 @@ def measure_setup() -> float:
     return json.loads(proc.stdout)["setup_s"]
 
 
-def run_loop(cli, requests, indices, sink, tracer=None, setup_every: float = 0.0,
-             setup_times: list | None = None) -> None:
+def run_loop(cli, requests, indices, sink, tracer=None) -> list:
     """Send each request; with a tracer, send it again at once with spans installed.
 
     Running the traced copy right after the plain one keeps the pair close
     in time, so the tracing overhead is not confused with the drift of a
     shared machine's speed.  A speed probe runs between plain requests;
-    each record carries the probe times just before and after it.  With
-    ``setup_every`` > 0, a fresh process's
-    set-up time is sampled between requests at that interval: samples
-    spread over the whole run, instead of bunched at its start, see the
-    same machine speed as the requests do.
+    each record carries the probe times just before and after it.  Without
+    a tracer, a fresh process's set-up time is sampled between requests
+    every SETUP_EVERY_S: samples spread over the whole run, instead of
+    bunched at its start, see the same machine speed as the requests do.
+    Returns the set-up samples.
     """
+    setup_times = []
     next_setup = time.perf_counter()
     probe = speed_probe()
     for i in indices:
-        if setup_every > 0 and time.perf_counter() >= next_setup:
+        if tracer is None and time.perf_counter() >= next_setup:
             setup_times.append(measure_setup())
-            next_setup = time.perf_counter() + setup_every
+            next_setup = time.perf_counter() + SETUP_EVERY_S
         record = run_indexed(cli, requests, i, "plain")
         record["probe_before_s"] = probe
         probe = speed_probe()
@@ -133,6 +137,7 @@ def run_loop(cli, requests, indices, sink, tracer=None, setup_every: float = 0.0
             finally:
                 tracer.uninstall()
             sink.write(json.dumps(record) + "\n")
+    return setup_times
 
 
 def timed_indices(seconds: float, min_requests: int):
@@ -147,13 +152,9 @@ def timed_indices(seconds: float, min_requests: int):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--setup-only", action="store_true")
-    ap.add_argument("--requests")
-    ap.add_argument("--out")
-    ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--min-requests", type=int, default=1)
+    ap.add_argument("--workload")
+    ap.add_argument("--seconds", type=float)
     ap.add_argument("--trace", action="store_true")
-    ap.add_argument("--setup-every", type=float, default=0.0,
-                    help="seconds between set-up samples taken during the loop")
     args = ap.parse_args()
 
     start = time.perf_counter()
@@ -164,18 +165,19 @@ def main() -> int:
         print(json.dumps({"setup_s": setup_s}))
         return 0
 
-    with open(args.requests, encoding="utf-8") as fh:
+    import workloads  # after the set-up is timed, so that it does not count there
+
+    with open(workloads.REQUESTS_FILE, encoding="utf-8") as fh:
         requests = json.load(fh)
-    out = Path(args.out)
+    out = Path(RECORDS_FILE)
     tracer = None
     if args.trace:
         import tracing
 
         tracer = tracing.Tracer()
-    setup_times = []
+    indices = timed_indices(args.seconds, workloads.DIGEST_REQUESTS[args.workload])
     with open(out, "w", encoding="utf-8") as sink:
-        run_loop(cli, requests, timed_indices(args.seconds, args.min_requests), sink, tracer,
-                 args.setup_every, setup_times)
+        setup_times = run_loop(cli, requests, indices, sink, tracer)
     peak_kb = peak_rss_kb()
     if tracer is not None:
         with open(out.with_suffix(".spans.jsonl"), "w", encoding="utf-8") as fh:

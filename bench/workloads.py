@@ -14,6 +14,7 @@ import random
 from pathlib import Path
 
 WORKLOADS = ("scan-default", "certify-bigcoef", "max-rank")
+REQUESTS_FILE = "requests.json"
 
 # Samples per scan request.  Batches rather than single samples, so that a
 # change working across samples (a process pool, say) can show its effect.
@@ -37,6 +38,14 @@ BIG_DIGITS = 5
 # median and the tail inside a cluster.
 ALTERNATING = ("full", "ppt")
 TWO_TO_ONE = ("full", "full", "ppt")
+
+# Every run sends at least this many first requests, and the output digest
+# covers exactly them, so that it is the same for every commit that gives
+# the same outputs, however fast it runs.  Each prefix holds every kind of
+# request of its workload: both families in scan-default; every op on both
+# families in certify-bigcoef, whose op and family patterns repeat every
+# nine requests; and in max-rank a few dozen cheap single-sample ranks.
+DIGEST_REQUESTS = {"scan-default": 6, "certify-bigcoef": 9, "max-rank": 36}
 
 FULL_LETTERS = "abcdefghijklmnpqrs"
 PPT_REAL_KEYS = ("t", "x", "y")
@@ -133,7 +142,7 @@ def _certify_requests(rng: random.Random, out_dir: Path) -> tuple:
 def generate(workload: str, seed: int, out_dir: Path) -> tuple:
     """Write the inputs of one workload run; returns (requests, generator stats).
 
-    The request list is also written to ``requests.json`` in ``out_dir``.
+    The request list is also written to REQUESTS_FILE in ``out_dir``.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = _rng(workload, seed)
@@ -146,5 +155,5 @@ def generate(workload: str, seed: int, out_dir: Path) -> tuple:
         requests, stats = _certify_requests(rng, out_dir)
     else:
         raise ValueError(f"unknown workload {workload!r}")
-    _write_json(out_dir / "requests.json", requests)
+    _write_json(out_dir / REQUESTS_FILE, requests)
     return requests, stats
