@@ -1,24 +1,24 @@
 """Characteristic polynomials and exact eigenvalue sign counts.
 
-The inertia of a Hermitian matrix is computed by root counting on its
-characteristic polynomial with Sturm chains.  Multiple eigenvalues are
-handled by descending the gcd chain p, gcd(p, p'), gcd(gcd, gcd'), ...:
-an eigenvalue of multiplicity m contributes one distinct root to each of
-the first m levels, so summing distinct-root counts over the chain gives
-counts with multiplicity.  This avoids any pivoting edge cases that a
+The inertia of a Hermitian matrix is read off its characteristic
+polynomial by Descartes' rule of signs, which is exact because that
+polynomial has only real roots; multiplicities and zero eigenvalues need
+no special handling.  This avoids any pivoting edge cases that a
 congruence decomposition would hit on the singular rank-4 matrices that
-appear throughout this package.
+appear throughout this package.  The matrix is first split into the
+diagonal blocks of its nonzero pattern: every checkerboard state, its
+partial transpose and its reduction matrices split into a 4x4 and a 5x5
+block, which shrinks the characteristic-polynomial work several times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Sequence
 
 from .errors import DimensionError
-from .matrices import GMat, _common_denominator, _lift, require_hermitian
+from .matrices import GMat, _common_denominator, _lift, connected_components, require_hermitian
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,6 @@ class RealPoly:
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "RealPoly":
-        return RealPoly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def __eq__(self, other):
         if not isinstance(other, RealPoly):
@@ -128,106 +119,54 @@ def char_poly(m: GMat) -> RealPoly:
 
 
 # ---------------------------------------------------------------------------
-# Sturm machinery on primitive integer polynomials.
+# Root sign counts by Descartes' rule of signs.
 
 
-def _primitive(coeffs):
-    """Scale rational coefficients by a positive constant to primitive ints."""
-    den = 1
-    for c in coeffs:
-        den = _int_lcm(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = _int_gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _poly_rem(a, b):
-    """Remainder of a by b over the rationals; inputs/outputs lowest-first int lists."""
-    r = [Fraction(c) for c in a]
-    db = len(b) - 1
-    lb = Fraction(b[-1])
-    while len(r) - 1 >= db and any(r):
-        while r and not r[-1]:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        f = r[-1] / lb
-        shift = len(r) - 1 - db
-        for i, bc in enumerate(b):
-            r[shift + i] -= f * bc
-        r.pop()
-    while r and not r[-1]:
-        r.pop()
-    return _primitive(r) if r else []
-
-
-def _sturm_chain(p):
-    """Canonical Sturm chain of an integer polynomial (primitive, positive rescaling)."""
-    chain = [p]
-    dp = [k * c for k, c in enumerate(p)][1:]
-    if dp:
-        chain.append(_primitive([Fraction(c) for c in dp]))
-    while len(chain[-1]) - 1 > 0:
-        rem = _poly_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
-
-
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
-
-
-def _variations(signs) -> int:
-    seq = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
-
-
-def _count_interval_roots(p):
-    """Distinct real roots of integer poly p in (-inf, 0) and (0, +inf); needs p(0) != 0."""
-    chain = _sturm_chain(p)
-    at_neg_inf = [_sign(q[-1]) * (-1) ** (len(q) - 1) for q in chain]
-    at_zero = [_sign(q[0]) for q in chain]
-    at_pos_inf = [_sign(q[-1]) for q in chain]
-    v_neg = _variations(at_neg_inf)
-    v_zero = _variations(at_zero)
-    v_pos = _variations(at_pos_inf)
-    return v_neg - v_zero, v_zero - v_pos, chain
+def _sign_changes(signs) -> int:
+    nonzero = [s for s in signs if s]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
 
 
 def inertia_from_char_poly(p: RealPoly, dim: int) -> Inertia:
-    """Sign counts of the real roots of a monic characteristic polynomial."""
-    coeffs = list(p.coeffs)
+    """Sign counts of the roots of the characteristic polynomial of a Hermitian matrix.
+
+    Such a polynomial has only real roots, and for a real-rooted polynomial
+    Descartes' rule of signs is exact: the positive roots number the sign
+    changes of p(x), the negative roots those of p(-x), and the zero roots
+    the lowest degree with a nonzero coefficient.  Real-rootedness is the
+    caller's precondition; ``char_poly`` enforces it by requiring a
+    Hermitian input.  The final dimension check is only a sanity check: a
+    polynomial such as x^2 - x + 1, which has no real roots, passes it.
+    """
+    coeffs = p.coeffs
     n_zero = 0
     while n_zero < len(coeffs) and not coeffs[n_zero]:
         n_zero += 1
-    reduced = coeffs[n_zero:]
-    n_neg = n_pos = 0
-    if len(reduced) > 1:
-        cur = _primitive(reduced)
-        # Descend the gcd chain; each level counts every remaining distinct root once.
-        while len(cur) - 1 > 0:
-            neg, pos, chain = _count_interval_roots(cur)
-            n_neg += neg
-            n_pos += pos
-            last = chain[-1]
-            if len(last) - 1 == 0:
-                break
-            cur = last if last[-1] > 0 else [-c for c in last]
+    signs = [(c > 0) - (c < 0) for c in coeffs[n_zero:]]
+    n_pos = _sign_changes(signs)
+    n_neg = _sign_changes([-s if k % 2 else s for k, s in enumerate(signs)])
     if n_neg + n_zero + n_pos != dim:
-        raise ArithmeticError(
-            "root count does not match dimension; input was not Hermitian-like"
-        )
+        raise ArithmeticError("root count does not match dimension")
     return Inertia(n_neg, n_zero, n_pos)
 
 
 def inertia(m: GMat) -> Inertia:
-    """Exact (negative, zero, positive) eigenvalue counts of a Hermitian matrix."""
+    """Exact (negative, zero, positive) eigenvalue counts of a Hermitian matrix.
+
+    The indices split into the connected components of the graph with an
+    edge r-c wherever m[r, c] or m[c, r] is nonzero.  The spectrum of m is
+    the union of the spectra of those diagonal blocks, so each block's
+    counts come from its own, smaller characteristic polynomial.
+    """
     if not m.is_square():
         raise DimensionError("inertia of non-square matrix")
-    return inertia_from_char_poly(char_poly(m), m.rows)
+    require_hermitian(m, "inertia input")
+    n = m.rows
+    edges = ((r, c) for r in range(n) for c in range(n) if r != c and m.data[r * n + c])
+    n_neg = n_zero = n_pos = 0
+    for group in connected_components(n, edges):
+        part = inertia_from_char_poly(char_poly(m.submatrix(group, group)), len(group))
+        n_neg += part.n_neg
+        n_zero += part.n_zero
+        n_pos += part.n_pos
+    return Inertia(n_neg, n_zero, n_pos)

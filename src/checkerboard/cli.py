@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import reproduce as reproduce_mod
 from . import sampling
@@ -140,14 +138,8 @@ def _scan_row(family: str, target: str, seed: int, idx: int) -> tuple:
 def cmd_scan(args) -> int:
     if args.samples < 1:
         raise ParseError("samples must be >= 1")
-    threads = int(os.environ.get("CHECKERBOARD_THREADS", "1") or "1")
-    indices = range(args.samples)
-    work = lambda idx: _scan_row(args.family, args.target, args.seed, idx)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, indices))
-    else:
-        results = [work(idx) for idx in indices]
+    results = [_scan_row(args.family, args.target, args.seed, idx)
+               for idx in range(args.samples)]
     totals = {"valid": 0, "ppt": 0, "npt": 0, "reduction": 0, "gamma_fixed": 0,
               "pd_gamma": 0}
     max_rank = None

@@ -11,11 +11,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .charpoly import inertia
 from .errors import CheckerboardError, DegenerateStateError, DimensionError
-from .family import CheckerParams, StateMatrix, placed_vectors, theorem1_generic
+from .family import CheckerParams, StateMatrix, placed_vectors, theorem1_product
 from .gaussian import GaussRat
 from .matrices import GMat, kron, rank
 
@@ -156,16 +154,19 @@ def witness_expectation(s: StateMatrix, w: WitnessVector) -> GaussRat:
     return acc / GaussRat(s.normalizer)
 
 
-def range_product_vector_certificate(p: CheckerParams) -> RangeCertificate:
-    """Exact range-criterion outcome for the state built from ``p``.
+def range_certificate(t1: GaussRat) -> RangeCertificate:
+    """Range-criterion outcome from the genericity product ``theorem1_product``.
 
-    NO_PRODUCT_VECTOR when the genericity product is nonzero (the span of
-    the four generating vectors then contains no nonzero product vector);
-    UNDECIDED otherwise.
+    NO_PRODUCT_VECTOR when the product is nonzero (the span of the four
+    generating vectors then contains no nonzero product vector); UNDECIDED
+    otherwise.
     """
-    if theorem1_generic(p):
-        return RangeCertificate.NO_PRODUCT_VECTOR
-    return RangeCertificate.UNDECIDED
+    return RangeCertificate.NO_PRODUCT_VECTOR if t1 else RangeCertificate.UNDECIDED
+
+
+def range_product_vector_certificate(p: CheckerParams) -> RangeCertificate:
+    """Exact range-criterion outcome for the state built from ``p``."""
+    return range_certificate(theorem1_product(p))
 
 
 _SEESAW_ITERATIONS = 50
@@ -186,6 +187,8 @@ def search_product_vector_numeric(
     a given seed; attempts are merged by smallest residual with ties going
     to the lowest attempt index.
     """
+    import numpy as np  # only this floating-point oracle needs numpy
+
     if attempts < 1:
         raise CheckerboardError("attempts must be >= 1")
     cols = np.zeros((9, 4), dtype=complex)

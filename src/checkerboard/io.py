@@ -33,12 +33,14 @@ def format_fraction(value: Fraction) -> str:
 def parse_fraction(text) -> Fraction:
     if not isinstance(text, str) or not _FRACTION_RE.match(text):
         raise ParseError(f"bad fraction string {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or "1")
+    except ValueError as exc:  # int() refuses strings past the interpreter's digit limit
+        raise ParseError(f"fraction string too long ({len(text)} characters)") from exc
+    if den == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def gauss_to_obj(z: GaussRat) -> dict:

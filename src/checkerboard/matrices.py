@@ -4,7 +4,8 @@ Determinants run fraction-free (Bareiss) on a common-denominator lift to
 Gaussian integers, which keeps intermediate values small on the 9x9
 matrices this package works with; a plain rational elimination is used
 when the lift would be disproportionately large.  Rank and nullspace use
-rational Gauss-Jordan elimination with exact pivots.
+rational Gauss-Jordan elimination with exact pivots; rank eliminates each
+block of the matrix's nonzero pattern on its own.
 """
 
 from __future__ import annotations
@@ -309,10 +310,48 @@ def _row_echelon(m: GMat):
     return grid, pivots
 
 
+def connected_components(n: int, edges) -> list:
+    """Connected components of the graph on 0..n-1 with the given edges.
+
+    Each component is an ascending index list, and the components come in
+    order of their least index, so the work done per component is
+    deterministic.
+    """
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
 def rank(m: GMat) -> int:
-    """Exact rank over the Gaussian rationals."""
-    _, pivots = _row_echelon(m)
-    return len(pivots)
+    """Exact rank over the Gaussian rationals.
+
+    Rows and columns split into the connected components of the bipartite
+    graph with an edge r-c wherever m[r, c] is nonzero.  Permuted, m is
+    block diagonal in those components, so its rank is the sum of the
+    blocks' ranks.
+    """
+    nr, nc = m.rows, m.cols
+    edges = ((r, nr + c) for r in range(nr) for c in range(nc) if m.data[r * nc + c])
+    total = 0
+    for group in connected_components(nr + nc, edges):
+        rows = [i for i in group if i < nr]
+        cols = [i - nr for i in group if i >= nr]
+        if rows and cols:
+            total += len(_row_echelon(m.submatrix(rows, cols))[1])
+    return total
 
 
 def nullspace_basis(m: GMat) -> GMat:

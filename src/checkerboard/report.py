@@ -16,7 +16,7 @@ from .criteria import (
     WitnessVector,
     is_ppt,
     partial_transpose_matrix,
-    range_product_vector_certificate,
+    range_certificate,
     reduction_criterion,
     schmidt_rank,
     witness_expectation,
@@ -70,7 +70,7 @@ def build_certificate(
         },
         "gamma_fixed": gamma_fixed,
         "reduction_violated": violated,
-        "range_certificate": range_product_vector_certificate(full).value,
+        "range_certificate": range_certificate(t1).value,
         "certified_entangled": bool(t1),
         "distillable": violated,
     }

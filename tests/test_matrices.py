@@ -2,20 +2,23 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from checkerboard.errors import DimensionError
 from checkerboard.gaussian import GaussRat
 from checkerboard.matrices import (
     GMat,
     _det_rational,
+    _row_echelon,
     column_spans_equal,
+    connected_components,
     det,
     kron,
     nullspace_basis,
     rank,
 )
 
-from conftest import gauss_matrix, hermitian_matrix
+from conftest import gauss_matrix, hermitian_matrix, sparse_gauss
 
 
 def gm(rows):
@@ -141,3 +144,20 @@ def test_common_denominator_fallback_path():
     big = 1 << 300
     m = gm([[GaussRat(Fraction(1, big)), GaussRat(0)], [GaussRat(0), GaussRat(big)]])
     assert det(m) == GaussRat(1)
+
+
+def test_connected_components_are_sorted_and_cover_every_index():
+    groups = connected_components(6, [(5, 1), (3, 0), (1, 5)])
+    assert groups == [[0, 3], [1, 5], [2], [4]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 7), st.data())
+def test_rank_invariant_under_row_and_column_permutations(nrows, ncols, data):
+    """Blockwise rank matches one elimination of the whole matrix, permuted or not."""
+    m = gm(data.draw(gauss_matrix(nrows, ncols, sparse_gauss)))
+    row_perm = data.draw(st.permutations(range(nrows)))
+    col_perm = data.draw(st.permutations(range(ncols)))
+    want = len(_row_echelon(m)[1])
+    assert rank(m) == want
+    assert rank(m.submatrix(row_perm, col_perm)) == want
