@@ -4,42 +4,34 @@ positive definite (inertia (0, 0, 9)).
 
 Whether such a state exists is open; every known sample is NPT or has a
 singular partial transpose.  Finding nothing is the expected outcome, but
-any hit is printed with its exact parameters for inspection.
+any hit is printed with its exact parameters for inspection.  The samples
+and their classification are those of `scan --family full`.
 """
 
 import argparse
 import sys
+from collections import Counter
 
 from checkerboard import sampling
-from checkerboard.charpoly import Inertia, inertia
-from checkerboard.criteria import partial_transpose_matrix
-from checkerboard.family import build_state, theorem1_generic
 from checkerboard.io import checker_params_to_doc
+from checkerboard.report import classify
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--samples", type=int, default=500)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--max-num", type=int, default=4, help="numerator magnitude bound")
-    ap.add_argument("--max-den", type=int, default=4, help="denominator bound")
     args = ap.parse_args()
 
-    hits = 0
-    histogram = {}
+    histogram = Counter()
     for idx in range(args.samples):
-        rng = sampling.rng_for(args.seed, idx)
-        p = sampling.random_checker_params(rng, args.max_num, args.max_den)
-        state = build_state(p)
-        inert = inertia(partial_transpose_matrix(state.unnormalized))
-        key = (inert.n_neg, inert.n_zero, inert.n_pos)
-        histogram[key] = histogram.get(key, 0) + 1
-        if inert == Inertia(0, 0, 9):
-            hits += 1
-            print(f"POSITIVE-DEFINITE GAMMA at sample {idx} "
-                  f"(theorem1 generic: {theorem1_generic(p)}):")
+        p = sampling.random_checker_params(sampling.rng_for(args.seed, idx))
+        rec = classify("full", p)
+        histogram[rec.inertia.n_neg, rec.inertia.n_zero, rec.inertia.n_pos] += 1
+        if rec.pd_gamma:
+            print(f"POSITIVE-DEFINITE GAMMA at sample {idx} (theorem1 generic: {bool(rec.t1)}):")
             print(checker_params_to_doc(p))
-    print(f"samples: {args.samples}, positive-definite hits: {hits}")
+    print(f"samples: {args.samples}, positive-definite hits: {histogram[0, 0, 9]}")
     for key in sorted(histogram):
         print(f"  inertia {key}: {histogram[key]}")
     return 0

@@ -2,8 +2,9 @@
 
 Subcommands: build, certify, reproduce, scan, embed-bp, jacobian.
 Exit codes: 0 success, 1 golden mismatch, 2 parse error, 3 singular
-parameters.  All exact values in the output are fraction strings; the
-only floating-point fields are prefixed "numeric_".
+parameters, 4 internal error (traceback on stderr).  All exact values in
+the output are fraction strings; the only floating-point fields are
+prefixed "numeric_".
 """
 
 from __future__ import annotations
@@ -11,14 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import reproduce as reproduce_mod
 from . import sampling
-from .charpoly import Inertia
-from .counting import jacobian_rank_lambda, jacobian_rank_psi
-from .criteria import is_ppt, partial_transpose_matrix, reduction_criterion
+from .criteria import is_ppt  # noqa: F401 (bench/test_bench.py traces it in this namespace)
 from .errors import CheckerboardError, ParseError, SingularParameterError
-from .family import build_state, theorem1_generic
 from .io import (
     matrix_to_obj,
     parse_bruss_peres_doc,
@@ -27,19 +26,29 @@ from .io import (
     subfamily_params_to_doc,
 )
 from .matrices import rank
-from .report import build_certificate, jacobian_report
-from .subfamily import bruss_peres_embed, derive_full_params, theorem2_generic
+from .report import build_certificate, classify, format_certificate, jacobian_report
+from .subfamily import bruss_peres_embed
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_SINGULAR = 3
+EXIT_INTERNAL = 4
 
 CSV_HEADER = "sample_index,seed_offset,generic_t1,generic_t2,ppt,n_neg,reduction_violated,rank,notes"
 
 
 def _dump(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _write(text: str, path=None) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _load_json(path: str):
@@ -52,31 +61,25 @@ def _load_json(path: str):
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _load_params(path: str):
-    return parse_param_doc(_load_json(path))
-
-
 def cmd_build(args) -> int:
     doc = _load_json(args.input)
     kind, params = parse_param_doc(doc)
     witness = parse_witness_doc(_load_json(args.witness)) if args.witness else None
-    full = derive_full_params(params) if kind == "ppt" else params
-    state = build_state(full)
-    cert = build_certificate(kind, params, witness=witness)
+    rec = classify(kind, params)
+    cert = format_certificate(rec, witness)
     out_doc = {
         "params": doc,
         "normalizer": cert["normalizer"],
-        "matrix": matrix_to_obj(state.normalized()),
+        "matrix": matrix_to_obj(rec.state.normalized()),
         "certificate": cert,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(_dump(out_doc) + "\n")
+    _write(_dump(out_doc) + "\n", args.out)
     print(_dump(cert))
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    kind, params = _load_params(args.input)
+    kind, params = parse_param_doc(_load_json(args.input))
     witness = parse_witness_doc(_load_json(args.witness)) if args.witness else None
     cert = build_certificate(kind, params, witness=witness,
                              include_jacobian=args.jacobian)
@@ -91,48 +94,22 @@ def cmd_reproduce(args) -> int:
 
 
 def _scan_row(family: str, target: str, seed: int, idx: int) -> tuple:
-    """One CSV row plus the counters it contributes to the summary."""
+    """One CSV row, the sample's classification (None if singular) and its Jacobian rank."""
     rng = sampling.rng_for(seed, idx)
-    notes = []
-    stats = {"valid": 0, "ppt": 0, "npt": 0, "reduction": 0, "gamma_fixed": 0,
-             "pd_gamma": 0, "jacobian_rank": None}
-    if family == "full":
-        params = sampling.random_checker_params(rng)
-        full = params
-        t1 = theorem1_generic(full)
-        t2_text = ""
-    else:
-        params = sampling.draw_subfamily_params(rng)
-        try:
-            full = derive_full_params(params)
-        except SingularParameterError as exc:
-            row = f"{idx},{idx},,,,,,,singular:{exc.denominator}"
-            return row, stats
-        t1 = theorem1_generic(full)
-        t2 = theorem2_generic(params)
-        t2_text = str(t2)
-    stats["valid"] = 1
-    state = build_state(full)
-    ppt, inert = is_ppt(state)
-    stats["ppt" if ppt else "npt"] = 1
-    violated = reduction_criterion(state)
-    stats["reduction"] = int(violated)
-    if partial_transpose_matrix(state.unnormalized) == state.unnormalized:
-        stats["gamma_fixed"] = 1
-    if inert == Inertia(0, 0, 9):
-        stats["pd_gamma"] = 1
-        notes.append("pd-gamma")
-    if target == "max-rank":
-        jrank = jacobian_rank_psi(full) if family == "full" else jacobian_rank_lambda(params)
-        stats["jacobian_rank"] = jrank
-        rank_field = jrank
-    else:
-        rank_field = rank(state.unnormalized)
+    draw = sampling.random_checker_params if family == "full" else sampling.draw_subfamily_params
+    params = draw(rng)
+    try:
+        rec = classify(family, params)
+    except SingularParameterError as exc:
+        return f"{idx},{idx},,,,,,,singular:{exc.denominator}", None, None
+    jrank = jacobian_report(family, params)["rank"] if target == "max-rank" else None
     row = ",".join([
-        str(idx), str(idx), str(t1), t2_text, str(ppt), str(inert.n_neg),
-        str(violated), str(rank_field), ";".join(notes),
+        str(idx), str(idx), str(bool(rec.t1)), "" if rec.t2 is None else str(bool(rec.t2)),
+        str(rec.ppt), str(rec.inertia.n_neg), str(rec.reduction_violated),
+        str(rank(rec.state.unnormalized) if jrank is None else jrank),
+        "pd-gamma" if rec.pd_gamma else "",
     ])
-    return row, stats
+    return row, rec, jrank
 
 
 def cmd_scan(args) -> int:
@@ -140,48 +117,30 @@ def cmd_scan(args) -> int:
         raise ParseError("samples must be >= 1")
     results = [_scan_row(args.family, args.target, args.seed, idx)
                for idx in range(args.samples)]
-    totals = {"valid": 0, "ppt": 0, "npt": 0, "reduction": 0, "gamma_fixed": 0,
-              "pd_gamma": 0}
-    max_rank = None
-    lines = [CSV_HEADER]
-    for row, stats in results:
-        lines.append(row)
-        for key in totals:
-            totals[key] += stats[key]
-        if stats["jacobian_rank"] is not None:
-            max_rank = max(max_rank or 0, stats["jacobian_rank"])
+    recs = [rec for _, rec, _ in results if rec is not None]
+    ranks = [jrank for _, _, jrank in results if jrank is not None]
+    ppt = sum(rec.ppt for rec in recs)
     summary = (
         f"# summary: family={args.family} target={args.target} samples={args.samples}"
-        f" seed={args.seed} valid={totals['valid']} ppt={totals['ppt']}"
-        f" npt={totals['npt']} reduction_violated={totals['reduction']}"
-        f" gamma_fixed={totals['gamma_fixed']} pd_gamma={totals['pd_gamma']}"
-        f" max_jacobian_rank={max_rank if max_rank is not None else '-'}"
+        f" seed={args.seed} valid={len(recs)} ppt={ppt} npt={len(recs) - ppt}"
+        f" reduction_violated={sum(rec.reduction_violated for rec in recs)}"
+        f" gamma_fixed={sum(rec.gamma_fixed for rec in recs)}"
+        f" pd_gamma={sum(rec.pd_gamma for rec in recs)}"
+        f" max_jacobian_rank={max(ranks) if ranks else '-'}"
     )
-    lines.append(summary)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join([CSV_HEADER, *(row for row, _, _ in results), summary]) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_embed_bp(args) -> int:
     bp = parse_bruss_peres_doc(_load_json(args.input))
     sp = bruss_peres_embed(bp, real_only=args.real)
-    doc = subfamily_params_to_doc(sp)
-    text = _dump(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(_dump(subfamily_params_to_doc(sp)) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_jacobian(args) -> int:
-    kind, params = _load_params(args.input)
+    kind, params = parse_param_doc(_load_json(args.input))
     print(_dump(jacobian_report(kind, params)))
     return EXIT_OK
 
@@ -244,6 +203,10 @@ def main(argv=None) -> int:
         # parse errors and any other invalid-input rejection
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception:
+        # a crash must never read as exit 1, the golden-mismatch code
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

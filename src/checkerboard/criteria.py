@@ -91,9 +91,8 @@ def is_ppt(s: StateMatrix) -> tuple:
     return inert.n_neg == 0, inert
 
 
-def reduced_states(s: StateMatrix) -> tuple:
-    """Partial traces (rho_A, rho_B) of the normalized state."""
-    m = s.normalized()
+def _partial_traces(m: GMat) -> tuple:
+    """(tr_B m, tr_A m) of a 9x9 matrix in the fixed basis ordering."""
     rho_a = GMat.from_rows(
         [[sum((m[3 * i + j, 3 * i2 + j] for j in range(3)), GaussRat(0))
           for i2 in range(3)] for i in range(3)]
@@ -105,6 +104,11 @@ def reduced_states(s: StateMatrix) -> tuple:
     return rho_a, rho_b
 
 
+def reduced_states(s: StateMatrix) -> tuple:
+    """Partial traces (rho_A, rho_B) of the normalized state."""
+    return _partial_traces(s.normalized())
+
+
 def reduction_criterion(s: StateMatrix) -> bool:
     """True iff rho_A (x) 1 - rho or 1 (x) rho_B - rho has a negative eigenvalue.
 
@@ -113,14 +117,7 @@ def reduction_criterion(s: StateMatrix) -> bool:
     """
     m = s.unnormalized
     eye = GMat.identity(3)
-    ra = GMat.from_rows(
-        [[sum((m[3 * i + j, 3 * i2 + j] for j in range(3)), GaussRat(0))
-          for i2 in range(3)] for i in range(3)]
-    )
-    rb = GMat.from_rows(
-        [[sum((m[3 * i + j, 3 * i + j2] for i in range(3)), GaussRat(0))
-          for j2 in range(3)] for j in range(3)]
-    )
+    ra, rb = _partial_traces(m)
     first = kron(ra, eye) - m
     second = kron(eye, rb) - m
     return inertia(first).n_neg > 0 or inertia(second).n_neg > 0

@@ -24,10 +24,20 @@ BRUSS_PERES_REAL_KEYS = ("t", "x")
 BRUSS_PERES_COMPLEX_KEYS = ("a", "b", "c", "f")
 
 
+def _int_to_str(n: int) -> str:
+    """str(n); past the interpreter's int->str digit limit, split in decimal halves."""
+    try:
+        return str(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20  # about half the decimal digits
+        high, low = divmod(abs(n), 10 ** half)
+        return ("-" if n < 0 else "") + _int_to_str(high) + _int_to_str(low).zfill(half)
+
+
 def format_fraction(value: Fraction) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_to_str(value.numerator)
+    return f"{_int_to_str(value.numerator)}/{_int_to_str(value.denominator)}"
 
 
 def parse_fraction(text) -> Fraction:

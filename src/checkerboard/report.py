@@ -1,9 +1,11 @@
-"""Certificate assembly: one JSON-ready report per state."""
+"""One classification record per state, and the certificate formatted from it."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
+from .charpoly import Inertia
 from .counting import (
     LAMBDA_COORDS,
     LAMBDA_SLOTS,
@@ -15,69 +17,94 @@ from .counting import (
 from .criteria import (
     WitnessVector,
     is_ppt,
-    partial_transpose_matrix,
     range_certificate,
     reduction_criterion,
     schmidt_rank,
     witness_expectation,
 )
-from .family import (
-    build_state,
-    has_checkerboard_pattern,
-    theorem1_product,
-)
+from .family import StateMatrix, build_state, has_checkerboard_pattern, theorem1_product
+from .gaussian import GaussRat
 from .io import format_fraction, gauss_to_obj
 from .matrices import rank
-from .subfamily import SubfamilyParams, derive_full_params, theorem2_product
+from .subfamily import derive_full_params, fixed_point_conditions, theorem2_from_theorem1
 
 
-def build_certificate(
-    kind: str,
-    params,
-    witness: Optional[WitnessVector] = None,
-    include_jacobian: bool = False,
-) -> dict:
-    """Run every applicable certificate on the given parameters.
+@dataclass(frozen=True)
+class Classification:
+    """The exact facts about one state; ``t2`` is None outside the ppt family."""
 
-    ``kind`` is "full" (params: CheckerParams) or "ppt"
-    (params: SubfamilyParams, routed through the completion first).
-    All exact values are emitted as fraction strings.
+    kind: str
+    params: object
+    state: StateMatrix
+    t1: GaussRat
+    t2: Optional[GaussRat]
+    ppt: bool
+    inertia: Inertia
+    gamma_fixed: bool
+    reduction_violated: bool
+
+    @property
+    def pd_gamma(self) -> bool:
+        return self.inertia == Inertia(0, 0, 9)
+
+
+def classify(kind: str, params) -> Classification:
+    """Every exact fact about the state of ``params``, each computed once.
+
+    ``kind`` is "full" (CheckerParams) or "ppt" (SubfamilyParams, completed
+    first).  ``t1``/``t2`` are the Theorem 1/2 products and ``inertia`` is
+    that of rho^Gamma, built once, in ``is_ppt``.  ``gamma_fixed`` comes
+    from the eight conditions that are equivalent to rho^Gamma = rho.
     """
     if kind == "ppt":
-        sp: SubfamilyParams = params
-        full = derive_full_params(sp)
+        full = derive_full_params(params)
     elif kind == "full":
-        sp = None
         full = params
     else:
         raise ValueError(f"unknown certificate kind {kind!r}")
-
     state = build_state(full)
+    ppt, inert = is_ppt(state)
     t1 = theorem1_product(full)
-    ppt_flag, inert = is_ppt(state)
-    violated = reduction_criterion(state)
-    gamma_fixed = partial_transpose_matrix(state.unnormalized) == state.unnormalized
+    return Classification(
+        kind=kind,
+        params=params,
+        state=state,
+        t1=t1,
+        t2=theorem2_from_theorem1(full, t1) if kind == "ppt" else None,
+        ppt=ppt,
+        inertia=inert,
+        gamma_fixed=fixed_point_conditions(full),
+        reduction_violated=reduction_criterion(state),
+    )
+
+
+def format_certificate(rec: Classification, witness: Optional[WitnessVector] = None,
+                       include_jacobian: bool = False) -> dict:
+    """The certificate of a classified state; all exact values are fraction strings.
+
+    Theorem 2's product is a multiple of Theorem 1's, so ``t1`` alone
+    decides ``certified_entangled``.
+    """
+    state, inert = rec.state, rec.inertia
     cert = {
-        "family": kind,
+        "family": rec.kind,
         "normalizer": format_fraction(state.normalizer),
         "trace": "1",
         "rank": rank(state.unnormalized),
         "checkerboard": has_checkerboard_pattern(state.unnormalized),
-        "theorem1": {"value": gauss_to_obj(t1), "generic": bool(t1)},
+        "theorem1": {"value": gauss_to_obj(rec.t1), "generic": bool(rec.t1)},
         "ppt": {
-            "is_ppt": ppt_flag,
+            "is_ppt": rec.ppt,
             "inertia": {"neg": inert.n_neg, "zero": inert.n_zero, "pos": inert.n_pos},
         },
-        "gamma_fixed": gamma_fixed,
-        "reduction_violated": violated,
-        "range_certificate": range_certificate(t1).value,
-        "certified_entangled": bool(t1),
-        "distillable": violated,
+        "gamma_fixed": rec.gamma_fixed,
+        "reduction_violated": rec.reduction_violated,
+        "range_certificate": range_certificate(rec.t1).value,
+        "certified_entangled": bool(rec.t1),
+        "distillable": rec.reduction_violated,
     }
-    if kind == "ppt":
-        t2 = theorem2_product(sp)
-        cert["theorem2"] = {"value": gauss_to_obj(t2), "generic": bool(t2)}
-        cert["certified_entangled"] = cert["certified_entangled"] or bool(t2)
+    if rec.t2 is not None:
+        cert["theorem2"] = {"value": gauss_to_obj(rec.t2), "generic": bool(rec.t2)}
     if witness is not None:
         value = witness_expectation(state, witness)
         srank = schmidt_rank(witness)
@@ -89,8 +116,14 @@ def build_certificate(
         }
         cert["distillable"] = cert["distillable"] or one_distillable
     if include_jacobian:
-        cert["jacobian"] = jacobian_report(kind, params)
+        cert["jacobian"] = jacobian_report(rec.kind, rec.params)
     return cert
+
+
+def build_certificate(kind: str, params, witness: Optional[WitnessVector] = None,
+                      include_jacobian: bool = False) -> dict:
+    """Run every applicable certificate on the given parameters (see ``classify``)."""
+    return format_certificate(classify(kind, params), witness, include_jacobian)
 
 
 def jacobian_report(kind: str, params) -> dict:

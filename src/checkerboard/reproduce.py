@@ -17,7 +17,6 @@ from . import presets, sampling
 from .charpoly import Inertia, inertia
 from .counting import jacobian_rank_lambda, jacobian_rank_psi
 from .criteria import (
-    is_ppt,
     partial_transpose_matrix,
     reduction_criterion,
     schmidt_rank,
@@ -34,10 +33,11 @@ from .family import (
     prime_block_null_basis,
     quad_form_F,
     theorem1_generic,
+    theorem1_product,
 )
 from .gaussian import GaussRat
 from .matrices import GMat, det, rank
-from .subfamily import bruss_peres_embed, derive_full_params, theorem1_product
+from .subfamily import bruss_peres_embed, derive_full_params, theorem2_from_theorem1
 
 GOLDEN = {
     "first_normalizer": Fraction(17),
@@ -199,16 +199,16 @@ def item10() -> ItemResult:
         sp = sampling.random_subfamily_params(rng)
         full = derive_full_params(sp)
         state = build_state(full)
-        if partial_transpose_matrix(state.unnormalized) != state.unnormalized:
+        gamma = partial_transpose_matrix(state.unnormalized)
+        if gamma != state.unnormalized:
             failures.append(f"sample {idx}: state not fixed by partial transpose")
             continue
-        ppt, inert = is_ppt(state)
-        if not ppt:
+        inert = inertia(gamma)
+        if inert.n_neg:
             failures.append(f"sample {idx}: n_neg={inert.n_neg}")
             continue
-        extra = full.a * full.b * full.f * (full.a * full.k - full.b * full.j)
-        generic2 = bool(extra * theorem1_product(full))
-        if generic2 and not theorem1_generic(full):
+        t1 = theorem1_product(full)
+        if theorem2_from_theorem1(full, t1) and not t1:
             failures.append(f"sample {idx}: theorem2 holds but theorem1 fails")
     return _result(
         not failures,

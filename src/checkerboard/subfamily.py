@@ -114,11 +114,15 @@ def fixed_point_conditions(p: CheckerParams) -> bool:
     return all(not z.im for z in real_parts)
 
 
+def theorem2_from_theorem1(full: CheckerParams, t1: GaussRat) -> GaussRat:
+    """Theorem 2's product abf(ak-bj) t1 from the completion and t1 = theorem1_product(full)."""
+    return full.a * full.b * full.f * (full.a * full.k - full.b * full.j) * t1
+
+
 def theorem2_product(sp: SubfamilyParams) -> GaussRat:
     """abf (fs-ip)(gr-hq)(ak-bj) F(l,-c) F(mu,-lambda) on the completed parameters."""
     full = derive_full_params(sp)
-    extra = full.a * full.b * full.f * (full.a * full.k - full.b * full.j)
-    return extra * theorem1_product(full)
+    return theorem2_from_theorem1(full, theorem1_product(full))
 
 
 def theorem2_generic(sp: SubfamilyParams) -> bool:

@@ -130,6 +130,41 @@ def test_oversized_fraction_is_parse_error(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+def test_certify_hundred_digit_parameters(tmp_path):
+    """A normalizer past int->str's digit limit is printed, not a traceback."""
+    import random
+    from checkerboard.family import PARAM_LETTERS
+    rng = random.Random(100)
+
+    def frac():
+        return f"{rng.randrange(-10 ** 100, 10 ** 100)}/{rng.randrange(10 ** 99, 10 ** 100)}"
+
+    doc = {"family": "full",
+           "params": {ch: {"re": frac(), "im": frac()} for ch in PARAM_LETTERS}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    src = Path(checkerboard.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "checkerboard.cli", "certify",
+                           "--input", str(path)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(json.loads(proc.stdout)["normalizer"]) > 4300
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    from checkerboard import cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_reproduce", crash)
+    assert main(["reproduce"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
 def test_missing_file_is_parse_error(tmp_path):
     assert main(["certify", "--input", str(tmp_path / "nope.json")]) == 2
 

@@ -1,0 +1,102 @@
+"""Byte-identity of the user-visible outputs.
+
+Each case runs one CLI command (or the PD-Gamma script) on fixed inputs
+and compares what it prints, and for ``build`` the dump it writes, with a
+stored file under ``tests/golden/``.  Any change to a certificate, dump,
+CSV or script line shows up here.
+
+To regenerate after an intended output change, call ``write_golden()``.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import checkerboard
+from checkerboard import presets
+from checkerboard.cli import main
+from checkerboard.io import checker_params_to_doc, subfamily_params_to_doc, witness_to_doc
+
+GOLDEN = Path(__file__).parent / "golden"
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scan_pd_gamma.py"
+
+CLI_CASES = {
+    "certify_first": ["certify", "--input", "{first}"],
+    "certify_first_witness": ["certify", "--input", "{first}", "--witness", "{witness}"],
+    "certify_full": ["certify", "--input", "{full}"],
+    "certify_full_witness": ["certify", "--input", "{full}", "--witness", "{witness}"],
+    "certify_ppt_jacobian": ["certify", "--input", "{ppt}", "--jacobian"],
+    "build_full_witness": ["build", "--input", "{full}", "--witness", "{witness}",
+                           "--out", "{out}"],
+    "build_ppt": ["build", "--input", "{ppt}", "--out", "{out}"],
+    "scan_full": ["scan", "--family", "full", "--samples", "8"],
+    "scan_ppt": ["scan", "--family", "ppt", "--samples", "8"],
+    "scan_ppt_singular": ["scan", "--family", "ppt", "--samples", "3", "--seed", "30",
+                          "--target", "npt"],
+    "scan_full_max_rank": ["scan", "--family", "full", "--samples", "2", "--seed", "3",
+                           "--target", "max-rank"],
+    "scan_ppt_max_rank": ["scan", "--family", "ppt", "--samples", "3", "--seed", "3",
+                          "--target", "max-rank"],
+}
+SCRIPT_ARGS = ["--samples", "40", "--seed", "7"]
+
+
+def _write_inputs(tmp: Path) -> dict:
+    docs = {
+        "first": checker_params_to_doc(presets.REDUCTION_VIOLATING_PARAMS),
+        "full": checker_params_to_doc(presets.ONE_DISTILLABLE_PARAMS),
+        "ppt": subfamily_params_to_doc(presets.SUBFAMILY_RANK_POINT),
+        "witness": witness_to_doc(presets.ONE_DISTILLABLE_WITNESS),
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    paths["out"] = tmp / "dump.json"
+    return {key: str(path) for key, path in paths.items()}
+
+
+def run_cli_case(name: str, tmp: Path) -> dict:
+    """{golden file name: output text} for one CLI case."""
+    paths = _write_inputs(tmp)
+    argv = [arg.format(**paths) for arg in CLI_CASES[name]]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    outputs = {f"{name}.out": buf.getvalue()}
+    if argv[0] == "build":
+        outputs[f"{name}.dump.json"] = Path(paths["out"]).read_text()
+    return outputs
+
+
+def run_script() -> str:
+    src = Path(checkerboard.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, str(SCRIPT), *SCRIPT_ARGS],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def write_golden(tmp: Path) -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name in CLI_CASES:
+        for fname, text in run_cli_case(name, tmp).items():
+            (GOLDEN / fname).write_text(text)
+    (GOLDEN / "scan_pd_gamma.out").write_text(run_script())
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output_is_byte_identical(name, tmp_path):
+    for fname, text in run_cli_case(name, tmp_path).items():
+        assert text == (GOLDEN / fname).read_text(), fname
+
+
+def test_scan_pd_gamma_script_is_byte_identical():
+    assert run_script() == (GOLDEN / "scan_pd_gamma.out").read_text()

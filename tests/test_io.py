@@ -28,6 +28,30 @@ def test_fraction_round_trip():
         assert parse_fraction(format_fraction(fr)) == fr
 
 
+def _digits_value(text: str) -> int:
+    """The integer a digit string spells, read 400 digits at a time."""
+    value = 0
+    for start in range(0, len(text), 400):
+        piece = text[start:start + 400]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(10 ** 5000 + 12345),
+    Fraction(-(10 ** 5000 + 1), 7),
+    Fraction(3 ** 12000, 2 ** 17000 + 1),
+])
+def test_format_fraction_past_the_int_str_digit_limit(value):
+    """Values of more than 5,000 digits format in chunks; str() would raise."""
+    text = format_fraction(value)
+    sign = -1 if text.startswith("-") else 1
+    num, _, den = text.lstrip("-").partition("/")
+    assert len(num) + len(den) > 5000
+    assert num[0] != "0" and (not den or den[0] != "0")
+    assert Fraction(sign * _digits_value(num), _digits_value(den or "1")) == value
+
+
 @pytest.mark.parametrize("bad", ["", "1/0", "0.5", "1e3", "1/-2", "a", " 1", None, 3])
 def test_fraction_rejects(bad):
     with pytest.raises(ParseError):

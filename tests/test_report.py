@@ -1,0 +1,106 @@
+"""The classification record behind certify, build, scan and the PD-Gamma script."""
+
+import importlib
+import json
+import runpy
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from checkerboard import presets, sampling
+from checkerboard.cli import main
+from checkerboard.criteria import is_ppt, partial_transpose_matrix, reduction_criterion
+from checkerboard.family import build_state, theorem1_product
+from checkerboard.io import subfamily_params_to_doc
+from checkerboard.report import build_certificate, classify
+from checkerboard.subfamily import derive_full_params, theorem2_product
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scan_pd_gamma.py"
+
+COUNTED = (
+    ("subfamily", "derive_full_params"),
+    ("family", "build_state"),
+    ("criteria", "partial_transpose_matrix"),
+    ("family", "theorem1_product"),
+)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts calls of the COUNTED functions, wrapped in every checkerboard namespace."""
+    counts = Counter()
+    namespaces = [mod for name, mod in sys.modules.items()
+                  if mod is not None and name.split(".")[0] == "checkerboard"]
+    for mod_name, fn_name in COUNTED:
+        original = getattr(importlib.import_module(f"checkerboard.{mod_name}"), fn_name)
+
+        def wrapper(*args, _fn=original, _name=fn_name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for ns in namespaces:
+            for attr, value in list(vars(ns).items()):
+                if value is original:
+                    monkeypatch.setattr(ns, attr, wrapper)
+    return counts
+
+
+def _expected(states: int, ppt_states: int) -> Counter:
+    return Counter(derive_full_params=ppt_states, build_state=states,
+                   partial_transpose_matrix=states, theorem1_product=states)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("full", presets.ONE_DISTILLABLE_PARAMS),
+    ("ppt", presets.SUBFAMILY_RANK_POINT),
+])
+def test_certificate_computes_each_fact_once(calls, kind, params):
+    build_certificate(kind, params)
+    assert calls == _expected(1, kind == "ppt")
+
+
+def test_build_computes_each_fact_once(calls, tmp_path, capsys):
+    path = tmp_path / "ppt.json"
+    path.write_text(json.dumps(subfamily_params_to_doc(presets.SUBFAMILY_RANK_POINT)))
+    assert main(["build", "--input", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    assert calls == _expected(1, 1)
+
+
+@pytest.mark.parametrize("family", ["full", "ppt"])
+def test_scan_computes_each_fact_once_per_sample(calls, family, capsys):
+    # seed 0 draws no singular ppt sample among the first four
+    assert main(["scan", "--family", family, "--samples", "4"]) == 0
+    assert "valid=4 " in capsys.readouterr().out
+    assert calls == _expected(4, 4 if family == "ppt" else 0)
+
+
+def test_pd_gamma_script_computes_each_fact_once_per_sample(calls, monkeypatch, capsys):
+    script = runpy.run_path(str(SCRIPT))
+    monkeypatch.setattr(sys, "argv", ["scan_pd_gamma.py", "--samples", "3"])
+    assert script["main"]() == 0
+    assert capsys.readouterr().out.startswith("samples: 3, positive-definite hits: 0")
+    assert calls == _expected(3, 0)
+
+
+def test_classify_agrees_with_the_criteria():
+    for idx in range(4):
+        sp = sampling.random_subfamily_params(sampling.rng_for(23, idx))
+        p = sampling.random_checker_params(sampling.rng_for(23, idx))
+        for kind, params, full in (("ppt", sp, derive_full_params(sp)), ("full", p, p)):
+            rec = classify(kind, params)
+            state = build_state(full)
+            ppt, inert = is_ppt(state)
+            assert rec.state == state
+            assert (rec.ppt, rec.inertia) == (ppt, inert)
+            assert rec.gamma_fixed == (partial_transpose_matrix(state.unnormalized)
+                                       == state.unnormalized)
+            assert rec.reduction_violated == reduction_criterion(state)
+            assert rec.t1 == theorem1_product(full)
+            assert rec.t2 == (theorem2_product(sp) if kind == "ppt" else None)
+
+
+def test_classify_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown certificate kind"):
+        classify("mixed", presets.ONE_DISTILLABLE_PARAMS)

@@ -5,7 +5,15 @@ import pytest
 from checkerboard import presets, sampling
 from checkerboard.criteria import partial_transpose_matrix
 from checkerboard.errors import CheckerboardError, SingularParameterError
-from checkerboard.family import CheckerParams, build_state, lambda_mu, quad_form_F
+from checkerboard.family import (
+    PARAM_LETTERS,
+    CheckerParams,
+    build_state,
+    lambda_mu,
+    outer_sum_entries,
+    placed_vectors,
+    quad_form_F,
+)
 from checkerboard.gaussian import GaussRat, parse_gauss
 from checkerboard.subfamily import (
     BrussPeresParams,
@@ -106,6 +114,54 @@ def test_fixed_point_matches_transpose_equality():
             partial_transpose_matrix(pstate.unnormalized) == pstate.unnormalized
         )
         assert fixed_point_conditions(perturbed) == pfixed
+
+
+def test_fixed_point_conditions_symbolic():
+    """rho^Gamma = rho holds exactly when the eight conditions hold, at every point.
+
+    Each letter is re + i im with real symbols and rho comes from the
+    program's own outer-product construction.  Every nonzero entry of
+    rho^Gamma - rho equals, up to sign, the defect lhs - rhs of one of the
+    five complex conditions of ``fixed_point_conditions``, its conjugate,
+    or 2i times the imaginary part of one of the three real ones, and each
+    of the eight occurs.
+    """
+    sympy = pytest.importorskip("sympy")
+    cj = sympy.conjugate
+    z = {ch: sympy.Symbol(f"{ch}_re", real=True) + sympy.I * sympy.Symbol(f"{ch}_im", real=True)
+         for ch in PARAM_LETTERS}
+    rho = outer_sum_entries(placed_vectors(z), 0)
+    gamma_minus_rho = [
+        sympy.expand(rho[3 * i + j2][3 * i2 + j] - rho[3 * i + j][3 * i2 + j2])
+        for i in range(3) for j in range(3) for i2 in range(3) for j2 in range(3)
+    ]
+    p = CheckerParams.from_dict(z)
+    complex_pairs = (
+        (p.f * cj(p.g) + p.p * cj(p.q), p.c * cj(p.a) + p.l * cj(p.j)),
+        (p.i * cj(p.g) + p.s * cj(p.q), p.c * cj(p.d) + p.l * cj(p.m)),
+        (p.f * cj(p.h) + p.p * cj(p.r), p.c * cj(p.b) + p.l * cj(p.k)),
+        (p.i * cj(p.h) + p.s * cj(p.r), p.c * cj(p.e) + p.l * cj(p.n)),
+        (p.a * cj(p.e) + p.j * cj(p.n), p.d * cj(p.b) + p.m * cj(p.k)),
+    )
+    real_parts = (
+        p.a * cj(p.d) + p.j * cj(p.m),
+        p.b * cj(p.e) + p.k * cj(p.n),
+        p.f * cj(p.i) + p.p * cj(p.s),
+    )
+    defects = {}
+    for idx, (lhs, rhs) in enumerate(complex_pairs):
+        defect = sympy.expand(lhs - rhs)
+        defects[defect] = defects[sympy.expand(cj(defect))] = f"complex {idx}"
+    for idx, value in enumerate(real_parts):
+        defects[sympy.expand(2 * sympy.I * sympy.im(sympy.expand(value)))] = f"real {idx}"
+    seen = set()
+    for entry in gamma_minus_rho:
+        if entry == 0:
+            continue
+        name = defects.get(entry) or defects.get(-entry)
+        assert name is not None, entry
+        seen.add(name)
+    assert len(seen) == 8
 
 
 def test_theorem2_contains_theorem1_factor():
