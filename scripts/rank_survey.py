@@ -32,7 +32,7 @@ def main() -> int:
     slot_ranks = Counter()
     for idx in range(args.samples):
         rng = sampling.rng_for(args.seed, idx)
-        sp = sampling.random_subfamily_params(rng)
+        sp, _ = sampling.random_subfamily_params(rng)
         variable_ranks[jacobian_rank_lambda(sp)] += 1
         if args.real_slots:
             slot_ranks[jacobian_rank_lambda_real_slots(sp)] += 1

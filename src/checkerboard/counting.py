@@ -1,4 +1,4 @@
-"""Exact Jacobian ranks of the family maps, via jet arithmetic.
+"""Exact Jacobian ranks of the family maps.
 
 Two maps are differentiated:
 
@@ -15,6 +15,18 @@ Two maps are differentiated:
   point is stated.  The plain 23-real-slot rank is exposed separately
   as ``jacobian_rank_lambda_real_slots`` (it is 15 at that point).
 
+The full-family map is quadratic, so its Jacobian is written down
+directly: every entry is plus or minus the real or imaginary part of one
+parameter, doubled on the diagonal coordinates.  Both ranks are first
+certified mod P = 2^61 - 1, where a rank is a lower bound of the exact
+one as long as P divides no denominator on the way.  For the full family
+a rank of 28, the row count, settles it.  For the subfamily the Jacobian
+comes from jets over F_P[i]; a rank of 13, the column count, settles it,
+and a rank of 12 does once a kernel vector, lifted from its residues by
+rational reconstruction, is checked exactly as a directional derivative
+that vanishes on all 41 coordinates.  Every other outcome falls back to
+the exact ``rank`` of the exact Jacobian.
+
 The slot ordering is fixed so Jacobians are bit-reproducible: for the
 full family, (re, im) pairs of the letters in alphabetical order; for
 the subfamily, t, x, y and then (re, im) pairs of a, b, c, f, j, k, l,
@@ -25,6 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import SingularParameterError
 from .family import (
     CheckerParams,
     EVEN_POSITIONS,
@@ -36,15 +49,31 @@ from .family import (
     placed_vectors,
 )
 from .gaussian import GaussRat
-from .jets import jet_complex_var, jet_const, jet_rank, jet_real_var
-from .matrices import GMat, rank
+from .jets import Jet, ModJet, jet_complex_var, jet_const, jet_rank, jet_real_var
+from .matrices import (
+    GMat,
+    echelon_mod_p,
+    kernel_vector_mod_p,
+    rank,
+    rational_reconstruction,
+    residue,
+)
 from .subfamily import COMPLEX_LETTERS, SubfamilyParams, complete_parameters, derive_full_params
 
 PSI_SLOTS = 36
 PSI_COORDS = 28
 LAMBDA_SLOTS = 23
 LAMBDA_COORDS = 41
+LAMBDA_COLUMNS = 13
 LAMBDA_SLOT_ORDER = ("t", "x", "y") + tuple(COMPLEX_LETTERS)
+
+# The two letters placed at each basis position (one per vector of its
+# sublattice, in vector order) and the real slot of each letter.
+_LETTERS_AT = {}
+for _vec in placed_vectors({ch: ch for ch in PARAM_LETTERS}):
+    for _pos, _ch in _vec:
+        _LETTERS_AT.setdefault(_pos, []).append(_ch)
+_SLOT = {ch: 2 * idx for idx, ch in enumerate(PARAM_LETTERS)}
 
 
 def psi_map(p: CheckerParams) -> tuple:
@@ -60,33 +89,50 @@ def psi_map(p: CheckerParams) -> tuple:
     return tall_odd, tall_even
 
 
-def _tall_block_coords(entries, positions, width):
-    """Independent real coordinates of the first ``width`` columns of a Hermitian block."""
-    coords = []
-    for d in range(width):
-        coords.append(entries[positions[d]][positions[d]].real_part())
-    for ri in range(len(positions)):
-        for ci in range(min(ri, width)):
-            ent = entries[positions[ri]][positions[ci]]
-            coords.append(ent.real_part())
-            coords.append(ent.imag_part())
-    return coords
+def psi_jacobian(parts: dict) -> list:
+    """Rows of the 28x36 real Jacobian of the two-column map.
 
-
-def _psi_coordinate_jets(p: CheckerParams) -> list:
-    values = {}
-    for idx, ch in enumerate(PARAM_LETTERS):
-        values[ch] = jet_complex_var(getattr(p, ch), 2 * idx, 2 * idx + 1, PSI_SLOTS)
-    entries = outer_sum_entries(placed_vectors(values), jet_const(0, PSI_SLOTS))
-    coords = _tall_block_coords(entries, ODD_POSITIONS, 2)
-    coords += _tall_block_coords(entries, EVEN_POSITIONS, 2)
-    assert len(coords) == PSI_COORDS
-    return coords
+    ``parts`` maps each letter to the (re, im) parts of its value, in any
+    ring.  Per block, the rows are Re of the two leading diagonal
+    entries, then Re and Im of each entry below the diagonal in the first
+    two columns, row by row.  An entry is u w* + u' w'* over the letters
+    of the block's two vectors, and d Re(u w*) = Re w dRe u + Im w dIm u
+    + Re u dRe w + Im u dIm w, d Im(u w*) = -Im w dRe u + Re w dIm u
+    + Im u dRe w - Re u dIm w.
+    """
+    rows = []
+    for positions in (ODD_POSITIONS, EVEN_POSITIONS):
+        for d in positions[:2]:
+            row = [0] * PSI_SLOTS
+            for ch in _LETTERS_AT[d]:
+                re, im = parts[ch]
+                row[_SLOT[ch]], row[_SLOT[ch] + 1] = 2 * re, 2 * im
+            rows.append(row)
+        for ri, r in enumerate(positions):
+            for c in positions[:min(ri, 2)]:
+                re_row, im_row = [0] * PSI_SLOTS, [0] * PSI_SLOTS
+                for u, w in zip(_LETTERS_AT[r], _LETTERS_AT[c]):
+                    (u1, u2), (w1, w2), su, sw = parts[u], parts[w], _SLOT[u], _SLOT[w]
+                    re_row[su], re_row[su + 1], re_row[sw], re_row[sw + 1] = w1, w2, u1, u2
+                    im_row[su], im_row[su + 1], im_row[sw], im_row[sw + 1] = -w2, w1, u2, -u1
+                rows += [re_row, im_row]
+    return rows
 
 
 def jacobian_rank_psi(p: CheckerParams) -> int:
-    """Exact rank of the 28x36 real Jacobian of the two-column map at ``p``."""
-    return jet_rank(_psi_coordinate_jets(p), PSI_SLOTS)
+    """Exact rank of the 28x36 real Jacobian of the two-column map at ``p``.
+
+    Rank 28 mod P is the row count and settles it; otherwise, or when P
+    divides a denominator, the exact rank is computed.
+    """
+    parts = {ch: (z.re, z.im) for ch, z in p.as_dict().items()}
+    try:
+        rows = psi_jacobian({ch: (residue(re), residue(im)) for ch, (re, im) in parts.items()})
+        if len(echelon_mod_p(rows)[1]) == PSI_COORDS:
+            return PSI_COORDS
+    except ZeroDivisionError:
+        pass
+    return rank(GMat.from_rows(psi_jacobian(parts)))
 
 
 def lambda_map(sp: SubfamilyParams) -> StateMatrix:
@@ -94,31 +140,86 @@ def lambda_map(sp: SubfamilyParams) -> StateMatrix:
     return build_state(derive_full_params(sp))
 
 
-def _lambda_coordinate_jets(sp: SubfamilyParams) -> list:
-    t = jet_real_var(GaussRat(sp.t), 0, LAMBDA_SLOTS)
-    x = jet_real_var(GaussRat(sp.x), 1, LAMBDA_SLOTS)
-    y = jet_real_var(GaussRat(sp.y), 2, LAMBDA_SLOTS)
-    cvars = {}
-    for idx, ch in enumerate(COMPLEX_LETTERS):
-        cvars[ch] = jet_complex_var(
-            getattr(sp, ch), 3 + 2 * idx, 4 + 2 * idx, LAMBDA_SLOTS
-        )
-    values = complete_parameters(
-        t, x, y,
-        cvars["a"], cvars["b"], cvars["c"], cvars["f"], cvars["j"],
-        cvars["k"], cvars["l"], cvars["m"], cvars["p"], cvars["s"],
-    )
-    entries = outer_sum_entries(placed_vectors(values), jet_const(0, LAMBDA_SLOTS))
-    coords = []
-    for d in range(9):
-        coords.append(entries[d][d].real_part())
+def _lambda_coordinates(seeds: list, zero) -> list:
+    """The 41 real coordinates of N*rho as jets, from jets of t, x, y and COMPLEX_LETTERS.
+
+    They are Re of the diagonal, then Re and Im of each entry below it
+    with an even index sum, row by row.
+    """
+    entries = outer_sum_entries(placed_vectors(complete_parameters(*seeds)), zero)
+    coords = [entries[d][d].real_part() for d in range(9)]
     for r in range(9):
         for c in range(r):
             if (r + c) % 2 == 0:
-                coords.append(entries[r][c].real_part())
-                coords.append(entries[r][c].imag_part())
+                coords += [entries[r][c].real_part(), entries[r][c].imag_part()]
     assert len(coords) == LAMBDA_COORDS
     return coords
+
+
+def _lambda_values(sp: SubfamilyParams) -> list:
+    return [GaussRat(sp.t), GaussRat(sp.x), GaussRat(sp.y)] + [
+        getattr(sp, ch) for ch in COMPLEX_LETTERS
+    ]
+
+
+def _lambda_coordinate_jets(sp: SubfamilyParams) -> list:
+    """The coordinates with exact gradients over the 23 real slots."""
+    return _lambda_coordinates([
+        jet_real_var(z, idx, LAMBDA_SLOTS) if idx < 3
+        else jet_complex_var(z, 2 * idx - 3, 2 * idx - 2, LAMBDA_SLOTS)
+        for idx, z in enumerate(_lambda_values(sp))
+    ], jet_const(0, LAMBDA_SLOTS))
+
+
+def _lambda_kernel_vanishes(sp: SubfamilyParams, v: list) -> bool:
+    """True iff J v = 0 exactly, J the 41x13 Jacobian with columns d/dt, d/dx, d/dy, d/dx_k - i d/dy_k.
+
+    For a real coordinate f and v_k = a + ib, v_k (f_x - i f_y) has real
+    part a f_x + b f_y and imaginary part b f_x - a f_y.  So J v = 0 says
+    that f has zero derivative along two real directions, taken together
+    as the two slots of one jet.
+    """
+    seeds = []
+    for idx, z in enumerate(_lambda_values(sp)):
+        a, b = v[idx].re, v[idx].im
+        grad = (GaussRat(a), GaussRat(b)) if idx < 3 else (GaussRat(a, b), GaussRat(b, -a))
+        seeds.append(Jet(z, grad))
+    return not any(g for jet in _lambda_coordinates(seeds, jet_const(0, 2)) for g in jet.grad)
+
+
+def _certified_rank_lambda(sp: SubfamilyParams):
+    """The rank from F_P[i], when it is a proof; None otherwise.
+
+    The complex 41x13 Jacobian A + iB has rank over F_P[i] half the rank
+    over F_P of [[A, -B], [B, A]], acting on (Re v, Im v).
+    """
+    seeds = []
+    for idx, z in enumerate(_lambda_values(sp)):
+        unit = [(0, 0)] * LAMBDA_SLOTS
+        if idx < 3:
+            unit[idx] = (1, 0)
+        else:
+            unit[2 * idx - 3], unit[2 * idx - 2] = (1, 0), (0, 1)
+        seeds.append(ModJet((residue(z.re), residue(z.im)), unit))
+    top, bottom = [], []
+    for jet in _lambda_coordinates(seeds, ModJet((0, 0), [(0, 0)] * LAMBDA_SLOTS)):
+        g = [re for re, _ in jet.grad]
+        a = g[:3] + g[3::2]  # d/dt, d/dx, d/dy, d/dx_k
+        b = [0, 0, 0] + [-y for y in g[4::2]]  # -d/dy_k
+        top.append(a + [-y for y in b])
+        bottom.append(b + a)
+    echelon, pivots = echelon_mod_p(top + bottom)
+    if len(pivots) == 2 * LAMBDA_COLUMNS:
+        return LAMBDA_COLUMNS
+    if len(pivots) != 2 * LAMBDA_COLUMNS - 2:
+        return None
+    free = min(set(range(2 * LAMBDA_COLUMNS)) - set(pivots))
+    kernel = kernel_vector_mod_p(echelon, pivots, free, 2 * LAMBDA_COLUMNS)
+    lifted = [rational_reconstruction(x) for x in kernel]
+    if None in lifted:
+        return None
+    v = [GaussRat(re, im) for re, im in zip(lifted[:LAMBDA_COLUMNS], lifted[LAMBDA_COLUMNS:])]
+    return LAMBDA_COLUMNS - 1 if _lambda_kernel_vanishes(sp, v) else None
 
 
 def jacobian_rank_lambda(sp: SubfamilyParams) -> int:
@@ -128,8 +229,16 @@ def jacobian_rank_lambda(sp: SubfamilyParams) -> int:
     the ten complex parameters (d/dz = (d/dx - i d/dy)/2) and ordinarily
     in t, x, y, giving a 41x13 matrix whose rank is taken over the
     complex field.  Because the coordinates are real-valued, the
-    conjugate derivatives carry no extra information for this rank.
+    conjugate derivatives carry no extra information for this rank.  The
+    rank is certified mod P when it can be (see the module docstring) and
+    computed exactly otherwise.
     """
+    try:
+        certified = _certified_rank_lambda(sp)
+    except (ZeroDivisionError, SingularParameterError):
+        certified = None  # a nonzero value is 0 mod P; a singular point raises again below
+    if certified is not None:
+        return certified
     half = Fraction(1, 2)
     rows = []
     for jet in _lambda_coordinate_jets(sp):

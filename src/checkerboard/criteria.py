@@ -137,9 +137,10 @@ def witness_expectation(s: StateMatrix, w: WitnessVector) -> GaussRat:
     """Exact <w| rho^Gamma |w> with rho normalized and w used as given.
 
     A negative value together with Schmidt rank <= 2 certifies
-    1-distillability.
+    1-distillability.  rho^Gamma is read off rho in place: with r = 3i+j
+    and c = 3i'+j', rho^Gamma[r, c] = rho[3i+j', 3i'+j].
     """
-    g = partial_transpose_matrix(s.unnormalized)
+    m = s.unnormalized
     acc = GaussRat(0)
     for r in range(9):
         wr = w.components[r].conj()
@@ -147,7 +148,7 @@ def witness_expectation(s: StateMatrix, w: WitnessVector) -> GaussRat:
             continue
         for c in range(9):
             if w.components[c]:
-                acc = acc + wr * g[r, c] * w.components[c]
+                acc = acc + wr * m[r - r % 3 + c % 3, c - c % 3 + r % 3] * w.components[c]
     return acc / GaussRat(s.normalizer)
 
 

@@ -112,12 +112,20 @@ def placed_vectors(values: dict) -> list:
 
 
 def outer_sum_entries(placed: list, zero) -> list:
-    """9x9 nested list of sum_v v[r] * conj(v[c]) over the sparse vectors."""
+    """9x9 nested list of sum_v v[r] * conj(v[c]) over the sparse vectors.
+
+    The sum is Hermitian, so only entries on and below the diagonal are
+    summed; each entry above is the conjugate of its mirror.
+    """
     entries = [[zero for _ in range(9)] for _ in range(9)]
     for vec in placed:
         for r, vr in vec:
             for c, vc in vec:
-                entries[r][c] = entries[r][c] + vr * conj(vc)
+                if r >= c:
+                    entries[r][c] = entries[r][c] + vr * conj(vc)
+    for r in range(9):
+        for c in range(r):
+            entries[c][r] = conj(entries[r][c])
     return entries
 
 

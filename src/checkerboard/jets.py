@@ -1,10 +1,17 @@
-"""First-order jets: exact values bundled with gradients over real parameters.
+"""First-order jets: values bundled with gradients over real parameters.
 
-A jet carries a GaussRat value together with the vector of its partial
-derivatives with respect to a fixed list of real parameters.  A complex
-parameter occupies two slots (real part, imaginary part), so conjugation
-acts entrywise on the gradient.  Jet arithmetic follows the product and
-quotient rules exactly, which makes Jacobians of rational maps exact.
+A jet carries a value together with the vector of its partial derivatives
+with respect to a fixed list of real parameters.  A complex parameter
+occupies two slots (real part, imaginary part), so conjugation acts
+entrywise on the gradient.  Jet arithmetic follows the product and
+quotient rules, which makes Jacobians of rational maps exact.
+
+``Jet`` works over the Gaussian rationals and ``ModJet`` over F_P[i],
+P = 2^61 - 1.  Their callers are all in ``counting``, on the subfamily map
+through ``complete_parameters``: ``ModJet`` gives its Jacobian mod P,
+two-slot ``Jet``s check a kernel vector exactly, and 23-slot ``Jet``s give
+the exact Jacobian for the fallback and for the real-slot rank, the one
+user of ``jet_rank``.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Sequence
 
 from .errors import DimensionError
 from .gaussian import GaussRat
-from .matrices import GMat, rank
+from .matrices import GMat, P, rank
 
 
 class Jet:
@@ -155,3 +162,56 @@ def jet_rank(functions: Sequence[Jet], param_count: int) -> int:
     if not rows:
         return 0
     return rank(GMat.from_rows(rows))
+
+
+class ModJet:
+    """A jet over F_P[i]: the value and each gradient entry are (re, im) residue pairs."""
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value: tuple, grad: list):
+        self.value = value
+        self.grad = grad
+
+    def __bool__(self):
+        return self.value != (0, 0)
+
+    def conj(self) -> "ModJet":
+        re, im = self.value
+        return ModJet((re, -im % P), [(a, -b % P) for a, b in self.grad])
+
+    def real_part(self) -> "ModJet":
+        return ModJet((self.value[0], 0), [(a, 0) for a, _ in self.grad])
+
+    def imag_part(self) -> "ModJet":
+        return ModJet((self.value[1], 0), [(b, 0) for _, b in self.grad])
+
+    def __add__(self, o: "ModJet") -> "ModJet":
+        (ur, ui), (vr, vi) = self.value, o.value
+        return ModJet(((ur + vr) % P, (ui + vi) % P),
+                      [((a + c) % P, (b + d) % P) for (a, b), (c, d) in zip(self.grad, o.grad)])
+
+    def __sub__(self, o: "ModJet") -> "ModJet":
+        (ur, ui), (vr, vi) = self.value, o.value
+        return ModJet(((ur - vr) % P, (ui - vi) % P),
+                      [((a - c) % P, (b - d) % P) for (a, b), (c, d) in zip(self.grad, o.grad)])
+
+    def __mul__(self, o: "ModJet") -> "ModJet":
+        (ur, ui), (vr, vi) = self.value, o.value
+        return ModJet(((ur * vr - ui * vi) % P, (ur * vi + ui * vr) % P),
+                      [((a * vr - b * vi + ur * c - ui * d) % P,
+                        (a * vi + b * vr + ur * d + ui * c) % P)
+                       for (a, b), (c, d) in zip(self.grad, o.grad)])
+
+    def __truediv__(self, o: "ModJet") -> "ModJet":
+        # 1/v = conj(v)/|v|^2 and d(1/v) = -dv/v^2; |v|^2 is 0 mod P only for v = 0.
+        vr, vi = o.value
+        norm = (vr * vr + vi * vi) % P
+        if not norm:
+            raise ZeroDivisionError("jet division by a value that is zero mod P")
+        n = pow(norm, -1, P)
+        wr, wi = vr * n % P, -vi * n % P
+        sr, si = (wr * wr - wi * wi) % P, 2 * wr * wi % P
+        inv = ModJet((wr, wi), [((b * si - a * sr) % P, -(a * si + b * sr) % P)
+                                for a, b in o.grad])
+        return self * inv

@@ -6,12 +6,18 @@ matrices this package works with; a plain rational elimination is used
 when the lift would be disproportionately large.  Rank and nullspace use
 rational Gauss-Jordan elimination with exact pivots; rank eliminates each
 block of the matrix's nonzero pattern on its own.
+
+The modular helpers work in F_P for the prime P = 2^61 - 1: residues of
+rationals, row echelon forms and kernel vectors mod P, and rational
+reconstruction.  A rank mod P never exceeds the rank over the rationals of
+the matrix it reduces, so it is a proven lower bound; callers use it to
+certify Jacobian ranks and fall back to ``rank`` when it is not enough.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, SymmetryError
@@ -381,6 +387,64 @@ def column_spans_equal(a: GMat, b: GMat) -> bool:
     joint = GMat(a.rows, a.cols + b.cols,
                  [x for r in range(a.rows) for x in (a.row(r) + b.row(r))])
     return rank(joint) == ra
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic mod P.  P is 3 mod 4, so x^2 + 1 has no root mod P and F_P[i]
+# is a field: the residue of a Gaussian rational is the pair of the
+# residues of its parts, and complex conjugation commutes with reduction.
+
+P = (1 << 61) - 1
+_RECONSTRUCTION_BOUND = isqrt(P // 2)
+
+
+def residue(x: Fraction) -> int:
+    """x mod P; raises ZeroDivisionError when P divides the denominator."""
+    den = x.denominator % P
+    if not den:
+        raise ZeroDivisionError("P divides the denominator")
+    return x.numerator * pow(den, -1, P) % P
+
+
+def echelon_mod_p(rows: Sequence[Sequence[int]]) -> tuple:
+    """Row echelon form over F_P: (nonzero rows with leading 1s, their pivot columns)."""
+    rest = [[x % P for x in row] for row in rows]
+    done, pivots = [], []
+    for c in range(len(rest[0]) if rest else 0):
+        k = next((k for k, row in enumerate(rest) if row[c]), None)
+        if k is None:
+            continue
+        piv = rest.pop(k)
+        inv = pow(piv[c], -1, P)
+        piv = [x * inv % P for x in piv]
+        rest = [[(x - f * y) % P for x, y in zip(row, piv)] if (f := row[c]) else row
+                for row in rest]
+        done.append(piv)
+        pivots.append(c)
+    return done, pivots
+
+
+def kernel_vector_mod_p(echelon: list, pivots: list, free: int, width: int) -> list:
+    """The kernel vector mod P with 1 at non-pivot column ``free``, 0 at the other non-pivots."""
+    v = [0] * width
+    v[free] = 1
+    for row, pc in reversed(list(zip(echelon, pivots))):
+        v[pc] = -sum(row[j] * v[j] for j in range(pc + 1, width)) % P
+    return v
+
+
+def rational_reconstruction(u: int):
+    """The fraction n/d with |n|, d <= sqrt(P/2) and n = u*d mod P, or None (Wang 1981).
+
+    Such a fraction is unique when it exists; callers verify it exactly.
+    """
+    r0, r1, s0, s1 = P, u % P, 0, 1
+    while r1 > _RECONSTRUCTION_BOUND:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if not s1 or abs(s1) > _RECONSTRUCTION_BOUND:
+        return None
+    return Fraction(r1, s1)
 
 
 def require_hermitian(m: GMat, what: str = "matrix"):

@@ -117,9 +117,10 @@ def item02() -> ItemResult:
 
 
 def _item_pt_det_inertia(state, det_key) -> ItemResult:
-    gamma = partial_transpose_matrix(state.normalized())
-    d = det(gamma)
-    inert = inertia(partial_transpose_matrix(state.unnormalized))
+    # rho^Gamma = G/N for the unnormalized G, so det(rho^Gamma) = det(G)/N^9.
+    gamma = partial_transpose_matrix(state.unnormalized)
+    d = det(gamma) / GaussRat(state.normalizer ** 9)
+    inert = inertia(gamma)
     want_det = GOLDEN[det_key]
     want_inert = GOLDEN["pt_inertia"]
     ok = (not d.im) and d.re == want_det and inert == want_inert
@@ -196,8 +197,7 @@ def item10() -> ItemResult:
     failures = []
     for idx in range(100):
         rng = sampling.rng_for(SEED_SUBFAMILY, idx)
-        sp = sampling.random_subfamily_params(rng)
-        full = derive_full_params(sp)
+        _, full = sampling.random_subfamily_params(rng)
         state = build_state(full)
         gamma = partial_transpose_matrix(state.unnormalized)
         if gamma != state.unnormalized:

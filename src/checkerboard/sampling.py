@@ -72,15 +72,19 @@ def draw_subfamily_params(rng: random.Random) -> SubfamilyParams:
     )
 
 
-def random_subfamily_params(rng: random.Random, max_tries: int = 64) -> SubfamilyParams:
-    """A valid subfamily point (all elimination denominators nonzero)."""
+def random_subfamily_params(rng: random.Random, max_tries: int = 64) -> tuple:
+    """A valid subfamily point and its completion: (SubfamilyParams, CheckerParams).
+
+    Valid means every elimination denominator is nonzero; the completion
+    that proves it is returned rather than computed again by the caller.
+    """
     for _ in range(max_tries):
         sp = draw_subfamily_params(rng)
         try:
-            derive_full_params(sp)
+            full = derive_full_params(sp)
         except SingularParameterError:
             continue
-        return sp
+        return sp, full
     raise SingularParameterError("subfamily-sample-retries-exhausted")
 
 

@@ -1,9 +1,11 @@
-"""The benchmark's tracer wraps layer functions by name; each must still exist."""
+"""The benchmark's tracer wraps layer functions by name; each must still exist and run."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -25,3 +27,31 @@ def test_every_traced_layer_resolves(monkeypatch):
     assert {"build_certificate"} <= set(layers["report"])
     assert {"is_ppt", "partial_transpose_matrix"} <= set(layers["criteria"])
     assert {"theorem2_product"} <= set(layers["subfamily"])
+
+
+def test_every_sized_input_is_a_traced_layer(monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    assert set(tracing.INPUT_BITS) <= set(tracing.SPAN_NAMES)
+
+
+@pytest.mark.parametrize("family", ["full", "ppt"])
+def test_traced_max_rank_scan_sizes_every_rank_input(monkeypatch, capsys, family):
+    """The tracer sizes ``rank``'s argument as a GMat, on the certified path and the fallback."""
+    from checkerboard import counting
+    from checkerboard.cli import main
+    from checkerboard.family import CheckerParams
+
+    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        assert main(["scan", "--family", family, "--samples", "2", "--target", "max-rank"]) == 0
+        # the all-zero point reaches the exact fallback rank
+        assert counting.jacobian_rank_psi(CheckerParams()) == 0
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    jacobian = "counting.jacobian_rank_psi" if family == "full" else "counting.jacobian_rank_lambda"
+    assert {jacobian, "matrices.rank", "counting.jacobian_rank_psi"} <= names
+    assert "jets.jet_rank" not in names
+    assert tracer.input_bits["matrices"] > 0
+    assert "max_jacobian_rank=" + ("28" if family == "full" else "12") in capsys.readouterr().out

@@ -198,7 +198,7 @@ def test_certify_first_example(first_file, capsys):
 
 def test_certify_ppt_sample(tmp_path, capsys):
     from checkerboard import sampling
-    sp = sampling.random_subfamily_params(sampling.rng_for(71, 0))
+    sp, _ = sampling.random_subfamily_params(sampling.rng_for(71, 0))
     path = tmp_path / "sample.json"
     path.write_text(json.dumps(subfamily_params_to_doc(sp)))
     assert main(["certify", "--input", str(path)]) == 0

@@ -22,7 +22,6 @@ from checkerboard.errors import DegenerateStateError
 from checkerboard.family import CheckerParams, StateMatrix, build_state
 from checkerboard.gaussian import GaussRat
 from checkerboard.matrices import GMat, kron
-from checkerboard.subfamily import derive_full_params
 
 from conftest import gauss_matrix, hermitian_matrix
 
@@ -79,8 +78,8 @@ def test_is_ppt_on_examples():
 
 def test_is_ppt_on_fixed_point_states():
     for idx in range(5):
-        sp = sampling.random_subfamily_params(sampling.rng_for(51, idx))
-        state = build_state(derive_full_params(sp))
+        _, full = sampling.random_subfamily_params(sampling.rng_for(51, idx))
+        state = build_state(full)
         ppt, inert = is_ppt(state)
         assert ppt and inert.n_neg == 0
 
@@ -160,8 +159,8 @@ def test_witness_expectation_zero_vector():
 
 
 def test_witness_expectation_nonnegative_on_fixed_points():
-    sp = sampling.random_subfamily_params(sampling.rng_for(52, 0))
-    state = build_state(derive_full_params(sp))
+    _, full = sampling.random_subfamily_params(sampling.rng_for(52, 0))
+    state = build_state(full)
     for idx in range(10):
         rng = sampling.rng_for(53, idx)
         w = WitnessVector.from_components(
@@ -247,11 +246,10 @@ def test_fixed_point_states_satisfy_all_criteria_on_100_samples():
     checked = 0
     idx = 0
     while checked < 100:
-        sp = sampling.random_subfamily_params(sampling.rng_for(56, idx))
+        sp, full = sampling.random_subfamily_params(sampling.rng_for(56, idx))
         idx += 1
         if not theorem2_generic(sp):
             continue
-        full = derive_full_params(sp)
         state = build_state(full)
         ppt, inert = is_ppt(state)
         assert ppt and inert.n_neg == 0

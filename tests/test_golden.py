@@ -1,6 +1,6 @@
 """Byte-identity of the user-visible outputs.
 
-Each case runs one CLI command (or the PD-Gamma script) on fixed inputs
+Each case runs one CLI command (or one script) on fixed inputs
 and compares what it prints, and for ``build`` the dump it writes, with a
 stored file under ``tests/golden/``.  Any change to a certificate, dump,
 CSV or script line shows up here.
@@ -24,7 +24,7 @@ from checkerboard.cli import main
 from checkerboard.io import checker_params_to_doc, subfamily_params_to_doc, witness_to_doc
 
 GOLDEN = Path(__file__).parent / "golden"
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scan_pd_gamma.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 CLI_CASES = {
     "certify_first": ["certify", "--input", "{first}"],
@@ -43,8 +43,14 @@ CLI_CASES = {
                            "--target", "max-rank"],
     "scan_ppt_max_rank": ["scan", "--family", "ppt", "--samples", "3", "--seed", "3",
                           "--target", "max-rank"],
+    "jacobian_full": ["jacobian", "--input", "{full}"],
+    "jacobian_ppt": ["jacobian", "--input", "{ppt}"],
 }
-SCRIPT_ARGS = ["--samples", "40", "--seed", "7"]
+# golden file stem: (script under scripts/, its arguments)
+SCRIPT_CASES = {
+    "scan_pd_gamma": ("scan_pd_gamma.py", ["--samples", "40", "--seed", "7"]),
+    "rank_survey": ("rank_survey.py", ["--samples", "20", "--seed", "0", "--real-slots"]),
+}
 
 
 def _write_inputs(tmp: Path) -> dict:
@@ -75,9 +81,10 @@ def run_cli_case(name: str, tmp: Path) -> dict:
     return outputs
 
 
-def run_script() -> str:
+def run_script(name: str) -> str:
+    script, args = SCRIPT_CASES[name]
     src = Path(checkerboard.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, str(SCRIPT), *SCRIPT_ARGS],
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
                           capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
@@ -89,7 +96,8 @@ def write_golden(tmp: Path) -> None:
     for name in CLI_CASES:
         for fname, text in run_cli_case(name, tmp).items():
             (GOLDEN / fname).write_text(text)
-    (GOLDEN / "scan_pd_gamma.out").write_text(run_script())
+    for name in SCRIPT_CASES:
+        (GOLDEN / f"{name}.out").write_text(run_script(name))
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
@@ -99,4 +107,8 @@ def test_cli_output_is_byte_identical(name, tmp_path):
 
 
 def test_scan_pd_gamma_script_is_byte_identical():
-    assert run_script() == (GOLDEN / "scan_pd_gamma.out").read_text()
+    assert run_script("scan_pd_gamma") == (GOLDEN / "scan_pd_gamma.out").read_text()
+
+
+def test_rank_survey_script_is_byte_identical():
+    assert run_script("rank_survey") == (GOLDEN / "rank_survey.out").read_text()

@@ -151,3 +151,22 @@ def test_gradients_match_central_differences():
             assert abs(fd - exact) / scale < 1e-6, (fd, exact)
         if ok_sample:
             checked += 1
+
+
+def test_mod_jet_is_the_reduction_of_the_exact_jet():
+    from checkerboard.jets import ModJet
+    from checkerboard.matrices import residue
+
+    def reduce(z):
+        return (residue(z.re), residue(z.im))
+
+    x = jet_complex_var(GaussRat(Fraction(1, 3), 2), 0, 1, 3)
+    y = jet_real_var(Fraction(-3, 4), 2, 3)
+    mx, my = (ModJet(reduce(j.value), [reduce(g) for g in j.grad]) for j in (x, y))
+    exact = (x * y.conj() - y) / (x.conj() + y) + x.imag_part() * x.real_part()
+    modular = (mx * my.conj() - my) / (mx.conj() + my) + mx.imag_part() * mx.real_part()
+    assert modular.value == reduce(exact.value)
+    assert modular.grad == [reduce(g) for g in exact.grad]
+    assert bool(modular) and not ModJet((0, 0), [])
+    with pytest.raises(ZeroDivisionError):
+        mx / (mx - mx)

@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from checkerboard import presets, sampling
+from checkerboard import presets, reproduce, sampling
 from checkerboard.cli import main
 from checkerboard.criteria import is_ppt, partial_transpose_matrix, reduction_criterion
 from checkerboard.family import build_state, theorem1_product
-from checkerboard.io import subfamily_params_to_doc
+from checkerboard.io import checker_params_to_doc, subfamily_params_to_doc, witness_to_doc
 from checkerboard.report import build_certificate, classify
-from checkerboard.subfamily import derive_full_params, theorem2_product
+from checkerboard.subfamily import theorem2_product
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scan_pd_gamma.py"
 
@@ -29,7 +29,7 @@ COUNTED = (
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts calls of the COUNTED functions, wrapped in every checkerboard namespace."""
+    """Counts the calls of the COUNTED functions that return, in every checkerboard namespace."""
     counts = Counter()
     namespaces = [mod for name, mod in sys.modules.items()
                   if mod is not None and name.split(".")[0] == "checkerboard"]
@@ -37,8 +37,9 @@ def calls(monkeypatch):
         original = getattr(importlib.import_module(f"checkerboard.{mod_name}"), fn_name)
 
         def wrapper(*args, _fn=original, _name=fn_name, **kwargs):
+            result = _fn(*args, **kwargs)
             counts[_name] += 1
-            return _fn(*args, **kwargs)
+            return result
 
         for ns in namespaces:
             for attr, value in list(vars(ns).items()):
@@ -76,6 +77,21 @@ def test_scan_computes_each_fact_once_per_sample(calls, family, capsys):
     assert calls == _expected(4, 4 if family == "ppt" else 0)
 
 
+def test_certify_with_witness_builds_gamma_once(calls, tmp_path, capsys):
+    params, witness = tmp_path / "full.json", tmp_path / "witness.json"
+    params.write_text(json.dumps(checker_params_to_doc(presets.ONE_DISTILLABLE_PARAMS)))
+    witness.write_text(json.dumps(witness_to_doc(presets.ONE_DISTILLABLE_WITNESS)))
+    assert main(["certify", "--input", str(params), "--witness", str(witness)]) == 0
+    assert json.loads(capsys.readouterr().out)["witness"]["one_distillable"] is True
+    assert calls == _expected(1, 0)
+
+
+def test_item10_completes_each_sample_once(calls):
+    # the sampler's completion is reused; singular draws raise and are not counted
+    assert reproduce.item10().ok
+    assert calls["derive_full_params"] == 100
+
+
 def test_pd_gamma_script_computes_each_fact_once_per_sample(calls, monkeypatch, capsys):
     script = runpy.run_path(str(SCRIPT))
     monkeypatch.setattr(sys, "argv", ["scan_pd_gamma.py", "--samples", "3"])
@@ -86,9 +102,9 @@ def test_pd_gamma_script_computes_each_fact_once_per_sample(calls, monkeypatch, 
 
 def test_classify_agrees_with_the_criteria():
     for idx in range(4):
-        sp = sampling.random_subfamily_params(sampling.rng_for(23, idx))
+        sp, sp_full = sampling.random_subfamily_params(sampling.rng_for(23, idx))
         p = sampling.random_checker_params(sampling.rng_for(23, idx))
-        for kind, params, full in (("ppt", sp, derive_full_params(sp)), ("full", p, p)):
+        for kind, params, full in (("ppt", sp, sp_full), ("full", p, p)):
             rec = classify(kind, params)
             state = build_state(full)
             ppt, inert = is_ppt(state)

@@ -99,8 +99,7 @@ def test_fixed_point_conditions_on_examples():
 def test_fixed_point_matches_transpose_equality():
     """The eight conditions hold exactly when rho^Gamma = rho, members and non-members."""
     for idx in range(50):
-        sp = sampling.random_subfamily_params(sampling.rng_for(31, idx))
-        full = derive_full_params(sp)
+        _, full = sampling.random_subfamily_params(sampling.rng_for(31, idx))
         state = build_state(full)
         fixed = partial_transpose_matrix(state.unnormalized) == state.unnormalized
         assert fixed_point_conditions(full) == fixed
@@ -166,9 +165,8 @@ def test_fixed_point_conditions_symbolic():
 
 def test_theorem2_contains_theorem1_factor():
     for idx in range(20):
-        sp = sampling.random_subfamily_params(sampling.rng_for(32, idx))
+        sp, full = sampling.random_subfamily_params(sampling.rng_for(32, idx))
         if theorem2_generic(sp):
-            full = derive_full_params(sp)
             assert theorem1_product(full) != GaussRat(0)
 
 
