@@ -41,18 +41,20 @@ from .family import (
     lambda_mu,
     prime_block_null_basis,
     quad_form_F,
+    state_rank,
     theorem1_generic,
     theorem1_product,
 )
-from .gaussian import GaussRat, Rat, parse_gauss
+from .gaussian import GaussInt, GaussRat, Rat, lift_to_integers, parse_gauss
 from .jets import Jet, jet_complex_var, jet_const, jet_rank, jet_real_var
-from .matrices import GMat, det, kron, nullspace_basis, rank
+from .matrices import GMat, ZMat, det, integer_lift, kron, nullspace_basis, rank
 from .subfamily import (
     BrussPeresParams,
     SubfamilyParams,
     bruss_peres_embed,
     derive_full_params,
     fixed_point_conditions,
+    fixed_point_defects,
     theorem2_generic,
     theorem2_product,
 )

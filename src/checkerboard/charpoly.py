@@ -9,16 +9,24 @@ appear throughout this package.  The matrix is first split into the
 diagonal blocks of its nonzero pattern: every checkerboard state, its
 partial transpose and its reduction matrices split into a 4x4 and a 5x5
 block, which shrinks the characteristic-polynomial work several times.
+
+Classification hands over Gaussian-integer ``ZMat``s, built once per
+state from its lifted parameters, so no call lifts anything; each block
+is divided by its content before its characteristic polynomial is taken.
+A ``GMat`` (a test, a golden item) is lifted over its least common
+denominator on entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import DimensionError
-from .matrices import GMat, _common_denominator, _lift, connected_components, require_hermitian
+from .gaussian import GaussInt
+from .matrices import GMat, ZMat, connected_components, integer_lift, require_hermitian
 
 
 @dataclass(frozen=True)
@@ -68,51 +76,69 @@ class RealPoly:
 
 # ---------------------------------------------------------------------------
 # Characteristic polynomial via the Faddeev-LeVerrier recursion on a
-# common-denominator Gaussian-integer lift.  All divisions are exact.
+# Gaussian-integer matrix.  All divisions are exact.
 
 
-def _zi_matmul(a, b, n):
-    out = []
+def _dot_conj(u, v):
+    """sum_k u[k] * conj(v[k]) over two rows of (re, im) integer pairs."""
+    sre = sim = 0
+    for (x, y), (p, q) in zip(u, v):
+        sre += x * p + y * q
+        sim += y * p - x * q
+    return sre, sim
+
+
+def _hermitian_product(a, b, n):
+    """A B for Hermitian A and B = a real polynomial in A, so that A B is Hermitian.
+
+    Entry (r, c) is row r of A against row c of B conjugated, since B is
+    Hermitian; only the entries on and below the diagonal are summed, and
+    each one above is the conjugate of its mirror.
+    """
+    out = [[None] * n for _ in range(n)]
     for r in range(n):
-        ar = a[r]
-        row = []
-        for c in range(n):
-            sre = 0
-            sim = 0
-            for k in range(n):
-                x, y = ar[k]
-                u, v = b[k][c]
-                sre += x * u - y * v
-                sim += x * v + y * u
-            row.append((sre, sim))
-        out.append(row)
+        for c in range(r):
+            re, im = out[r][c] = _dot_conj(a[r], b[c])
+            out[c][r] = (re, -im)
+        out[r][r] = _dot_conj(a[r], b[r])
     return out
 
 
-def char_poly(m: GMat) -> RealPoly:
-    """Coefficients of det(lambda*I - m) for Hermitian m, lowest degree first."""
+def char_poly(m) -> RealPoly:
+    """Coefficients of det(lambda*I - m) for Hermitian m, lowest degree first.
+
+    A ``ZMat`` is used as it is.  A ``GMat`` is lifted to d*m over its
+    least common denominator d first, and the coefficients are scaled back.
+    """
+    d = 1
+    if isinstance(m, GMat):
+        m, d = integer_lift(m)
     require_hermitian(m, "char_poly input")
     n = m.rows
     if n == 0:
         return RealPoly([Fraction(1)])
-    d = _common_denominator(m)
-    a = _lift(m, d)
-    # b starts as the identity; c_k collects the lifted coefficients.
-    b = [[(1, 0) if r == c else (0, 0) for c in range(n)] for r in range(n)]
+    a = [[(z.re, z.im) for z in m.row(r)] for r in range(n)]
+    # Every B_k is a real polynomial in A, so A B_k is Hermitian.
+    ab = a  # A B_1, with B_1 = I
     cs = []
     for k in range(1, n + 1):
-        ab = _zi_matmul(a, b, n)
-        tr_re = sum(ab[i][i][0] for i in range(n))
-        tr_im = sum(ab[i][i][1] for i in range(n))
-        if tr_im:
+        if k == n > 1:
+            # the last step needs only the diagonal of A B_n
+            diag = [_dot_conj(a[i], b[i]) for i in range(n)]
+        else:
+            diag = [ab[i][i] for i in range(n)]
+        if sum(y for _, y in diag):
             raise ArithmeticError("non-real trace in char_poly of Hermitian matrix")
-        ck, rem = divmod(-tr_re, k)
+        ck, rem = divmod(-sum(x for x, _ in diag), k)
         if rem:
             raise ArithmeticError("inexact division in Faddeev-LeVerrier recursion")
         cs.append(ck)
         if k < n:
-            for i in range(n):
-                b[i] = [(x + (ck if i == j else 0), y) for j, (x, y) in enumerate(ab[i])]
+            # B_{k+1} = A B_k + c_k I
+            b = [[(x + (ck if i == j else 0), y) for j, (x, y) in enumerate(ab[i])]
+                 for i in range(n)]
+            if k < n - 1:
+                ab = _hermitian_product(a, b, n)
     # det(lambda I - m) = sum_j c_{n-j} / d^{n-j} * lambda^j with c_0 = 1.
     coeffs = [Fraction(cs[n - 1 - j], d ** (n - j)) for j in range(n)] + [Fraction(1)]
     return RealPoly(coeffs)
@@ -150,22 +176,40 @@ def inertia_from_char_poly(p: RealPoly, dim: int) -> Inertia:
     return Inertia(n_neg, n_zero, n_pos)
 
 
-def inertia(m: GMat) -> Inertia:
+def _primitive(m: ZMat) -> ZMat:
+    """m divided by its content, the gcd of all real and imaginary parts.
+
+    A positive scale leaves the signs of the eigenvalues alone, and the
+    characteristic polynomial of the smaller entries is cheaper.
+    """
+    content = gcd(*(part for z in m.data for part in (z.re, z.im)))
+    if content <= 1:
+        return m
+    return ZMat(m.rows, m.cols, [GaussInt(z.re // content, z.im // content) for z in m.data])
+
+
+def inertia(m) -> Inertia:
     """Exact (negative, zero, positive) eigenvalue counts of a Hermitian matrix.
 
-    The indices split into the connected components of the graph with an
-    edge r-c wherever m[r, c] or m[c, r] is nonzero.  The spectrum of m is
-    the union of the spectra of those diagonal blocks, so each block's
-    counts come from its own, smaller characteristic polynomial.
+    A ``GMat`` is lifted to a ``ZMat`` over its least common denominator
+    first; the positive scale keeps the signs.  The indices split into the
+    connected components of the graph with an edge r-c wherever m[r, c]
+    or m[c, r] is nonzero.  The spectrum of m is the union of the spectra
+    of those diagonal blocks, so each block's counts come from its own,
+    smaller characteristic polynomial, taken after dividing the block by
+    its content.
     """
     if not m.is_square():
         raise DimensionError("inertia of non-square matrix")
+    if isinstance(m, GMat):
+        m = integer_lift(m)[0]
     require_hermitian(m, "inertia input")
     n = m.rows
     edges = ((r, c) for r in range(n) for c in range(n) if r != c and m.data[r * n + c])
     n_neg = n_zero = n_pos = 0
     for group in connected_components(n, edges):
-        part = inertia_from_char_poly(char_poly(m.submatrix(group, group)), len(group))
+        block = _primitive(m.submatrix(group, group))
+        part = inertia_from_char_poly(char_poly(block), len(group))
         n_neg += part.n_neg
         n_zero += part.n_zero
         n_pos += part.n_pos

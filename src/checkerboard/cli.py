@@ -25,7 +25,6 @@ from .io import (
     parse_witness_doc,
     subfamily_params_to_doc,
 )
-from .matrices import rank
 from .report import build_certificate, classify, format_certificate, jacobian_report
 from .subfamily import bruss_peres_embed
 
@@ -106,7 +105,7 @@ def _scan_row(family: str, target: str, seed: int, idx: int) -> tuple:
     row = ",".join([
         str(idx), str(idx), str(bool(rec.t1)), "" if rec.t2 is None else str(bool(rec.t2)),
         str(rec.ppt), str(rec.inertia.n_neg), str(rec.reduction_violated),
-        str(rank(rec.state.unnormalized) if jrank is None else jrank),
+        str(rec.rank if jrank is None else jrank),
         "pd-gamma" if rec.pd_gamma else "",
     ])
     return row, rec, jrank

@@ -1,6 +1,9 @@
 """Entanglement and distillability criteria for the constructed states.
 
-Everything except ``search_product_vector_numeric`` is exact.  The numeric
+Everything except ``search_product_vector_numeric`` is exact.  The criteria
+on a state read its Gaussian-integer grid D^2 N rho: rho^Gamma and both
+reduction matrices are integer grids of the same scale, placed entry by
+entry, and their inertia is that of the normalized matrices.  The numeric
 search is a floating-point oracle used to cross-check the exact range
 certificate; it never overrides it.
 """
@@ -14,8 +17,8 @@ from typing import Optional, Sequence
 from .charpoly import inertia
 from .errors import CheckerboardError, DegenerateStateError, DimensionError
 from .family import CheckerParams, StateMatrix, placed_vectors, theorem1_product
-from .gaussian import GaussRat
-from .matrices import GMat, kron, rank
+from .gaussian import GaussInt, GaussRat, lift_to_integers
+from .matrices import GMat, ZMat, rank
 
 
 class RangeCertificate(Enum):
@@ -63,17 +66,16 @@ class WitnessVector:
         return cls(tuple(comps))
 
 
-def partial_transpose_matrix(m: GMat) -> GMat:
-    """Transpose of the second subsystem: G[3i+j, 3i'+j'] = m[3i+j', 3i'+j]."""
+# Flat source index of each entry of rho^Gamma: G[3i+j, 3i'+j'] = m[3i+j', 3i'+j].
+_PT_SOURCE = tuple(9 * (3 * i + j2) + 3 * i2 + j
+                   for i in range(3) for j in range(3) for i2 in range(3) for j2 in range(3))
+
+
+def partial_transpose_matrix(m):
+    """Transpose of the second subsystem of a 9x9 GMat or ZMat."""
     if m.shape() != (9, 9):
         raise DimensionError("partial transpose expects a 9x9 matrix")
-    out = []
-    for i in range(3):
-        for j in range(3):
-            for i2 in range(3):
-                for j2 in range(3):
-                    out.append(m[3 * i + j2, 3 * i2 + j])
-    return GMat(9, 9, out)
+    return type(m)(9, 9, [m.data[k] for k in _PT_SOURCE])
 
 
 def partial_transpose(s: StateMatrix) -> GMat:
@@ -84,22 +86,20 @@ def partial_transpose(s: StateMatrix) -> GMat:
 def is_ppt(s: StateMatrix) -> tuple:
     """(PPT flag, inertia of rho^Gamma); PPT iff no negative eigenvalues.
 
-    The inertia is computed on the unnormalized matrix, which has the same
-    sign counts and keeps the arithmetic in integers.
+    The inertia is computed on the partial transpose of the integer grid,
+    a positive multiple of rho^Gamma with the same sign counts.
     """
-    inert = inertia(partial_transpose_matrix(s.unnormalized))
+    inert = inertia(partial_transpose_matrix(s.grid))
     return inert.n_neg == 0, inert
 
 
-def _partial_traces(m: GMat) -> tuple:
-    """(tr_B m, tr_A m) of a 9x9 matrix in the fixed basis ordering."""
-    rho_a = GMat.from_rows(
-        [[sum((m[3 * i + j, 3 * i2 + j] for j in range(3)), GaussRat(0))
-          for i2 in range(3)] for i in range(3)]
+def _partial_traces(m) -> tuple:
+    """(tr_B m, tr_A m) of a 9x9 GMat or ZMat in the fixed basis ordering."""
+    rho_a = type(m).from_rows(
+        [[sum(m[3 * i + j, 3 * i2 + j] for j in range(3)) for i2 in range(3)] for i in range(3)]
     )
-    rho_b = GMat.from_rows(
-        [[sum((m[3 * i + j, 3 * i + j2] for i in range(3)), GaussRat(0))
-          for j2 in range(3)] for j in range(3)]
+    rho_b = type(m).from_rows(
+        [[sum(m[3 * i + j, 3 * i + j2] for i in range(3)) for j2 in range(3)] for j in range(3)]
     )
     return rho_a, rho_b
 
@@ -113,13 +113,17 @@ def reduction_criterion(s: StateMatrix) -> bool:
     """True iff rho_A (x) 1 - rho or 1 (x) rho_B - rho has a negative eigenvalue.
 
     Violation certifies that the state is entangled and distillable.
-    Computed on the N-scaled matrices to stay in integer arithmetic.
+    Computed on the integer grid: rho_A (x) 1 has rho_A[i, i'] at
+    (3i+j, 3i'+j) and 1 (x) rho_B has rho_B[j, j'] at (3i+j, 3i+j'), so
+    both are placed into -grid directly.
     """
-    m = s.unnormalized
-    eye = GMat.identity(3)
-    ra, rb = _partial_traces(m)
-    first = kron(ra, eye) - m
-    second = kron(eye, rb) - m
+    m = s.grid.data
+    ra, rb = _partial_traces(s.grid)
+    zero = GaussInt(0)
+    first = ZMat(9, 9, [(ra[r // 3, c // 3] if r % 3 == c % 3 else zero) - m[9 * r + c]
+                        for r in range(9) for c in range(9)])
+    second = ZMat(9, 9, [(rb[r % 3, c % 3] if r // 3 == c // 3 else zero) - m[9 * r + c]
+                         for r in range(9) for c in range(9)])
     return inertia(first).n_neg > 0 or inertia(second).n_neg > 0
 
 
@@ -137,19 +141,22 @@ def witness_expectation(s: StateMatrix, w: WitnessVector) -> GaussRat:
     """Exact <w| rho^Gamma |w> with rho normalized and w used as given.
 
     A negative value together with Schmidt rank <= 2 certifies
-    1-distillability.  rho^Gamma is read off rho in place: with r = 3i+j
-    and c = 3i'+j', rho^Gamma[r, c] = rho[3i+j', 3i'+j].
+    1-distillability.  With w lifted to integers e*w and G the partial
+    transpose of the grid, the value is <ew|G|ew> / (e^2 trace(grid)).
+    G is read off the grid in place: with r = 3i+j and c = 3i'+j',
+    G[r, c] = grid[3i+j', 3i'+j].
     """
-    m = s.unnormalized
-    acc = GaussRat(0)
+    m = s.grid.data
+    v, e = lift_to_integers(w.components)
+    acc = GaussInt(0)
     for r in range(9):
-        wr = w.components[r].conj()
-        if not wr:
+        if not v[r]:
             continue
+        wr = v[r].conj()
         for c in range(9):
-            if w.components[c]:
-                acc = acc + wr * m[r - r % 3 + c % 3, c - c % 3 + r % 3] * w.components[c]
-    return acc / GaussRat(s.normalizer)
+            if v[c]:
+                acc = acc + wr * m[_PT_SOURCE[9 * r + c]] * v[c]
+    return acc.over(e * e * s.grid.trace().re)
 
 
 def range_certificate(t1: GaussRat) -> RangeCertificate:

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DegenerateStateError, PatternError
-from .gaussian import GaussRat, ZERO, conj
-from .matrices import GMat
+from .gaussian import GaussInt, GaussRat, ZERO, conj, lift_to_integers
+from .matrices import GMat, ZMat
 
 PARAM_LETTERS = "abcdefghijklmnpqrs"  # the letter "o" is unused
 
@@ -72,17 +73,45 @@ class CheckerParams:
             raise KeyError(f"unknown parameter letters: {sorted(extra)}")
         return cls(**{ch: values.get(ch, ZERO) for ch in PARAM_LETTERS})
 
+    @cached_property
+    def lifted(self) -> tuple:
+        """(w, D): D is the least common denominator of the 36 parts and w the
+        parameters times D, a CheckerParams of GaussInts.
+
+        Computed once per instance; the state, its rank, t1 and the fixed-point
+        conditions of a classification all come from it.
+        """
+        ints, d = lift_to_integers([getattr(self, ch) for ch in PARAM_LETTERS])
+        return CheckerParams(*ints), d
+
 
 @dataclass(frozen=True)
 class StateMatrix:
-    """A state as N*rho (entrywise exact) together with N = trace(N*rho)."""
+    """A state as a Gaussian-integer grid with N*rho = grid/scale.
 
-    unnormalized: GMat
-    normalizer: Fraction
+    ``build_state`` gives grid = W W* = D^2 N rho for the lifted vectors W
+    and scale = D^2; ``StateMatrix(*integer_lift(m))`` holds any N*rho m.
+    Every sign fact (inertia, rank, PPT) is read off the grid, because the
+    positive scale does not change it.  The Gaussian-rational views are
+    built on demand.
+    """
+
+    grid: ZMat
+    scale: int
+
+    @property
+    def normalizer(self) -> Fraction:
+        """N = trace(N*rho)."""
+        return Fraction(self.grid.trace().re, self.scale)
+
+    @cached_property
+    def unnormalized(self) -> GMat:
+        """N*rho."""
+        return self.grid.over(self.scale)
 
     def normalized(self) -> GMat:
-        inv = GaussRat(Fraction(1, 1) / self.normalizer)
-        return self.unnormalized.scale(inv)
+        """rho = grid / trace(grid)."""
+        return self.grid.over(self.grid.trace().re)
 
 
 @dataclass(frozen=True)
@@ -141,14 +170,35 @@ def build_vectors(p: CheckerParams) -> tuple:
 
 
 def build_state(p: CheckerParams) -> StateMatrix:
-    """Unnormalized state sum |v><v| with its normalizer N = sum <v|v>."""
-    values = p.as_dict()
+    """The state sum |v><v| as the integer grid W W* of the lifted vectors, scale D^2."""
+    w, d = p.lifted
+    values = w.as_dict()
     if not any(values.values()):
         raise DegenerateStateError("all parameters are zero; the state has no trace")
-    entries = outer_sum_entries(placed_vectors(values), ZERO)
-    unnorm = GMat.from_rows(entries)
-    normalizer = unnorm.trace().real_fraction()
-    return StateMatrix(unnorm, normalizer)
+    entries = outer_sum_entries(placed_vectors(values), GaussInt(0))
+    return StateMatrix(ZMat(9, 9, [z for row in entries for z in row]), d * d)
+
+
+def _two_column_rank(rows) -> int:
+    """Rank of an n x 2 matrix given as (u, v) rows: 2 iff some 2x2 minor is nonzero."""
+    for k, (u, v) in enumerate(rows):
+        if any(u * v2 != v * u2 for u2, v2 in rows[k + 1:]):
+            return 2
+    return 1 if any(u or v for u, v in rows) else 0
+
+
+def state_rank(p: CheckerParams) -> int:
+    """rank(N rho) = rank(V_odd) + rank(V_even), since rank(V V*) = rank(V).
+
+    V_even holds v1 and v3 on the even positions, V_odd v2 and v4 on the
+    odd ones; v1/v3 and v2/v4 fill the same positions in the same order.
+    """
+    values = p.as_dict()
+    return sum(
+        _two_column_rank([(values[u], values[v]) for (u, _, _), (v, _, _) in zip(first, second)])
+        for first, second in ((_VECTOR_SLOTS[0], _VECTOR_SLOTS[2]),
+                              (_VECTOR_SLOTS[1], _VECTOR_SLOTS[3]))
+    )
 
 
 def quad_form_F(p: CheckerParams) -> QuadForm:
@@ -196,7 +246,7 @@ def theorem1_generic(p: CheckerParams) -> bool:
     return bool(theorem1_product(p))
 
 
-def has_checkerboard_pattern(m: GMat) -> bool:
+def has_checkerboard_pattern(m) -> bool:
     return all(
         not m[r, c]
         for r in range(m.rows)

@@ -1,14 +1,19 @@
-"""Gaussian-rational scalars: complex numbers with exact rational parts.
+"""Exact complex scalars: Gaussian rationals and Gaussian integers.
 
-Every quantity in this package is a ``GaussRat`` (or a plain ``Fraction``
-where a value is real by construction).  Arithmetic is exact; there is no
-floating point anywhere in the core.
+Parameters, witnesses and every value a user reads or writes are
+``GaussRat``s (or plain ``Fraction``s where a value is real by
+construction).  Classification runs on ``GaussInt``s instead: the
+parameters of a state are lifted once to Gaussian integers over one
+common denominator (``lift_to_integers``), and every matrix built from
+them is an integer grid.  Arithmetic is exact; there is no floating point
+anywhere in the core.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import lcm
 
 from .errors import ParseError
 
@@ -157,6 +162,75 @@ class GaussRat:
             return ims
         sign = "+" if self.im > 0 else ""
         return f"{self.re}{sign}{ims}"
+
+
+class GaussInt:
+    """Exact complex scalar with integer real and imaginary parts.
+
+    The integer counterpart of ``GaussRat`` for the classification hot
+    path: plain ints, no normalization, and no immutability guard (no
+    operation mutates one).  It does not mix with GaussRats.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int = 0, im: int = 0):
+        self.re = re
+        self.im = im
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def conj(self) -> "GaussInt":
+        return GaussInt(self.re, -self.im)
+
+    def __add__(self, other):
+        if type(other) is not GaussInt:
+            if type(other) is not int:  # sum() starts from the int 0
+                return NotImplemented
+            return GaussInt(self.re + other, self.im)
+        return GaussInt(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is not GaussInt:
+            return NotImplemented
+        return GaussInt(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        if type(other) is not GaussInt:
+            return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return GaussInt(a * c - b * d, a * d + b * c)
+
+    def __neg__(self):
+        return GaussInt(-self.re, -self.im)
+
+    def __eq__(self, other):
+        if type(other) is not GaussInt:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GaussInt({self.re!r}, {self.im!r})"
+
+    def over(self, den: int) -> GaussRat:
+        """This value divided by the positive integer ``den``, as a GaussRat."""
+        return GaussRat(Fraction(self.re, den), Fraction(self.im, den))
+
+
+def lift_to_integers(values) -> tuple:
+    """(ints, d) for a sequence of GaussRats: d is their least common
+    denominator and ints[k] = d * values[k] as a GaussInt."""
+    d = 1
+    for z in values:
+        d = lcm(d, z.re.denominator, z.im.denominator)
+    return [GaussInt(z.re.numerator * (d // z.re.denominator),
+                     z.im.numerator * (d // z.im.denominator)) for z in values], d
 
 
 IUNIT = GaussRat(0, 1)

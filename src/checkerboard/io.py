@@ -17,7 +17,8 @@ from .gaussian import GaussRat
 from .matrices import GMat
 from .subfamily import BrussPeresParams, COMPLEX_LETTERS, SubfamilyParams
 
-_FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
+# ASCII digits only, matched against the whole string: "3\n" and "٣/٤" are not fractions.
+_FRACTION_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 PPT_REAL_KEYS = ("t", "x", "y")
 BRUSS_PERES_REAL_KEYS = ("t", "x")
@@ -41,7 +42,7 @@ def format_fraction(value: Fraction) -> str:
 
 
 def parse_fraction(text) -> Fraction:
-    if not isinstance(text, str) or not _FRACTION_RE.match(text):
+    if not isinstance(text, str) or not _FRACTION_RE.fullmatch(text):
         raise ParseError(f"bad fraction string {text!r}")
     num, _, den = text.partition("/")
     try:

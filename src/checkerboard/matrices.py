@@ -1,11 +1,13 @@
-"""Dense matrices over the Gaussian rationals, with exact linear algebra.
+"""Dense matrices over the Gaussian rationals and integers, with exact linear algebra.
 
-Determinants run fraction-free (Bareiss) on a common-denominator lift to
-Gaussian integers, which keeps intermediate values small on the 9x9
-matrices this package works with; a plain rational elimination is used
-when the lift would be disproportionately large.  Rank and nullspace use
-rational Gauss-Jordan elimination with exact pivots; rank eliminates each
-block of the matrix's nonzero pattern on its own.
+``GMat`` holds GaussRats and ``ZMat`` GaussInts; ``integer_lift`` turns the
+first into the second over the least common denominator.  Determinants
+run fraction-free (Bareiss) on that lift, which keeps intermediate values
+small on the 9x9 matrices this package works with; a plain rational
+elimination is used when the lift would be disproportionately large.
+Rank and nullspace use rational Gauss-Jordan elimination with exact
+pivots; rank eliminates each block of the matrix's nonzero pattern on its
+own.
 
 The modular helpers work in F_P for the prime P = 2^61 - 1: residues of
 rationals, row echelon forms and kernel vectors mod P, and rational
@@ -17,11 +19,11 @@ certify Jacobian ranks and fall back to ``rank`` when it is not enough.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, SymmetryError
-from .gaussian import GaussRat
+from .gaussian import GaussRat, lift_to_integers
 
 # Bit size of the common denominator beyond which the integer lift is
 # abandoned in favour of rational elimination.
@@ -36,15 +38,15 @@ def _as_gauss(x) -> GaussRat:
     raise TypeError(f"matrix entries must be GaussRat-compatible, got {type(x).__name__}")
 
 
-class GMat:
-    """Immutable dense matrix with GaussRat entries, row-major storage."""
+class _Grid:
+    """Immutable dense matrix, row-major storage; the entry type is the subclass's."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Sequence):
         if rows < 0 or cols < 0:
             raise DimensionError("negative matrix dimension")
-        entries = tuple(_as_gauss(x) for x in data)
+        entries = self._entries(data)
         if len(entries) != rows * cols:
             raise DimensionError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
@@ -54,11 +56,10 @@ class GMat:
         object.__setattr__(self, "data", entries)
 
     def __setattr__(self, name, value):
-        raise AttributeError("GMat is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # -- construction ----------------------------------------------
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "GMat":
+    def from_rows(cls, rows: Iterable[Iterable]):
         rows = [list(r) for r in rows]
         n = len(rows)
         m = len(rows[0]) if rows else 0
@@ -66,16 +67,8 @@ class GMat:
             raise DimensionError("ragged rows")
         return cls(n, m, [x for r in rows for x in r])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "GMat":
-        return cls(rows, cols, [GaussRat(0)] * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> "GMat":
-        return cls(n, n, [GaussRat(1 if r == c else 0) for r in range(n) for c in range(n)])
-
     # -- access ------------------------------------------------------
-    def __getitem__(self, rc) -> GaussRat:
+    def __getitem__(self, rc):
         r, c = rc
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(rc)
@@ -84,8 +77,69 @@ class GMat:
     def row(self, r: int) -> tuple:
         return self.data[r * self.cols : (r + 1) * self.cols]
 
-    def to_lists(self) -> list:
-        return [list(self.row(r)) for r in range(self.rows)]
+    def transpose(self):
+        return type(self)(self.cols, self.rows,
+                          [self.data[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)])
+
+    def trace(self):
+        if self.rows != self.cols:
+            raise DimensionError("trace of non-square matrix")
+        return sum(self.data[d * self.cols + d] for d in range(self.rows))
+
+    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]):
+        return type(self)(len(row_idx), len(col_idx),
+                          [self.data[r * self.cols + c] for r in row_idx for c in col_idx])
+
+    def shape(self) -> tuple:
+        return (self.rows, self.cols)
+
+    def is_square(self) -> bool:
+        return self.rows == self.cols
+
+    def is_hermitian(self) -> bool:
+        if self.rows != self.cols:
+            return False
+        n, data = self.rows, self.data
+        for r in range(n):
+            for c in range(r + 1):
+                x, y = data[r * n + c], data[c * n + r]
+                if x.re != y.re or x.im != -y.im:
+                    return False
+        return True
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.shape() == other.shape() and self.data == other.data
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.data))
+
+    def __repr__(self):
+        body = "; ".join(" ".join(str(x) for x in self.row(r)) for r in range(self.rows))
+        return f"{type(self).__name__}[{self.rows}x{self.cols}: {body}]"
+
+    def _same_shape(self, other):
+        if self.shape() != other.shape():
+            raise DimensionError(f"shape mismatch {self.shape()} vs {other.shape()}")
+
+
+class GMat(_Grid):
+    """Immutable dense matrix with GaussRat entries (ints and Fractions are coerced)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _entries(data) -> tuple:
+        return tuple(_as_gauss(x) for x in data)
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "GMat":
+        return cls(rows, cols, [GaussRat(0)] * (rows * cols))
+
+    @classmethod
+    def identity(cls, n: int) -> "GMat":
+        return cls(n, n, [GaussRat(1 if r == c else 0) for r in range(n) for c in range(n)])
 
     # -- algebra -----------------------------------------------------
     def __add__(self, other: "GMat") -> "GMat":
@@ -116,56 +170,31 @@ class GMat:
                 out.append(acc)
         return GMat(self.rows, other.cols, out)
 
-    def transpose(self) -> "GMat":
-        return GMat(self.cols, self.rows,
-                    [self.data[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)])
-
     def conj_transpose(self) -> "GMat":
         return GMat(self.cols, self.rows,
                     [self.data[r * self.cols + c].conj() for c in range(self.cols) for r in range(self.rows)])
 
-    def trace(self) -> GaussRat:
-        if self.rows != self.cols:
-            raise DimensionError("trace of non-square matrix")
-        acc = GaussRat(0)
-        for d in range(self.rows):
-            acc = acc + self.data[d * self.cols + d]
-        return acc
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "GMat":
-        return GMat(len(row_idx), len(col_idx),
-                    [self.data[r * self.cols + c] for r in row_idx for c in col_idx])
+class ZMat(_Grid):
+    """Immutable dense matrix with GaussInt entries: the integer grids of classification.
 
-    def shape(self) -> tuple:
-        return (self.rows, self.cols)
+    Entries are taken as given, without coercion, because these grids are
+    built on the hot path from GaussInts only.
+    """
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+    __slots__ = ()
 
-    def is_hermitian(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for r in range(self.rows):
-            for c in range(r + 1):
-                if self[r, c] != self[c, r].conj():
-                    return False
-        return True
+    _entries = staticmethod(tuple)
 
-    def __eq__(self, other):
-        if not isinstance(other, GMat):
-            return NotImplemented
-        return self.shape() == other.shape() and self.data == other.data
+    def over(self, den: int) -> GMat:
+        """This matrix divided by the positive integer ``den``, as a GMat."""
+        return GMat(self.rows, self.cols, [z.over(den) for z in self.data])
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
 
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in self.row(r)) for r in range(self.rows))
-        return f"GMat[{self.rows}x{self.cols}: {body}]"
-
-    def _same_shape(self, other: "GMat"):
-        if self.shape() != other.shape():
-            raise DimensionError(f"shape mismatch {self.shape()} vs {other.shape()}")
+def integer_lift(m: GMat) -> tuple:
+    """(d*m as a ZMat, d) for the least common denominator d of m's entries."""
+    ints, d = lift_to_integers(m.data)
+    return ZMat(m.rows, m.cols, ints), d
 
 
 def kron(a: GMat, b: GMat) -> GMat:
@@ -205,20 +234,6 @@ def _zi_exact_div(u, v):
     if rr or ri:
         raise ArithmeticError("inexact Gaussian-integer division in Bareiss step")
     return (qr, qi)
-
-
-def _common_denominator(m: GMat) -> int:
-    d = 1
-    for x in m.data:
-        d = lcm(d, x.re.denominator, x.im.denominator)
-    return d
-
-
-def _lift(m: GMat, d: int):
-    grid = []
-    for r in range(m.rows):
-        grid.append([(int(x.re * d), int(x.im * d)) for x in m.row(r)])
-    return grid
 
 
 def _det_bareiss(grid, n: int):
@@ -281,10 +296,10 @@ def det(m: GMat) -> GaussRat:
     n = m.rows
     if n == 0:
         return GaussRat(1)
-    d = _common_denominator(m)
+    lifted, d = integer_lift(m)
     if d.bit_length() > _LIFT_BIT_LIMIT:
         return _det_rational(m)
-    re_i, im_i = _det_bareiss(_lift(m, d), n)
+    re_i, im_i = _det_bareiss([[(z.re, z.im) for z in lifted.row(r)] for r in range(n)], n)
     scale = Fraction(1, d) ** n
     return GaussRat(re_i * scale, im_i * scale)
 

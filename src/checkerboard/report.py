@@ -22,10 +22,9 @@ from .criteria import (
     schmidt_rank,
     witness_expectation,
 )
-from .family import StateMatrix, build_state, has_checkerboard_pattern, theorem1_product
+from .family import StateMatrix, build_state, has_checkerboard_pattern, state_rank, theorem1_product
 from .gaussian import GaussRat
 from .io import format_fraction, gauss_to_obj
-from .matrices import rank
 from .subfamily import derive_full_params, fixed_point_conditions, theorem2_from_theorem1
 
 
@@ -36,6 +35,7 @@ class Classification:
     kind: str
     params: object
     state: StateMatrix
+    rank: int
     t1: GaussRat
     t2: Optional[GaussRat]
     ppt: bool
@@ -52,9 +52,14 @@ def classify(kind: str, params) -> Classification:
     """Every exact fact about the state of ``params``, each computed once.
 
     ``kind`` is "full" (CheckerParams) or "ppt" (SubfamilyParams, completed
-    first).  ``t1``/``t2`` are the Theorem 1/2 products and ``inertia`` is
-    that of rho^Gamma, built once, in ``is_ppt``.  ``gamma_fixed`` comes
-    from the eight conditions that are equivalent to rho^Gamma = rho.
+    first).  The 18 full parameters are lifted once to Gaussian integers w
+    over their least common denominator D, and every fact comes from w:
+    the state is the integer grid W W* = D^2 N rho, ``inertia`` is that of
+    its partial transpose (built once, in ``is_ppt``), the rank is
+    rank(V_odd) + rank(V_even), and ``gamma_fixed`` comes from the eight
+    conditions equivalent to rho^Gamma = rho, which are homogeneous of
+    degree two.  ``t1`` is the Theorem 1 product, t1(w)/D^16 because it
+    is homogeneous of degree 16; ``t2`` follows from it.
     """
     if kind == "ppt":
         full = derive_full_params(params)
@@ -63,17 +68,19 @@ def classify(kind: str, params) -> Classification:
     else:
         raise ValueError(f"unknown certificate kind {kind!r}")
     state = build_state(full)
+    w, d = full.lifted
     ppt, inert = is_ppt(state)
-    t1 = theorem1_product(full)
+    t1 = theorem1_product(w).over(d ** 16)
     return Classification(
         kind=kind,
         params=params,
         state=state,
+        rank=state_rank(w),
         t1=t1,
         t2=theorem2_from_theorem1(full, t1) if kind == "ppt" else None,
         ppt=ppt,
         inertia=inert,
-        gamma_fixed=fixed_point_conditions(full),
+        gamma_fixed=fixed_point_conditions(w),
         reduction_violated=reduction_criterion(state),
     )
 
@@ -90,8 +97,8 @@ def format_certificate(rec: Classification, witness: Optional[WitnessVector] = N
         "family": rec.kind,
         "normalizer": format_fraction(state.normalizer),
         "trace": "1",
-        "rank": rank(state.unnormalized),
-        "checkerboard": has_checkerboard_pattern(state.unnormalized),
+        "rank": rec.rank,
+        "checkerboard": has_checkerboard_pattern(state.grid),
         "theorem1": {"value": gauss_to_obj(rec.t1), "generic": bool(rec.t1)},
         "ppt": {
             "is_ppt": rec.ppt,

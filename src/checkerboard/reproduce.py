@@ -199,8 +199,8 @@ def item10() -> ItemResult:
         rng = sampling.rng_for(SEED_SUBFAMILY, idx)
         _, full = sampling.random_subfamily_params(rng)
         state = build_state(full)
-        gamma = partial_transpose_matrix(state.unnormalized)
-        if gamma != state.unnormalized:
+        gamma = partial_transpose_matrix(state.grid)
+        if gamma != state.grid:
             failures.append(f"sample {idx}: state not fixed by partial transpose")
             continue
         inert = inertia(gamma)

@@ -95,23 +95,31 @@ def derive_full_params(sp: SubfamilyParams) -> CheckerParams:
     return CheckerParams.from_dict(values)
 
 
-def fixed_point_conditions(p: CheckerParams) -> bool:
-    """The eight exact conditions equivalent to rho^Gamma = rho."""
-    pairs = (
+def fixed_point_defects(p: CheckerParams) -> tuple:
+    """The eight defects that all vanish exactly when rho^Gamma = rho.
+
+    Five are lhs - rhs of complex conditions and three are z - conj(z) of
+    values that must be real.  Generic over the scalar type; each defect
+    is homogeneous of degree two, so a positive scale of p keeps its zeros.
+    """
+    lhs_rhs = (
         (p.f * conj(p.g) + p.p * conj(p.q), p.c * conj(p.a) + p.l * conj(p.j)),
         (p.i * conj(p.g) + p.s * conj(p.q), p.c * conj(p.d) + p.l * conj(p.m)),
         (p.f * conj(p.h) + p.p * conj(p.r), p.c * conj(p.b) + p.l * conj(p.k)),
         (p.i * conj(p.h) + p.s * conj(p.r), p.c * conj(p.e) + p.l * conj(p.n)),
         (p.a * conj(p.e) + p.j * conj(p.n), p.d * conj(p.b) + p.m * conj(p.k)),
     )
-    if any(lhs != rhs for lhs, rhs in pairs):
-        return False
     real_parts = (
         p.a * conj(p.d) + p.j * conj(p.m),
         p.b * conj(p.e) + p.k * conj(p.n),
         p.f * conj(p.i) + p.p * conj(p.s),
     )
-    return all(not z.im for z in real_parts)
+    return tuple(lhs - rhs for lhs, rhs in lhs_rhs) + tuple(z - conj(z) for z in real_parts)
+
+
+def fixed_point_conditions(p: CheckerParams) -> bool:
+    """The eight exact conditions equivalent to rho^Gamma = rho."""
+    return not any(fixed_point_defects(p))
 
 
 def theorem2_from_theorem1(full: CheckerParams, t1: GaussRat) -> GaussRat:

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from checkerboard.family import PARAM_LETTERS, CheckerParams
 from checkerboard.gaussian import GaussRat
+from checkerboard.subfamily import COMPLEX_LETTERS, SubfamilyParams
 
 small_fractions = st.builds(
     Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=4)
@@ -15,6 +17,35 @@ nonzero_gauss = small_gauss.filter(bool)
 sparse_gauss = st.tuples(st.integers(0, 3), small_gauss).map(
     lambda pick: pick[1] if pick[0] == 0 else GaussRat(0)
 )
+
+
+
+
+def digit_fractions(digits):
+    """Fractions whose numerator and denominator have exactly ``digits`` digits."""
+    size = st.integers(10 ** (digits - 1), 10 ** digits - 1)
+    return st.builds(lambda sign, num, den: Fraction(sign * num, den),
+                     st.sampled_from((-1, 1)), size, size)
+
+
+big_fractions = digit_fractions(20)
+big_gauss = st.builds(GaussRat, big_fractions, big_fractions)
+
+
+def checker_points(entries):
+    return st.builds(CheckerParams, **{ch: entries for ch in PARAM_LETTERS})
+
+
+single_nonzero_points = st.builds(
+    lambda ch, z: CheckerParams.from_dict({ch: z}), st.sampled_from(PARAM_LETTERS), nonzero_gauss
+)
+
+
+def subfamily_points(reals, entries, required=nonzero_gauss):
+    """Points with a, b, f drawn from ``required``: the completion divides by them."""
+    fields = {"t": reals, "x": reals, "y": reals}
+    fields.update({ch: required if ch in "abf" else entries for ch in COMPLEX_LETTERS})
+    return st.builds(SubfamilyParams, **fields)
 
 
 def gauss_matrix(rows, cols, entries=small_gauss):

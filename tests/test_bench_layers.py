@@ -55,3 +55,29 @@ def test_traced_max_rank_scan_sizes_every_rank_input(monkeypatch, capsys, family
     assert "jets.jet_rank" not in names
     assert tracer.input_bits["matrices"] > 0
     assert "max_jacobian_rank=" + ("28" if family == "full" else "12") in capsys.readouterr().out
+
+
+def test_traced_scans_and_witness_certify_size_char_poly_inputs(monkeypatch, capsys, tmp_path):
+    """The tracer runs over the integer-grid classification and sizes char_poly's input."""
+    import json
+
+    from checkerboard import presets
+    from checkerboard.cli import main
+    from checkerboard.io import checker_params_to_doc, witness_to_doc
+
+    params, witness = tmp_path / "full.json", tmp_path / "witness.json"
+    params.write_text(json.dumps(checker_params_to_doc(presets.ONE_DISTILLABLE_PARAMS)))
+    witness.write_text(json.dumps(witness_to_doc(presets.ONE_DISTILLABLE_WITNESS)))
+    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        for family in ("full", "ppt"):
+            assert main(["scan", "--family", family, "--samples", "10"]) == 0
+        capsys.readouterr()
+        assert main(["certify", "--input", str(params), "--witness", str(witness)]) == 0
+    finally:
+        tracer.uninstall()
+    assert json.loads(capsys.readouterr().out)["witness"]["one_distillable"] is True
+    names = {span[0] for span in tracer.spans}
+    assert "charpoly.char_poly" in names
+    assert tracer.input_bits["charpoly"] > 0

@@ -20,7 +20,7 @@ from checkerboard.counting import (
     psi_jacobian,
 )
 from checkerboard.errors import SingularParameterError
-from checkerboard.family import PARAM_LETTERS, CheckerParams
+from checkerboard.family import CheckerParams
 from checkerboard.gaussian import GaussRat
 from checkerboard.matrices import (
     P,
@@ -29,23 +29,18 @@ from checkerboard.matrices import (
     rational_reconstruction,
     residue,
 )
-from checkerboard.subfamily import COMPLEX_LETTERS, SubfamilyParams, derive_full_params
-from conftest import nonzero_gauss, small_fractions, small_gauss, sparse_gauss
-from jet_reference import lambda_rank, psi_coordinate_jets, psi_rank
-
-_digits20 = st.integers(10**19, 10**20 - 1)
-big_fractions = st.builds(lambda sign, num, den: Fraction(sign * num, den),
-                          st.sampled_from((-1, 1)), _digits20, _digits20)
-big_gauss = st.builds(GaussRat, big_fractions, big_fractions)
-
-
-def checker_points(entries):
-    return st.builds(CheckerParams, **{ch: entries for ch in PARAM_LETTERS})
-
-
-single_nonzero_points = st.builds(
-    lambda ch, z: CheckerParams.from_dict({ch: z}), st.sampled_from(PARAM_LETTERS), nonzero_gauss
+from checkerboard.subfamily import derive_full_params
+from conftest import (
+    big_fractions,
+    big_gauss,
+    checker_points,
+    single_nonzero_points,
+    small_fractions,
+    small_gauss,
+    sparse_gauss,
+    subfamily_points,
 )
+from jet_reference import lambda_rank, psi_coordinate_jets, psi_rank
 
 PSI_STRATEGIES = {
     "default": checker_points(small_gauss),
@@ -53,13 +48,6 @@ PSI_STRATEGIES = {
     "20-digit": checker_points(big_gauss),
     "single-nonzero": single_nonzero_points,
 }
-
-
-def subfamily_points(reals, entries, required=nonzero_gauss):
-    """Points with a, b, f drawn from ``required``: the completion divides by them."""
-    fields = {"t": reals, "x": reals, "y": reals}
-    fields.update({ch: required if ch in "abf" else entries for ch in COMPLEX_LETTERS})
-    return st.builds(SubfamilyParams, **fields)
 
 
 LAMBDA_STRATEGIES = {

@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import checkerboard
 from checkerboard import presets, reproduce
 from checkerboard.cli import main
+from checkerboard.criteria import WitnessVector
 from checkerboard.family import build_state
 from checkerboard.gaussian import GaussRat
 from checkerboard.io import (
@@ -17,10 +23,30 @@ from checkerboard.io import (
     bruss_peres_params_to_doc,
     parse_matrix_obj,
     parse_param_doc,
+    parse_witness_doc,
     subfamily_params_to_doc,
     witness_to_doc,
 )
+from checkerboard.report import build_certificate
 from checkerboard.subfamily import BrussPeresParams, derive_full_params
+from conftest import (
+    checker_points,
+    digit_fractions,
+    small_fractions,
+    small_gauss,
+    sparse_gauss,
+    subfamily_points,
+)
+
+_gauss5 = st.builds(GaussRat, digit_fractions(5), digit_fractions(5))
+ROUND_TRIP_DOCS = st.one_of(
+    st.one_of(checker_points(small_gauss), checker_points(sparse_gauss),
+              checker_points(_gauss5)).map(checker_params_to_doc),
+    st.one_of(subfamily_points(small_fractions, small_gauss),
+              subfamily_points(digit_fractions(5), _gauss5, _gauss5)).map(subfamily_params_to_doc),
+)
+ROUND_TRIP_WITNESSES = st.lists(small_gauss, min_size=9, max_size=9).filter(any).map(
+    lambda comps: witness_to_doc(WitnessVector.from_components(comps)))
 
 
 @pytest.fixture
@@ -128,6 +154,22 @@ def test_oversized_fraction_is_parse_error(tmp_path, command):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: fraction string too long")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text", ["1/2\n", "\u0663/\u0664"])
+def test_loose_fraction_string_is_parse_error(tmp_path, text):
+    """A trailing newline or non-ASCII digits exit 2 from certify, as any bad fraction."""
+    doc = checker_params_to_doc(presets.ONE_DISTILLABLE_PARAMS)
+    doc["params"]["a"] = {"re": text, "im": "0"}
+    bad = tmp_path / "loose.json"
+    bad.write_text(json.dumps(doc))
+    src = Path(checkerboard.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "checkerboard.cli", "certify", "--input", str(bad)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: bad fraction string")
+    assert proc.stdout == ""
 
 
 def test_certify_hundred_digit_parameters(tmp_path):
@@ -321,3 +363,29 @@ def test_reproduce_item_output_is_deterministic():
     first = reproduce.item07()
     second = reproduce.item07()
     assert first == second
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=ROUND_TRIP_DOCS, witness_doc=ROUND_TRIP_WITNESSES)
+def test_parse_certify_dump_parse_certify_round_trip(doc, witness_doc):
+    """``build`` parses and certifies a file and dumps it; certifying the dump again
+    gives the identical certificate, and the dumped parameters write back to the same file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        params, witness, dump = (Path(tmp) / name for name in ("p.json", "w.json", "dump.json"))
+        params.write_text(json.dumps(doc))
+        witness.write_text(json.dumps(witness_doc))
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["build", "--input", str(params), "--witness", str(witness),
+                         "--out", str(dump)])
+        if code == 3:  # a singular ppt completion
+            return
+        assert code == 0
+        printed = out.getvalue()
+        dumped = json.loads(dump.read_text())
+    assert dumped["certificate"] == json.loads(printed)
+    kind, parsed = parse_param_doc(dumped["params"])
+    to_doc = checker_params_to_doc if kind == "full" else subfamily_params_to_doc
+    assert to_doc(parsed) == doc
+    again = build_certificate(kind, parsed, witness=parse_witness_doc(witness_doc))
+    assert json.dumps(again, indent=2, sort_keys=True) + "\n" == printed

@@ -21,13 +21,13 @@ from checkerboard.criteria import (
 from checkerboard.errors import DegenerateStateError
 from checkerboard.family import CheckerParams, StateMatrix, build_state
 from checkerboard.gaussian import GaussRat
-from checkerboard.matrices import GMat, kron
+from checkerboard.matrices import GMat, integer_lift, kron
 
 from conftest import gauss_matrix, hermitian_matrix
 
 
 def _state_from(m: GMat) -> StateMatrix:
-    return StateMatrix(m, m.trace().real_fraction())
+    return StateMatrix(*integer_lift(m))
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from checkerboard import presets
 from checkerboard.errors import DegenerateStateError, PatternError
 from checkerboard.family import (
+    PARAM_LETTERS,
     CheckerParams,
     SPLIT_PERMUTATION,
     StateMatrix,
@@ -22,7 +23,7 @@ from checkerboard.family import (
 )
 from checkerboard.charpoly import inertia
 from checkerboard.gaussian import GaussRat, parse_gauss
-from checkerboard.matrices import GMat, column_spans_equal, nullspace_basis, rank
+from checkerboard.matrices import GMat, column_spans_equal, integer_lift, nullspace_basis, rank
 
 from conftest import small_gauss
 
@@ -131,6 +132,21 @@ def test_lambda_mu():
     assert lam and mu
 
 
+def test_theorem1_product_is_homogeneous_of_degree_16():
+    """t1(D w) = D^16 t1(w), which lets classification compute t1 on lifted integers.
+
+    The 18 letters are the generators of the polynomial ring Z[a, ..., s]
+    (sympy's sparse ``ring``), pushed through the program's own
+    ``theorem1_product``; every monomial of the result has total degree 16.
+    The product uses no conjugate, so the ring needs none.
+    """
+    sympy = pytest.importorskip("sympy")
+    _, *letters = sympy.ring(",".join(PARAM_LETTERS), sympy.ZZ)
+    t1 = theorem1_product(CheckerParams(*letters))
+    assert t1 != 0
+    assert {sum(monomial) for monomial in t1.monoms()} == {16}
+
+
 def test_theorem1_on_examples():
     assert not theorem1_generic(CheckerParams())
     assert theorem1_generic(presets.REDUCTION_VIOLATING_PARAMS)
@@ -169,7 +185,8 @@ def test_split_permutation_consistency():
 
 def test_split_diagonal_state():
     entries = [[GaussRat(r + 1) if r == c else GaussRat(0) for c in range(9)] for r in range(9)]
-    state = StateMatrix(GMat.from_rows(entries), Fraction(45))
+    state = StateMatrix(*integer_lift(GMat.from_rows(entries)))
+    assert state.normalizer == Fraction(45)
     block_odd, block_even = checkerboard_split(state)
     assert [block_odd[i, i] for i in range(4)] == [GaussRat(v) for v in (2, 4, 6, 8)]
     assert [block_even[i, i] for i in range(5)] == [GaussRat(v) for v in (1, 3, 5, 7, 9)]
@@ -178,7 +195,7 @@ def test_split_diagonal_state():
 def test_split_rejects_non_checkerboard():
     m = GMat.from_rows([[GaussRat(1)] * 9 for _ in range(9)])
     with pytest.raises(PatternError):
-        checkerboard_split(StateMatrix(m, Fraction(9)))
+        checkerboard_split(StateMatrix(*integer_lift(m)))
 
 
 @settings(max_examples=50, deadline=None)

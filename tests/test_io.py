@@ -52,7 +52,8 @@ def test_format_fraction_past_the_int_str_digit_limit(value):
     assert Fraction(sign * _digits_value(num), _digits_value(den or "1")) == value
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "0.5", "1e3", "1/-2", "a", " 1", None, 3])
+@pytest.mark.parametrize("bad", ["", "1/0", "0.5", "1e3", "1/-2", "a", " 1", None, 3,
+                                 "3\n", "1/2\n", "\u0663/\u0664", "\uff13", "1/\u0662"])
 def test_fraction_rejects(bad):
     with pytest.raises(ParseError):
         parse_fraction(bad)

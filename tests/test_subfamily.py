@@ -16,12 +16,14 @@ from checkerboard.family import (
 )
 from checkerboard.gaussian import GaussRat, parse_gauss
 from checkerboard.subfamily import (
+    COMPLEX_LETTERS,
     BrussPeresParams,
     SubfamilyParams,
     bruss_peres_embed,
     complete_parameters,
     derive_full_params,
     fixed_point_conditions,
+    fixed_point_defects,
     theorem1_product,
     theorem2_generic,
     theorem2_product,
@@ -161,6 +163,24 @@ def test_fixed_point_conditions_symbolic():
         assert name is not None, entry
         seen.add(name)
     assert len(seen) == 8
+
+
+def test_completion_satisfies_the_fixed_point_conditions_symbolic():
+    """Every completed point is gamma-fixed: the eight defects cancel identically.
+
+    t, x, y are real symbols and the ten free letters complex ones, each
+    independent of its conjugate; they go through the program's own
+    ``complete_parameters`` and ``fixed_point_defects``, and every defect
+    cancels to zero as a rational function.  At a point that is not
+    completed no defect vanishes, so the check is not vacuous.
+    """
+    sympy = pytest.importorskip("sympy")
+    t, x, y = sympy.symbols("t x y", real=True)
+    free = sympy.symbols(" ".join(COMPLEX_LETTERS))
+    full = CheckerParams.from_dict(complete_parameters(t, x, y, *free))
+    assert [sympy.cancel(d) for d in fixed_point_defects(full)] == [0] * 8
+    generic = CheckerParams(*sympy.symbols(" ".join(PARAM_LETTERS)))
+    assert all(sympy.expand(d) != 0 for d in fixed_point_defects(generic))
 
 
 def test_theorem2_contains_theorem1_factor():
