@@ -1,6 +1,6 @@
 """Exact construction and certification of checkerboard two-qutrit states."""
 
-from .charpoly import Inertia, RealPoly, char_poly, inertia
+from .charpoly import Inertia, char_poly, inertia
 from .criteria import (
     ProductVector,
     RangeCertificate,

@@ -1,32 +1,30 @@
-"""Characteristic polynomials and exact eigenvalue sign counts.
+"""Integer characteristic polynomials, determinants and exact eigenvalue sign counts.
 
-The inertia of a Hermitian matrix is read off its characteristic
-polynomial by Descartes' rule of signs, which is exact because that
-polynomial has only real roots; multiplicities and zero eigenvalues need
-no special handling.  This avoids any pivoting edge cases that a
-congruence decomposition would hit on the singular rank-4 matrices that
-appear throughout this package.  The matrix is first split into the
-diagonal blocks of its nonzero pattern: every checkerboard state, its
-partial transpose and its reduction matrices split into a 4x4 and a 5x5
-block, which shrinks the characteristic-polynomial work several times.
-
-Classification hands over Gaussian-integer ``ZMat``s, built once per
-state from its lifted parameters, so no call lifts anything; each block
-is divided by its content before its characteristic polynomial is taken.
-A ``GMat`` (a test, a golden item) is lifted over its least common
-denominator on entry.
+Every matrix here is a Hermitian Gaussian-integer ``ZMat``: classification
+builds the grid of a state, its partial transpose and its reduction
+matrices once per state from the lifted parameters.  The characteristic
+polynomial of such a grid has integer coefficients, and it gives both the
+determinant, (-1)^n times its constant term, and the inertia, read off by
+Descartes' rule of signs.  The rule is exact because that polynomial has
+only real roots; multiplicities and zero eigenvalues need no special
+handling.  This avoids any pivoting edge cases that a congruence
+decomposition would hit on the singular rank-4 matrices that appear
+throughout this package.  The matrix is first split into the diagonal
+blocks of its nonzero pattern: every checkerboard state, its partial
+transpose and its reduction matrices split into a 4x4 and a 5x5 block,
+which shrinks the characteristic-polynomial work several times.  Each
+block is divided by its content before its characteristic polynomial is
+taken.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
 from .errors import DimensionError
 from .gaussian import GaussInt
-from .matrices import GMat, ZMat, connected_components, integer_lift, require_hermitian
+from .matrices import ZMat, connected_components, require_hermitian
 
 
 @dataclass(frozen=True)
@@ -39,39 +37,6 @@ class Inertia:
 
     def dim(self) -> int:
         return self.n_neg + self.n_zero + self.n_pos
-
-
-class RealPoly:
-    """Polynomial with rational coefficients, stored lowest degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Fraction]):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealPoly is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        if not isinstance(other, RealPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"RealPoly({list(self.coeffs)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -104,19 +69,15 @@ def _hermitian_product(a, b, n):
     return out
 
 
-def char_poly(m) -> RealPoly:
-    """Coefficients of det(lambda*I - m) for Hermitian m, lowest degree first.
+def char_poly(m: ZMat) -> tuple:
+    """Integer coefficients of det(lambda*I - m) for Hermitian m, lowest degree first.
 
-    A ``ZMat`` is used as it is.  A ``GMat`` is lifted to d*m over its
-    least common denominator d first, and the coefficients are scaled back.
+    The last coefficient is 1.
     """
-    d = 1
-    if isinstance(m, GMat):
-        m, d = integer_lift(m)
     require_hermitian(m, "char_poly input")
     n = m.rows
     if n == 0:
-        return RealPoly([Fraction(1)])
+        return (1,)
     a = [[(z.re, z.im) for z in m.row(r)] for r in range(n)]
     # Every B_k is a real polynomial in A, so A B_k is Hermitian.
     ab = a  # A B_1, with B_1 = I
@@ -139,9 +100,8 @@ def char_poly(m) -> RealPoly:
                  for i in range(n)]
             if k < n - 1:
                 ab = _hermitian_product(a, b, n)
-    # det(lambda I - m) = sum_j c_{n-j} / d^{n-j} * lambda^j with c_0 = 1.
-    coeffs = [Fraction(cs[n - 1 - j], d ** (n - j)) for j in range(n)] + [Fraction(1)]
-    return RealPoly(coeffs)
+    # det(lambda I - m) = lambda^n + c_1 lambda^(n-1) + ... + c_n
+    return (*reversed(cs), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +113,7 @@ def _sign_changes(signs) -> int:
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
 
 
-def inertia_from_char_poly(p: RealPoly, dim: int) -> Inertia:
+def inertia_from_char_poly(coeffs: tuple, dim: int) -> Inertia:
     """Sign counts of the roots of the characteristic polynomial of a Hermitian matrix.
 
     Such a polynomial has only real roots, and for a real-rooted polynomial
@@ -164,7 +124,6 @@ def inertia_from_char_poly(p: RealPoly, dim: int) -> Inertia:
     Hermitian input.  The final dimension check is only a sanity check: a
     polynomial such as x^2 - x + 1, which has no real roots, passes it.
     """
-    coeffs = p.coeffs
     n_zero = 0
     while n_zero < len(coeffs) and not coeffs[n_zero]:
         n_zero += 1
@@ -188,21 +147,17 @@ def _primitive(m: ZMat) -> ZMat:
     return ZMat(m.rows, m.cols, [GaussInt(z.re // content, z.im // content) for z in m.data])
 
 
-def inertia(m) -> Inertia:
+def inertia(m: ZMat) -> Inertia:
     """Exact (negative, zero, positive) eigenvalue counts of a Hermitian matrix.
 
-    A ``GMat`` is lifted to a ``ZMat`` over its least common denominator
-    first; the positive scale keeps the signs.  The indices split into the
-    connected components of the graph with an edge r-c wherever m[r, c]
-    or m[c, r] is nonzero.  The spectrum of m is the union of the spectra
-    of those diagonal blocks, so each block's counts come from its own,
-    smaller characteristic polynomial, taken after dividing the block by
-    its content.
+    The indices split into the connected components of the graph with an
+    edge r-c wherever m[r, c] or m[c, r] is nonzero.  The spectrum of m is
+    the union of the spectra of those diagonal blocks, so each block's
+    counts come from its own, smaller characteristic polynomial, taken
+    after dividing the block by its content.
     """
     if not m.is_square():
         raise DimensionError("inertia of non-square matrix")
-    if isinstance(m, GMat):
-        m = integer_lift(m)[0]
     require_hermitian(m, "inertia input")
     n = m.rows
     edges = ((r, c) for r in range(n) for c in range(n) if r != c and m.data[r * n + c])

@@ -258,7 +258,7 @@ def parse_gauss(token: str) -> GaussRat:
     if not tok:
         raise ParseError("empty scalar literal")
     terms = _re.findall(r"[+-]?[^+-]+", tok)
-    term_shape = _re.compile(r"^[+-]?(?:\d+(?:/\d+)?i?|i)$")
+    term_shape = _re.compile(r"^[+-]?(?:[0-9]+(?:/[0-9]+)?i?|i)$")
     if (
         not terms
         or "".join(terms) != tok

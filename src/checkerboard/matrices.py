@@ -1,13 +1,11 @@
 """Dense matrices over the Gaussian rationals and integers, with exact linear algebra.
 
 ``GMat`` holds GaussRats and ``ZMat`` GaussInts; ``integer_lift`` turns the
-first into the second over the least common denominator.  Determinants
-run fraction-free (Bareiss) on that lift, which keeps intermediate values
-small on the 9x9 matrices this package works with; a plain rational
-elimination is used when the lift would be disproportionately large.
-Rank and nullspace use rational Gauss-Jordan elimination with exact
-pivots; rank eliminates each block of the matrix's nonzero pattern on its
-own.
+first into the second over the least common denominator.  The determinant
+of a Hermitian ``ZMat`` is the signed constant term of its integer
+characteristic polynomial (``charpoly``).  Rank and nullspace use rational
+Gauss-Jordan elimination with exact pivots; rank eliminates each block of
+the matrix's nonzero pattern on its own.
 
 The modular helpers work in F_P for the prime P = 2^61 - 1: residues of
 rationals, row echelon forms and kernel vectors mod P, and rational
@@ -24,10 +22,6 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionError, SymmetryError
 from .gaussian import GaussRat, lift_to_integers
-
-# Bit size of the common denominator beyond which the integer lift is
-# abandoned in favour of rational elimination.
-_LIFT_BIT_LIMIT = 256
 
 
 def _as_gauss(x) -> GaussRat:
@@ -208,100 +202,11 @@ def kron(a: GMat, b: GMat) -> GMat:
     return GMat(a.rows * b.rows, a.cols * b.cols, out)
 
 
-# ---------------------------------------------------------------------------
-# Gaussian-integer helpers for the fraction-free path.  A Gaussian integer
-# is represented as a plain (re, im) tuple of Python ints.
+def det(m: ZMat) -> int:
+    """Exact determinant of a Hermitian integer grid: (-1)^n times its char poly at 0."""
+    from .charpoly import char_poly  # charpoly imports this module
 
-
-def _zi_mul(u, v):
-    a, b = u
-    c, d = v
-    return (a * c - b * d, a * d + b * c)
-
-
-def _zi_sub(u, v):
-    return (u[0] - v[0], u[1] - v[1])
-
-
-def _zi_exact_div(u, v):
-    a, b = u
-    c, d = v
-    n = c * c + d * d
-    re_num = a * c + b * d
-    im_num = b * c - a * d
-    qr, rr = divmod(re_num, n)
-    qi, ri = divmod(im_num, n)
-    if rr or ri:
-        raise ArithmeticError("inexact Gaussian-integer division in Bareiss step")
-    return (qr, qi)
-
-
-def _det_bareiss(grid, n: int):
-    sign = 1
-    prev = (1, 0)
-    for k in range(n - 1):
-        piv = None
-        for r in range(k, n):
-            if grid[r][k] != (0, 0):
-                piv = r
-                break
-        if piv is None:
-            return (0, 0)
-        if piv != k:
-            grid[k], grid[piv] = grid[piv], grid[k]
-            sign = -sign
-        akk = grid[k][k]
-        for r in range(k + 1, n):
-            ark = grid[r][k]
-            row_r = grid[r]
-            row_k = grid[k]
-            for c in range(k + 1, n):
-                num = _zi_sub(_zi_mul(akk, row_r[c]), _zi_mul(ark, row_k[c]))
-                row_r[c] = _zi_exact_div(num, prev)
-            row_r[k] = (0, 0)
-        prev = akk
-    d = grid[n - 1][n - 1]
-    return d if sign == 1 else (-d[0], -d[1])
-
-
-def _det_rational(m: GMat) -> GaussRat:
-    n = m.rows
-    grid = [list(m.row(r)) for r in range(n)]
-    det = GaussRat(1)
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if grid[r][k]:
-                piv = r
-                break
-        if piv is None:
-            return GaussRat(0)
-        if piv != k:
-            grid[k], grid[piv] = grid[piv], grid[k]
-            det = -det
-        pivot = grid[k][k]
-        det = det * pivot
-        for r in range(k + 1, n):
-            if not grid[r][k]:
-                continue
-            factor = grid[r][k] / pivot
-            grid[r] = [x - factor * y for x, y in zip(grid[r], grid[k])]
-    return det
-
-
-def det(m: GMat) -> GaussRat:
-    """Exact determinant of a square matrix."""
-    if not m.is_square():
-        raise DimensionError(f"determinant of non-square {m.shape()} matrix")
-    n = m.rows
-    if n == 0:
-        return GaussRat(1)
-    lifted, d = integer_lift(m)
-    if d.bit_length() > _LIFT_BIT_LIMIT:
-        return _det_rational(m)
-    re_i, im_i = _det_bareiss([[(z.re, z.im) for z in lifted.row(r)] for r in range(n)], n)
-    scale = Fraction(1, d) ** n
-    return GaussRat(re_i * scale, im_i * scale)
+    return (-1) ** m.rows * char_poly(m)[0]
 
 
 def _row_echelon(m: GMat):

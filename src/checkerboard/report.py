@@ -81,7 +81,9 @@ def classify(kind: str, params) -> Classification:
         ppt=ppt,
         inertia=inert,
         gamma_fixed=fixed_point_conditions(w),
-        reduction_violated=reduction_criterion(state),
+        # A PPT state satisfies the reduction criterion (Horodecki & Horodecki,
+        # PRA 59, 4206 (1999)), so only an NPT state can violate it.
+        reduction_violated=not ppt and reduction_criterion(state),
     )
 
 

@@ -117,13 +117,14 @@ def item02() -> ItemResult:
 
 
 def _item_pt_det_inertia(state, det_key) -> ItemResult:
-    # rho^Gamma = G/N for the unnormalized G, so det(rho^Gamma) = det(G)/N^9.
-    gamma = partial_transpose_matrix(state.unnormalized)
-    d = det(gamma) / GaussRat(state.normalizer ** 9)
+    # rho^Gamma = G/tr(grid) for G the partial transpose of the integer grid,
+    # so det(rho^Gamma) = det(G)/tr(grid)^9.
+    gamma = partial_transpose_matrix(state.grid)
+    d = Fraction(det(gamma), state.grid.trace().re ** 9)
     inert = inertia(gamma)
     want_det = GOLDEN[det_key]
     want_inert = GOLDEN["pt_inertia"]
-    ok = (not d.im) and d.re == want_det and inert == want_inert
+    ok = d == want_det and inert == want_inert
     return _result(
         ok,
         f"det={want_det}, inertia=({want_inert.n_neg},{want_inert.n_zero},{want_inert.n_pos})",

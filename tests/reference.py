@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from checkerboard.charpoly import Inertia, RealPoly, inertia_from_char_poly
+from checkerboard.charpoly import Inertia, inertia_from_char_poly
 from checkerboard.criteria import WitnessVector, range_certificate, schmidt_rank
 from checkerboard.errors import DegenerateStateError, DimensionError
 from checkerboard.family import (
@@ -79,12 +79,12 @@ def _zi_matmul(a, b, n):
     return out
 
 
-def char_poly(m: GMat) -> RealPoly:
+def char_poly(m: GMat) -> tuple:
     """Coefficients of det(lambda*I - m) for Hermitian m, lowest degree first."""
     require_hermitian(m, "char_poly input")
     n = m.rows
     if n == 0:
-        return RealPoly([Fraction(1)])
+        return (Fraction(1),)
     d = _common_denominator(m)
     a = _lift(m, d)
     # b starts as the identity; c_k collects the lifted coefficients.
@@ -105,7 +105,7 @@ def char_poly(m: GMat) -> RealPoly:
                 b[i] = [(x + (ck if i == j else 0), y) for j, (x, y) in enumerate(ab[i])]
     # det(lambda I - m) = sum_j c_{n-j} / d^{n-j} * lambda^j with c_0 = 1.
     coeffs = [Fraction(cs[n - 1 - j], d ** (n - j)) for j in range(n)] + [Fraction(1)]
-    return RealPoly(coeffs)
+    return tuple(coeffs)
 
 
 def inertia(m: GMat) -> Inertia:

@@ -81,3 +81,18 @@ def test_traced_scans_and_witness_certify_size_char_poly_inputs(monkeypatch, cap
     names = {span[0] for span in tracer.spans}
     assert "charpoly.char_poly" in names
     assert tracer.input_bits["charpoly"] > 0
+
+
+def test_traced_golden_determinants_size_det_inputs(monkeypatch):
+    """Golden items 3 and 4 reach the traced ``det`` and the char poly under it."""
+    from checkerboard import reproduce
+
+    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        assert reproduce.item03().ok and reproduce.item04().ok
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"matrices.det", "charpoly.char_poly"} <= names
+    assert tracer.input_bits["matrices"] > 0

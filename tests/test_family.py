@@ -104,13 +104,13 @@ def test_state_positive_semidefinite():
     from checkerboard import sampling
 
     for p in (presets.REDUCTION_VIOLATING_PARAMS, presets.ONE_DISTILLABLE_PARAMS):
-        inert = inertia(build_state(p).unnormalized)
+        inert = inertia(build_state(p).grid)
         assert inert.n_neg == 0
         assert inert.n_zero == 5
     for idx in range(10):
         p = sampling.random_checker_params(sampling.rng_for(41, idx))
         state = build_state(p)
-        inert = inertia(state.unnormalized)
+        inert = inertia(state.grid)
         assert inert.n_neg == 0
         assert inert.n_zero == 9 - rank(state.unnormalized)
 

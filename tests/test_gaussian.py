@@ -94,7 +94,11 @@ def test_parse_gauss(token, expected):
     assert parse_gauss(token) == expected
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1+1", "ii", "1.5", "1/0i", "--1"])
+# The last three use non-ASCII digits (Arabic-Indic 3, fullwidth 3, Arabic-Indic 4),
+# which int() and Fraction() would accept.
+@pytest.mark.parametrize(
+    "bad", ["", "x", "1+1", "ii", "1.5", "1/0i", "--1", "\u0663", "\uff13+i", "1/\u0664"]
+)
 def test_parse_gauss_rejects(bad):
     with pytest.raises(ParseError):
         parse_gauss(bad)

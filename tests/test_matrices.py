@@ -1,81 +1,92 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checkerboard.errors import DimensionError
-from checkerboard.gaussian import GaussRat
+from checkerboard.errors import DimensionError, SymmetryError
+from checkerboard.gaussian import GaussInt, GaussRat
 from checkerboard.matrices import (
     GMat,
-    _det_rational,
+    ZMat,
     _row_echelon,
     column_spans_equal,
     connected_components,
     det,
+    integer_lift,
     kron,
     nullspace_basis,
     rank,
 )
 
-from conftest import gauss_matrix, hermitian_matrix, sparse_gauss
+from conftest import gauss_matrix, hermitian_grid, sparse_gauss
 
 
 def gm(rows):
     return GMat.from_rows(rows)
 
 
+def zm(rows):
+    """The integer grid of a GMat with Gaussian-integer entries."""
+    return integer_lift(gm(rows))[0]
+
+
 def test_det_identity_and_permutation():
-    assert det(GMat.identity(2)) == GaussRat(1)
-    assert det(gm([[0, 1], [1, 0]])) == GaussRat(-1)
+    assert det(zm([[1, 0], [0, 1]])) == 1
+    assert det(zm([[0, 1], [1, 0]])) == -1
 
 
 def test_det_known_3x3():
-    m = gm([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    assert det(m) == GaussRat(-3)
+    assert det(zm([[2, 1, 0], [1, 2, 1], [0, 1, 2]])) == 4
 
 
 def test_det_with_complex_entries():
     i = GaussRat(0, 1)
-    m = gm([[i, 1], [1, i]])
-    assert det(m) == GaussRat(-2)
+    assert det(zm([[1, i], [-i, -1]])) == -2
 
 
 def test_det_nonsquare_raises():
-    with pytest.raises(DimensionError):
-        det(GMat.zeros(2, 3))
+    # a non-square matrix is not Hermitian
+    with pytest.raises(SymmetryError):
+        det(ZMat(2, 3, [GaussInt(0)] * 6))
+
+
+def test_det_rejects_non_hermitian():
+    with pytest.raises(SymmetryError):
+        det(zm([[1, 2], [3, 4]]))
 
 
 def test_det_zero_column():
-    m = gm([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
-    assert det(m) == GaussRat(0)
+    assert det(zm([[0, 0, 0], [0, 3, 4], [0, 4, 6]])) == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(hermitian_grid(3), hermitian_grid(2))
+def test_det_multiplicative(a, b):
+    """det(A (x) B) = det(A)^2 det(B)^3 for 3x3 A and 2x2 B."""
+    ab = integer_lift(kron(a.over(1), b.over(1)))[0]
+    assert det(ab) == det(a) ** 2 * det(b) ** 3
 
 
 @settings(max_examples=40, deadline=None)
-@given(gauss_matrix(3, 3), gauss_matrix(3, 3))
-def test_det_multiplicative(ra, rb):
-    a, b = gm(ra), gm(rb)
-    assert det(a @ b) == det(a) * det(b)
-
-
-@settings(max_examples=40, deadline=None)
-@given(gauss_matrix(3, 3))
-def test_det_dagger_is_conjugate(rows):
-    m = gm(rows)
-    assert det(m.conj_transpose()) == det(m).conj()
-
-
-@settings(max_examples=40, deadline=None)
-@given(gauss_matrix(4, 4))
-def test_bareiss_agrees_with_rational_elimination(rows):
-    m = gm(rows)
-    assert det(m) == _det_rational(m)
+@given(hermitian_grid(3))
+def test_det_dagger_is_conjugate(m):
+    # m^T is the conjugate of a Hermitian m, and its real determinant is its own conjugate
+    assert det(m.transpose()) == det(m)
 
 
 @settings(max_examples=30, deadline=None)
-@given(hermitian_matrix(4))
+@given(hermitian_grid(4))
 def test_det_hermitian_is_real(m):
-    assert det(m).im == 0
+    assert type(det(m)) is int
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.booleans(), st.data())
+def test_det_matches_sympy(n, sparse, data):
+    """det agrees with sympy's exact determinant on dense and sparse Hermitian grids."""
+    sympy = pytest.importorskip("sympy")
+    m = data.draw(hermitian_grid(n, sparse_gauss) if sparse else hermitian_grid(n))
+    want = sympy.Matrix(n, n, [z.re + sympy.I * z.im for z in m.data]).det()
+    assert sympy.expand(want) == det(m)
 
 
 def test_rank_zero_matrix():
@@ -137,13 +148,6 @@ def test_trace_and_hermitian_check():
     assert h.is_hermitian()
     assert h.trace() == GaussRat(3)
     assert not gm([[1, i], [i, 2]]).is_hermitian()
-
-
-def test_common_denominator_fallback_path():
-    # entries with a huge common denominator route through rational elimination
-    big = 1 << 300
-    m = gm([[GaussRat(Fraction(1, big)), GaussRat(0)], [GaussRat(0), GaussRat(big)]])
-    assert det(m) == GaussRat(1)
 
 
 def test_connected_components_are_sorted_and_cover_every_index():

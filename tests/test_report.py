@@ -27,13 +27,12 @@ COUNTED = (
 )
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Counts the calls of the COUNTED functions that return, in every checkerboard namespace."""
+def _count_calls(monkeypatch, counted) -> Counter:
+    """Counts the calls of the ``counted`` functions that return, in every checkerboard namespace."""
     counts = Counter()
     namespaces = [mod for name, mod in sys.modules.items()
                   if mod is not None and name.split(".")[0] == "checkerboard"]
-    for mod_name, fn_name in COUNTED:
+    for mod_name, fn_name in counted:
         original = getattr(importlib.import_module(f"checkerboard.{mod_name}"), fn_name)
 
         def wrapper(*args, _fn=original, _name=fn_name, **kwargs):
@@ -46,6 +45,11 @@ def calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(ns, attr, wrapper)
     return counts
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    return _count_calls(monkeypatch, COUNTED)
 
 
 def _expected(states: int, ppt_states: int) -> Counter:
@@ -115,6 +119,16 @@ def test_classify_agrees_with_the_criteria():
             assert rec.reduction_violated == reduction_criterion(state)
             assert rec.t1 == theorem1_product(full)
             assert rec.t2 == (theorem2_product(sp) if kind == "ppt" else None)
+
+
+def test_reduction_criterion_runs_only_on_npt_states(monkeypatch, capsys):
+    """A PPT state satisfies the reduction criterion, so classify skips the test."""
+    counts = _count_calls(monkeypatch, (("criteria", "reduction_criterion"),))
+    assert main(["scan", "--family", "ppt", "--samples", "10"]) == 0
+    assert counts["reduction_criterion"] == 0
+    rec = classify("full", presets.REDUCTION_VIOLATING_PARAMS)
+    assert not rec.ppt and rec.reduction_violated
+    assert counts["reduction_criterion"] == 1
 
 
 def test_classify_rejects_unknown_kind():
