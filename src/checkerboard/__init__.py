@@ -45,7 +45,7 @@ from .family import (
     theorem1_generic,
     theorem1_product,
 )
-from .gaussian import GaussInt, GaussRat, Rat, lift_to_integers, parse_gauss
+from .gaussian import GaussInt, GaussRat, lift_to_integers, parse_gauss
 from .jets import Jet, jet_complex_var, jet_const, jet_rank, jet_real_var
 from .matrices import GMat, ZMat, det, integer_lift, kron, nullspace_basis, rank
 from .subfamily import (

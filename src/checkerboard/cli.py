@@ -10,6 +10,7 @@ prefixed "numeric_".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -144,7 +145,9 @@ def cmd_jacobian(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="checkerboard",
         description="Exact construction and certification of checkerboard two-qutrit states.",

@@ -53,10 +53,10 @@ from .jets import Jet, ModJet, jet_complex_var, jet_const, jet_rank, jet_real_va
 from .matrices import (
     GMat,
     echelon_mod_p,
+    gauss_residue,
     kernel_vector_mod_p,
     rank,
     rational_reconstruction,
-    residue,
 )
 from .subfamily import COMPLEX_LETTERS, SubfamilyParams, complete_parameters, derive_full_params
 
@@ -125,14 +125,14 @@ def jacobian_rank_psi(p: CheckerParams) -> int:
     Rank 28 mod P is the row count and settles it; otherwise, or when P
     divides a denominator, the exact rank is computed.
     """
-    parts = {ch: (z.re, z.im) for ch, z in p.as_dict().items()}
+    values = p.as_dict()
     try:
-        rows = psi_jacobian({ch: (residue(re), residue(im)) for ch, (re, im) in parts.items()})
+        rows = psi_jacobian({ch: gauss_residue(z) for ch, z in values.items()})
         if len(echelon_mod_p(rows)[1]) == PSI_COORDS:
             return PSI_COORDS
     except ZeroDivisionError:
         pass
-    return rank(GMat.from_rows(psi_jacobian(parts)))
+    return rank(GMat.from_rows(psi_jacobian({ch: (z.re, z.im) for ch, z in values.items()})))
 
 
 def lambda_map(sp: SubfamilyParams) -> StateMatrix:
@@ -174,14 +174,14 @@ def _lambda_coordinate_jets(sp: SubfamilyParams) -> list:
 def _lambda_kernel_vanishes(sp: SubfamilyParams, v: list) -> bool:
     """True iff J v = 0 exactly, J the 41x13 Jacobian with columns d/dt, d/dx, d/dy, d/dx_k - i d/dy_k.
 
-    For a real coordinate f and v_k = a + ib, v_k (f_x - i f_y) has real
-    part a f_x + b f_y and imaginary part b f_x - a f_y.  So J v = 0 says
-    that f has zero derivative along two real directions, taken together
-    as the two slots of one jet.
+    ``v`` holds the pairs (a, b) of v_k = a + ib.  For a real coordinate
+    f, v_k (f_x - i f_y) has real part a f_x + b f_y and imaginary part
+    b f_x - a f_y.  So J v = 0 says that f has zero derivative along two
+    real directions, taken together as the two slots of one jet.
     """
     seeds = []
     for idx, z in enumerate(_lambda_values(sp)):
-        a, b = v[idx].re, v[idx].im
+        a, b = v[idx]
         grad = (GaussRat(a), GaussRat(b)) if idx < 3 else (GaussRat(a, b), GaussRat(b, -a))
         seeds.append(Jet(z, grad))
     return not any(g for jet in _lambda_coordinates(seeds, jet_const(0, 2)) for g in jet.grad)
@@ -200,7 +200,7 @@ def _certified_rank_lambda(sp: SubfamilyParams):
             unit[idx] = (1, 0)
         else:
             unit[2 * idx - 3], unit[2 * idx - 2] = (1, 0), (0, 1)
-        seeds.append(ModJet((residue(z.re), residue(z.im)), unit))
+        seeds.append(ModJet(gauss_residue(z), unit))
     top, bottom = [], []
     for jet in _lambda_coordinates(seeds, ModJet((0, 0), [(0, 0)] * LAMBDA_SLOTS)):
         g = [re for re, _ in jet.grad]
@@ -218,7 +218,7 @@ def _certified_rank_lambda(sp: SubfamilyParams):
     lifted = [rational_reconstruction(x) for x in kernel]
     if None in lifted:
         return None
-    v = [GaussRat(re, im) for re, im in zip(lifted[:LAMBDA_COLUMNS], lifted[LAMBDA_COLUMNS:])]
+    v = list(zip(lifted[:LAMBDA_COLUMNS], lifted[LAMBDA_COLUMNS:]))
     return LAMBDA_COLUMNS - 1 if _lambda_kernel_vanishes(sp, v) else None
 
 

@@ -1,126 +1,140 @@
 """Exact complex scalars: Gaussian rationals and Gaussian integers.
 
-Parameters, witnesses and every value a user reads or writes are
-``GaussRat``s (or plain ``Fraction``s where a value is real by
-construction).  Classification runs on ``GaussInt``s instead: the
-parameters of a state are lifted once to Gaussian integers over one
-common denominator (``lift_to_integers``), and every matrix built from
-them is an integer grid.  Arithmetic is exact; there is no floating point
-anywhere in the core.
+A ``GaussRat`` is one Gaussian integer x + iy over one positive integer
+d, in lowest terms, so its arithmetic is plain int arithmetic and one gcd
+per result.  Parameters, witnesses and every value a user reads or writes
+are ``GaussRat``s (or plain ``Fraction``s where a value is real by
+construction); ``re`` and ``im`` give their parts as Fractions.
+Classification runs on ``GaussInt``s instead: the parameters of a state
+are lifted once to Gaussian integers over one common denominator
+(``lift_to_integers``), and every matrix built from them is an integer
+grid.  Arithmetic is exact; there is no floating point anywhere in the
+core.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ParseError
 
-Rat = Fraction
 
-
-def _as_fraction(x) -> Fraction:
+def _fraction_parts(x) -> tuple:
+    """(numerator, denominator) of an int or Fraction, in lowest terms."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class GaussRat:
-    """Exact complex scalar with rational real and imaginary parts."""
+    """Exact complex scalar (x + iy)/d: a Gaussian integer over a positive integer.
 
-    __slots__ = ("re", "im")
+    The three ints are kept in lowest terms, gcd(x, y, d) = 1, so the form
+    is canonical and equality compares them.  ``re`` and ``im`` give the
+    parts as Fractions; hot paths read ``x``, ``y`` and ``d`` instead.
+    Every operation builds its result through ``_gauss``, which reduces
+    with one gcd.
+    """
+
+    __slots__ = ("x", "y", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        xn, xd = _fraction_parts(re)
+        yn, yd = _fraction_parts(im)
+        # Both parts are in lowest terms, so over the lcm of their
+        # denominators x, y and d share no factor.
+        d = lcm(xd, yd)
+        _set_x(self, xn * (d // xd))
+        _set_y(self, yn * (d // yd))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.x, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y, self.d)
+
     # -- predicates -------------------------------------------------
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.x or self.y)
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self.y
 
     # -- involution and magnitude ----------------------------------
     def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _gauss(self.x, -self.y, self.d)
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        x, y, d = self.x, self.y, self.d
+        return Fraction(x * x + y * y, d * d)
 
     def real_fraction(self) -> Fraction:
         """The value as a Fraction; raises if the imaginary part is nonzero."""
-        if self.im:
+        if self.y:
             raise ValueError(f"value {self!r} is not real")
-        return self.re
+        return Fraction(self.x, self.d)
 
     # -- ring operations -------------------------------------------
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, GaussRat):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussRat(x)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    # Each operation takes a GaussRat, int or Fraction on either side.
+    def __add__(self, o):
+        if type(o) is not GaussRat and (o := _coerce(o)) is None:
             return NotImplemented
-        return GaussRat(self.re + o.re, self.im + o.im)
+        d1, d2 = self.d, o.d
+        if d1 == d2:
+            return _gauss(self.x + o.x, self.y + o.y, d1)
+        return _gauss(self.x * d2 + o.x * d1, self.y * d2 + o.y * d1, d1 * d2)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __sub__(self, o):
+        if type(o) is not GaussRat and (o := _coerce(o)) is None:
             return NotImplemented
-        return GaussRat(self.re - o.re, self.im - o.im)
+        d1, d2 = self.d, o.d
+        if d1 == d2:
+            return _gauss(self.x - o.x, self.y - o.y, d1)
+        return _gauss(self.x * d2 - o.x * d1, self.y * d2 - o.y * d1, d1 * d2)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __rsub__(self, o):
+        if (o := _coerce(o)) is None:
             return NotImplemented
-        return GaussRat(o.re - self.re, o.im - self.im)
+        return o - self
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __mul__(self, o):
+        if type(o) is not GaussRat and (o := _coerce(o)) is None:
             return NotImplemented
-        return GaussRat(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, e = self.x, self.y, o.x, o.y
+        return _gauss(a * c - b * e, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __truediv__(self, o):
+        if type(o) is not GaussRat and (o := _coerce(o)) is None:
             return NotImplemented
-        den = o.abs2()
-        if not den:
+        # (a + ib)/d1 / ((c + ie)/d2) = (a + ib)(c - ie) d2 / (d1 (c^2 + e^2))
+        a, b, c, e, d2 = self.x, self.y, o.x, o.y, o.d
+        norm = c * c + e * e
+        if not norm:
             raise ZeroDivisionError("division by zero GaussRat")
-        return GaussRat(
-            (self.re * o.re + self.im * o.im) / den,
-            (self.im * o.re - self.re * o.im) / den,
-        )
+        return _gauss((a * c + b * e) * d2, (b * c - a * e) * d2, self.d * norm)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __rtruediv__(self, o):
+        if (o := _coerce(o)) is None:
             return NotImplemented
         return o / self
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _gauss(-self.x, -self.y, self.d)
 
     def __pos__(self):
         return self
@@ -128,7 +142,7 @@ class GaussRat:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = GaussRat(1)
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -139,29 +153,62 @@ class GaussRat:
 
     # -- comparison and hashing ------------------------------------
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, GaussRat):
+            return self.x == other.x and self.y == other.y and self.d == other.d
+        if isinstance(other, Fraction):
+            return not self.y and self.x == other.numerator and self.d == other.denominator
+        if isinstance(other, int):
+            return not self.y and self.d == 1 and self.x == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # A real value equals its Fraction (and an integral one its int), so
+        # it must hash like them.
+        if not self.y:
+            return hash(Fraction(self.x, self.d))
+        return hash((self.x, self.y, self.d))
 
     # -- conversion -------------------------------------------------
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self.x / self.d, self.y / self.d)
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        ims = "i" if self.im == 1 else ("-i" if self.im == -1 else f"{self.im}i")
-        if not self.re:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        ims = "i" if im == 1 else ("-i" if im == -1 else f"{im}i")
+        if not re:
             return ims
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{ims}"
+        sign = "+" if im > 0 else ""
+        return f"{re}{sign}{ims}"
+
+
+def _coerce(x):
+    """x as a GaussRat, or None when it is not a GaussRat, int or Fraction."""
+    if isinstance(x, GaussRat):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return GaussRat(x)
+    return None
+
+
+_set_x, _set_y, _set_d = GaussRat.x.__set__, GaussRat.y.__set__, GaussRat.d.__set__
+_new = object.__new__
+
+
+def _gauss(x: int, y: int, d: int) -> GaussRat:
+    """(x + iy)/d for ints with d > 0, reduced to lowest terms."""
+    g = gcd(x, y, d)
+    if g != 1:
+        x, y, d = x // g, y // g, d // g
+    z = _new(GaussRat)
+    _set_x(z, x)
+    _set_y(z, y)
+    _set_d(z, d)
+    return z
 
 
 class GaussInt:
@@ -220,17 +267,14 @@ class GaussInt:
 
     def over(self, den: int) -> GaussRat:
         """This value divided by the positive integer ``den``, as a GaussRat."""
-        return GaussRat(Fraction(self.re, den), Fraction(self.im, den))
+        return _gauss(self.re, self.im, den)
 
 
 def lift_to_integers(values) -> tuple:
     """(ints, d) for a sequence of GaussRats: d is their least common
     denominator and ints[k] = d * values[k] as a GaussInt."""
-    d = 1
-    for z in values:
-        d = lcm(d, z.re.denominator, z.im.denominator)
-    return [GaussInt(z.re.numerator * (d // z.re.denominator),
-                     z.im.numerator * (d // z.im.denominator)) for z in values], d
+    d = lcm(*(z.d for z in values))
+    return [GaussInt(z.x * (d // z.d), z.y * (d // z.d)) for z in values], d
 
 
 IUNIT = GaussRat(0, 1)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError
-from .gaussian import GaussRat
+from .gaussian import GaussInt, GaussRat
 from .matrices import GMat, P, rank
 
 
@@ -56,10 +56,12 @@ class Jet:
         return Jet(self.value.conj(), tuple(g.conj() for g in self.grad))
 
     def real_part(self) -> "Jet":
-        return Jet(GaussRat(self.value.re), tuple(GaussRat(g.re) for g in self.grad))
+        return Jet(GaussInt(self.value.x).over(self.value.d),
+                   tuple(GaussInt(g.x).over(g.d) for g in self.grad))
 
     def imag_part(self) -> "Jet":
-        return Jet(GaussRat(self.value.im), tuple(GaussRat(g.im) for g in self.grad))
+        return Jet(GaussInt(self.value.y).over(self.value.d),
+                   tuple(GaussInt(g.y).over(g.d) for g in self.grad))
 
     def __add__(self, other):
         o = self._lift(other)
@@ -154,8 +156,8 @@ def jet_rank(functions: Sequence[Jet], param_count: int) -> int:
             raise DimensionError(
                 f"jet gradient has {f.slots} entries, expected {param_count}"
             )
-        re_row = [GaussRat(g.re) for g in f.grad]
-        im_row = [GaussRat(g.im) for g in f.grad]
+        re_row = [GaussInt(g.x).over(g.d) for g in f.grad]
+        im_row = [GaussInt(g.y).over(g.d) for g in f.grad]
         rows.append(re_row)
         if any(im_row):
             rows.append(im_row)

@@ -326,6 +326,16 @@ def residue(x: Fraction) -> int:
     return x.numerator * pow(den, -1, P) % P
 
 
+def gauss_residue(z: GaussRat) -> tuple:
+    """(Re z, Im z) mod P with one inverse of the denominator; raises
+    ZeroDivisionError when P divides it."""
+    den = z.d % P
+    if not den:
+        raise ZeroDivisionError("P divides the denominator")
+    inv = pow(den, -1, P)
+    return z.x * inv % P, z.y * inv % P
+
+
 def echelon_mod_p(rows: Sequence[Sequence[int]]) -> tuple:
     """Row echelon form over F_P: (nonzero rows with leading 1s, their pivot columns)."""
     rest = [[x % P for x in row] for row in rows]

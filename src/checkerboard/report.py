@@ -59,7 +59,8 @@ def classify(kind: str, params) -> Classification:
     rank(V_odd) + rank(V_even), and ``gamma_fixed`` comes from the eight
     conditions equivalent to rho^Gamma = rho, which are homogeneous of
     degree two.  ``t1`` is the Theorem 1 product, t1(w)/D^16 because it
-    is homogeneous of degree 16; ``t2`` follows from it.
+    is homogeneous of degree 16, and ``t2`` = abf(ak-bj) t1 is t2(w)/D^21,
+    because abf(ak-bj) is of degree 5.
     """
     if kind == "ppt":
         full = derive_full_params(params)
@@ -70,14 +71,14 @@ def classify(kind: str, params) -> Classification:
     state = build_state(full)
     w, d = full.lifted
     ppt, inert = is_ppt(state)
-    t1 = theorem1_product(w).over(d ** 16)
+    t1w = theorem1_product(w)
     return Classification(
         kind=kind,
         params=params,
         state=state,
         rank=state_rank(w),
-        t1=t1,
-        t2=theorem2_from_theorem1(full, t1) if kind == "ppt" else None,
+        t1=t1w.over(d ** 16),
+        t2=theorem2_from_theorem1(w, t1w).over(d ** 21) if kind == "ppt" else None,
         ppt=ppt,
         inertia=inert,
         gamma_fixed=fixed_point_conditions(w),

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import SingularParameterError
 from .family import CheckerParams, PARAM_LETTERS
-from .gaussian import GaussRat
+from .gaussian import GaussInt, GaussRat
 from .subfamily import BrussPeresParams, SubfamilyParams, derive_full_params
 
 DEFAULT_MAX_NUMERATOR = 4
@@ -33,8 +33,10 @@ def random_rational(rng: random.Random,
 def random_gauss(rng: random.Random,
                  max_num: int = DEFAULT_MAX_NUMERATOR,
                  max_den: int = DEFAULT_MAX_DENOMINATOR) -> GaussRat:
-    return GaussRat(random_rational(rng, max_num, max_den),
-                    random_rational(rng, max_num, max_den))
+    """xn/xd + i yn/yd, drawn in the order of two ``random_rational`` calls."""
+    xn, xd = rng.randint(-max_num, max_num), rng.randint(1, max_den)
+    yn, yd = rng.randint(-max_num, max_num), rng.randint(1, max_den)
+    return GaussInt(xn * yd, yn * xd).over(xd * yd)
 
 
 def random_nonzero_gauss(rng, max_num=DEFAULT_MAX_NUMERATOR, max_den=DEFAULT_MAX_DENOMINATOR):

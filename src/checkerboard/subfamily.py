@@ -123,7 +123,11 @@ def fixed_point_conditions(p: CheckerParams) -> bool:
 
 
 def theorem2_from_theorem1(full: CheckerParams, t1: GaussRat) -> GaussRat:
-    """Theorem 2's product abf(ak-bj) t1 from the completion and t1 = theorem1_product(full)."""
+    """Theorem 2's product abf(ak-bj) t1 from the completion and t1 = theorem1_product(full).
+
+    Generic over the scalar type: ``report.classify`` calls it on the
+    lifted Gaussian integers.
+    """
     return full.a * full.b * full.f * (full.a * full.k - full.b * full.j) * t1
 
 

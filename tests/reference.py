@@ -6,6 +6,11 @@ inside ``char_poly``, and take the state rank by rational elimination.
 They are kept here, unchanged apart from their imports, as the
 differential oracle for ``checkerboard.report.classify`` and the
 certificate formatted from it (tests/test_oracle.py).
+
+``FractionGaussRat`` is the scalar the package used before ``GaussRat``
+became one Gaussian-integer numerator over one denominator: a pair of
+Fractions, unchanged apart from its name.  tests/test_gaussian.py checks
+every operation of ``GaussRat`` against it.
 """
 
 from __future__ import annotations
@@ -37,6 +42,154 @@ from checkerboard.matrices import (
 )
 from checkerboard.report import jacobian_report
 from checkerboard.subfamily import derive_full_params, fixed_point_conditions, theorem2_from_theorem1
+
+
+# ---------------------------------------------------------------------------
+# gaussian.py
+
+
+def _as_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+class FractionGaussRat:
+    """Exact complex scalar with rational real and imaginary parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", _as_fraction(re))
+        object.__setattr__(self, "im", _as_fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussRat is immutable")
+
+    # -- predicates -------------------------------------------------
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def is_real(self) -> bool:
+        return not self.im
+
+    # -- involution and magnitude ----------------------------------
+    def conj(self) -> "FractionGaussRat":
+        return FractionGaussRat(self.re, -self.im)
+
+    def abs2(self) -> Fraction:
+        """Squared modulus, an exact nonnegative rational."""
+        return self.re * self.re + self.im * self.im
+
+    def real_fraction(self) -> Fraction:
+        """The value as a Fraction; raises if the imaginary part is nonzero."""
+        if self.im:
+            raise ValueError(f"value {self!r} is not real")
+        return self.re
+
+    # -- ring operations -------------------------------------------
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, FractionGaussRat):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return FractionGaussRat(x)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionGaussRat(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionGaussRat(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionGaussRat(o.re - self.re, o.im - self.im)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionGaussRat(
+            self.re * o.re - self.im * o.im,
+            self.re * o.im + self.im * o.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        den = o.abs2()
+        if not den:
+            raise ZeroDivisionError("division by zero GaussRat")
+        return FractionGaussRat(
+            (self.re * o.re + self.im * o.im) / den,
+            (self.im * o.re - self.re * o.im) / den,
+        )
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __neg__(self):
+        return FractionGaussRat(-self.re, -self.im)
+
+    def __pos__(self):
+        return self
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        out = FractionGaussRat(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    # -- comparison and hashing ------------------------------------
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    # -- conversion -------------------------------------------------
+    def __complex__(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self):
+        return f"GaussRat({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        if not self.im:
+            return str(self.re)
+        ims = "i" if self.im == 1 else ("-i" if self.im == -1 else f"{self.im}i")
+        if not self.re:
+            return ims
+        sign = "+" if self.im > 0 else ""
+        return f"{self.re}{sign}{ims}"
 
 
 # ---------------------------------------------------------------------------

@@ -196,15 +196,48 @@ def test_certify_hundred_digit_parameters(tmp_path):
 
 
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
-    from checkerboard import cli
-
-    def crash(args):
+    def crash(**kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "cmd_reproduce", crash)
+    # The cached parser holds cmd_reproduce itself, so the crash goes one call deeper.
+    monkeypatch.setattr(reproduce, "run_all", crash)
     assert main(["reproduce"]) == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def _in_process(argv) -> tuple:
+    """(exit code, stdout, stderr) of one ``main`` call in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a bad argument this way
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_repeated_commands_in_one_process_match_fresh_runs(tmp_path, full_file, ppt_file):
+    """One process, one cached parser: each command prints and exits as in a new process."""
+    from checkerboard.cli import make_parser
+
+    commands = [
+        ["certify", "--input", full_file],
+        ["scan", "--family", "ppt", "--samples", "3", "--seed", "4"],
+        ["scan", "--family", "bogus", "--samples", "3"],
+        ["jacobian", "--input", ppt_file],
+        ["certify", "--input", str(tmp_path / "nope.json")],
+        ["scan", "--family", "full", "--samples", "2"],
+    ]
+    in_process = [_in_process(argv) for argv in commands]
+    assert make_parser() is make_parser()
+    src = Path(checkerboard.__file__).resolve().parent.parent
+    for argv, (code, out, err) in zip(commands, in_process):
+        proc = subprocess.run([sys.executable, "-m", "checkerboard.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 2, 0]
 
 
 def test_missing_file_is_parse_error(tmp_path):

@@ -1,12 +1,16 @@
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from checkerboard.errors import ParseError
 from checkerboard.gaussian import GaussRat, IUNIT, conj, parse_gauss
 
-from conftest import small_gauss
+from conftest import big_fractions, small_fractions, small_gauss
+from reference import FractionGaussRat
 
 
 def test_basic_arithmetic():
@@ -102,3 +106,77 @@ def test_parse_gauss(token, expected):
 def test_parse_gauss_rejects(bad):
     with pytest.raises(ParseError):
         parse_gauss(bad)
+
+
+def test_real_values_hash_like_their_fraction_and_int():
+    assert GaussRat(3) == 3 and len({GaussRat(3), 3}) == 1
+    assert GaussRat(Fraction(1, 2)) == Fraction(1, 2)
+    assert len({GaussRat(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert {Fraction(-5, 7): "found"}[GaussRat(Fraction(-5, 7))] == "found"
+    assert GaussRat(0, 1) != 0 and GaussRat(1, 1) != 1
+
+
+def test_constructor_types_and_immutability():
+    for bad in (1.5, 1j, "1", GaussRat(1)):
+        with pytest.raises(TypeError):
+            GaussRat(bad)
+    z = GaussRat(Fraction(2, 4), 3)
+    assert (z.x, z.y, z.d) == (1, 6, 2)
+    for name in ("x", "y", "d", "re", "im"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, 1)
+
+
+# Parts of the values compared with the reference: the default sampler's
+# fractions, 20-digit fractions, and ints, small and of 25 digits; a third
+# of the pairs have a zero real or imaginary part.
+parts = st.one_of(small_fractions, big_fractions, st.integers(-9, 9),
+                  st.integers(-10 ** 25, 10 ** 25))
+pairs = st.one_of(st.tuples(parts, parts), st.tuples(parts, st.just(0)),
+                  st.tuples(st.just(Fraction(0)), parts))
+
+
+def _agrees(z, ref):
+    """z is in canonical form and reads exactly like the reference value."""
+    assert type(z) is GaussRat
+    assert all(type(v) is int for v in (z.x, z.y, z.d))
+    assert z.d > 0 and gcd(z.x, z.y, z.d) == 1
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == (ref.re, ref.im)
+    assert (str(z), repr(z), bool(z), z.is_real()) == (str(ref), repr(ref), bool(ref), ref.is_real())
+
+
+@settings(max_examples=300)
+@given(pairs, pairs)
+def test_operations_match_the_fraction_pair_reference(p, q):
+    z, w = GaussRat(*p), GaussRat(*q)
+    rz, rw = FractionGaussRat(*p), FractionGaussRat(*q)
+    _agrees(z, rz)
+    for op in (operator.add, operator.sub, operator.mul):
+        _agrees(op(z, w), op(rz, rw))
+    if rw:
+        _agrees(z / w, rz / rw)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            z / w
+    _agrees(z.conj(), rz.conj())
+    _agrees(-z, -rz)
+    for k in range(4):
+        _agrees(z ** k, rz ** k)
+    assert type(z.abs2()) is Fraction and z.abs2() == rz.abs2()
+    assert complex(z) == complex(rz)
+    assert (z == w) == (rz == rw) and (z != w) == (rz != rw)
+    if z == w:
+        assert hash(z) == hash(w)
+    # an int or Fraction on either side
+    s = q[0]
+    for op in (operator.add, operator.sub, operator.mul):
+        _agrees(op(z, s), op(rz, s))
+        _agrees(op(s, z), op(s, rz))
+    if s:
+        _agrees(z / s, rz / s)
+    if rz:
+        _agrees(s / z, s / rz)
+    assert (z == s) == (rz == s) and (s == z) == (s == rz)
+    if z == s:
+        assert hash(z) == hash(s)
