@@ -3,18 +3,22 @@
 Every matrix here is a Hermitian Gaussian-integer ``ZMat``: classification
 builds the grid of a state, its partial transpose and its reduction
 matrices once per state from the lifted parameters.  The characteristic
-polynomial of such a grid has integer coefficients, and it gives both the
-determinant, (-1)^n times its constant term, and the inertia, read off by
-Descartes' rule of signs.  The rule is exact because that polynomial has
-only real roots; multiplicities and zero eigenvalues need no special
-handling.  This avoids any pivoting edge cases that a congruence
-decomposition would hit on the singular rank-4 matrices that appear
-throughout this package.  The matrix is first split into the diagonal
-blocks of its nonzero pattern: every checkerboard state, its partial
-transpose and its reduction matrices split into a 4x4 and a 5x5 block,
-which shrinks the characteristic-polynomial work several times.  Each
-block is divided by its content before its characteristic polynomial is
-taken.
+polynomial of such a grid has integer coefficients; it gives the
+determinant, (-1)^n times its constant term, and an inertia read off by
+Descartes' rule of signs, which is exact because the polynomial has only
+real roots.
+
+``inertia`` first splits the matrix into the diagonal blocks of its
+nonzero pattern: every checkerboard state, its partial transpose and its
+reduction matrices split into a 4x4 and a 5x5 block.  Each block, divided
+by its content, goes through fraction-free symmetric elimination over
+Z[i] (Bareiss): each pivot is a nonzero diagonal entry, its value is the
+next leading principal minor of the pivots taken, and Sylvester's law of
+inertia counts it by the sign of that minor against the one before.  When
+no nonzero diagonal entry remains, the remaining entries are the last
+minor times the Schur complement, whose inertia adds to that of the
+pivots (Haynsworth); the characteristic polynomial finishes that stalled
+remainder, so no 2x2 pivots are needed.
 """
 
 from __future__ import annotations
@@ -139,7 +143,7 @@ def _primitive(m: ZMat) -> ZMat:
     """m divided by its content, the gcd of all real and imaginary parts.
 
     A positive scale leaves the signs of the eigenvalues alone, and the
-    characteristic polynomial of the smaller entries is cheaper.
+    elimination on the smaller entries is cheaper.
     """
     content = gcd(*(part for z in m.data for part in (z.re, z.im)))
     if content <= 1:
@@ -147,14 +151,62 @@ def _primitive(m: ZMat) -> ZMat:
     return ZMat(m.rows, m.cols, [GaussInt(z.re // content, z.im // content) for z in m.data])
 
 
+def _block_inertia(block: ZMat) -> Inertia:
+    """Inertia of one Hermitian block by fraction-free symmetric elimination.
+
+    The pivot is the first remaining index with a nonzero diagonal entry.
+    After pivots with leading principal minors D_1, ..., D_k, every
+    remaining entry is a (k+1)x(k+1) minor, a_ij <- (p a_ij - a_ip a_pj) /
+    D_(k-1) for the pivot value p = D_k, and the division is exact.  A
+    pivot is positive when D_k has the sign of D_(k-1) (D_0 = 1) and
+    negative otherwise.  If elimination stalls, the remaining entries are
+    D_k times the Schur complement, so the counts of its characteristic
+    polynomial are swapped when D_k < 0.
+    """
+    n = block.rows
+    a = [[(z.re, z.im) for z in block.row(r)] for r in range(n)]
+    rest = list(range(n))
+    prev = 1
+    n_neg = n_pos = 0
+    while rest:
+        p = next((k for k in rest if a[k][k][0]), None)
+        if p is None:
+            break
+        piv = a[p][p][0]
+        if (piv > 0) == (prev > 0):
+            n_pos += 1
+        else:
+            n_neg += 1
+        rest.remove(p)
+        row_p = a[p]
+        for t, i in enumerate(rest):
+            row_i = a[i]
+            xr, xi = row_i[p]
+            for j in rest[:t + 1]:
+                yr, yi = row_p[j]
+                zr, zi = row_i[j]
+                re, rem_re = divmod(piv * zr - xr * yr + xi * yi, prev)
+                im, rem_im = divmod(piv * zi - xr * yi - xi * yr, prev)
+                if rem_re or rem_im:
+                    raise ArithmeticError("inexact division in fraction-free elimination")
+                row_i[j] = (re, im)
+                a[j][i] = (re, -im)
+        prev = piv
+    if not rest:
+        return Inertia(n_neg, 0, n_pos)
+    tail = ZMat(len(rest), len(rest), [GaussInt(*a[i][j]) for i in rest for j in rest])
+    part = inertia_from_char_poly(char_poly(tail), len(rest))
+    neg, pos = (part.n_pos, part.n_neg) if prev < 0 else (part.n_neg, part.n_pos)
+    return Inertia(n_neg + neg, part.n_zero, n_pos + pos)
+
+
 def inertia(m: ZMat) -> Inertia:
     """Exact (negative, zero, positive) eigenvalue counts of a Hermitian matrix.
 
     The indices split into the connected components of the graph with an
     edge r-c wherever m[r, c] or m[c, r] is nonzero.  The spectrum of m is
-    the union of the spectra of those diagonal blocks, so each block's
-    counts come from its own, smaller characteristic polynomial, taken
-    after dividing the block by its content.
+    the union of the spectra of those diagonal blocks, so each block is
+    divided by its content and counted on its own by ``_block_inertia``.
     """
     if not m.is_square():
         raise DimensionError("inertia of non-square matrix")
@@ -163,8 +215,7 @@ def inertia(m: ZMat) -> Inertia:
     edges = ((r, c) for r in range(n) for c in range(n) if r != c and m.data[r * n + c])
     n_neg = n_zero = n_pos = 0
     for group in connected_components(n, edges):
-        block = _primitive(m.submatrix(group, group))
-        part = inertia_from_char_poly(char_poly(block), len(group))
+        part = _block_inertia(_primitive(m.submatrix(group, group)))
         n_neg += part.n_neg
         n_zero += part.n_zero
         n_pos += part.n_pos

@@ -115,16 +115,19 @@ def reduction_criterion(s: StateMatrix) -> bool:
     Violation certifies that the state is entangled and distillable.
     Computed on the integer grid: rho_A (x) 1 has rho_A[i, i'] at
     (3i+j, 3i'+j) and 1 (x) rho_B has rho_B[j, j'] at (3i+j, 3i+j'), so
-    both are placed into -grid directly.
+    both are placed into -grid directly.  The second matrix is built only
+    when the first has no negative eigenvalue.
     """
     m = s.grid.data
     ra, rb = _partial_traces(s.grid)
     zero = GaussInt(0)
     first = ZMat(9, 9, [(ra[r // 3, c // 3] if r % 3 == c % 3 else zero) - m[9 * r + c]
                         for r in range(9) for c in range(9)])
+    if inertia(first).n_neg > 0:
+        return True
     second = ZMat(9, 9, [(rb[r % 3, c % 3] if r // 3 == c // 3 else zero) - m[9 * r + c]
                          for r in range(9) for c in range(9)])
-    return inertia(first).n_neg > 0 or inertia(second).n_neg > 0
+    return inertia(second).n_neg > 0
 
 
 def schmidt_rank(w: WitnessVector) -> int:

@@ -283,13 +283,13 @@ ONE = GaussRat(1)
 
 
 def conj(z):
-    """Complex conjugate, generic over the scalar types used in this package."""
-    if isinstance(z, (int, Fraction)):
-        return z
+    """Complex conjugate, generic over the scalar types used in this package.
+
+    GaussInt, GaussRat and the jets have a ``conj`` method; int, Fraction
+    and builtin complex have ``conjugate``.
+    """
     c = getattr(z, "conj", None)
-    if c is not None:
-        return c()
-    return z.conjugate()  # builtin complex
+    return c() if c is not None else z.conjugate()
 
 
 def parse_gauss(token: str) -> GaussRat:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checkerboard.charpoly import Inertia, char_poly, inertia, inertia_from_char_poly
+from checkerboard.charpoly import Inertia, _block_inertia, char_poly, inertia, inertia_from_char_poly
 from checkerboard.errors import SymmetryError
 from checkerboard.gaussian import GaussInt, GaussRat
 from checkerboard.matrices import GMat, ZMat, integer_lift, rank
@@ -110,6 +110,9 @@ def test_inertia_of_off_diagonal_pair():
     # One symmetric block; splitting rows from columns would give two zero blocks.
     m = zmat([[0, 1], [1, 0]])
     assert inertia(m) == Inertia(1, 0, 1)
+    # A zero diagonal stalls the elimination before any pivot: eigenvalues -sqrt(2), 0, sqrt(2).
+    m = zmat([[0, 1, 0], [1, 0, GaussInt(0, 1)], [0, GaussInt(0, -1), 0]])
+    assert inertia(m) == Inertia(1, 1, 1)
 
 
 def test_inertia_of_permuted_blocks_with_zero_index():
@@ -164,6 +167,72 @@ def test_inertia_congruence_invariance(diag_values, s_rows):
         sum(1 for v in diag_values if v > 0),
     )
     assert inertia(m) == expected
+
+
+@st.composite
+def hermitian_blocks(draw):
+    """Hermitian ZMats of size 1-6 with 1-, 5- or 20-digit parts.
+
+    Either entry by entry, dense or sparse (about three entries in four
+    zero), or a signed sum of rank-one terms v v^dagger, singular whenever
+    there are fewer terms than rows.
+    """
+    n = draw(st.integers(1, 6))
+    bound = 10 ** draw(st.sampled_from([1, 5, 20]))
+    sparse = draw(st.booleans())
+
+    def entry(real=False):
+        if sparse and draw(st.integers(0, 3)):
+            return GaussInt(0)
+        return GaussInt(draw(st.integers(-bound, bound)),
+                        0 if real else draw(st.integers(-bound, bound)))
+
+    rows = [[GaussInt(0)] * n for _ in range(n)]
+    if draw(st.booleans()):
+        for r in range(n):
+            rows[r][r] = entry(real=True)
+            for c in range(r):
+                rows[r][c] = entry()
+                rows[c][r] = rows[r][c].conj()
+    else:
+        for _ in range(draw(st.integers(0, n))):
+            sign = GaussInt(draw(st.sampled_from([-1, 1])))
+            v = [entry() for _ in range(n)]
+            rows = [[rows[r][c] + sign * v[r] * v[c].conj() for c in range(n)] for r in range(n)]
+    return ZMat.from_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermitian_blocks())
+def test_elimination_inertia_matches_char_poly_inertia(m):
+    """Fraction-free elimination, on the whole matrix and block by block, matches Descartes."""
+    want = inertia_from_char_poly(char_poly(m), m.rows)
+    assert _block_inertia(m) == want
+    assert inertia(m) == want
+
+
+def test_stall_after_negative_pivot_swaps_the_remainder_counts():
+    """After the pivot -1 the remaining diagonal is zero: the entries are -1 times S.
+
+    The Schur complement S = [[0, 1, 1], [1, 0, 1], [1, 1, 0]] has eigenvalues
+    2, -1, -1, so the block has three negative eigenvalues and one positive.
+    """
+    m = zmat([[-1, 1, 1, 1], [1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1]])
+    assert inertia(m) == Inertia(3, 0, 1) == inertia_from_char_poly(char_poly(m), 4)
+    # the same with complex off-diagonal entries
+    i = GaussInt(0, 1)
+    m = zmat([[-1, i, 1, 1], [-i, -1, 0, i], [1, 0, -1, 0], [1, -i, 0, -1]])
+    assert inertia(m) == inertia_from_char_poly(char_poly(m), 4)
+
+
+def test_inexact_division_is_an_arithmetic_error():
+    # Not Hermitian, so the second step divides an odd numerator by the pivot 2;
+    # ``inertia`` itself rejects such input before eliminating.
+    m = zmat([[2, 1, 1], [0, 1, 0], [1, 0, 0]])
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        _block_inertia(m)
+    with pytest.raises(SymmetryError):
+        inertia(m)
 
 
 def test_inertia_matches_float_eigensolver():

@@ -172,6 +172,28 @@ def test_loose_fraction_string_is_parse_error(tmp_path, text):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("option", ["--input", "--witness"])
+@pytest.mark.parametrize("content", [b'{"family": "full\xff"}', b"[" * 200_000 + b"]" * 200_000],
+                         ids=["not-utf8", "nested-200000-deep"])
+def test_undecodable_json_file_is_parse_error(tmp_path, option, content):
+    """A file that is not UTF-8, or nests too deeply for the parser, exits 2 without a traceback."""
+    params, witness = tmp_path / "params.json", tmp_path / "witness.json"
+    params.write_text(json.dumps(checker_params_to_doc(presets.ONE_DISTILLABLE_PARAMS)))
+    witness.write_text(json.dumps(witness_to_doc(presets.ONE_DISTILLABLE_WITNESS)))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = ["certify", "--input", str(params), "--witness", str(witness)]
+    argv[argv.index(option) + 1] = str(bad)
+    src = Path(checkerboard.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "checkerboard.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: invalid JSON in {bad}")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_certify_hundred_digit_parameters(tmp_path):
     """A normalizer past int->str's digit limit is printed, not a traceback."""
     import random
@@ -408,10 +430,13 @@ def test_parse_certify_dump_parse_certify_round_trip(doc, witness_doc):
         params.write_text(json.dumps(doc))
         witness.write_text(json.dumps(witness_doc))
         with contextlib.redirect_stdout(io.StringIO()) as out, \
-                contextlib.redirect_stderr(io.StringIO()):
+                contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(["build", "--input", str(params), "--witness", str(witness),
                          "--out", str(dump)])
         if code == 3:  # a singular ppt completion
+            return
+        if code == 2:  # only the all-zero full-family point, whose state has no trace
+            assert err.getvalue() == "error: all parameters are zero; the state has no trace\n"
             return
         assert code == 0
         printed = out.getvalue()

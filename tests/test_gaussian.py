@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from checkerboard.errors import ParseError
-from checkerboard.gaussian import GaussRat, IUNIT, conj, parse_gauss
+from checkerboard.gaussian import GaussInt, GaussRat, IUNIT, conj, parse_gauss
 
 from conftest import big_fractions, small_fractions, small_gauss
 from reference import FractionGaussRat
@@ -59,10 +59,22 @@ def test_real_fraction():
 
 
 def test_generic_conj_helper():
-    assert conj(GaussRat(1, 2)) == GaussRat(1, -2)
-    assert conj(Fraction(1, 3)) == Fraction(1, 3)
-    assert conj(5) == 5
-    assert conj(1 + 2j) == 1 - 2j
+    """``conj`` keeps the type and negates the imaginary part of every scalar in use."""
+    from checkerboard.jets import Jet, ModJet
+    from checkerboard.matrices import P
+
+    for z, want in [(5, 5), (Fraction(1, 3), Fraction(1, 3)), (1 + 2j, 1 - 2j),
+                    (GaussRat(1, 2), GaussRat(1, -2))]:
+        got = conj(z)
+        assert type(got) is type(z) and got == want
+    got = conj(GaussInt(4, -5))
+    assert type(got) is GaussInt and (got.re, got.im) == (4, 5)
+    jet = conj(Jet(GaussRat(1, 2), [GaussRat(3, -4), GaussRat(Fraction(1, 5))]))
+    assert type(jet) is Jet
+    assert (jet.value, jet.grad) == (GaussRat(1, -2), (GaussRat(3, 4), GaussRat(Fraction(1, 5))))
+    mod = conj(ModJet((3, 1), [(0, 2), (5, 0)]))
+    assert type(mod) is ModJet
+    assert (mod.value, mod.grad) == ((3, P - 1), [(0, P - 2), (5, 0)])
 
 
 @given(small_gauss, small_gauss, small_gauss)
