@@ -6,10 +6,7 @@ from .criteria import (
     RangeCertificate,
     WitnessVector,
     is_ppt,
-    partial_transpose,
     partial_transpose_matrix,
-    range_product_vector_certificate,
-    reduced_states,
     reduction_criterion,
     schmidt_rank,
     search_product_vector_numeric,
@@ -19,8 +16,6 @@ from .counting import (
     jacobian_rank_lambda,
     jacobian_rank_lambda_real_slots,
     jacobian_rank_psi,
-    lambda_map,
-    psi_map,
 )
 from .errors import (
     CheckerboardError,
@@ -47,7 +42,7 @@ from .family import (
 )
 from .gaussian import GaussInt, GaussRat, lift_to_integers, parse_gauss
 from .jets import Jet, jet_complex_var, jet_const, jet_rank, jet_real_var
-from .matrices import GMat, ZMat, det, integer_lift, kron, nullspace_basis, rank
+from .matrices import GMat, ZMat, det, integer_lift, kron, rank
 from .subfamily import (
     BrussPeresParams,
     SubfamilyParams,

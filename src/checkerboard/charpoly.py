@@ -1,34 +1,35 @@
 """Integer characteristic polynomials, determinants and exact eigenvalue sign counts.
 
-Every matrix here is a Hermitian Gaussian-integer ``ZMat``: classification
-builds the grid of a state, its partial transpose and its reduction
-matrices once per state from the lifted parameters.  The characteristic
-polynomial of such a grid has integer coefficients; it gives the
+Every matrix here is Hermitian with Gaussian-integer entries: a ``ZMat``,
+or a block given as rows of (re, im) int pairs.  The characteristic
+polynomial of such a matrix has integer coefficients; it gives the
 determinant, (-1)^n times its constant term, and an inertia read off by
 Descartes' rule of signs, which is exact because the polynomial has only
 real roots.
 
-``inertia`` first splits the matrix into the diagonal blocks of its
-nonzero pattern: every checkerboard state, its partial transpose and its
-reduction matrices split into a 4x4 and a 5x5 block.  Each block, divided
-by its content, goes through fraction-free symmetric elimination over
-Z[i] (Bareiss): each pivot is a nonzero diagonal entry, its value is the
-next leading principal minor of the pivots taken, and Sylvester's law of
-inertia counts it by the sign of that minor against the one before.  When
-no nonzero diagonal entry remains, the remaining entries are the last
-minor times the Schur complement, whose inertia adds to that of the
-pivots (Haynsworth); the characteristic polynomial finishes that stalled
-remainder, so no 2x2 pivots are needed.
+Classification hands ``blocks_inertia`` the 4x4 and 5x5 blocks of every
+matrix it tests: a checkerboard state, its partial transpose and its
+reduction matrices are each such a block pair (see ``family``).  Each
+block, divided by its content, goes through fraction-free symmetric
+elimination over Z[i] (Bareiss): each pivot is a nonzero diagonal entry,
+its value is the next leading principal minor of the pivots taken, and
+Sylvester's law of inertia counts it by the sign of that minor against
+the one before.  When no nonzero diagonal entry remains, the remaining
+entries are the last minor times the Schur complement, whose inertia
+adds to that of the pivots (Haynsworth); the characteristic polynomial
+finishes that stalled remainder, so no 2x2 pivots are needed.
+``inertia`` counts any Hermitian ``ZMat`` as one block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 from .errors import DimensionError
 from .gaussian import GaussInt
-from .matrices import ZMat, connected_components, require_hermitian
+from .matrices import ZMat, require_hermitian
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,11 @@ class Inertia:
 
     def dim(self) -> int:
         return self.n_neg + self.n_zero + self.n_pos
+
+    def __add__(self, other: "Inertia") -> "Inertia":
+        """The counts of a direct sum."""
+        return Inertia(self.n_neg + other.n_neg, self.n_zero + other.n_zero,
+                       self.n_pos + other.n_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -139,20 +145,20 @@ def inertia_from_char_poly(coeffs: tuple, dim: int) -> Inertia:
     return Inertia(n_neg, n_zero, n_pos)
 
 
-def _primitive(m: ZMat) -> ZMat:
-    """m divided by its content, the gcd of all real and imaginary parts.
+def _primitive(rows) -> list:
+    """Mutable rows of a block divided by its content, the gcd of all parts.
 
     A positive scale leaves the signs of the eigenvalues alone, and the
     elimination on the smaller entries is cheaper.
     """
-    content = gcd(*(part for z in m.data for part in (z.re, z.im)))
+    content = gcd(*chain.from_iterable(chain.from_iterable(rows)))
     if content <= 1:
-        return m
-    return ZMat(m.rows, m.cols, [GaussInt(z.re // content, z.im // content) for z in m.data])
+        return [list(row) for row in rows]
+    return [[(x // content, y // content) for x, y in row] for row in rows]
 
 
-def _block_inertia(block: ZMat) -> Inertia:
-    """Inertia of one Hermitian block by fraction-free symmetric elimination.
+def _block_inertia(rows) -> Inertia:
+    """Inertia of one Hermitian block of (re, im) int pairs by fraction-free elimination.
 
     The pivot is the first remaining index with a nonzero diagonal entry.
     After pivots with leading principal minors D_1, ..., D_k, every
@@ -163,9 +169,8 @@ def _block_inertia(block: ZMat) -> Inertia:
     D_k times the Schur complement, so the counts of its characteristic
     polynomial are swapped when D_k < 0.
     """
-    n = block.rows
-    a = [[(z.re, z.im) for z in block.row(r)] for r in range(n)]
-    rest = list(range(n))
+    a = _primitive(rows)
+    rest = list(range(len(rows)))
     prev = 1
     n_neg = n_pos = 0
     while rest:
@@ -200,23 +205,18 @@ def _block_inertia(block: ZMat) -> Inertia:
     return Inertia(n_neg + neg, part.n_zero, n_pos + pos)
 
 
-def inertia(m: ZMat) -> Inertia:
-    """Exact (negative, zero, positive) eigenvalue counts of a Hermitian matrix.
+def blocks_inertia(blocks) -> Inertia:
+    """Exact eigenvalue sign counts of the direct sum of Hermitian blocks.
 
-    The indices split into the connected components of the graph with an
-    edge r-c wherever m[r, c] or m[c, r] is nonzero.  The spectrum of m is
-    the union of the spectra of those diagonal blocks, so each block is
-    divided by its content and counted on its own by ``_block_inertia``.
+    Each block is rows of (re, im) int pairs, Hermitian by construction;
+    the spectrum of the sum is the union of the blocks' spectra.
     """
+    return sum(map(_block_inertia, blocks), Inertia(0, 0, 0))
+
+
+def inertia(m: ZMat) -> Inertia:
+    """Exact (negative, zero, positive) eigenvalue counts of a Hermitian matrix, as one block."""
     if not m.is_square():
         raise DimensionError("inertia of non-square matrix")
     require_hermitian(m, "inertia input")
-    n = m.rows
-    edges = ((r, c) for r in range(n) for c in range(n) if r != c and m.data[r * n + c])
-    n_neg = n_zero = n_pos = 0
-    for group in connected_components(n, edges):
-        part = _block_inertia(_primitive(m.submatrix(group, group)))
-        n_neg += part.n_neg
-        n_zero += part.n_zero
-        n_pos += part.n_pos
-    return Inertia(n_neg, n_zero, n_pos)
+    return _block_inertia([[(z.re, z.im) for z in m.row(r)] for r in range(m.rows)])

@@ -43,8 +43,6 @@ from .family import (
     EVEN_POSITIONS,
     ODD_POSITIONS,
     PARAM_LETTERS,
-    StateMatrix,
-    build_state,
     outer_sum_entries,
     placed_vectors,
 )
@@ -58,7 +56,7 @@ from .matrices import (
     rank,
     rational_reconstruction,
 )
-from .subfamily import COMPLEX_LETTERS, SubfamilyParams, complete_parameters, derive_full_params
+from .subfamily import COMPLEX_LETTERS, SubfamilyParams, complete_parameters
 
 PSI_SLOTS = 36
 PSI_COORDS = 28
@@ -74,19 +72,6 @@ for _vec in placed_vectors({ch: ch for ch in PARAM_LETTERS}):
     for _pos, _ch in _vec:
         _LETTERS_AT.setdefault(_pos, []).append(_ch)
 _SLOT = {ch: 2 * idx for idx, ch in enumerate(PARAM_LETTERS)}
-
-
-def psi_map(p: CheckerParams) -> tuple:
-    """First two columns of the 4x4 and 5x5 blocks of the unnormalized state.
-
-    Works at every parameter point, including all-zero (where the blocks
-    vanish), so it is built directly from the outer-product entries.
-    """
-    entries = outer_sum_entries(placed_vectors(p.as_dict()), GaussRat(0))
-    m = GMat.from_rows(entries)
-    tall_odd = m.submatrix(ODD_POSITIONS, ODD_POSITIONS[:2])
-    tall_even = m.submatrix(EVEN_POSITIONS, EVEN_POSITIONS[:2])
-    return tall_odd, tall_even
 
 
 def psi_jacobian(parts: dict) -> list:
@@ -133,11 +118,6 @@ def jacobian_rank_psi(p: CheckerParams) -> int:
     except ZeroDivisionError:
         pass
     return rank(GMat.from_rows(psi_jacobian({ch: (z.re, z.im) for ch, z in values.items()})))
-
-
-def lambda_map(sp: SubfamilyParams) -> StateMatrix:
-    """The fixed-point state reached through the parameter completion."""
-    return build_state(derive_full_params(sp))
 
 
 def _lambda_coordinates(seeds: list, zero) -> list:

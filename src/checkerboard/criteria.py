@@ -1,11 +1,11 @@
 """Entanglement and distillability criteria for the constructed states.
 
 Everything except ``search_product_vector_numeric`` is exact.  The criteria
-on a state read its Gaussian-integer grid D^2 N rho: rho^Gamma and both
-reduction matrices are integer grids of the same scale, placed entry by
-entry, and their inertia is that of the normalized matrices.  The numeric
-search is a floating-point oracle used to cross-check the exact range
-certificate; it never overrides it.
+on a state read its block pair D^2 N rho: rho^Gamma (``StateMatrix.gamma``)
+and both reduction matrices are block pairs of the same scale, read off it
+through index maps fixed at import, and their inertia is that of the
+normalized matrices.  The numeric search is a floating-point oracle used
+to cross-check the exact range certificate; it never overrides it.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .charpoly import inertia
+from .charpoly import blocks_inertia
 from .errors import CheckerboardError, DegenerateStateError, DimensionError
-from .family import CheckerParams, StateMatrix, placed_vectors, theorem1_product
+from .family import BLOCK_POSITIONS, CheckerParams, StateMatrix, block_map, map_blocks, placed_vectors
 from .gaussian import GaussInt, GaussRat, lift_to_integers
-from .matrices import GMat, ZMat, rank
+from .matrices import GMat, rank
 
 
 class RangeCertificate(Enum):
@@ -78,56 +78,38 @@ def partial_transpose_matrix(m):
     return type(m)(9, 9, [m.data[k] for k in _PT_SOURCE])
 
 
-def partial_transpose(s: StateMatrix) -> GMat:
-    """rho^Gamma of the normalized state."""
-    return partial_transpose_matrix(s.normalized())
-
-
 def is_ppt(s: StateMatrix) -> tuple:
     """(PPT flag, inertia of rho^Gamma); PPT iff no negative eigenvalues.
 
-    The inertia is computed on the partial transpose of the integer grid,
-    a positive multiple of rho^Gamma with the same sign counts.
+    The inertia is that of the blocks of D^2 N rho^Gamma, a positive
+    multiple of rho^Gamma with the same sign counts.
     """
-    inert = inertia(partial_transpose_matrix(s.grid))
+    inert = blocks_inertia(s.gamma)
     return inert.n_neg == 0, inert
 
 
-def _partial_traces(m) -> tuple:
-    """(tr_B m, tr_A m) of a 9x9 GMat or ZMat in the fixed basis ordering."""
-    rho_a = type(m).from_rows(
-        [[sum(m[3 * i + j, 3 * i2 + j] for j in range(3)) for i2 in range(3)] for i in range(3)]
-    )
-    rho_b = type(m).from_rows(
-        [[sum(m[3 * i + j, 3 * i + j2] for i in range(3)) for j2 in range(3)] for j in range(3)]
-    )
-    return rho_a, rho_b
+# rho_A (x) 1 - rho has rho_A[i, i'] = sum_k rho[3i+k, 3i'+k] at (3i+j, 3i'+j), and
+# 1 (x) rho_B - rho has rho_B[j, j'] = sum_k rho[3k+j, 3k+j'] at (3i+j, 3i+j').
+_REDUCTION_MAPS = (
+    block_map(lambda r, c: [(-1, (r, c))] + [(1, (r - r % 3 + k, c - c % 3 + k))
+                                             for k in range(3) if r % 3 == c % 3]),
+    block_map(lambda r, c: [(-1, (r, c))] + [(1, (3 * k + r % 3, 3 * k + c % 3))
+                                             for k in range(3) if r // 3 == c // 3]),
+)
 
 
-def reduced_states(s: StateMatrix) -> tuple:
-    """Partial traces (rho_A, rho_B) of the normalized state."""
-    return _partial_traces(s.normalized())
+def reduction_matrices(s: StateMatrix):
+    """The block pairs of D^2 N (rho_A (x) 1 - rho) and D^2 N (1 (x) rho_B - rho), lazily."""
+    return (map_blocks(s.blocks, index_map) for index_map in _REDUCTION_MAPS)
 
 
 def reduction_criterion(s: StateMatrix) -> bool:
     """True iff rho_A (x) 1 - rho or 1 (x) rho_B - rho has a negative eigenvalue.
 
-    Violation certifies that the state is entangled and distillable.
-    Computed on the integer grid: rho_A (x) 1 has rho_A[i, i'] at
-    (3i+j, 3i'+j) and 1 (x) rho_B has rho_B[j, j'] at (3i+j, 3i+j'), so
-    both are placed into -grid directly.  The second matrix is built only
-    when the first has no negative eigenvalue.
+    Violation certifies that the state is entangled and distillable.  The
+    second matrix is built only when the first has no negative eigenvalue.
     """
-    m = s.grid.data
-    ra, rb = _partial_traces(s.grid)
-    zero = GaussInt(0)
-    first = ZMat(9, 9, [(ra[r // 3, c // 3] if r % 3 == c % 3 else zero) - m[9 * r + c]
-                        for r in range(9) for c in range(9)])
-    if inertia(first).n_neg > 0:
-        return True
-    second = ZMat(9, 9, [(rb[r % 3, c % 3] if r // 3 == c // 3 else zero) - m[9 * r + c]
-                         for r in range(9) for c in range(9)])
-    return inertia(second).n_neg > 0
+    return any(blocks_inertia(m).n_neg > 0 for m in reduction_matrices(s))
 
 
 def schmidt_rank(w: WitnessVector) -> int:
@@ -144,22 +126,18 @@ def witness_expectation(s: StateMatrix, w: WitnessVector) -> GaussRat:
     """Exact <w| rho^Gamma |w> with rho normalized and w used as given.
 
     A negative value together with Schmidt rank <= 2 certifies
-    1-distillability.  With w lifted to integers e*w and G the partial
-    transpose of the grid, the value is <ew|G|ew> / (e^2 trace(grid)).
-    G is read off the grid in place: with r = 3i+j and c = 3i'+j',
-    G[r, c] = grid[3i+j', 3i'+j].
+    1-distillability.  With w lifted to integers e*w and G the blocks of
+    D^2 N rho^Gamma, the value is <ew|G|ew> / (e^2 trace(D^2 N rho)).
     """
-    m = s.grid.data
     v, e = lift_to_integers(w.components)
     acc = GaussInt(0)
-    for r in range(9):
-        if not v[r]:
-            continue
-        wr = v[r].conj()
-        for c in range(9):
-            if v[c]:
-                acc = acc + wr * m[_PT_SOURCE[9 * r + c]] * v[c]
-    return acc.over(e * e * s.grid.trace().re)
+    for pos, blk in zip(BLOCK_POSITIONS, s.gamma):
+        for r, row in zip(pos, blk):
+            if v[r]:
+                wr = v[r].conj()
+                for c, z in zip(pos, row):
+                    acc = acc + wr * GaussInt(*z) * v[c]
+    return acc.over(e * e * s.trace)
 
 
 def range_certificate(t1: GaussRat) -> RangeCertificate:
@@ -170,11 +148,6 @@ def range_certificate(t1: GaussRat) -> RangeCertificate:
     otherwise.
     """
     return RangeCertificate.NO_PRODUCT_VECTOR if t1 else RangeCertificate.UNDECIDED
-
-
-def range_product_vector_certificate(p: CheckerParams) -> RangeCertificate:
-    """Exact range-criterion outcome for the state built from ``p``."""
-    return range_certificate(theorem1_product(p))
 
 
 _SEESAW_ITERATIONS = 50

@@ -13,7 +13,9 @@ generating vectors live on complementary sublattices of that ordering,
 With this ordering the unnormalized state sum |v><v| vanishes at every
 entry whose index sum is odd (the checkerboard pattern), and restricting
 to the odd and even sublattices in their natural order yields the 4x4 and
-5x5 blocks used throughout the package.
+5x5 blocks used throughout the package.  A ``StateMatrix`` is stored as
+that block pair; rho^Gamma and the reduction matrices are block pairs too,
+read off it through index maps (``block_map``) built once at import.
 """
 
 from __future__ import annotations
@@ -78,31 +80,120 @@ class CheckerParams:
         """(w, D): D is the least common denominator of the 36 parts and w the
         parameters times D, a CheckerParams of GaussInts.
 
-        Computed once per instance; the state, its rank, t1 and the fixed-point
-        conditions of a classification all come from it.
+        Computed once per instance; the state, its rank and t1 of a
+        classification all come from it.
         """
         ints, d = lift_to_integers([getattr(self, ch) for ch in PARAM_LETTERS])
         return CheckerParams(*ints), d
 
 
+BLOCK_POSITIONS = (ODD_POSITIONS, EVEN_POSITIONS)
+# The rows of V_odd (columns v2, v4) and V_even (v1, v3) in position order:
+# (g, q), (f, p), (i, s), (h, r) and (a, j), (d, m), (c, l), (b, k), (e, n).
+BLOCK_ROWS = tuple(
+    tuple((u, v) for _, u, v in sorted((3 * i + j, u, v) for (u, i, j), (v, _, _) in zip(x, y)))
+    for x, y in ((_VECTOR_SLOTS[1], _VECTOR_SLOTS[3]), (_VECTOR_SLOTS[0], _VECTOR_SLOTS[2]))
+)
+# (block, row, column) of each 9x9 position inside the blocks.
+_BLOCK_INDEX = {(r, c): (b, x, y) for b, pos in enumerate(BLOCK_POSITIONS)
+                for x, r in enumerate(pos) for y, c in enumerate(pos)}
+
+
+def block_map(terms) -> tuple:
+    """For each entry of a block pair, the signed block entries that it sums.
+
+    ``terms(r, c)`` lists the (sign, 9x9 position) pairs of entry (r, c).  A
+    position outside the blocks is a KeyError, so a map built at import
+    proves that its matrix keeps the checkerboard pattern.
+    """
+    return tuple(tuple(tuple(tuple((sign, *_BLOCK_INDEX[q]) for sign, q in terms(r, c))
+                             for c in pos) for r in pos) for pos in BLOCK_POSITIONS)
+
+
+def map_blocks(blocks, index_map) -> tuple:
+    """The block pair whose entries are the signed sums of ``blocks`` that ``index_map`` names."""
+    out = []
+    for map_blk in index_map:
+        rows = []
+        for map_row in map_blk:
+            row = []
+            for terms in map_row:
+                re = im = 0
+                for sign, b, x, y in terms:
+                    zr, zi = blocks[b][x][y]
+                    re += sign * zr
+                    im += sign * zi
+                row.append((re, im))
+            rows.append(tuple(row))
+        out.append(tuple(rows))
+    return tuple(out)
+
+
+# rho^Gamma[3i+j, 3i'+j'] = rho[3i+j', 3i'+j]
+_PT_MAP = block_map(lambda r, c: [(1, (r - r % 3 + c % 3, c - c % 3 + r % 3))])
+
+
+def partial_transpose_blocks(blocks) -> tuple:
+    """The blocks of rho^Gamma, read off the blocks of rho."""
+    return map_blocks(blocks, _PT_MAP)
+
+
+def _gram(rows) -> tuple:
+    """V V* of the n x 2 matrix V with rows ((a, b), (c, d)) of (re, im) ints."""
+    n = len(rows)
+    out = [[None] * n for _ in range(n)]
+    for r, ((a, b), (c, d)) in enumerate(rows):
+        for k, ((e, f), (g, h)) in enumerate(rows[:r + 1]):
+            re, im = a * e + b * f + c * g + d * h, b * e - a * f + d * g - c * h
+            out[r][k], out[k][r] = (re, im), (re, -im)
+    return tuple(map(tuple, out))
+
+
 @dataclass(frozen=True)
 class StateMatrix:
-    """A state as a Gaussian-integer grid with N*rho = grid/scale.
+    """A state as its 4x4 and 5x5 blocks on ``BLOCK_POSITIONS``, N*rho = blocks/scale.
 
-    ``build_state`` gives grid = W W* = D^2 N rho for the lifted vectors W
-    and scale = D^2; ``StateMatrix(*integer_lift(m))`` holds any N*rho m.
-    Every sign fact (inertia, rank, PPT) is read off the grid, because the
-    positive scale does not change it.  The Gaussian-rational views are
-    built on demand.
+    The blocks are rows of (re, im) int pairs, and every other entry is
+    zero.  ``build_state`` gives the blocks V V* of the lifted generator
+    rows with scale D^2; ``StateMatrix.from_grid(*integer_lift(m))`` holds
+    any checkerboard N*rho m.  Every sign fact is read off the blocks.
     """
 
-    grid: ZMat
+    blocks: tuple
     scale: int
+
+    @classmethod
+    def from_grid(cls, grid: ZMat, scale: int) -> "StateMatrix":
+        """The state of a 9x9 integer grid D^2 N rho with the checkerboard pattern."""
+        if not has_checkerboard_pattern(grid):
+            raise PatternError("matrix does not have the checkerboard zero pattern")
+        return cls(tuple(tuple(tuple((grid[r, c].re, grid[r, c].im) for c in pos) for r in pos)
+                         for pos in BLOCK_POSITIONS), scale)
+
+    @property
+    def trace(self) -> int:
+        """trace(D^2 N rho)."""
+        return sum(row[k][0] for blk in self.blocks for k, row in enumerate(blk))
+
+    @cached_property
+    def gamma(self) -> tuple:
+        """The blocks of D^2 N rho^Gamma, built once per state."""
+        return partial_transpose_blocks(self.blocks)
+
+    @cached_property
+    def grid(self) -> ZMat:
+        """D^2 N rho as a 9x9 integer grid, zero outside the blocks."""
+        data = [GaussInt(0)] * 81
+        for pos, blk in zip(BLOCK_POSITIONS, self.blocks):
+            for r, row in zip(pos, blk):
+                for c, z in zip(pos, row):
+                    data[9 * r + c] = GaussInt(*z)
+        return ZMat(9, 9, data)
 
     @property
     def normalizer(self) -> Fraction:
         """N = trace(N*rho)."""
-        return Fraction(self.grid.trace().re, self.scale)
+        return Fraction(self.trace, self.scale)
 
     @cached_property
     def unnormalized(self) -> GMat:
@@ -111,7 +202,7 @@ class StateMatrix:
 
     def normalized(self) -> GMat:
         """rho = grid / trace(grid)."""
-        return self.grid.over(self.grid.trace().re)
+        return self.grid.over(self.trace)
 
 
 @dataclass(frozen=True)
@@ -170,13 +261,14 @@ def build_vectors(p: CheckerParams) -> tuple:
 
 
 def build_state(p: CheckerParams) -> StateMatrix:
-    """The state sum |v><v| as the integer grid W W* of the lifted vectors, scale D^2."""
+    """The state sum |v><v| as the blocks V V* of the lifted generator rows, scale D^2."""
     w, d = p.lifted
     values = w.as_dict()
     if not any(values.values()):
         raise DegenerateStateError("all parameters are zero; the state has no trace")
-    entries = outer_sum_entries(placed_vectors(values), GaussInt(0))
-    return StateMatrix(ZMat(9, 9, [z for row in entries for z in row]), d * d)
+    parts = {ch: (z.re, z.im) for ch, z in values.items()}
+    return StateMatrix(tuple(_gram([(parts[u], parts[v]) for u, v in rows])
+                             for rows in BLOCK_ROWS), d * d)
 
 
 def _two_column_rank(rows) -> int:
@@ -188,17 +280,9 @@ def _two_column_rank(rows) -> int:
 
 
 def state_rank(p: CheckerParams) -> int:
-    """rank(N rho) = rank(V_odd) + rank(V_even), since rank(V V*) = rank(V).
-
-    V_even holds v1 and v3 on the even positions, V_odd v2 and v4 on the
-    odd ones; v1/v3 and v2/v4 fill the same positions in the same order.
-    """
+    """rank(N rho) = rank(V_odd) + rank(V_even), since rank(V V*) = rank(V)."""
     values = p.as_dict()
-    return sum(
-        _two_column_rank([(values[u], values[v]) for (u, _, _), (v, _, _) in zip(first, second)])
-        for first, second in ((_VECTOR_SLOTS[0], _VECTOR_SLOTS[2]),
-                              (_VECTOR_SLOTS[1], _VECTOR_SLOTS[3]))
-    )
+    return sum(_two_column_rank([(values[u], values[v]) for u, v in rows]) for rows in BLOCK_ROWS)
 
 
 def quad_form_F(p: CheckerParams) -> QuadForm:
@@ -261,12 +345,8 @@ def checkerboard_split(s: StateMatrix) -> tuple:
     Simultaneously permuting rows and columns of the unnormalized matrix by
     ``SPLIT_PERMUTATION`` gives exactly block_odd (+) block_even.
     """
-    m = s.unnormalized
-    if not has_checkerboard_pattern(m):
-        raise PatternError("matrix does not have the checkerboard zero pattern")
-    block_odd = m.submatrix(ODD_POSITIONS, ODD_POSITIONS)
-    block_even = m.submatrix(EVEN_POSITIONS, EVEN_POSITIONS)
-    return block_odd, block_even
+    return tuple(GMat(len(blk), len(blk), [GaussInt(*z).over(s.scale) for row in blk for z in row])
+                 for blk in s.blocks)
 
 
 def prime_block_null_basis(p: CheckerParams) -> GMat:

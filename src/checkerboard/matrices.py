@@ -3,9 +3,9 @@
 ``GMat`` holds GaussRats and ``ZMat`` GaussInts; ``integer_lift`` turns the
 first into the second over the least common denominator.  The determinant
 of a Hermitian ``ZMat`` is the signed constant term of its integer
-characteristic polynomial (``charpoly``).  Rank and nullspace use rational
-Gauss-Jordan elimination with exact pivots; rank eliminates each block of
-the matrix's nonzero pattern on its own.
+characteristic polynomial (``charpoly``).  Rank uses rational
+Gauss-Jordan elimination with exact pivots, on each block of the matrix's
+nonzero pattern on its own.
 
 The modular helpers work in F_P for the prime P = 2^61 - 1: residues of
 rationals, row echelon forms and kernel vectors mod P, and rational
@@ -278,35 +278,6 @@ def rank(m: GMat) -> int:
         if rows and cols:
             total += len(_row_echelon(m.submatrix(rows, cols))[1])
     return total
-
-
-def nullspace_basis(m: GMat) -> GMat:
-    """Matrix whose columns span ker(m) exactly; zero columns mean trivial kernel."""
-    grid, pivots = _row_echelon(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    basis_cols = []
-    for fc in free_cols:
-        vec = [GaussRat(0)] * m.cols
-        vec[fc] = GaussRat(1)
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -grid[prow][fc]
-        basis_cols.append(vec)
-    data = [basis_cols[c][r] for r in range(m.cols) for c in range(len(basis_cols))]
-    return GMat(m.cols, len(basis_cols), data)
-
-
-def column_spans_equal(a: GMat, b: GMat) -> bool:
-    """True iff the column spans of two matrices with equal row counts coincide."""
-    if a.rows != b.rows:
-        raise DimensionError("row-count mismatch")
-    ra = rank(a)
-    rb = rank(b)
-    if ra != rb:
-        return False
-    joint = GMat(a.rows, a.cols + b.cols,
-                 [x for r in range(a.rows) for x in (a.row(r) + b.row(r))])
-    return rank(joint) == ra
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ from .criteria import (
     schmidt_rank,
     witness_expectation,
 )
-from .family import StateMatrix, build_state, has_checkerboard_pattern, state_rank, theorem1_product
+from .family import StateMatrix, build_state, state_rank, theorem1_product
 from .gaussian import GaussRat
 from .io import format_fraction, gauss_to_obj
-from .subfamily import derive_full_params, fixed_point_conditions, theorem2_from_theorem1
+from .subfamily import derive_full_params, theorem2_from_theorem1
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,14 @@ def classify(kind: str, params) -> Classification:
     ``kind`` is "full" (CheckerParams) or "ppt" (SubfamilyParams, completed
     first).  The 18 full parameters are lifted once to Gaussian integers w
     over their least common denominator D, and every fact comes from w:
-    the state is the integer grid W W* = D^2 N rho, ``inertia`` is that of
-    its partial transpose (built once, in ``is_ppt``), the rank is
-    rank(V_odd) + rank(V_even), and ``gamma_fixed`` comes from the eight
-    conditions equivalent to rho^Gamma = rho, which are homogeneous of
-    degree two.  ``t1`` is the Theorem 1 product, t1(w)/D^16 because it
-    is homogeneous of degree 16, and ``t2`` = abf(ak-bj) t1 is t2(w)/D^21,
-    because abf(ak-bj) is of degree 5.
+    the state is the block pair V V* = D^2 N rho of the lifted generator
+    rows, ``inertia`` is that of the blocks of its partial transpose
+    (built once per state, ``StateMatrix.gamma``), ``gamma_fixed`` is
+    whether those blocks equal the state's, the rank is rank(V_odd) +
+    rank(V_even), and the reduction matrices are block pairs read off the
+    state's blocks.  ``t1`` is the Theorem 1 product, t1(w)/D^16 because
+    it is homogeneous of degree 16, and ``t2`` = abf(ak-bj) t1 is
+    t2(w)/D^21, because abf(ak-bj) is of degree 5.
     """
     if kind == "ppt":
         full = derive_full_params(params)
@@ -81,7 +82,7 @@ def classify(kind: str, params) -> Classification:
         t2=theorem2_from_theorem1(w, t1w).over(d ** 21) if kind == "ppt" else None,
         ppt=ppt,
         inertia=inert,
-        gamma_fixed=fixed_point_conditions(w),
+        gamma_fixed=state.gamma == state.blocks,
         # A PPT state satisfies the reduction criterion (Horodecki & Horodecki,
         # PRA 59, 4206 (1999)), so only an NPT state can violate it.
         reduction_violated=not ppt and reduction_criterion(state),
@@ -101,7 +102,7 @@ def format_certificate(rec: Classification, witness: Optional[WitnessVector] = N
         "normalizer": format_fraction(state.normalizer),
         "trace": "1",
         "rank": rec.rank,
-        "checkerboard": has_checkerboard_pattern(state.grid),
+        "checkerboard": True,  # a block pair has the pattern by construction
         "theorem1": {"value": gauss_to_obj(rec.t1), "generic": bool(rec.t1)},
         "ppt": {
             "is_ppt": rec.ppt,

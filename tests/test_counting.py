@@ -11,15 +11,45 @@ from checkerboard.counting import (
     jacobian_rank_lambda,
     jacobian_rank_lambda_real_slots,
     jacobian_rank_psi,
-    lambda_map,
-    psi_map,
 )
 from checkerboard.criteria import partial_transpose_matrix
 from checkerboard.errors import SingularParameterError
-from checkerboard.family import CheckerParams, outer_sum_entries, placed_vectors
+from checkerboard.family import (
+    EVEN_POSITIONS,
+    ODD_POSITIONS,
+    CheckerParams,
+    StateMatrix,
+    build_state,
+    outer_sum_entries,
+    placed_vectors,
+)
 from checkerboard.gaussian import GaussRat
-from checkerboard.subfamily import COMPLEX_LETTERS, SubfamilyParams, complete_parameters
+from checkerboard.matrices import GMat
+from checkerboard.subfamily import (
+    COMPLEX_LETTERS,
+    SubfamilyParams,
+    complete_parameters,
+    derive_full_params,
+)
 from jet_reference import psi_coordinate_jets
+
+
+def psi_map(p: CheckerParams) -> tuple:
+    """First two columns of the 4x4 and 5x5 blocks of the unnormalized state.
+
+    Works at every parameter point, including all-zero (where the blocks
+    vanish), so it is built directly from the outer-product entries.
+    """
+    entries = outer_sum_entries(placed_vectors(p.as_dict()), GaussRat(0))
+    m = GMat.from_rows(entries)
+    tall_odd = m.submatrix(ODD_POSITIONS, ODD_POSITIONS[:2])
+    tall_even = m.submatrix(EVEN_POSITIONS, EVEN_POSITIONS[:2])
+    return tall_odd, tall_even
+
+
+def lambda_map(sp: SubfamilyParams) -> StateMatrix:
+    """The fixed-point state reached through the parameter completion."""
+    return build_state(derive_full_params(sp))
 
 
 def test_psi_map_shapes_and_entries():

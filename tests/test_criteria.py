@@ -1,33 +1,76 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from checkerboard import presets, sampling
-from checkerboard.charpoly import Inertia
+from checkerboard.charpoly import Inertia, blocks_inertia, char_poly, inertia_from_char_poly
 from checkerboard.criteria import (
     RangeCertificate,
     WitnessVector,
     is_ppt,
-    partial_transpose,
     partial_transpose_matrix,
-    range_product_vector_certificate,
-    reduced_states,
+    range_certificate,
     reduction_criterion,
+    reduction_matrices,
     schmidt_rank,
     search_product_vector_numeric,
     witness_expectation,
 )
-from checkerboard.errors import DegenerateStateError
-from checkerboard.family import CheckerParams, StateMatrix, build_state
-from checkerboard.gaussian import GaussRat
-from checkerboard.matrices import GMat, integer_lift, kron
+from checkerboard.errors import DegenerateStateError, SingularParameterError
+from checkerboard.family import (
+    CheckerParams,
+    StateMatrix,
+    build_state,
+    outer_sum_entries,
+    placed_vectors,
+    theorem1_product,
+)
+from checkerboard.gaussian import GaussInt, GaussRat
+from checkerboard.matrices import GMat, ZMat, integer_lift, kron
+from checkerboard.subfamily import derive_full_params
 
-from conftest import gauss_matrix, hermitian_matrix
+from conftest import (
+    big_fractions,
+    big_gauss,
+    checker_points,
+    gauss_matrix,
+    hermitian_matrix,
+    small_fractions,
+    sparse_gauss,
+    subfamily_points,
+)
 
 
 def _state_from(m: GMat) -> StateMatrix:
-    return StateMatrix(*integer_lift(m))
+    return StateMatrix.from_grid(*integer_lift(m))
+
+
+def partial_transpose(s: StateMatrix) -> GMat:
+    """rho^Gamma of the normalized state."""
+    return partial_transpose_matrix(s.normalized())
+
+
+def partial_traces(m: GMat) -> tuple:
+    """(tr_B m, tr_A m) of a 9x9 GMat in the fixed basis ordering."""
+    rho_a = GMat.from_rows(
+        [[sum(m[3 * i + j, 3 * i2 + j] for j in range(3)) for i2 in range(3)] for i in range(3)]
+    )
+    rho_b = GMat.from_rows(
+        [[sum(m[3 * i + j, 3 * i + j2] for i in range(3)) for j2 in range(3)] for j in range(3)]
+    )
+    return rho_a, rho_b
+
+
+def reduced_states(s: StateMatrix) -> tuple:
+    """Partial traces (rho_A, rho_B) of the normalized state."""
+    return partial_traces(s.normalized())
+
+
+def range_product_vector_certificate(p: CheckerParams) -> RangeCertificate:
+    """Exact range-criterion outcome for the state built from ``p``."""
+    return range_certificate(theorem1_product(p))
 
 
 @settings(max_examples=30, deadline=None)
@@ -259,3 +302,50 @@ def test_fixed_point_states_satisfy_all_criteria_on_100_samples():
             is RangeCertificate.NO_PRODUCT_VECTOR
         )
         checked += 1
+
+
+seeds = st.integers(0, 2**32 - 1)
+BLOCK_SPLIT_POINTS = {
+    ("full", "default"): (
+        seeds.map(lambda seed: sampling.random_checker_params(sampling.rng_for(seed))), 15),
+    ("full", "20-digit"): (checker_points(big_gauss), 2),
+    ("full", "sparse"): (checker_points(sparse_gauss), 15),
+    ("ppt", "default"): (
+        seeds.map(lambda seed: sampling.draw_subfamily_params(sampling.rng_for(seed))), 15),
+    ("ppt", "20-digit"): (subfamily_points(big_fractions, big_gauss, big_gauss), 2),
+    ("ppt", "sparse"): (subfamily_points(st.just(Fraction(0)) | small_fractions, sparse_gauss), 15),
+}
+
+
+@pytest.mark.parametrize("kind,name", list(BLOCK_SPLIT_POINTS))
+def test_block_pairs_are_the_9x9_definitions(kind, name):
+    """rho, rho^Gamma and both reduction matrices, each assembled from its block pair,
+    equal their 9x9 definitions on the lifted parameters: W W*, the partial
+    transpose of that grid, and rho_A (x) 1 - rho and 1 (x) rho_B - rho from the
+    partial traces.  So every entry outside the blocks is zero.  Each block is
+    Hermitian, and the block inertia is that of the whole matrix's char poly."""
+    strategy, examples = BLOCK_SPLIT_POINTS[kind, name]
+
+    @settings(max_examples=examples, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(strategy)
+    def check(params):
+        try:
+            full = derive_full_params(params) if kind == "ppt" else params
+            state = build_state(full)
+        except (SingularParameterError, DegenerateStateError):
+            assume(False)
+        grid = ZMat.from_rows(outer_sum_entries(placed_vectors(full.lifted[0].as_dict()),
+                                                GaussInt(0)))
+        m = grid.over(1)
+        rho_a, rho_b = partial_traces(m)
+        one = GMat.identity(3)
+        first, second = (integer_lift(x)[0] for x in (kron(rho_a, one) - m, kron(one, rho_b) - m))
+        pairs = [state.blocks, state.gamma, *reduction_matrices(state)]
+        for pair, definition in zip(pairs, (grid, partial_transpose_matrix(grid), first, second)):
+            assert StateMatrix(pair, 1).grid == definition
+            for rows in pair:
+                assert ZMat.from_rows([[GaussInt(*z) for z in row] for row in rows]).is_hermitian()
+            assert blocks_inertia(pair) == inertia_from_char_poly(char_poly(definition), 9)
+
+    check()

@@ -23,9 +23,10 @@ from checkerboard.family import (
 )
 from checkerboard.charpoly import inertia
 from checkerboard.gaussian import GaussRat, parse_gauss
-from checkerboard.matrices import GMat, column_spans_equal, integer_lift, nullspace_basis, rank
+from checkerboard.matrices import GMat, integer_lift, rank
 
 from conftest import small_gauss
+from linalg_reference import column_spans_equal, nullspace_basis
 
 params_strategy = st.builds(
     CheckerParams.from_dict,
@@ -185,7 +186,7 @@ def test_split_permutation_consistency():
 
 def test_split_diagonal_state():
     entries = [[GaussRat(r + 1) if r == c else GaussRat(0) for c in range(9)] for r in range(9)]
-    state = StateMatrix(*integer_lift(GMat.from_rows(entries)))
+    state = StateMatrix.from_grid(*integer_lift(GMat.from_rows(entries)))
     assert state.normalizer == Fraction(45)
     block_odd, block_even = checkerboard_split(state)
     assert [block_odd[i, i] for i in range(4)] == [GaussRat(v) for v in (2, 4, 6, 8)]
@@ -195,7 +196,7 @@ def test_split_diagonal_state():
 def test_split_rejects_non_checkerboard():
     m = GMat.from_rows([[GaussRat(1)] * 9 for _ in range(9)])
     with pytest.raises(PatternError):
-        checkerboard_split(StateMatrix(*integer_lift(m)))
+        checkerboard_split(StateMatrix.from_grid(*integer_lift(m)))
 
 
 @settings(max_examples=50, deadline=None)

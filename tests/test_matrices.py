@@ -8,16 +8,15 @@ from checkerboard.matrices import (
     GMat,
     ZMat,
     _row_echelon,
-    column_spans_equal,
     connected_components,
     det,
     integer_lift,
     kron,
-    nullspace_basis,
     rank,
 )
 
 from conftest import gauss_matrix, hermitian_grid, sparse_gauss
+from linalg_reference import column_spans_equal, nullspace_basis
 
 
 def gm(rows):

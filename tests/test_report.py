@@ -22,7 +22,7 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scan_pd_gamma.py"
 COUNTED = (
     ("subfamily", "derive_full_params"),
     ("family", "build_state"),
-    ("criteria", "partial_transpose_matrix"),
+    ("family", "partial_transpose_blocks"),
     ("family", "theorem1_product"),
 )
 
@@ -54,7 +54,7 @@ def calls(monkeypatch):
 
 def _expected(states: int, ppt_states: int) -> Counter:
     return Counter(derive_full_params=ppt_states, build_state=states,
-                   partial_transpose_matrix=states, theorem1_product=states)
+                   partial_transpose_blocks=states, theorem1_product=states)
 
 
 @pytest.mark.parametrize("kind,params", [
