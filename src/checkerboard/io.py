@@ -81,12 +81,6 @@ def subfamily_params_to_doc(sp: SubfamilyParams) -> dict:
     return {"family": "ppt", "params": params}
 
 
-def bruss_peres_params_to_doc(bp: BrussPeresParams) -> dict:
-    params = {key: format_fraction(getattr(bp, key)) for key in BRUSS_PERES_REAL_KEYS}
-    params.update({ch: gauss_to_obj(getattr(bp, ch)) for ch in BRUSS_PERES_COMPLEX_KEYS})
-    return {"family": "bruss-peres", "params": params}
-
-
 def _require_keys(mapping, expected, what):
     if not isinstance(mapping, dict):
         raise ParseError(f"{what} must be a JSON object")
@@ -166,22 +160,9 @@ def parse_witness_doc(doc) -> WitnessVector:
     raise ParseError("witness document must have exactly one of: components, pairs")
 
 
-def witness_to_doc(w: WitnessVector) -> dict:
-    return {"components": [gauss_to_obj(z) for z in w.components]}
-
-
 # ---------------------------------------------------------------------------
 # Matrix dumps: nested row-major lists of complex objects.
 
 
 def matrix_to_obj(m: GMat) -> list:
     return [[gauss_to_obj(m[r, c]) for c in range(m.cols)] for r in range(m.rows)]
-
-
-def parse_matrix_obj(obj) -> GMat:
-    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise ParseError("matrix must be a nested list of complex values")
-    width = len(obj[0])
-    if any(len(r) != width for r in obj):
-        raise ParseError("matrix rows have unequal lengths")
-    return GMat.from_rows([[obj_to_gauss(x) for x in row] for row in obj])

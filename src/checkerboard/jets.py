@@ -6,12 +6,15 @@ occupies two slots (real part, imaginary part), so conjugation acts
 entrywise on the gradient.  Jet arithmetic follows the product and
 quotient rules, which makes Jacobians of rational maps exact.
 
-``Jet`` works over the Gaussian rationals and ``ModJet`` over F_P[i],
-P = 2^61 - 1.  Their callers are all in ``counting``, on the subfamily map
-through ``complete_parameters``: ``ModJet`` gives its Jacobian mod P,
-two-slot ``Jet``s check a kernel vector exactly, and 23-slot ``Jet``s give
-the exact Jacobian for the fallback and for the real-slot rank, the one
-user of ``jet_rank``.
+``Jet`` works over the Gaussian rationals and ``ModJet`` over F_p[i] for
+the prime p = 3 mod 4 that it carries (P = 2^61 - 1 unless given).
+Their callers are all in ``counting``, on the parameter completion
+``complete_parameters`` alone; the outer sum's derivatives follow from
+``counting.outer_jacobian`` by the chain rule.  ``ModJet``s give the
+completion's Jacobian mod p, two-slot ``Jet``s a directional derivative
+that checks a kernel vector exactly, and 23-slot ``Jet``s the exact
+Jacobian for the fallback and for the real-slot rank.  ``jet_rank``, the
+exact rank of the rows of a list of jets, has callers in the tests only.
 """
 
 from __future__ import annotations
@@ -167,53 +170,59 @@ def jet_rank(functions: Sequence[Jet], param_count: int) -> int:
 
 
 class ModJet:
-    """A jet over F_P[i]: the value and each gradient entry are (re, im) residue pairs."""
+    """A jet over F_p[i], p = 3 mod 4: the value and each gradient entry are (re, im) residue pairs."""
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("value", "grad", "mod")
 
-    def __init__(self, value: tuple, grad: list):
+    def __init__(self, value: tuple, grad: list, mod: int = P):
         self.value = value
         self.grad = grad
+        self.mod = mod
 
     def __bool__(self):
         return self.value != (0, 0)
 
     def conj(self) -> "ModJet":
+        p = self.mod
         re, im = self.value
-        return ModJet((re, -im % P), [(a, -b % P) for a, b in self.grad])
+        return ModJet((re, -im % p), [(a, -b % p) for a, b in self.grad], p)
 
     def real_part(self) -> "ModJet":
-        return ModJet((self.value[0], 0), [(a, 0) for a, _ in self.grad])
+        return ModJet((self.value[0], 0), [(a, 0) for a, _ in self.grad], self.mod)
 
     def imag_part(self) -> "ModJet":
-        return ModJet((self.value[1], 0), [(b, 0) for _, b in self.grad])
+        return ModJet((self.value[1], 0), [(b, 0) for _, b in self.grad], self.mod)
 
     def __add__(self, o: "ModJet") -> "ModJet":
+        p = self.mod
         (ur, ui), (vr, vi) = self.value, o.value
-        return ModJet(((ur + vr) % P, (ui + vi) % P),
-                      [((a + c) % P, (b + d) % P) for (a, b), (c, d) in zip(self.grad, o.grad)])
+        return ModJet(((ur + vr) % p, (ui + vi) % p),
+                      [((a + c) % p, (b + d) % p) for (a, b), (c, d) in zip(self.grad, o.grad)], p)
 
     def __sub__(self, o: "ModJet") -> "ModJet":
+        p = self.mod
         (ur, ui), (vr, vi) = self.value, o.value
-        return ModJet(((ur - vr) % P, (ui - vi) % P),
-                      [((a - c) % P, (b - d) % P) for (a, b), (c, d) in zip(self.grad, o.grad)])
+        return ModJet(((ur - vr) % p, (ui - vi) % p),
+                      [((a - c) % p, (b - d) % p) for (a, b), (c, d) in zip(self.grad, o.grad)], p)
 
     def __mul__(self, o: "ModJet") -> "ModJet":
+        p = self.mod
         (ur, ui), (vr, vi) = self.value, o.value
-        return ModJet(((ur * vr - ui * vi) % P, (ur * vi + ui * vr) % P),
-                      [((a * vr - b * vi + ur * c - ui * d) % P,
-                        (a * vi + b * vr + ur * d + ui * c) % P)
-                       for (a, b), (c, d) in zip(self.grad, o.grad)])
+        return ModJet(((ur * vr - ui * vi) % p, (ur * vi + ui * vr) % p),
+                      [((a * vr - b * vi + ur * c - ui * d) % p,
+                        (a * vi + b * vr + ur * d + ui * c) % p)
+                       for (a, b), (c, d) in zip(self.grad, o.grad)], p)
 
     def __truediv__(self, o: "ModJet") -> "ModJet":
-        # 1/v = conj(v)/|v|^2 and d(1/v) = -dv/v^2; |v|^2 is 0 mod P only for v = 0.
+        # 1/v = conj(v)/|v|^2 and d(1/v) = -dv/v^2; |v|^2 is 0 mod p only for v = 0.
+        p = self.mod
         vr, vi = o.value
-        norm = (vr * vr + vi * vi) % P
+        norm = (vr * vr + vi * vi) % p
         if not norm:
-            raise ZeroDivisionError("jet division by a value that is zero mod P")
-        n = pow(norm, -1, P)
-        wr, wi = vr * n % P, -vi * n % P
-        sr, si = (wr * wr - wi * wi) % P, 2 * wr * wi % P
-        inv = ModJet((wr, wi), [((b * si - a * sr) % P, -(a * si + b * sr) % P)
-                                for a, b in o.grad])
+            raise ZeroDivisionError("jet division by a value that is zero mod p")
+        n = pow(norm, -1, p)
+        wr, wi = vr * n % p, -vi * n % p
+        sr, si = (wr * wr - wi * wi) % p, 2 * wr * wi % p
+        inv = ModJet((wr, wi), [((b * si - a * sr) % p, -(a * si + b * sr) % p)
+                                for a, b in o.grad], p)
         return self * inv

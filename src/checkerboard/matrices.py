@@ -7,11 +7,14 @@ characteristic polynomial (``charpoly``).  Rank uses rational
 Gauss-Jordan elimination with exact pivots, on each block of the matrix's
 nonzero pattern on its own.
 
-The modular helpers work in F_P for the prime P = 2^61 - 1: residues of
-rationals, row echelon forms and kernel vectors mod P, and rational
-reconstruction.  A rank mod P never exceeds the rank over the rationals of
-the matrix it reduces, so it is a proven lower bound; callers use it to
-certify Jacobian ranks and fall back to ``rank`` when it is not enough.
+The modular helpers work in F_p and F_p[i] for primes p = 3 mod 4, from
+P = 2^61 - 1 down (``primes``): residues of rationals, sparse row echelon
+forms and kernel vectors, and rational reconstruction of a number or of
+a vector over one common denominator, from one prime or from several
+combined by the Chinese remainder theorem.  A rank mod p never exceeds
+the rank over the rationals of the matrix it reduces, so it is a proven
+lower bound; callers use it to certify Jacobian ranks and fall back to
+``rank`` when it is not enough.
 """
 
 from __future__ import annotations
@@ -281,71 +284,212 @@ def rank(m: GMat) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic mod P.  P is 3 mod 4, so x^2 + 1 has no root mod P and F_P[i]
-# is a field: the residue of a Gaussian rational is the pair of the
-# residues of its parts, and complex conjugation commutes with reduction.
+# Arithmetic mod p for primes p = 3 mod 4.  Then x^2 + 1 has no root mod p
+# and F_p[i] is a field: the residue of a Gaussian rational is the pair of
+# the residues of its parts, and complex conjugation commutes with
+# reduction.  P = 2^61 - 1 is the first prime of ``primes()``.
 
 P = (1 << 61) - 1
-_RECONSTRUCTION_BOUND = isqrt(P // 2)
+# Deterministic Miller-Rabin: these bases decide primality for every n < 3.3 * 10^24.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIMES = [P]
 
 
-def residue(x: Fraction) -> int:
-    """x mod P; raises ZeroDivisionError when P divides the denominator."""
-    den = x.denominator % P
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases: exact below 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def primes():
+    """P, then the primes p = 3 mod 4 below it in descending order.
+
+    Each prime is found on first use and cached, so the sequence is the
+    same in every run and costs nothing until a caller walks past P.
+    """
+    k = 0
+    while True:
+        if k == len(_PRIMES):
+            n = _PRIMES[-1] - 4
+            while not is_prime(n):
+                n -= 4
+            _PRIMES.append(n)
+        yield _PRIMES[k]
+        k += 1
+
+
+def residue(x: Fraction, p: int = P) -> int:
+    """x mod p; raises ZeroDivisionError when p divides the denominator."""
+    den = x.denominator % p
     if not den:
-        raise ZeroDivisionError("P divides the denominator")
-    return x.numerator * pow(den, -1, P) % P
+        raise ZeroDivisionError("p divides the denominator")
+    return x.numerator * pow(den, -1, p) % p
 
 
-def gauss_residue(z: GaussRat) -> tuple:
-    """(Re z, Im z) mod P with one inverse of the denominator; raises
-    ZeroDivisionError when P divides it."""
-    den = z.d % P
+def gauss_residue(z: GaussRat, p: int = P) -> tuple:
+    """(Re z, Im z) mod p with one inverse of the denominator; raises
+    ZeroDivisionError when p divides it."""
+    den = z.d % p
     if not den:
-        raise ZeroDivisionError("P divides the denominator")
-    inv = pow(den, -1, P)
-    return z.x * inv % P, z.y * inv % P
+        raise ZeroDivisionError("p divides the denominator")
+    inv = pow(den, -1, p)
+    return z.x * inv % p, z.y * inv % p
 
 
 def echelon_mod_p(rows: Sequence[Sequence[int]]) -> tuple:
-    """Row echelon form over F_P: (nonzero rows with leading 1s, their pivot columns)."""
-    rest = [[x % P for x in row] for row in rows]
+    """Row echelon form over F_P: (pivot rows led by 1, their pivot columns).
+
+    Sparse, like ``complex_echelon_mod_p``: each pivot row is a dict from
+    column to its nonzero entries, the columns are taken in order and the
+    pivot row is the one with the fewest nonzeros.
+    """
+    rest = [row for row in ({c: x % P for c, x in enumerate(row) if x % P} for row in rows) if row]
     done, pivots = [], []
-    for c in range(len(rest[0]) if rest else 0):
-        k = next((k for k, row in enumerate(rest) if row[c]), None)
-        if k is None:
+    for c in range(len(rows[0]) if rows else 0):
+        hits = [k for k, row in enumerate(rest) if c in row]
+        if not hits:
             continue
-        piv = rest.pop(k)
+        piv = rest.pop(min(hits, key=lambda k: len(rest[k])))
         inv = pow(piv[c], -1, P)
-        piv = [x * inv % P for x in piv]
-        rest = [[(x - f * y) % P for x, y in zip(row, piv)] if (f := row[c]) else row
-                for row in rest]
+        piv = {j: y * inv % P for j, y in piv.items()}
+        entries = piv.items()
+        below = []
+        for row in rest:
+            f = row.get(c)
+            if f is not None:
+                for j, y in entries:
+                    z = (row.get(j, 0) - f * y) % P
+                    if z:
+                        row[j] = z
+                    else:
+                        del row[j]
+                if not row:
+                    continue
+            below.append(row)
+        rest = below
         done.append(piv)
         pivots.append(c)
     return done, pivots
 
 
-def kernel_vector_mod_p(echelon: list, pivots: list, free: int, width: int) -> list:
-    """The kernel vector mod P with 1 at non-pivot column ``free``, 0 at the other non-pivots."""
-    v = [0] * width
-    v[free] = 1
+def complex_echelon_mod_p(rows: Sequence[Sequence[tuple]], p: int) -> tuple:
+    """Row echelon form over F_p[i] of rows of (re, im) residue pairs.
+
+    Returns (echelon, pivots): ``echelon[k]`` is the pivot row of column
+    ``pivots[k]``, led by (1, 0), as a dict from column to its nonzero
+    entries.  The columns are taken in order, so the pivot columns are
+    the first independent ones whichever row is chosen; the pivot row is
+    the one with the fewest nonzeros, which keeps the sparse Jacobians
+    sparse.  Every entry is reduced, so (0, 0) is the only zero.
+    """
+    rest = [row for row in ({c: z for c, z in enumerate(row) if z != (0, 0)} for row in rows)
+            if row]
+    done, pivots = [], []
+    for c in range(len(rows[0]) if rows else 0):
+        hits = [k for k, row in enumerate(rest) if c in row]
+        if not hits:
+            continue
+        piv = rest.pop(min(hits, key=lambda k: len(rest[k])))
+        ar, ai = piv[c]
+        n = pow(ar * ar + ai * ai, -1, p)  # 1/(ar + i ai) = (ar - i ai)/(ar^2 + ai^2)
+        ir, ii = ar * n % p, -ai * n % p
+        piv = {j: ((yr * ir - yi * ii) % p, (yr * ii + yi * ir) % p) for j, (yr, yi) in piv.items()}
+        entries = piv.items()
+        below = []
+        for row in rest:
+            f = row.get(c)
+            if f is not None:
+                fr, fi = f
+                for j, (yr, yi) in entries:
+                    xr, xi = row.get(j, (0, 0))
+                    zr, zi = (xr - fr * yr + fi * yi) % p, (xi - fr * yi - fi * yr) % p
+                    if zr or zi:
+                        row[j] = (zr, zi)
+                    else:
+                        del row[j]
+                if not row:
+                    continue
+            below.append(row)
+        rest = below
+        done.append(piv)
+        pivots.append(c)
+    return done, pivots
+
+
+def complex_kernel_vector_mod_p(echelon: list, pivots: list, free: int, width: int,
+                                p: int) -> list:
+    """The kernel vector over F_p[i] with 1 at non-pivot column ``free``, 0 at the other non-pivots."""
+    v = [(0, 0)] * width
+    v[free] = (1, 0)
     for row, pc in reversed(list(zip(echelon, pivots))):
-        v[pc] = -sum(row[j] * v[j] for j in range(pc + 1, width)) % P
+        sr = si = 0
+        for j, (ar, ai) in row.items():
+            if j != pc:
+                br, bi = v[j]
+                sr += ar * br - ai * bi
+                si += ar * bi + ai * br
+        v[pc] = (-sr % p, -si % p)
     return v
 
 
-def rational_reconstruction(u: int):
-    """The fraction n/d with |n|, d <= sqrt(P/2) and n = u*d mod P, or None (Wang 1981).
+def rational_reconstruction(u: int, m: int = P):
+    """The fraction n/d with |n|, d <= sqrt(m/2) and n = u*d mod m, or None (Wang 1981).
 
     Such a fraction is unique when it exists; callers verify it exactly.
     """
-    r0, r1, s0, s1 = P, u % P, 0, 1
-    while r1 > _RECONSTRUCTION_BOUND:
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, u % m, 0, 1
+    while r1 > bound:
         q = r0 // r1
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if not s1 or abs(s1) > _RECONSTRUCTION_BOUND:
+    if not s1 or abs(s1) > bound:
         return None
     return Fraction(r1, s1)
+
+
+def vector_reconstruction(residues: Sequence[int], m: int):
+    """Fractions n_k/d with one common d, |n_k|, d <= sqrt(m/2) and n_k = u_k d mod m; or None.
+
+    The entries are lifted in turn over the denominator found so far, and
+    only an entry that is not then a small integer widens it.  Once d is
+    known, a wrong residue passes only by landing within sqrt(m/2) of 0,
+    so a false lift is rarer than with each entry on its own.  Such a
+    vector is unique when it exists; callers verify it exactly.
+    """
+    bound, half = isqrt(m // 2), m // 2
+    den, nums = 1, []
+    for u in residues:
+        y = u * den % m
+        if y > half:
+            y -= m
+        if abs(y) > bound:
+            q = rational_reconstruction(y, m)
+            if q is None or den * q.denominator > bound:
+                return None
+            nums = [n * q.denominator for n in nums]
+            den *= q.denominator
+            y = q.numerator
+        nums.append(y)
+    if any(abs(n) > bound for n in nums):
+        return None
+    return [Fraction(n, den) for n in nums]
 
 
 def require_hermitian(m: GMat, what: str = "matrix"):

@@ -1,0 +1,34 @@
+"""Document writers and a matrix reader that only the tests use.
+
+The package parses Bruss-Peres documents and witnesses and writes
+matrices; these are the other directions, for round trips and fixtures.
+"""
+
+from checkerboard.errors import ParseError
+from checkerboard.io import (
+    BRUSS_PERES_COMPLEX_KEYS,
+    BRUSS_PERES_REAL_KEYS,
+    format_fraction,
+    gauss_to_obj,
+    obj_to_gauss,
+)
+from checkerboard.matrices import GMat
+
+
+def bruss_peres_params_to_doc(bp) -> dict:
+    params = {key: format_fraction(getattr(bp, key)) for key in BRUSS_PERES_REAL_KEYS}
+    params.update({ch: gauss_to_obj(getattr(bp, ch)) for ch in BRUSS_PERES_COMPLEX_KEYS})
+    return {"family": "bruss-peres", "params": params}
+
+
+def witness_to_doc(w) -> dict:
+    return {"components": [gauss_to_obj(z) for z in w.components]}
+
+
+def parse_matrix_obj(obj) -> GMat:
+    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
+        raise ParseError("matrix must be a nested list of complex values")
+    width = len(obj[0])
+    if any(len(r) != width for r in obj):
+        raise ParseError("matrix rows have unequal lengths")
+    return GMat.from_rows([[obj_to_gauss(x) for x in row] for row in obj])

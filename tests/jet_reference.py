@@ -1,9 +1,11 @@
-"""The jet-based Jacobian builders the package used before the closed form.
+"""The jet-based Jacobian builders the package used before the chain rule.
 
-They push forward-mode jets through the state construction and are kept
-here, unchanged, as the reference for ``checkerboard.counting``: the
-closed-form full-family rows must equal ``psi_coordinate_jets`` row for
-row, and the certified ranks must equal the exact ranks computed here.
+They push forward-mode jets through the whole state construction, the
+completion and the outer sum, and are kept here, unchanged, as the
+reference for ``checkerboard.counting``: the closed-form full-family rows
+must equal ``psi_coordinate_jets`` row for row, the chain-rule subfamily
+rows mod P must equal ``lambda_rows_mod_p``, and the certified ranks must
+equal the exact ranks computed here.
 """
 
 from fractions import Fraction
@@ -17,8 +19,8 @@ from checkerboard.family import (
     placed_vectors,
 )
 from checkerboard.gaussian import GaussRat
-from checkerboard.jets import jet_complex_var, jet_const, jet_rank, jet_real_var
-from checkerboard.matrices import GMat, rank
+from checkerboard.jets import ModJet, jet_complex_var, jet_const, jet_rank, jet_real_var
+from checkerboard.matrices import P, GMat, gauss_residue, rank
 from checkerboard.subfamily import COMPLEX_LETTERS, complete_parameters
 
 
@@ -91,3 +93,35 @@ def lambda_rank(sp) -> int:
             row.append(GaussRat(gx * half, -gy * half))
         rows.append(row)
     return rank(GMat.from_rows(rows))
+
+
+def lambda_rows_mod_p(sp) -> list:
+    """The 41x13 complex Jacobian mod P from ModJets through the completion and the outer sum.
+
+    Rows of (re, im) pairs: d/dt, d/dx, d/dy and d/dx_k - i d/dy_k.
+    """
+    values = [GaussRat(sp.t), GaussRat(sp.x), GaussRat(sp.y)] + [
+        getattr(sp, ch) for ch in COMPLEX_LETTERS
+    ]
+    seeds = []
+    for idx, z in enumerate(values):
+        unit = [(0, 0)] * LAMBDA_SLOTS
+        if idx < 3:
+            unit[idx] = (1, 0)
+        else:
+            unit[2 * idx - 3], unit[2 * idx - 2] = (1, 0), (0, 1)
+        seeds.append(ModJet(gauss_residue(z), unit))
+    zero = ModJet((0, 0), [(0, 0)] * LAMBDA_SLOTS)
+    entries = outer_sum_entries(placed_vectors(complete_parameters(*seeds)), zero)
+    coords = [entries[d][d].real_part() for d in range(9)]
+    for r in range(9):
+        for c in range(r):
+            if (r + c) % 2 == 0:
+                coords += [entries[r][c].real_part(), entries[r][c].imag_part()]
+    rows = []
+    for jet in coords:
+        g = [re for re, _ in jet.grad]
+        a = g[:3] + g[3::2]  # d/dt, d/dx, d/dy, d/dx_k
+        b = [0, 0, 0] + [-y % P for y in g[4::2]]  # -d/dy_k
+        rows.append(list(zip(a, b)))
+    return rows

@@ -20,12 +20,9 @@ from checkerboard.family import build_state
 from checkerboard.gaussian import GaussRat
 from checkerboard.io import (
     checker_params_to_doc,
-    bruss_peres_params_to_doc,
-    parse_matrix_obj,
     parse_param_doc,
     parse_witness_doc,
     subfamily_params_to_doc,
-    witness_to_doc,
 )
 from checkerboard.report import build_certificate
 from checkerboard.subfamily import BrussPeresParams, derive_full_params
@@ -37,6 +34,7 @@ from conftest import (
     sparse_gauss,
     subfamily_points,
 )
+from io_reference import bruss_peres_params_to_doc, parse_matrix_obj, witness_to_doc
 
 _gauss5 = st.builds(GaussRat, digit_fractions(5), digit_fractions(5))
 ROUND_TRIP_DOCS = st.one_of(

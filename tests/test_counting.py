@@ -7,7 +7,6 @@ from checkerboard import presets, sampling
 from checkerboard.counting import (
     LAMBDA_SLOTS,
     PSI_SLOTS,
-    _lambda_coordinate_jets,
     jacobian_rank_lambda,
     jacobian_rank_lambda_real_slots,
     jacobian_rank_psi,
@@ -31,7 +30,7 @@ from checkerboard.subfamily import (
     complete_parameters,
     derive_full_params,
 )
-from jet_reference import psi_coordinate_jets
+from jet_reference import lambda_coordinate_jets, psi_coordinate_jets
 
 
 def psi_map(p: CheckerParams) -> tuple:
@@ -140,7 +139,7 @@ def test_lambda_jets_match_finite_differences():
     while checked < 10:
         sp, _ = sampling.random_subfamily_params(sampling.rng_for(63, idx))
         idx += 1
-        jets = _lambda_coordinate_jets(sp)
+        jets = lambda_coordinate_jets(sp)
         point = [float(sp.t), float(sp.x), float(sp.y)]
         for ch in COMPLEX_LETTERS:
             z = getattr(sp, ch)

@@ -21,7 +21,8 @@ import pytest
 import checkerboard
 from checkerboard import presets
 from checkerboard.cli import main
-from checkerboard.io import checker_params_to_doc, subfamily_params_to_doc, witness_to_doc
+from checkerboard.io import checker_params_to_doc, subfamily_params_to_doc
+from io_reference import witness_to_doc
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"

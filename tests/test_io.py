@@ -6,7 +6,6 @@ from checkerboard import presets
 from checkerboard.errors import ParseError
 from checkerboard.gaussian import GaussRat
 from checkerboard.io import (
-    bruss_peres_params_to_doc,
     checker_params_to_doc,
     format_fraction,
     gauss_to_obj,
@@ -14,13 +13,12 @@ from checkerboard.io import (
     obj_to_gauss,
     parse_bruss_peres_doc,
     parse_fraction,
-    parse_matrix_obj,
     parse_param_doc,
     parse_witness_doc,
     subfamily_params_to_doc,
-    witness_to_doc,
 )
 from checkerboard.subfamily import BrussPeresParams
+from io_reference import bruss_peres_params_to_doc, parse_matrix_obj, witness_to_doc
 
 
 def test_fraction_round_trip():

@@ -13,9 +13,10 @@ from checkerboard import presets, reproduce, sampling
 from checkerboard.cli import main
 from checkerboard.criteria import is_ppt, partial_transpose_matrix, reduction_criterion
 from checkerboard.family import build_state, theorem1_product
-from checkerboard.io import checker_params_to_doc, subfamily_params_to_doc, witness_to_doc
+from checkerboard.io import checker_params_to_doc, subfamily_params_to_doc
 from checkerboard.report import build_certificate, classify
 from checkerboard.subfamily import theorem2_product
+from io_reference import witness_to_doc
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scan_pd_gamma.py"
 
