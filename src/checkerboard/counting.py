@@ -24,19 +24,22 @@ the chain rule, times the Jacobian of the completion, which jets pushed
 through ``complete_parameters`` alone supply; the ten free letters have
 unit gradients, so only the eight completed ones need products.
 
-A rank over F_p, or over F_p[i] for p = 3 mod 4, is a lower bound of the
-exact one as long as p divides no denominator on the way.  The full
-family's rank is certified mod P = 2^61 - 1, where a rank of 28, the row
-count, settles it.  The subfamily's 41x13 complex Jacobian is eliminated
-over F_p[i] for the primes of ``matrices.primes()``: a rank of 13, the
-column count, settles it, and a rank of 12 does once a kernel vector is
-checked exactly as a directional derivative that vanishes on all 41
-coordinates.  That vector is lifted from its residues modulo several
-primes by the Chinese remainder theorem and rational reconstruction
-(von zur Gathen and Gerhard, Modern Computer Algebra, 5.10; Wang 1981),
-so a point with 20-digit parameters, whose kernel entries have about 900
-bits, is certified by about 30 primes.  Every other outcome falls back
-to the exact ``rank`` of the exact Jacobian.
+The full family's rank is 28 exactly when the leading 2x2 minor of both
+blocks' generator rows is nonzero (proof in ``jacobian_rank_psi``);
+otherwise it is the exact ``rank`` of ``psi_jacobian``.
+
+A rank over F_p[i] for p = 3 mod 4 is a lower bound of the exact one as
+long as p divides no denominator on the way.  The subfamily's 41x13
+complex Jacobian is eliminated over F_p[i] for the primes of
+``matrices.primes()``: a rank of 13, the column count, settles it, and a
+rank of 12 does once a kernel vector is checked exactly as a directional
+derivative that vanishes on all 41 coordinates.  That vector is lifted
+from its residues modulo several primes by the Chinese remainder theorem
+and rational reconstruction (von zur Gathen and Gerhard, Modern Computer
+Algebra, 5.10; Wang 1981), so a point with 20-digit parameters, whose
+kernel entries have about 900 bits, is certified by about 30 primes.
+Every other outcome falls back to the exact ``rank`` of the exact
+Jacobian.
 
 The slot ordering is fixed so Jacobians are bit-reproducible: for the
 full family, (re, im) pairs of the letters in alphabetical order; for
@@ -49,14 +52,13 @@ from __future__ import annotations
 from itertools import islice
 
 from .errors import SingularParameterError
-from .family import CheckerParams, EVEN_POSITIONS, ODD_POSITIONS, PARAM_LETTERS, placed_vectors
+from .family import BLOCK_POSITIONS, BLOCK_ROWS, CheckerParams, PARAM_LETTERS, placed_vectors
 from .gaussian import GaussRat, lift_to_integers
 from .jets import Jet, ModJet, jet_complex_var, jet_real_var
 from .matrices import (
     GMat,
     complex_echelon_mod_p,
     complex_kernel_vector_mod_p,
-    echelon_mod_p,
     gauss_residue,
     primes,
     rank,
@@ -90,7 +92,7 @@ _SLOT = {ch: 2 * idx for idx, ch in enumerate(PARAM_LETTERS)}
 # subfamily the whole diagonal and then every entry with an even index
 # sum below it, row by row.
 PSI_ENTRIES = tuple(
-    entry for pos in (ODD_POSITIONS, EVEN_POSITIONS)
+    entry for pos in BLOCK_POSITIONS
     for entry in [(d, d) for d in pos[:2]] + [(r, c) for ri, r in enumerate(pos)
                                               for c in pos[:min(ri, 2)]])
 LAMBDA_ENTRIES = tuple((d, d) for d in range(9)) + tuple(
@@ -146,16 +148,21 @@ def psi_jacobian(parts: dict) -> list:
 def jacobian_rank_psi(p: CheckerParams) -> int:
     """Exact rank of the 28x36 real Jacobian of the two-column map at ``p``.
 
-    Rank 28 mod P is the row count and settles it; otherwise, or when P
-    divides a denominator, the exact rank is computed.
+    Per block, the map sends the generator rows V = [A; B] of
+    ``BLOCK_ROWS`` to the first two columns of V V*, that is (A A*, B A*),
+    whose 4 + 4(n - 2) real coordinates are 12 for the odd block and 16
+    for the even one; A is the 2x2 matrix of the first two rows.  If
+    det A != 0 the differential is onto: dA = H A^-*/2 gives d(A A*) = H
+    for any Hermitian H, and dB = (C - B dA*) A^-* gives d(B A*) = C for
+    any C.  If det A = 0, some w != 0 has A* w = 0, and w* d(A A*) w = 0
+    for every dA, so the rank is lower.  So the rank is 28 exactly when
+    both minors, gp - qf and am - jd, are nonzero.  Only the first
+    direction is relied on: any other point takes the exact ``rank``.
     """
     values = p.as_dict()
-    try:
-        rows = psi_jacobian({ch: gauss_residue(z) for ch, z in values.items()})
-        if len(echelon_mod_p(rows)[1]) == PSI_COORDS:
-            return PSI_COORDS
-    except ZeroDivisionError:
-        pass
+    if all(values[u0] * values[v1] != values[v0] * values[u1]
+           for (u0, v0), (u1, v1), *_ in BLOCK_ROWS):
+        return PSI_COORDS
     return rank(GMat.from_rows(psi_jacobian({ch: (z.re, z.im) for ch, z in values.items()})))
 
 

@@ -187,12 +187,6 @@ class ModJet:
         re, im = self.value
         return ModJet((re, -im % p), [(a, -b % p) for a, b in self.grad], p)
 
-    def real_part(self) -> "ModJet":
-        return ModJet((self.value[0], 0), [(a, 0) for a, _ in self.grad], self.mod)
-
-    def imag_part(self) -> "ModJet":
-        return ModJet((self.value[1], 0), [(b, 0) for _, b in self.grad], self.mod)
-
     def __add__(self, o: "ModJet") -> "ModJet":
         p = self.mod
         (ur, ui), (vr, vi) = self.value, o.value

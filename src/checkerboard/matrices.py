@@ -3,18 +3,18 @@
 ``GMat`` holds GaussRats and ``ZMat`` GaussInts; ``integer_lift`` turns the
 first into the second over the least common denominator.  The determinant
 of a Hermitian ``ZMat`` is the signed constant term of its integer
-characteristic polynomial (``charpoly``).  Rank uses rational
-Gauss-Jordan elimination with exact pivots, on each block of the matrix's
-nonzero pattern on its own.
+characteristic polynomial (``charpoly``).  Rank is one forward Gaussian
+elimination over the Gaussian rationals with exact pivots.
 
-The modular helpers work in F_p and F_p[i] for primes p = 3 mod 4, from
-P = 2^61 - 1 down (``primes``): residues of rationals, sparse row echelon
-forms and kernel vectors, and rational reconstruction of a number or of
-a vector over one common denominator, from one prime or from several
-combined by the Chinese remainder theorem.  A rank mod p never exceeds
-the rank over the rationals of the matrix it reduces, so it is a proven
-lower bound; callers use it to certify Jacobian ranks and fall back to
-``rank`` when it is not enough.
+The modular helpers work in F_p[i] for primes p = 3 mod 4, from
+P = 2^61 - 1 down (``primes``): residues of Gaussian rationals, a sparse
+row echelon form and kernel vectors, and rational reconstruction of a
+number or of a vector over one common denominator, from one prime or
+from several combined by the Chinese remainder theorem.  A rank mod p
+never exceeds the rank over the Gaussian rationals of the matrix it
+reduces, so it is a proven lower bound; ``counting`` uses it to certify
+the subfamily's Jacobian rank and falls back to ``rank`` when it is not
+enough.
 """
 
 from __future__ import annotations
@@ -212,75 +212,32 @@ def det(m: ZMat) -> int:
     return (-1) ** m.rows * char_poly(m)[0]
 
 
-def _row_echelon(m: GMat):
-    """Reduced row echelon form; returns (grid, pivot_columns)."""
+def rank(m: GMat) -> int:
+    """Exact rank over the Gaussian rationals, by forward Gaussian elimination.
+
+    The columns are taken in order and the first row with a nonzero entry
+    is the pivot.  Only the columns right of the pivot are updated, and a
+    zero pivot-row entry is skipped, so sparse rows stay cheap.
+    """
     grid = [list(m.row(r)) for r in range(m.rows)]
-    pivots = []
-    lead = 0
+    found = 0
     for c in range(m.cols):
-        piv = None
-        for r in range(lead, m.rows):
-            if grid[r][c]:
-                piv = r
-                break
+        piv = next((r for r in range(found, m.rows) if grid[r][c]), None)
         if piv is None:
             continue
-        grid[lead], grid[piv] = grid[piv], grid[lead]
-        inv = grid[lead][c]
-        grid[lead] = [x / inv for x in grid[lead]]
-        for r in range(m.rows):
-            if r != lead and grid[r][c]:
-                f = grid[r][c]
-                grid[r] = [x - f * y for x, y in zip(grid[r], grid[lead])]
-        pivots.append(c)
-        lead += 1
-        if lead == m.rows:
+        grid[found], grid[piv] = grid[piv], grid[found]
+        head = grid[found]
+        tail = [(j, y) for j, y in enumerate(head[c + 1:], c + 1) if y]
+        for r in range(found + 1, m.rows):
+            row = grid[r]
+            if row[c]:
+                f = row[c] / head[c]
+                for j, y in tail:
+                    row[j] = row[j] - f * y
+        found += 1
+        if found == m.rows:
             break
-    return grid, pivots
-
-
-def connected_components(n: int, edges) -> list:
-    """Connected components of the graph on 0..n-1 with the given edges.
-
-    Each component is an ascending index list, and the components come in
-    order of their least index, so the work done per component is
-    deterministic.
-    """
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def rank(m: GMat) -> int:
-    """Exact rank over the Gaussian rationals.
-
-    Rows and columns split into the connected components of the bipartite
-    graph with an edge r-c wherever m[r, c] is nonzero.  Permuted, m is
-    block diagonal in those components, so its rank is the sum of the
-    blocks' ranks.
-    """
-    nr, nc = m.rows, m.cols
-    edges = ((r, nr + c) for r in range(nr) for c in range(nc) if m.data[r * nc + c])
-    total = 0
-    for group in connected_components(nr + nc, edges):
-        rows = [i for i in group if i < nr]
-        cols = [i - nr for i in group if i >= nr]
-        if rows and cols:
-            total += len(_row_echelon(m.submatrix(rows, cols))[1])
-    return total
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +292,6 @@ def primes():
         k += 1
 
 
-def residue(x: Fraction, p: int = P) -> int:
-    """x mod p; raises ZeroDivisionError when p divides the denominator."""
-    den = x.denominator % p
-    if not den:
-        raise ZeroDivisionError("p divides the denominator")
-    return x.numerator * pow(den, -1, p) % p
-
-
 def gauss_residue(z: GaussRat, p: int = P) -> tuple:
     """(Re z, Im z) mod p with one inverse of the denominator; raises
     ZeroDivisionError when p divides it."""
@@ -351,42 +300,6 @@ def gauss_residue(z: GaussRat, p: int = P) -> tuple:
         raise ZeroDivisionError("p divides the denominator")
     inv = pow(den, -1, p)
     return z.x * inv % p, z.y * inv % p
-
-
-def echelon_mod_p(rows: Sequence[Sequence[int]]) -> tuple:
-    """Row echelon form over F_P: (pivot rows led by 1, their pivot columns).
-
-    Sparse, like ``complex_echelon_mod_p``: each pivot row is a dict from
-    column to its nonzero entries, the columns are taken in order and the
-    pivot row is the one with the fewest nonzeros.
-    """
-    rest = [row for row in ({c: x % P for c, x in enumerate(row) if x % P} for row in rows) if row]
-    done, pivots = [], []
-    for c in range(len(rows[0]) if rows else 0):
-        hits = [k for k, row in enumerate(rest) if c in row]
-        if not hits:
-            continue
-        piv = rest.pop(min(hits, key=lambda k: len(rest[k])))
-        inv = pow(piv[c], -1, P)
-        piv = {j: y * inv % P for j, y in piv.items()}
-        entries = piv.items()
-        below = []
-        for row in rest:
-            f = row.get(c)
-            if f is not None:
-                for j, y in entries:
-                    z = (row.get(j, 0) - f * y) % P
-                    if z:
-                        row[j] = z
-                    else:
-                        del row[j]
-                if not row:
-                    continue
-            below.append(row)
-        rest = below
-        done.append(piv)
-        pivots.append(c)
-    return done, pivots
 
 
 def complex_echelon_mod_p(rows: Sequence[Sequence[tuple]], p: int) -> tuple:

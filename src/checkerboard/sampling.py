@@ -1,7 +1,7 @@
 """Deterministic rational sampling of parameter sets.
 
 Numerators and denominators are drawn uniformly from small integer ranges
-(default magnitude 4) to keep the exact arithmetic downstream fast; the
+(magnitude 4) to keep the exact arithmetic downstream fast; the
 example states themselves use coefficients of this size.
 """
 
@@ -17,6 +17,8 @@ from .subfamily import BrussPeresParams, SubfamilyParams, derive_full_params
 
 DEFAULT_MAX_NUMERATOR = 4
 DEFAULT_MAX_DENOMINATOR = 4
+# Draws before a sampler of valid subfamily or embedded-family points gives up.
+MAX_TRIES = 64
 
 
 def rng_for(seed: int, index: int = 0) -> random.Random:
@@ -24,33 +26,32 @@ def rng_for(seed: int, index: int = 0) -> random.Random:
     return random.Random((seed * 1_000_003 + index) & 0xFFFFFFFFFFFF)
 
 
-def random_rational(rng: random.Random,
-                    max_num: int = DEFAULT_MAX_NUMERATOR,
-                    max_den: int = DEFAULT_MAX_DENOMINATOR) -> Fraction:
-    return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+def _fraction_parts(rng: random.Random) -> tuple:
+    """A numerator and then a denominator."""
+    return (rng.randint(-DEFAULT_MAX_NUMERATOR, DEFAULT_MAX_NUMERATOR),
+            rng.randint(1, DEFAULT_MAX_DENOMINATOR))
 
 
-def random_gauss(rng: random.Random,
-                 max_num: int = DEFAULT_MAX_NUMERATOR,
-                 max_den: int = DEFAULT_MAX_DENOMINATOR) -> GaussRat:
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(*_fraction_parts(rng))
+
+
+def random_gauss(rng: random.Random) -> GaussRat:
     """xn/xd + i yn/yd, drawn in the order of two ``random_rational`` calls."""
-    xn, xd = rng.randint(-max_num, max_num), rng.randint(1, max_den)
-    yn, yd = rng.randint(-max_num, max_num), rng.randint(1, max_den)
+    (xn, xd), (yn, yd) = _fraction_parts(rng), _fraction_parts(rng)
     return GaussInt(xn * yd, yn * xd).over(xd * yd)
 
 
-def random_nonzero_gauss(rng, max_num=DEFAULT_MAX_NUMERATOR, max_den=DEFAULT_MAX_DENOMINATOR):
+def random_nonzero_gauss(rng: random.Random) -> GaussRat:
     while True:
-        z = random_gauss(rng, max_num, max_den)
+        z = random_gauss(rng)
         if z:
             return z
 
 
-def random_checker_params(rng: random.Random,
-                          max_num: int = DEFAULT_MAX_NUMERATOR,
-                          max_den: int = DEFAULT_MAX_DENOMINATOR) -> CheckerParams:
+def random_checker_params(rng: random.Random) -> CheckerParams:
     while True:
-        values = {ch: random_gauss(rng, max_num, max_den) for ch in PARAM_LETTERS}
+        values = {ch: random_gauss(rng) for ch in PARAM_LETTERS}
         if any(values.values()):
             return CheckerParams.from_dict(values)
 
@@ -74,13 +75,13 @@ def draw_subfamily_params(rng: random.Random) -> SubfamilyParams:
     )
 
 
-def random_subfamily_params(rng: random.Random, max_tries: int = 64) -> tuple:
+def random_subfamily_params(rng: random.Random) -> tuple:
     """A valid subfamily point and its completion: (SubfamilyParams, CheckerParams).
 
     Valid means every elimination denominator is nonzero; the completion
     that proves it is returned rather than computed again by the caller.
     """
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         sp = draw_subfamily_params(rng)
         try:
             full = derive_full_params(sp)
@@ -90,9 +91,9 @@ def random_subfamily_params(rng: random.Random, max_tries: int = 64) -> tuple:
     raise SingularParameterError("subfamily-sample-retries-exhausted")
 
 
-def random_bruss_peres_params(rng: random.Random, max_tries: int = 64) -> BrussPeresParams:
+def random_bruss_peres_params(rng: random.Random) -> BrussPeresParams:
     """A valid embedded-family point: a, b, c, f, x and x|a|^2 - t|f|^2 all nonzero."""
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         t = random_rational(rng)
         x = random_rational(rng)
         a = random_nonzero_gauss(rng)

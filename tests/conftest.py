@@ -41,10 +41,10 @@ single_nonzero_points = st.builds(
 )
 
 
-def subfamily_points(reals, entries, required=nonzero_gauss):
-    """Points with a, b, f drawn from ``required``: the completion divides by them."""
+def subfamily_points(reals, entries, required=nonzero_gauss, required_letters="abf"):
+    """Points with ``required_letters`` drawn from ``required``: the completion divides by a, b, f."""
     fields = {"t": reals, "x": reals, "y": reals}
-    fields.update({ch: required if ch in "abf" else entries for ch in COMPLEX_LETTERS})
+    fields.update({ch: required if ch in required_letters else entries for ch in COMPLEX_LETTERS})
     return st.builds(SubfamilyParams, **fields)
 
 

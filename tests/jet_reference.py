@@ -113,14 +113,15 @@ def lambda_rows_mod_p(sp) -> list:
         seeds.append(ModJet(gauss_residue(z), unit))
     zero = ModJet((0, 0), [(0, 0)] * LAMBDA_SLOTS)
     entries = outer_sum_entries(placed_vectors(complete_parameters(*seeds)), zero)
-    coords = [entries[d][d].real_part() for d in range(9)]
+    # the real gradient of each coordinate: Re of a diagonal entry, Re and Im below it
+    coords = [[re for re, _ in entries[d][d].grad] for d in range(9)]
     for r in range(9):
         for c in range(r):
             if (r + c) % 2 == 0:
-                coords += [entries[r][c].real_part(), entries[r][c].imag_part()]
+                grad = entries[r][c].grad
+                coords += [[re for re, _ in grad], [im for _, im in grad]]
     rows = []
-    for jet in coords:
-        g = [re for re, _ in jet.grad]
+    for g in coords:
         a = g[:3] + g[3::2]  # d/dt, d/dx, d/dy, d/dx_k
         b = [0, 0, 0] + [-y % P for y in g[4::2]]  # -d/dy_k
         rows.append(list(zip(a, b)))

@@ -33,13 +33,7 @@ from checkerboard.family import (
 )
 from checkerboard.gaussian import GaussRat
 from checkerboard.io import format_fraction, gauss_to_obj
-from checkerboard.matrices import (
-    GMat,
-    connected_components,
-    kron,
-    rank,
-    require_hermitian,
-)
+from checkerboard.matrices import GMat, kron, rank, require_hermitian
 from checkerboard.report import jacobian_report
 from checkerboard.subfamily import derive_full_params, fixed_point_conditions, theorem2_from_theorem1
 
@@ -259,6 +253,31 @@ def char_poly(m: GMat) -> tuple:
     # det(lambda I - m) = sum_j c_{n-j} / d^{n-j} * lambda^j with c_0 = 1.
     coeffs = [Fraction(cs[n - 1 - j], d ** (n - j)) for j in range(n)] + [Fraction(1)]
     return tuple(coeffs)
+
+
+def connected_components(n: int, edges) -> list:
+    """Connected components of the graph on 0..n-1 with the given edges.
+
+    Each component is an ascending index list, and the components come in
+    order of their least index, so the work done per component is
+    deterministic.
+    """
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
 
 def inertia(m: GMat) -> Inertia:

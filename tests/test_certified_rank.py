@@ -1,9 +1,11 @@
-"""Certified Jacobian ranks: the closed form, the proofs mod p and the exact fallback.
+"""Certified Jacobian ranks: the closed forms, the proofs mod p and the exact fallback.
 
 The reference is the jet-based construction in ``jet_reference``.  Every
 certified rank must equal the exact rank it computes, the chain-rule rows
-mod P must equal its ModJet rows, and a point reaches the exact ``rank``
-only when no prime of the budget gives a proof.
+mod P must equal its ModJet rows, the full-family rank is 28 exactly when
+both leading block minors are nonzero, and a point reaches the exact
+``rank`` only when neither closed form nor any prime of the budget gives
+a proof.
 """
 
 import os
@@ -32,11 +34,10 @@ from checkerboard.matrices import (
     P,
     complex_echelon_mod_p,
     complex_kernel_vector_mod_p,
-    echelon_mod_p,
+    gauss_residue,
     is_prime,
     primes,
     rational_reconstruction,
-    residue,
     vector_reconstruction,
 )
 from checkerboard.subfamily import SubfamilyParams, derive_full_params
@@ -54,12 +55,32 @@ from conftest import (
 )
 from jet_reference import lambda_rank, lambda_rows_mod_p, psi_coordinate_jets, psi_rank
 
+
+def _vanishing_minor(pick):
+    """(f, p) = s(g, q) or (d, m) = s(a, j): the odd or the even leading block minor is 0."""
+    point, odd, s = pick
+    lead, low = (("g", "q"), ("f", "p")) if odd else (("a", "j"), ("d", "m"))
+    values = point.as_dict()
+    values.update({ch: s * values[top] for ch, top in zip(low, lead)})
+    return CheckerParams.from_dict(values)
+
+
+def vanishing_minor_points(odd):
+    return st.tuples(checker_points(small_gauss), odd, small_gauss).map(_vanishing_minor)
+
+
 PSI_STRATEGIES = {
     "default": checker_points(small_gauss),
     "sparse": checker_points(sparse_gauss),
     "20-digit": checker_points(big_gauss),
     "single-nonzero": single_nonzero_points,
+    "vanishing-minor": vanishing_minor_points(st.booleans()),
 }
+
+
+def _minors(p):
+    """gp - qf and am - jd: the leading 2x2 minors of the odd and the even block's rows."""
+    return (p.g * p.p - p.q * p.f, p.a * p.m - p.j * p.d)
 
 
 def _one_more_nonzero(pick):
@@ -74,13 +95,17 @@ def _one_more_nonzero(pick):
 _gauss5 = st.builds(GaussRat, digit_fractions(5), digit_fractions(5))
 LAMBDA_STRATEGIES = {
     "default": subfamily_points(small_fractions, small_gauss),
-    "sparse": subfamily_points(st.just(Fraction(0)) | small_fractions, sparse_gauss),
+    "sparse": subfamily_points(st.just(Fraction(0)) | small_fractions, sparse_gauss,
+                               required_letters="abfks"),
     "5-digit": subfamily_points(digit_fractions(5), _gauss5, _gauss5),
     "single-nonzero": st.tuples(st.tuples(*[nonzero_gauss] * 5),
                                 st.tuples(st.sampled_from("txycjlmp"), nonzero_gauss)
                                 ).map(_one_more_nonzero),
     "20-digit": subfamily_points(big_fractions, big_gauss, big_gauss),
 }
+
+# The sparse points keep a, b, f, k and s nonzero, so few fail to complete.
+LAMBDA_EXAMPLES = {"sparse": 6}
 
 
 def _assume_completes(sp):
@@ -142,7 +167,21 @@ def test_psi_closed_form_rows_and_certified_rank(strategy):
         rows = psi_jacobian({ch: (z.re, z.im) for ch, z in p.as_dict().items()})
         assert rows == [[g.re for g in jet.grad] for jet in jets]
         assert not any(g.im for jet in jets for g in jet.grad)
-        assert jacobian_rank_psi(p) == psi_rank(p)
+        exact = psi_rank(p)
+        assert jacobian_rank_psi(p) == exact
+        assert (exact == 28) == all(_minors(p))
+
+    check()
+
+
+@pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
+def test_psi_rank_at_a_vanishing_minor_takes_one_exact_rank(odd, exact_rank_calls):
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(vanishing_minor_points(st.just(odd)))
+    def check(p):
+        exact_rank_calls.clear()
+        assert jacobian_rank_psi(p) == psi_rank(p) < 28
+        assert exact_rank_calls == [(28, 36)]
 
     check()
 
@@ -159,28 +198,28 @@ def test_psi_rank_at_zero_point_falls_back(exact_rank_calls):
 
 
 def test_psi_rank_with_denominator_p_falls_back(exact_rank_calls):
+    # P no longer matters: both minors are nonzero, so no rank is computed
     p = replace(presets.ONE_DISTILLABLE_PARAMS, c=GaussRat(Fraction(3, P), 1))
     with pytest.raises(ZeroDivisionError):
-        residue(p.c.re)
+        gauss_residue(p.c)
     assert jacobian_rank_psi(p) == psi_rank(p) == 28
-    assert exact_rank_calls == [(28, 36)]
+    assert exact_rank_calls == []
 
 
 def test_psi_rank_with_multiples_of_p_falls_back(exact_rank_calls):
-    # every residue is 0, so the rank mod P is 0; the exact rank is unchanged by the scale
+    # every residue is 0 mod P, which the closed form never looks at
     scaled = CheckerParams.from_dict(
         {ch: z * P for ch, z in presets.ONE_DISTILLABLE_PARAMS.as_dict().items()})
-    rows = psi_jacobian({ch: (residue(z.re), residue(z.im)) for ch, z in scaled.as_dict().items()})
-    assert echelon_mod_p(rows)[1] == []
+    assert all(gauss_residue(z) == (0, 0) for z in scaled.as_dict().values())
     assert jacobian_rank_psi(scaled) == 28
-    assert exact_rank_calls == [(28, 36)]
+    assert exact_rank_calls == []
 
 
 # -- the subfamily Jacobian ------------------------------------------------
 
 @pytest.mark.parametrize("strategy", ["default", "sparse", "5-digit", "single-nonzero"])
 def test_lambda_certified_rank_equals_exact_rank(strategy):
-    @settings(max_examples=4, deadline=None, derandomize=True)
+    @settings(max_examples=LAMBDA_EXAMPLES.get(strategy, 4), deadline=None, derandomize=True)
     @given(LAMBDA_STRATEGIES[strategy])
     def check(sp):
         _assume_completes(sp)
@@ -191,7 +230,7 @@ def test_lambda_certified_rank_equals_exact_rank(strategy):
 
 @pytest.mark.parametrize("strategy", ["default", "sparse", "5-digit"])
 def test_lambda_chain_rule_rows_equal_the_modjet_pipeline(strategy):
-    @settings(max_examples=4, deadline=None, derandomize=True)
+    @settings(max_examples=LAMBDA_EXAMPLES.get(strategy, 4), deadline=None, derandomize=True)
     @given(LAMBDA_STRATEGIES[strategy])
     def check(sp):
         _assume_completes(sp)
@@ -290,6 +329,11 @@ def test_lambda_rank_at_singular_point_still_raises(monkeypatch):
 
 # -- the modular helpers ---------------------------------------------------
 
+def _residue(x, p=P):
+    """A rational mod p, as the real part of its ``gauss_residue``."""
+    return gauss_residue(GaussRat(x), p)[0]
+
+
 def test_p_is_a_prime_with_no_square_root_of_minus_one():
     assert P == 2**61 - 1 and P % 4 == 3
     assert pow(3, P - 1, P) == 1 and pow(P - 1, (P - 1) // 2, P) == P - 1
@@ -319,11 +363,11 @@ def test_importing_the_cli_generates_no_prime():
 
 def test_residue_and_rational_reconstruction_round_trip():
     for value in (Fraction(0), Fraction(-7, 3), Fraction(12036, 7081), Fraction(2**30 - 1, 2**29)):
-        assert rational_reconstruction(residue(value)) == value
-    assert residue(Fraction(P + 5)) == 5
+        assert rational_reconstruction(_residue(value)) == value
+    assert _residue(Fraction(P + 5)) == 5
     # 2^61 = 1 mod P, so a larger fraction can come back as a small one with
     # its residue: why every lifted kernel vector is checked exactly
-    assert rational_reconstruction(residue(Fraction(2**40, 3))) == Fraction(1, 3 * 2**21)
+    assert rational_reconstruction(_residue(Fraction(2**40, 3))) == Fraction(1, 3 * 2**21)
     assert rational_reconstruction(123456789012345678) is None
 
 
@@ -332,7 +376,7 @@ def test_vector_reconstruction_through_the_chinese_remainder_theorem():
     modulus, lifted, lifts = 1, [0] * len(vector), []
     for p in [p for _, p in zip(range(5), primes())]:
         step = pow(modulus, -1, p)
-        lifted = [x + modulus * ((residue(v, p) - x) * step % p) for x, v in zip(lifted, vector)]
+        lifted = [x + modulus * ((_residue(v, p) - x) * step % p) for x, v in zip(lifted, vector)]
         modulus *= p
         lifts.append(vector_reconstruction(lifted, modulus))
     # the numerators and the denominator have up to 141 bits, so the lift
@@ -342,10 +386,8 @@ def test_vector_reconstruction_through_the_chinese_remainder_theorem():
 
 
 def test_echelon_and_kernel_mod_p():
+    # rows of rank 2 times 1 + 2i, over F_P[i]
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    echelon, pivots = echelon_mod_p(rows)
-    assert pivots == [0, 1]
-    # the same rows times 1 + 2i, over F_P[i]
     complex_rows = [[(x % P, 2 * x % P) for x in row] for row in rows]
     echelon, pivots = complex_echelon_mod_p(complex_rows, P)
     assert pivots == [0, 1]

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ import pytest
 import checkerboard
 from checkerboard import presets
 from checkerboard.cli import main
+from checkerboard.gaussian import GaussRat
 from checkerboard.io import checker_params_to_doc, subfamily_params_to_doc
 from io_reference import witness_to_doc
 
@@ -46,6 +48,7 @@ CLI_CASES = {
                           "--target", "max-rank"],
     "jacobian_full": ["jacobian", "--input", "{full}"],
     "jacobian_ppt": ["jacobian", "--input", "{ppt}"],
+    "jacobian_full_odd_minor": ["jacobian", "--input", "{odd_minor}"],
 }
 # golden file stem: (script under scripts/, its arguments)
 SCRIPT_CASES = {
@@ -58,6 +61,9 @@ def _write_inputs(tmp: Path) -> dict:
     docs = {
         "first": checker_params_to_doc(presets.REDUCTION_VIOLATING_PARAMS),
         "full": checker_params_to_doc(presets.ONE_DISTILLABLE_PARAMS),
+        # (f, p) = (1 + i)(g, q): the odd block's leading minor gp - qf vanishes
+        "odd_minor": checker_params_to_doc(replace(
+            presets.ONE_DISTILLABLE_PARAMS, f=GaussRat(1, -1), p=GaussRat(-1, 1))),
         "ppt": subfamily_params_to_doc(presets.SUBFAMILY_RANK_POINT),
         "witness": witness_to_doc(presets.ONE_DISTILLABLE_WITNESS),
     }

@@ -7,8 +7,6 @@ from checkerboard.gaussian import GaussInt, GaussRat
 from checkerboard.matrices import (
     GMat,
     ZMat,
-    _row_echelon,
-    connected_components,
     det,
     integer_lift,
     kron,
@@ -16,7 +14,8 @@ from checkerboard.matrices import (
 )
 
 from conftest import gauss_matrix, hermitian_grid, sparse_gauss
-from linalg_reference import column_spans_equal, nullspace_basis
+from linalg_reference import column_spans_equal, nullspace_basis, reduced_row_echelon
+from reference import connected_components
 
 
 def gm(rows):
@@ -157,10 +156,10 @@ def test_connected_components_are_sorted_and_cover_every_index():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 7), st.data())
 def test_rank_invariant_under_row_and_column_permutations(nrows, ncols, data):
-    """Blockwise rank matches one elimination of the whole matrix, permuted or not."""
+    """Forward elimination matches the reduced echelon form of the whole matrix, permuted or not."""
     m = gm(data.draw(gauss_matrix(nrows, ncols, sparse_gauss)))
     row_perm = data.draw(st.permutations(range(nrows)))
     col_perm = data.draw(st.permutations(range(ncols)))
-    want = len(_row_echelon(m)[1])
+    want = len(reduced_row_echelon(m)[1])
     assert rank(m) == want
     assert rank(m.submatrix(row_perm, col_perm)) == want
