@@ -28,18 +28,13 @@ The full family's rank is 28 exactly when the leading 2x2 minor of both
 blocks' generator rows is nonzero (proof in ``jacobian_rank_psi``);
 otherwise it is the exact ``rank`` of ``psi_jacobian``.
 
-A rank over F_p[i] for p = 3 mod 4 is a lower bound of the exact one as
-long as p divides no denominator on the way.  The subfamily's 41x13
-complex Jacobian is eliminated over F_p[i] for the primes of
-``matrices.primes()``: a rank of 13, the column count, settles it, and a
-rank of 12 does once a kernel vector is checked exactly as a directional
-derivative that vanishes on all 41 coordinates.  That vector is lifted
-from its residues modulo several primes by the Chinese remainder theorem
-and rational reconstruction (von zur Gathen and Gerhard, Modern Computer
-Algebra, 5.10; Wang 1981), so a point with 20-digit parameters, whose
-kernel entries have about 900 bits, is certified by about 30 primes.
-Every other outcome falls back to the exact ``rank`` of the exact
-Jacobian.
+The subfamily's rank is at most 12 at every point, because a kernel
+vector is known in closed form (proof in ``_certified_rank_lambda``).  A
+rank over F_p[i] for p = 3 mod 4 is a lower bound of the exact one as
+long as p divides no denominator on the way, so the 41x13 complex
+Jacobian, eliminated over F_p[i] for the first usable prime of
+``matrices.primes()``, proves 12 when its rank there is 12.  Every other
+outcome falls back to the exact ``rank`` of the exact Jacobian.
 
 The slot ordering is fixed so Jacobians are bit-reproducible: for the
 full family, (re, im) pairs of the letters in alphabetical order; for
@@ -54,16 +49,8 @@ from itertools import islice
 from .errors import SingularParameterError
 from .family import BLOCK_POSITIONS, BLOCK_ROWS, CheckerParams, PARAM_LETTERS, placed_vectors
 from .gaussian import GaussRat, lift_to_integers
-from .jets import Jet, ModJet, jet_complex_var, jet_real_var
-from .matrices import (
-    GMat,
-    complex_echelon_mod_p,
-    complex_kernel_vector_mod_p,
-    gauss_residue,
-    primes,
-    rank,
-    vector_reconstruction,
-)
+from .jets import ModJet, jet_complex_var, jet_real_var
+from .matrices import GMat, complex_rank_mod_p, gauss_residue, primes, rank
 from .subfamily import COMPLEX_LETTERS, SubfamilyParams, complete_parameters, derive_full_params
 
 PSI_SLOTS = 36
@@ -72,9 +59,10 @@ LAMBDA_SLOTS = 23
 LAMBDA_COORDS = 41
 LAMBDA_COLUMNS = 13
 LAMBDA_SLOT_ORDER = ("t", "x", "y") + tuple(COMPLEX_LETTERS)
-# The most primes one lambda rank walks before the exact elimination: a
-# modulus of about 3,900 bits, which lifts kernel entries of up to about
-# 1,950 bits, twice what 20-digit parameters need.
+# The most primes one lambda rank walks before the exact elimination.  A
+# usable prime settles the rank or, with a second one, hands it to the
+# exact elimination, so this bounds only the primes skipped because they
+# divide a denominator, a nonzero part or a completion divisor.
 PRIME_BUDGET = 64
 
 # The two letters placed at each basis position (one per vector of its
@@ -227,64 +215,37 @@ def _lambda_rows_mod(residues: list, p: int) -> list:
     return rows
 
 
-def _directional_derivatives(letters: dict, slots: int) -> list:
-    """Rows of the 41 coordinates' derivatives along ``slots`` directions, each scaled by one positive integer.
-
-    ``letters`` maps each letter to an exact ``Jet`` of it.  Lifting the
-    values and the gradients to Gaussian integers scales each by a
-    positive common denominator, which changes no rank and no zero.
-    """
-    values, _ = lift_to_integers([letters[ch].value for ch in PARAM_LETTERS])
-    grads, _ = lift_to_integers([g for ch in PARAM_LETTERS for g in letters[ch].grad])
-    parts = {ch: (z.re, z.im) for ch, z in zip(PARAM_LETTERS, values)}
-    grad = {ch: grads[k * slots:(k + 1) * slots] for k, ch in enumerate(PARAM_LETTERS)}
-    rows = []
-    for sparse in outer_jacobian(parts, LAMBDA_ENTRIES):
-        row = [0] * slots
-        for ch, d_re, d_im in sparse:
-            row = [x + d_re * g.re + d_im * g.im for x, g in zip(row, grad[ch])]
-        rows.append(row)
-    return rows
-
-
-def _lambda_kernel_vanishes(values: list, v: list) -> bool:
-    """True iff J v = 0 exactly, J the 41x13 Jacobian with columns d/dt, d/dx, d/dy, d/dx_k - i d/dy_k.
-
-    ``v`` holds the pairs (a, b) of v_k = a + ib.  For a real coordinate
-    f, v_k (f_x - i f_y) has real part a f_x + b f_y and imaginary part
-    b f_x - a f_y.  So J v = 0 says that f has zero derivative along two
-    real directions, taken together as the two slots of one jet.
-    """
-    seeds = []
-    for idx, (z, (a, b)) in enumerate(zip(values, v)):
-        grad = (GaussRat(a), GaussRat(b)) if idx < 3 else (GaussRat(a, b), GaussRat(b, -a))
-        seeds.append(Jet(z, grad))
-    return not any(x for row in _directional_derivatives(complete_parameters(*seeds), 2)
-                   for x in row)
-
-
 def _certified_rank_lambda(sp: SubfamilyParams):
-    """The rank from eliminations over F_p[i], when they prove it; None otherwise.
+    """12 when an elimination over F_p[i] proves it; None otherwise.
 
-    The primes come from ``primes()``, at most PRIME_BUDGET of them.  A
-    prime is skipped when it divides a denominator or a nonzero part of a
-    parameter, or when the completion divides by a value that is 0 mod p;
-    the first such prime also runs the exact completion, which raises
-    SingularParameterError at a singular point.  A rank mod p is a lower
-    bound, so 13 proves 13.  The primes whose (rank, free column) is the
-    best seen so far are kept and the others dropped: a free column mod p
-    is never later than the exact one.  At rank 12 their kernel vectors,
-    normalized to 1 in the free column, are combined by the Chinese
-    remainder theorem and lifted over one common denominator after every
-    prime.  A lift not checked before is checked exactly; it is nonzero,
-    so passing the check proves 12.  A lift that fails leaves the residues
-    in place: more primes widen the modulus past the true vector's size,
-    and past it by one more prime q if q's residues were wrong, since the
-    true n/d also lifts as nq/(dq).  Two kept primes below rank 12 end
-    the walk, since no single kernel vector can prove such a rank.
+    The map sends the odd block's generator rows V = [(g, q); (f, p);
+    (i, s); (h, r)] of ``BLOCK_ROWS`` to V V*, which is unchanged when V
+    becomes V U for any unitary 2x2 U.  So the rank is at most 12: take
+    v = 0 on t, x, y and every letter but v_f = f p*, v_p = -|f|^2 and
+    v_s = s p* - t.  Column k is d/dx_k - i d/dy_k, so J v = 0 says that
+    every coordinate has zero derivative along the two real directions
+    dz = v and dz = -i v.  Along them every odd row moves as dV = V X,
+    with X = [[p* - p, -f*], [f, 0]] and X = -i [[p + p*, -f*], [-f, 0]];
+    for (f, p) this is v itself, for (i, s) it uses i f* = t - s p*, and
+    for (g, q) and (h, r) it follows from the completion's formulas (a
+    sympy test proves all 16 identities through ``complete_parameters``).
+    Both X are anti-Hermitian, so d(V V*) = V (X + X*) V* = 0.  The even
+    letters a, b, c, j, k, l, m do not move, and d, e, n do not depend on
+    t, f, p, s, so the even block is fixed too.  The completion needs
+    f != 0, so v_p != 0 and v is a kernel vector at every point where the
+    completion is defined.
+
+    A rank mod p is a lower bound, so a rank of 12 mod one prime proves
+    exactly 12.  The primes come from ``primes()``, at most PRIME_BUDGET
+    of them.  A prime is skipped when it divides a denominator or a
+    nonzero part of a parameter, or when the completion divides by a
+    value that is 0 mod p; the first such prime also runs the exact
+    completion, which raises SingularParameterError at a singular point.
+    Two usable primes below 12 end the walk, and a rank of 13 mod p,
+    which the kernel vector rules out, counts as no proof.
     """
     values = _lambda_values(sp)
-    best, kept, completed, tried = None, 0, False, None
+    usable, completed = 0, False
     for p in islice(primes(), PRIME_BUDGET):
         residues = _residues(values, p)
         if residues is None:
@@ -296,39 +257,36 @@ def _certified_rank_lambda(sp: SubfamilyParams):
                 derive_full_params(sp)  # raises at a singular point
                 completed = True
             continue
-        echelon, pivots = complex_echelon_mod_p(rows, p)
-        if len(pivots) == LAMBDA_COLUMNS:
-            return LAMBDA_COLUMNS
-        free = min(set(range(LAMBDA_COLUMNS)) - set(pivots))
-        key = (len(pivots), free)
-        if best is None or key > best:
-            best, kept, modulus, lifted = key, 0, 1, [0] * 2 * LAMBDA_COLUMNS
-        elif key < best:
-            continue
-        kept += 1
-        if len(pivots) < LAMBDA_COLUMNS - 1:
-            if kept == 2:
-                return None
-            continue
-        kernel = [x for pair in complex_kernel_vector_mod_p(echelon, pivots, free, LAMBDA_COLUMNS, p)
-                  for x in pair]
-        step = pow(modulus, -1, p)
-        lifted = [x + modulus * ((r - x) * step % p) for x, r in zip(lifted, kernel)]
-        modulus *= p
-        candidate = vector_reconstruction(lifted, modulus)
-        if candidate is not None and candidate != tried:
-            if _lambda_kernel_vanishes(values, list(zip(candidate[::2], candidate[1::2]))):
-                return LAMBDA_COLUMNS - 1
-            tried = candidate
+        if complex_rank_mod_p(rows, p) == LAMBDA_COLUMNS - 1:
+            return LAMBDA_COLUMNS - 1
+        usable += 1
+        if usable == 2:
+            return None
     return None
 
 
 def _lambda_real_jacobian(sp: SubfamilyParams) -> list:
-    """The exact 41x23 real-slot Jacobian, scaled by one positive integer, as rows of ints."""
+    """The exact 41x23 real-slot Jacobian, scaled by one positive integer, as rows of ints.
+
+    Exact jets over the 23 real slots go through ``complete_parameters``;
+    lifting the letters' values and gradients to Gaussian integers scales
+    each by a positive common denominator, which changes no rank.
+    """
     seeds = [jet_real_var(z, idx, LAMBDA_SLOTS) if idx < 3
              else jet_complex_var(z, 2 * idx - 3, 2 * idx - 2, LAMBDA_SLOTS)
              for idx, z in enumerate(_lambda_values(sp))]
-    return _directional_derivatives(complete_parameters(*seeds), LAMBDA_SLOTS)
+    letters = complete_parameters(*seeds)
+    values, _ = lift_to_integers([letters[ch].value for ch in PARAM_LETTERS])
+    grads, _ = lift_to_integers([g for ch in PARAM_LETTERS for g in letters[ch].grad])
+    parts = {ch: (z.re, z.im) for ch, z in zip(PARAM_LETTERS, values)}
+    grad = {ch: grads[k * LAMBDA_SLOTS:(k + 1) * LAMBDA_SLOTS] for k, ch in enumerate(PARAM_LETTERS)}
+    rows = []
+    for sparse in outer_jacobian(parts, LAMBDA_ENTRIES):
+        row = [0] * LAMBDA_SLOTS
+        for ch, d_re, d_im in sparse:
+            row = [x + d_re * g.re + d_im * g.im for x, g in zip(row, grad[ch])]
+        rows.append(row)
+    return rows
 
 
 def jacobian_rank_lambda(sp: SubfamilyParams) -> int:

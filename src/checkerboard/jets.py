@@ -11,9 +11,8 @@ the prime p = 3 mod 4 that it carries (P = 2^61 - 1 unless given).
 Their callers are all in ``counting``, on the parameter completion
 ``complete_parameters`` alone; the outer sum's derivatives follow from
 ``counting.outer_jacobian`` by the chain rule.  ``ModJet``s give the
-completion's Jacobian mod p, two-slot ``Jet``s a directional derivative
-that checks a kernel vector exactly, and 23-slot ``Jet``s the exact
-Jacobian for the fallback and for the real-slot rank.  ``jet_rank``, the
+completion's Jacobian mod p, and 23-slot ``Jet``s the exact Jacobian for
+the fallback and for the real-slot rank.  ``jet_rank``, the
 exact rank of the rows of a list of jets, has callers in the tests only.
 """
 

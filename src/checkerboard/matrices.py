@@ -7,20 +7,16 @@ characteristic polynomial (``charpoly``).  Rank is one forward Gaussian
 elimination over the Gaussian rationals with exact pivots.
 
 The modular helpers work in F_p[i] for primes p = 3 mod 4, from
-P = 2^61 - 1 down (``primes``): residues of Gaussian rationals, a sparse
-row echelon form and kernel vectors, and rational reconstruction of a
-number or of a vector over one common denominator, from one prime or
-from several combined by the Chinese remainder theorem.  A rank mod p
-never exceeds the rank over the Gaussian rationals of the matrix it
-reduces, so it is a proven lower bound; ``counting`` uses it to certify
-the subfamily's Jacobian rank and falls back to ``rank`` when it is not
-enough.
+P = 2^61 - 1 down (``primes``): residues of Gaussian rationals and a
+sparse rank by elimination.  A rank mod p never exceeds the rank over the
+Gaussian rationals of the matrix it reduces, so it is a proven lower
+bound; ``counting`` uses it to certify the subfamily's Jacobian rank and
+falls back to ``rank`` when it is not enough.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, SymmetryError
@@ -302,19 +298,17 @@ def gauss_residue(z: GaussRat, p: int = P) -> tuple:
     return z.x * inv % p, z.y * inv % p
 
 
-def complex_echelon_mod_p(rows: Sequence[Sequence[tuple]], p: int) -> tuple:
-    """Row echelon form over F_p[i] of rows of (re, im) residue pairs.
+def complex_rank_mod_p(rows: Sequence[Sequence[tuple]], p: int) -> int:
+    """Rank over F_p[i] of rows of (re, im) residue pairs, by sparse elimination.
 
-    Returns (echelon, pivots): ``echelon[k]`` is the pivot row of column
-    ``pivots[k]``, led by (1, 0), as a dict from column to its nonzero
-    entries.  The columns are taken in order, so the pivot columns are
-    the first independent ones whichever row is chosen; the pivot row is
-    the one with the fewest nonzeros, which keeps the sparse Jacobians
-    sparse.  Every entry is reduced, so (0, 0) is the only zero.
+    Each row is kept as a dict from column to its nonzero entries.  The
+    columns are taken in order, the pivot row is the one with the fewest
+    nonzeros, which keeps the sparse Jacobians sparse, and it is scaled to
+    lead with (1, 0).  Every entry is reduced, so (0, 0) is the only zero.
     """
     rest = [row for row in ({c: z for c, z in enumerate(row) if z != (0, 0)} for row in rows)
             if row]
-    done, pivots = [], []
+    found = 0
     for c in range(len(rows[0]) if rows else 0):
         hits = [k for k, row in enumerate(rest) if c in row]
         if not hits:
@@ -323,8 +317,8 @@ def complex_echelon_mod_p(rows: Sequence[Sequence[tuple]], p: int) -> tuple:
         ar, ai = piv[c]
         n = pow(ar * ar + ai * ai, -1, p)  # 1/(ar + i ai) = (ar - i ai)/(ar^2 + ai^2)
         ir, ii = ar * n % p, -ai * n % p
-        piv = {j: ((yr * ir - yi * ii) % p, (yr * ii + yi * ir) % p) for j, (yr, yi) in piv.items()}
-        entries = piv.items()
+        entries = [(j, ((yr * ir - yi * ii) % p, (yr * ii + yi * ir) % p))
+                   for j, (yr, yi) in piv.items()]
         below = []
         for row in rest:
             f = row.get(c)
@@ -341,68 +335,8 @@ def complex_echelon_mod_p(rows: Sequence[Sequence[tuple]], p: int) -> tuple:
                     continue
             below.append(row)
         rest = below
-        done.append(piv)
-        pivots.append(c)
-    return done, pivots
-
-
-def complex_kernel_vector_mod_p(echelon: list, pivots: list, free: int, width: int,
-                                p: int) -> list:
-    """The kernel vector over F_p[i] with 1 at non-pivot column ``free``, 0 at the other non-pivots."""
-    v = [(0, 0)] * width
-    v[free] = (1, 0)
-    for row, pc in reversed(list(zip(echelon, pivots))):
-        sr = si = 0
-        for j, (ar, ai) in row.items():
-            if j != pc:
-                br, bi = v[j]
-                sr += ar * br - ai * bi
-                si += ar * bi + ai * br
-        v[pc] = (-sr % p, -si % p)
-    return v
-
-
-def rational_reconstruction(u: int, m: int = P):
-    """The fraction n/d with |n|, d <= sqrt(m/2) and n = u*d mod m, or None (Wang 1981).
-
-    Such a fraction is unique when it exists; callers verify it exactly.
-    """
-    bound = isqrt(m // 2)
-    r0, r1, s0, s1 = m, u % m, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if not s1 or abs(s1) > bound:
-        return None
-    return Fraction(r1, s1)
-
-
-def vector_reconstruction(residues: Sequence[int], m: int):
-    """Fractions n_k/d with one common d, |n_k|, d <= sqrt(m/2) and n_k = u_k d mod m; or None.
-
-    The entries are lifted in turn over the denominator found so far, and
-    only an entry that is not then a small integer widens it.  Once d is
-    known, a wrong residue passes only by landing within sqrt(m/2) of 0,
-    so a false lift is rarer than with each entry on its own.  Such a
-    vector is unique when it exists; callers verify it exactly.
-    """
-    bound, half = isqrt(m // 2), m // 2
-    den, nums = 1, []
-    for u in residues:
-        y = u * den % m
-        if y > half:
-            y -= m
-        if abs(y) > bound:
-            q = rational_reconstruction(y, m)
-            if q is None or den * q.denominator > bound:
-                return None
-            nums = [n * q.denominator for n in nums]
-            den *= q.denominator
-            y = q.numerator
-        nums.append(y)
-    if any(abs(n) > bound for n in nums):
-        return None
-    return [Fraction(n, den) for n in nums]
+        found += 1
+    return found
 
 
 def require_hermitian(m: GMat, what: str = "matrix"):

@@ -80,8 +80,8 @@ def psi_rank(p) -> int:
     return jet_rank(psi_coordinate_jets(p), PSI_SLOTS)
 
 
-def lambda_rank(sp) -> int:
-    """Exact rank of the 41x13 holomorphic-column Jacobian, from the jets."""
+def lambda_jacobian(sp) -> list:
+    """Rows of the exact 41x13 Jacobian, from the jets: d/dt, d/dx, d/dy and d/dz_k = (d/dx_k - i d/dy_k)/2."""
     half = Fraction(1, 2)
     rows = []
     for jet in lambda_coordinate_jets(sp):
@@ -92,7 +92,12 @@ def lambda_rank(sp) -> int:
             gy = g[4 + 2 * idx].re
             row.append(GaussRat(gx * half, -gy * half))
         rows.append(row)
-    return rank(GMat.from_rows(rows))
+    return rows
+
+
+def lambda_rank(sp) -> int:
+    """Exact rank of the 41x13 holomorphic-column Jacobian, from the jets."""
+    return rank(GMat.from_rows(lambda_jacobian(sp)))
 
 
 def lambda_rows_mod_p(sp) -> list:

@@ -3,9 +3,15 @@
 The reference is the jet-based construction in ``jet_reference``.  Every
 certified rank must equal the exact rank it computes, the chain-rule rows
 mod P must equal its ModJet rows, the full-family rank is 28 exactly when
-both leading block minors are nonzero, and a point reaches the exact
-``rank`` only when neither closed form nor any prime of the budget gives
-a proof.
+both leading block minors are nonzero, the subfamily's closed-form kernel
+vector lies in the kernel of its exact Jacobian, and a point reaches the
+exact ``rank`` only when neither closed form nor any prime of the budget
+gives a proof.
+
+The properties run without hypothesis's shrink phase: every shrink step
+recomputes an exact jet Jacobian and its rank, so a failing property
+would take minutes to report.  The examples are the same derandomized
+draws either way.
 """
 
 import os
@@ -17,30 +23,27 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import checkerboard.counting as counting
 from checkerboard import presets, sampling
 from checkerboard.counting import (
+    LAMBDA_SLOT_ORDER,
     jacobian_rank_lambda,
     jacobian_rank_psi,
     psi_jacobian,
 )
 from checkerboard.errors import SingularParameterError
 from checkerboard.family import CheckerParams
-from checkerboard.gaussian import GaussRat
-from checkerboard.matrices import (
-    P,
-    complex_echelon_mod_p,
-    complex_kernel_vector_mod_p,
-    gauss_residue,
-    is_prime,
-    primes,
-    rational_reconstruction,
-    vector_reconstruction,
+from checkerboard.gaussian import GaussRat, conj
+from checkerboard.matrices import P, complex_rank_mod_p, gauss_residue, is_prime, primes
+from checkerboard.subfamily import (
+    COMPLEX_LETTERS,
+    SubfamilyParams,
+    complete_parameters,
+    derive_full_params,
 )
-from checkerboard.subfamily import SubfamilyParams, derive_full_params
 from conftest import (
     big_fractions,
     big_gauss,
@@ -53,7 +56,19 @@ from conftest import (
     sparse_gauss,
     subfamily_points,
 )
-from jet_reference import lambda_rank, lambda_rows_mod_p, psi_coordinate_jets, psi_rank
+from jet_reference import (
+    lambda_jacobian,
+    lambda_rank,
+    lambda_rows_mod_p,
+    psi_coordinate_jets,
+    psi_rank,
+)
+
+
+def _settings(examples):
+    """Derandomized examples, no deadline, and no shrink phase."""
+    return settings(max_examples=examples, deadline=None, derandomize=True,
+                    phases=(Phase.explicit, Phase.generate))
 
 
 def _vanishing_minor(pick):
@@ -105,7 +120,7 @@ LAMBDA_STRATEGIES = {
 }
 
 # The sparse points keep a, b, f, k and s nonzero, so few fail to complete.
-LAMBDA_EXAMPLES = {"sparse": 6}
+LAMBDA_EXAMPLES = {"sparse": 6, "20-digit": 2}
 
 
 def _assume_completes(sp):
@@ -129,20 +144,6 @@ def exact_rank_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def kernel_checks(monkeypatch):
-    """The outcome of every exact kernel check J v = 0 made by ``counting``."""
-    outcomes = []
-    original = counting._lambda_kernel_vanishes
-
-    def spy(values, v):
-        outcomes.append(original(values, v))
-        return outcomes[-1]
-
-    monkeypatch.setattr(counting, "_lambda_kernel_vanishes", spy)
-    return outcomes
-
-
 def _walked_primes(monkeypatch):
     """The primes for which ``counting`` builds the Jacobian mod p."""
     walked = []
@@ -160,7 +161,7 @@ def _walked_primes(monkeypatch):
 
 @pytest.mark.parametrize("strategy", sorted(PSI_STRATEGIES))
 def test_psi_closed_form_rows_and_certified_rank(strategy):
-    @settings(max_examples=4, deadline=None, derandomize=True)
+    @_settings(4)
     @given(PSI_STRATEGIES[strategy])
     def check(p):
         jets = psi_coordinate_jets(p)
@@ -176,7 +177,7 @@ def test_psi_closed_form_rows_and_certified_rank(strategy):
 
 @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
 def test_psi_rank_at_a_vanishing_minor_takes_one_exact_rank(odd, exact_rank_calls):
-    @settings(max_examples=4, deadline=None, derandomize=True)
+    @_settings(4)
     @given(vanishing_minor_points(st.just(odd)))
     def check(p):
         exact_rank_calls.clear()
@@ -197,8 +198,8 @@ def test_psi_rank_at_zero_point_falls_back(exact_rank_calls):
     assert exact_rank_calls == [(28, 36)]
 
 
-def test_psi_rank_with_denominator_p_falls_back(exact_rank_calls):
-    # P no longer matters: both minors are nonzero, so no rank is computed
+def test_psi_closed_form_answers_28_when_p_divides_a_denominator(exact_rank_calls):
+    # P does not matter: both minors are nonzero, so no rank is computed
     p = replace(presets.ONE_DISTILLABLE_PARAMS, c=GaussRat(Fraction(3, P), 1))
     with pytest.raises(ZeroDivisionError):
         gauss_residue(p.c)
@@ -206,7 +207,7 @@ def test_psi_rank_with_denominator_p_falls_back(exact_rank_calls):
     assert exact_rank_calls == []
 
 
-def test_psi_rank_with_multiples_of_p_falls_back(exact_rank_calls):
+def test_psi_closed_form_answers_28_at_multiples_of_p(exact_rank_calls):
     # every residue is 0 mod P, which the closed form never looks at
     scaled = CheckerParams.from_dict(
         {ch: z * P for ch, z in presets.ONE_DISTILLABLE_PARAMS.as_dict().items()})
@@ -217,9 +218,70 @@ def test_psi_rank_with_multiples_of_p_falls_back(exact_rank_calls):
 
 # -- the subfamily Jacobian ------------------------------------------------
 
+def _kernel_entries(t, f, p, s, cj):
+    """v_f, v_p and v_s of the closed-form kernel vector, generic over the scalar type."""
+    return f * cj(p), -f * cj(f), s * cj(p) - t
+
+
+def test_lambda_kernel_vector_moves_the_odd_rows_by_anti_hermitian_generators():
+    """Along dz = v and dz = -i v, each odd row moves as row X and the even letters stay.
+
+    t, x, y are real symbols and each free letter z has an independent
+    conjugate symbol z_bar; they go through the program's own
+    ``complete_parameters``.  The 16 identities d(row) = row X, over both
+    directions, the four odd rows and their two entries, hold as rational
+    functions: the numerator of each difference expands to 0.  Both X are
+    anti-Hermitian, and no even letter depends on f, p or s, so V V* is
+    unchanged to first order on both blocks.
+    """
+    t, x, y = sympy.symbols("t x y", real=True)
+    free = sympy.symbols(" ".join(COMPLEX_LETTERS))
+    pairs = [(z, sympy.Symbol(f"{z}_bar")) for z in free]
+    to_bar = {sympy.conjugate(z): zb for z, zb in pairs}
+    flip = {**to_bar, **{sympy.conjugate(zb): z for z, zb in pairs}}
+
+    def cj(w):
+        return sympy.conjugate(w).xreplace(flip)
+
+    full = {ch: w.xreplace(to_bar) for ch, w in complete_parameters(t, x, y, *free).items()}
+    f, p, s = (full[ch] for ch in "fps")
+    moving = {f, p, s} | {cj(z) for z in (f, p, s)}
+    assert all(not full[ch].free_symbols & moving for ch in "abcdejklmn")
+    v = dict(zip((f, p, s), _kernel_entries(t, f, p, s, cj)))
+    generators = (
+        (1, sympy.Matrix([[cj(p) - p, -cj(f)], [f, 0]])),
+        (-sympy.I, -sympy.I * sympy.Matrix([[p + cj(p), -cj(f)], [-f, 0]])),
+    )
+    for unit, X in generators:
+        assert X + X.T.applyfunc(cj) == sympy.zeros(2, 2)
+        step = {z: unit * vz for z, vz in v.items()}
+        step.update({cj(z): cj(dz) for z, dz in step.items()})
+        for row in ("gq", "fp", "is", "hr"):
+            u, w = (full[ch] for ch in row)
+            for k in range(2):
+                moved = sum(sympy.diff(u if k == 0 else w, z) * dz for z, dz in step.items())
+                diff = moved - (u * X[0, k] + w * X[1, k])
+                assert sympy.expand(sympy.numer(sympy.together(diff))) == 0, (row, k, unit)
+
+
+@pytest.mark.parametrize("strategy", ["default", "sparse", "5-digit", "20-digit"])
+def test_lambda_closed_form_kernel_vector_is_in_the_exact_kernel(strategy):
+    @_settings(LAMBDA_EXAMPLES.get(strategy, 4))
+    @given(LAMBDA_STRATEGIES[strategy])
+    def check(sp):
+        _assume_completes(sp)
+        v = dict.fromkeys(LAMBDA_SLOT_ORDER, GaussRat(0))
+        v.update(zip("fps", _kernel_entries(GaussRat(sp.t), sp.f, sp.p, sp.s, conj)))
+        assert v["p"]
+        for row in lambda_jacobian(sp):
+            assert sum((z * v[ch] for z, ch in zip(row, LAMBDA_SLOT_ORDER)), GaussRat(0)) == 0
+
+    check()
+
+
 @pytest.mark.parametrize("strategy", ["default", "sparse", "5-digit", "single-nonzero"])
 def test_lambda_certified_rank_equals_exact_rank(strategy):
-    @settings(max_examples=LAMBDA_EXAMPLES.get(strategy, 4), deadline=None, derandomize=True)
+    @_settings(LAMBDA_EXAMPLES.get(strategy, 4))
     @given(LAMBDA_STRATEGIES[strategy])
     def check(sp):
         _assume_completes(sp)
@@ -230,7 +292,7 @@ def test_lambda_certified_rank_equals_exact_rank(strategy):
 
 @pytest.mark.parametrize("strategy", ["default", "sparse", "5-digit"])
 def test_lambda_chain_rule_rows_equal_the_modjet_pipeline(strategy):
-    @settings(max_examples=LAMBDA_EXAMPLES.get(strategy, 4), deadline=None, derandomize=True)
+    @_settings(LAMBDA_EXAMPLES.get(strategy, 4))
     @given(LAMBDA_STRATEGIES[strategy])
     def check(sp):
         _assume_completes(sp)
@@ -241,25 +303,31 @@ def test_lambda_chain_rule_rows_equal_the_modjet_pipeline(strategy):
     check()
 
 
-def test_lambda_modular_rank_never_claims_a_wrong_rank_at_20_digits(exact_rank_calls, kernel_checks):
-    # The kernel vector at 20 digits has entries of about 900 bits: it is
-    # lifted from some 30 primes, then checked exactly once.
-    @settings(max_examples=2, deadline=None, derandomize=True)
+def test_lambda_modular_rank_never_claims_a_wrong_rank_at_20_digits(exact_rank_calls,
+                                                                   monkeypatch):
+    # The kernel vector at 20 digits has entries of about 900 bits, but it
+    # is known in closed form: one prime proves the rank.
+    walked = _walked_primes(monkeypatch)
+
+    @_settings(LAMBDA_EXAMPLES["20-digit"])
     @given(LAMBDA_STRATEGIES["20-digit"])
     def check(sp):
         _assume_completes(sp)
-        kernel_checks.clear()
+        walked.clear()
         assert jacobian_rank_lambda(sp) == 12
-        assert kernel_checks == [True]
+        assert walked == [P]
 
     check()
     assert exact_rank_calls == []
 
 
-def test_lambda_rank_is_certified_at_sampled_points(exact_rank_calls):
+def test_lambda_rank_is_certified_at_sampled_points(exact_rank_calls, monkeypatch):
+    walked = _walked_primes(monkeypatch)
     for idx in range(10):
         sp, _ = sampling.random_subfamily_params(sampling.rng_for(66, idx))
+        walked.clear()
         assert jacobian_rank_lambda(sp) == 12
+        assert walked == [P]
     assert exact_rank_calls == []
 
 
@@ -286,38 +354,29 @@ def test_lambda_rank_falls_back_to_exact_elimination_when_the_primes_run_out(
     assert exact_rank_calls == [(41, 13)]
 
 
+def _shifted_modular_rank(monkeypatch, shift):
+    monkeypatch.setattr(counting, "complex_rank_mod_p",
+                        lambda rows, p: complex_rank_mod_p(rows, p) + shift)
+
+
 def test_lambda_rank_falls_back_when_the_modular_rank_is_low(monkeypatch, exact_rank_calls):
-    # No point has turned up where the rank mod p is below 12, so one is
-    # simulated; two primes that agree on it end the walk.
+    # No generic point has turned up where the rank mod p is below 12, so
+    # one is simulated; two usable primes below 12 end the walk.
     walked = _walked_primes(monkeypatch)
-
-    def low(rows, p):
-        echelon, pivots = complex_echelon_mod_p(rows, p)
-        return echelon[:-1], pivots[:-1]
-
-    monkeypatch.setattr(counting, "complex_echelon_mod_p", low)
+    _shifted_modular_rank(monkeypatch, -1)
     assert jacobian_rank_lambda(presets.SUBFAMILY_RANK_POINT) == 12
     assert exact_rank_calls == [(41, 13)]
     assert len(walked) == 2
 
 
-def test_a_false_kernel_vector_is_never_trusted(monkeypatch, exact_rank_calls, kernel_checks):
-    # Mod P the last column is replaced by the first, so the rank is still
-    # 12 but the kernel vector is e_12 - e_0, which lifts cleanly and is
-    # not a kernel vector of the true Jacobian.  Only the exact check can
-    # tell.  The false residues stay in the lift, but once the modulus is
-    # large enough the true vector n/d comes back as nP/(dP), whose
-    # residues mod P are 0/0, and passes.
-    original = counting._lambda_rows_mod
-
-    def corrupted(residues, p):
-        rows = original(residues, p)
-        return [row[:-1] + [row[0]] for row in rows] if p == P else rows
-
-    monkeypatch.setattr(counting, "_lambda_rows_mod", corrupted)
+def test_lambda_rank_never_trusts_a_modular_rank_of_13(monkeypatch, exact_rank_calls):
+    # The closed-form kernel vector rules 13 out, so a rank of 13 mod p
+    # proves nothing and the exact rank decides.
+    walked = _walked_primes(monkeypatch)
+    _shifted_modular_rank(monkeypatch, 1)
     assert jacobian_rank_lambda(presets.SUBFAMILY_RANK_POINT) == 12
-    assert kernel_checks == [False, True]
-    assert exact_rank_calls == []
+    assert exact_rank_calls == [(41, 13)]
+    assert len(walked) == 2
 
 
 def test_lambda_rank_at_singular_point_still_raises(monkeypatch):
@@ -328,11 +387,6 @@ def test_lambda_rank_at_singular_point_still_raises(monkeypatch):
 
 
 # -- the modular helpers ---------------------------------------------------
-
-def _residue(x, p=P):
-    """A rational mod p, as the real part of its ``gauss_residue``."""
-    return gauss_residue(GaussRat(x), p)[0]
-
 
 def test_p_is_a_prime_with_no_square_root_of_minus_one():
     assert P == 2**61 - 1 and P % 4 == 3
@@ -361,38 +415,16 @@ def test_importing_the_cli_generates_no_prime():
     assert out.strip() == "True"
 
 
-def test_residue_and_rational_reconstruction_round_trip():
-    for value in (Fraction(0), Fraction(-7, 3), Fraction(12036, 7081), Fraction(2**30 - 1, 2**29)):
-        assert rational_reconstruction(_residue(value)) == value
-    assert _residue(Fraction(P + 5)) == 5
-    # 2^61 = 1 mod P, so a larger fraction can come back as a small one with
-    # its residue: why every lifted kernel vector is checked exactly
-    assert rational_reconstruction(_residue(Fraction(2**40, 3))) == Fraction(1, 3 * 2**21)
-    assert rational_reconstruction(123456789012345678) is None
+def test_gauss_residue_reduces_both_parts_over_the_denominator():
+    assert gauss_residue(GaussRat(Fraction(P + 5), Fraction(-1, 3))) == (5, (P - 1) // 3)
+    with pytest.raises(ZeroDivisionError):
+        gauss_residue(GaussRat(Fraction(1, 2 * P)))
 
 
-def test_vector_reconstruction_through_the_chinese_remainder_theorem():
-    vector = [Fraction(3**88, 7**50), Fraction(-(2**139) - 1, 7**50), Fraction(0), Fraction(1)]
-    modulus, lifted, lifts = 1, [0] * len(vector), []
-    for p in [p for _, p in zip(range(5), primes())]:
-        step = pow(modulus, -1, p)
-        lifted = [x + modulus * ((_residue(v, p) - x) * step % p) for x, v in zip(lifted, vector)]
-        modulus *= p
-        lifts.append(vector_reconstruction(lifted, modulus))
-    # the numerators and the denominator have up to 141 bits, so the lift
-    # needs a modulus of 283 bits: five primes, not four
-    assert lifts[:4] == [None] * 4 and lifts[4] == vector
-    assert vector_reconstruction([123456789012345678, 1], P) is None
-
-
-def test_echelon_and_kernel_mod_p():
+def test_complex_rank_mod_p():
     # rows of rank 2 times 1 + 2i, over F_P[i]
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    complex_rows = [[(x % P, 2 * x % P) for x in row] for row in rows]
-    echelon, pivots = complex_echelon_mod_p(complex_rows, P)
-    assert pivots == [0, 1]
-    assert all(row[pc] == (1, 0) for row, pc in zip(echelon, pivots))
-    v = complex_kernel_vector_mod_p(echelon, pivots, 2, 3, P)
-    assert v[2] == (1, 0)
-    assert [rational_reconstruction(re) for re, _ in v] == [-1, -1, 1]
-    assert all(im == 0 for _, im in v)
+    assert complex_rank_mod_p([[(x % P, 2 * x % P) for x in row] for row in rows], P) == 2
+    # a zero column, and -1 + i = i (1 + i)
+    assert complex_rank_mod_p([[(0, 0), (1, 1)], [(0, 0), (P - 1, 1)]], P) == 1
+    assert complex_rank_mod_p([], P) == 0
