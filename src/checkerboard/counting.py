@@ -19,27 +19,26 @@ The outer sum is quadratic, so its Jacobian over the letters' real slots
 is written down directly (``outer_jacobian``): every entry is plus or
 minus the real or imaginary part of one parameter, doubled on the
 diagonal coordinates.  Its rows on the full family's 28 coordinates are
-that map's Jacobian.  On all 41 coordinates they give the subfamily's by
-the chain rule, times the Jacobian of the completion, which jets pushed
-through ``complete_parameters`` alone supply; the ten free letters have
-unit gradients, so only the eight completed ones need products.
+that map's Jacobian.  On all 41 coordinates, times the Jacobian of the
+completion from exact jets, they give the subfamily's real-slot
+Jacobian by the chain rule, for the exact fallback and the real-slot
+rank.
 
 The full family's rank is 28 exactly when the leading 2x2 minor of both
 blocks' generator rows is nonzero (proof in ``jacobian_rank_psi``);
 otherwise it is the exact ``rank`` of ``psi_jacobian``.
 
 The subfamily's rank is at most 12 at every point, because a kernel
-vector is known in closed form (proof in ``_certified_rank_lambda``).  A
-rank over F_p[i] for p = 3 mod 4 is a lower bound of the exact one as
-long as p divides no denominator on the way, so the 41x13 complex
-Jacobian, eliminated over F_p[i] for the first usable prime of
-``matrices.primes()``, proves 12 when its rank there is 12.  Every other
-outcome falls back to the exact ``rank`` of the exact Jacobian.
+vector is known in closed form, and a rank of 12 mod the first usable
+prime p = 1 mod 4 of ``matrices.primes()`` proves 12 (proofs in
+``_certified_rank_lambda``); ``SplitJet``s through
+``complete_parameters`` give the rows mod p.  Every other outcome falls
+back to the exact ``rank`` of the exact Jacobian.
 
 The slot ordering is fixed so Jacobians are bit-reproducible: for the
 full family, (re, im) pairs of the letters in alphabetical order; for
-the subfamily, t, x, y and then (re, im) pairs of a, b, c, f, j, k, l,
-m, p, s.
+the subfamily, t, x, y and then (re, im) pairs, or the d/dz columns, of
+a, b, c, f, j, k, l, m, p, s.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ from itertools import islice
 from .errors import SingularParameterError
 from .family import BLOCK_POSITIONS, BLOCK_ROWS, CheckerParams, PARAM_LETTERS, placed_vectors
 from .gaussian import GaussRat, lift_to_integers
-from .jets import ModJet, jet_complex_var, jet_real_var
-from .matrices import GMat, complex_rank_mod_p, gauss_residue, primes, rank
+from .jets import SplitJet, jet_complex_var, jet_real_var
+from .matrices import GMat, primes, rank, rank_mod_p, split_residue
 from .subfamily import COMPLEX_LETTERS, SubfamilyParams, complete_parameters, derive_full_params
 
 PSI_SLOTS = 36
@@ -85,10 +84,12 @@ PSI_ENTRIES = tuple(
                                               for c in pos[:min(ri, 2)]])
 LAMBDA_ENTRIES = tuple((d, d) for d in range(9)) + tuple(
     (r, c) for r in range(9) for c in range(r) if (r + c) % 2 == 0)
-# The column of each free letter of the subfamily map, and the letters the
-# completion derives.
+# The column of each free letter of the subfamily map, and for each entry
+# of LAMBDA_ENTRIES the pairs (u, w) of its letters and whether it is below
+# the diagonal.
 _COLUMN = {ch: 3 + idx for idx, ch in enumerate(COMPLEX_LETTERS)}
-_COMPLETED = tuple(ch for ch in PARAM_LETTERS if ch not in _COLUMN)
+_ENTRY_PAIRS = tuple((tuple(zip(_LETTERS_AT[r], _LETTERS_AT[c])), r != c)
+                     for r, c in LAMBDA_ENTRIES)
 
 
 def outer_jacobian(parts: dict, entries) -> list:
@@ -160,65 +161,63 @@ def _lambda_values(sp: SubfamilyParams) -> list:
     ]
 
 
-def _residues(values: list, p: int):
-    """The values mod p, or None when p divides a denominator or a nonzero part."""
-    if any(not z.d % p or (z.x and not z.x % p) or (z.y and not z.y % p) for z in values):
+def _residues(values: list, p: int, iota: int):
+    """The values' split residues, or None when p divides a denominator or phi
+    sends a nonzero value or its conjugate to 0."""
+    if any(not z.d % p for z in values):
         return None
-    return [gauss_residue(z, p) for z in values]
+    residues = [split_residue(z, p, iota) for z in values]
+    return None if any(z and not (u and w) for z, (u, w) in zip(values, residues)) else residues
 
 
 def _lambda_rows_mod(residues: list, p: int) -> list:
-    """The 41x13 complex Jacobian mod p, as rows of (re, im) pairs, by the chain rule.
+    """The 41x13 Wirtinger Jacobian mod p, as unreduced integer rows, from ``SplitJet``s.
 
-    ``ModJet``s over the 23 real slots go through ``complete_parameters``
-    only.  A row is then the sum over the letters of its ``outer_jacobian``
-    row: a free letter's gradient is a unit vector, so its (dRe, dIm) adds
-    dRe - i dIm to its own column, and a completed letter's adds
-    dRe d(Re L) + dIm d(Im L) along each slot.  The column of a complex
-    parameter z = x + iy is d/dx - i d/dy.  Raises ZeroDivisionError or
-    SingularParameterError when the completion divides by, or tests, a
-    value that is 0 mod p.
+    The jets go through ``complete_parameters`` only.  Each entry E =
+    sum u w* of N*rho over the letters of its vectors gives the row
+    dE = sum w* du + u dw*, and an entry below the diagonal also the row
+    dE* = sum w du* + u* dw.  The columns are d/dt, d/dx, d/dy and d/dz_k.
+    A free letter z_k has du = e_k and du* = 0, so it adds one scalar to
+    its own column; a completed letter's gradients are dense.  Raises
+    ZeroDivisionError or SingularParameterError when the completion
+    divides by, or tests, a value that is 0 mod p.
     """
     seeds = []
-    for idx, value in enumerate(residues):
-        unit = [(0, 0)] * LAMBDA_SLOTS
-        if idx < 3:
-            unit[idx] = (1, 0)
-        else:
-            unit[2 * idx - 3], unit[2 * idx - 2] = (1, 0), (0, 1)
-        seeds.append(ModJet(value, unit, p))
+    for idx, (z, z_conj) in enumerate(residues):
+        unit = [0] * LAMBDA_COLUMNS
+        unit[idx] = 1
+        seeds.append(SplitJet(z, z_conj, unit, unit if idx < 3 else [0] * LAMBDA_COLUMNS, p))
     letters = complete_parameters(*seeds)
-    # For each completed letter L, four real 13-vectors A, B, C, D: column j
-    # of a row gains dRe * A[j] + dIm * B[j] in its real part and
-    # dRe * C[j] + dIm * D[j] in its imaginary part.  A and B are d(Re L)
-    # and d(Im L) along t, x, y and each x_k; C and D are minus those along
-    # each y_k, and 0 for t, x, y.
-    columns = {}
-    for ch in _COMPLETED:
-        g_re = [a for a, _ in letters[ch].grad]
-        g_im = [b for _, b in letters[ch].grad]
-        columns[ch] = (g_re[:3] + g_re[3::2], g_im[:3] + g_im[3::2],
-                       [0, 0, 0] + [-a for a in g_re[4::2]], [0, 0, 0] + [-b for b in g_im[4::2]])
     rows = []
-    for sparse in outer_jacobian({ch: jet.value for ch, jet in letters.items()}, LAMBDA_ENTRIES):
-        re, im = [0] * LAMBDA_COLUMNS, [0] * LAMBDA_COLUMNS
-        for ch, d_re, d_im in sparse:
-            k = _COLUMN.get(ch)
-            if k is not None:
-                re[k] += d_re
-                im[k] -= d_im
+    for pairs, below in _ENTRY_PAIRS:
+        d_e, d_e_conj = [0] * LAMBDA_COLUMNS, [0] * LAMBDA_COLUMNS
+        for u, w in pairs:
+            ju, jw, ku, kw = letters[u], letters[w], _COLUMN.get(u), _COLUMN.get(w)
+            if ku is None:
+                s, t = jw.conj_value, jw.value
+                d_e = [x + s * g for x, g in zip(d_e, ju.grad)]
+                d_e_conj = [x + t * g for x, g in zip(d_e_conj, ju.conj_grad)]
             else:
-                a, b, c, d = columns[ch]
-                re = [x + d_re * y + d_im * z for x, y, z in zip(re, a, b)]
-                im = [x + d_re * y + d_im * z for x, y, z in zip(im, c, d)]
-        rows.append([(x % p, y % p) for x, y in zip(re, im)])
+                d_e[ku] += jw.conj_value
+            if kw is None:
+                s, t = ju.value, ju.conj_value
+                d_e = [x + s * g for x, g in zip(d_e, jw.conj_grad)]
+                d_e_conj = [x + t * g for x, g in zip(d_e_conj, jw.grad)]
+            else:
+                d_e_conj[kw] += ju.conj_value
+        rows.append(d_e)
+        if below:
+            rows.append(d_e_conj)
     return rows
 
 
 def _certified_rank_lambda(sp: SubfamilyParams):
-    """12 when an elimination over F_p[i] proves it; None otherwise.
+    """12 when a rank mod a split prime proves it; None otherwise.
 
-    The map sends the odd block's generator rows V = [(g, q); (f, p);
+    Let J be the 41x13 matrix of the derivatives of the 41 real
+    coordinates (Re E of each diagonal entry E, Re E and Im E of each
+    entry below it) along d/dt, d/dx, d/dy and d/dx_k - i d/dy_k.  The
+    map sends the odd block's generator rows V = [(g, q); (f, p);
     (i, s); (h, r)] of ``BLOCK_ROWS`` to V V*, which is unchanged when V
     becomes V U for any unitary 2x2 U.  So the rank is at most 12: take
     v = 0 on t, x, y and every letter but v_f = f p*, v_p = -|f|^2 and
@@ -235,19 +234,30 @@ def _certified_rank_lambda(sp: SubfamilyParams):
     f != 0, so v_p != 0 and v is a kernel vector at every point where the
     completion is defined.
 
-    A rank mod p is a lower bound, so a rank of 12 mod one prime proves
-    exactly 12.  The primes come from ``primes()``, at most PRIME_BUDGET
-    of them.  A prime is skipped when it divides a denominator or a
-    nonzero part of a parameter, or when the completion divides by a
-    value that is 0 mod p; the first such prime also runs the exact
-    completion, which raises SingularParameterError at a singular point.
-    Two usable primes below 12 end the walk, and a rank of 13 mod p,
-    which the kernel vector rules out, counts as no proof.
+    The rank mod p is taken of a matrix with the rank of J.  Its rows
+    are dE and dE* (dE alone on the diagonal), which span the rows
+    d Re E and d Im E, as Re E = (E + E*)/2 and Im E = (E - E*)/2i; its
+    columns d/dz_k = (d/dx_k - i d/dy_k)/2 are half those of J.  Both
+    changes are invertible over the Gaussian rationals.  For p = 1 mod 4
+    and iota^2 = -1 mod p, phi: i -> iota is a ring map onto F_p from the
+    Gaussian rationals whose denominators p does not divide;
+    ``SplitJet``s compute phi of every entry, and phi only lowers a rank,
+    since a minor that is nonzero mod p is nonzero.  So a rank of 12 mod
+    one prime proves exactly 12.
+
+    The pairs (p, iota) come from ``primes()``, at most PRIME_BUDGET of
+    them.  A prime is skipped when it divides a denominator, when phi
+    sends a nonzero parameter or its conjugate to 0, or when the
+    completion divides by a value that is 0 mod p; the first such prime
+    also runs the exact completion, which raises SingularParameterError
+    at a singular point.  Two usable primes below 12 end the walk, and a
+    rank of 13 mod p, which the kernel vector rules out, counts as no
+    proof.
     """
     values = _lambda_values(sp)
     usable, completed = 0, False
-    for p in islice(primes(), PRIME_BUDGET):
-        residues = _residues(values, p)
+    for p, iota in islice(primes(), PRIME_BUDGET):
+        residues = _residues(values, p, iota)
         if residues is None:
             continue
         try:
@@ -257,7 +267,7 @@ def _certified_rank_lambda(sp: SubfamilyParams):
                 derive_full_params(sp)  # raises at a singular point
                 completed = True
             continue
-        if complex_rank_mod_p(rows, p) == LAMBDA_COLUMNS - 1:
+        if rank_mod_p(rows, p) == LAMBDA_COLUMNS - 1:
             return LAMBDA_COLUMNS - 1
         usable += 1
         if usable == 2:
@@ -297,8 +307,8 @@ def jacobian_rank_lambda(sp: SubfamilyParams) -> int:
     in t, x, y, giving a 41x13 matrix whose rank is taken over the
     complex field.  Because the coordinates are real-valued, the
     conjugate derivatives carry no extra information for this rank.  The
-    rank is certified over F_p[i] when it can be (see the module
-    docstring) and computed exactly otherwise.
+    rank is certified mod a prime p = 1 mod 4 when it can be (see the
+    module docstring) and computed exactly otherwise.
     """
     certified = _certified_rank_lambda(sp)
     if certified is not None:

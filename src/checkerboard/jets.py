@@ -1,19 +1,16 @@
-"""First-order jets: values bundled with gradients over real parameters.
+"""First-order jets: values bundled with gradients.
 
 A jet carries a value together with the vector of its partial derivatives
-with respect to a fixed list of real parameters.  A complex parameter
-occupies two slots (real part, imaginary part), so conjugation acts
-entrywise on the gradient.  Jet arithmetic follows the product and
-quotient rules, which makes Jacobians of rational maps exact.
-
-``Jet`` works over the Gaussian rationals and ``ModJet`` over F_p[i] for
-the prime p = 3 mod 4 that it carries (P = 2^61 - 1 unless given).
+with respect to a fixed list of parameters, and its arithmetic follows
+the product and quotient rules, which makes Jacobians of rational maps
+exact.  ``Jet`` works over the Gaussian rationals, with two real slots
+(real part, imaginary part) per complex parameter; ``SplitJet`` works
+mod a prime p = 1 mod 4, with one Wirtinger slot per parameter variable.
 Their callers are all in ``counting``, on the parameter completion
-``complete_parameters`` alone; the outer sum's derivatives follow from
-``counting.outer_jacobian`` by the chain rule.  ``ModJet``s give the
-completion's Jacobian mod p, and 23-slot ``Jet``s the exact Jacobian for
-the fallback and for the real-slot rank.  ``jet_rank``, the
-exact rank of the rows of a list of jets, has callers in the tests only.
+``complete_parameters`` alone: ``SplitJet``s give the subfamily's
+Jacobian mod p, and 23-slot ``Jet``s the exact Jacobian for the fallback
+and for the real-slot rank.  ``jet_rank``, the exact rank of the rows of
+a list of jets, has callers in the tests only.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from typing import Sequence
 
 from .errors import DimensionError
 from .gaussian import GaussInt, GaussRat
-from .matrices import GMat, P, rank
+from .matrices import GMat, rank
 
 
 class Jet:
@@ -168,54 +165,57 @@ def jet_rank(functions: Sequence[Jet], param_count: int) -> int:
     return rank(GMat.from_rows(rows))
 
 
-class ModJet:
-    """A jet over F_p[i], p = 3 mod 4: the value and each gradient entry are (re, im) residue pairs."""
+class SplitJet:
+    """A jet of F mod p: the images of F and F* under phi: i -> iota, iota^2 = -1 mod p.
 
-    __slots__ = ("value", "grad", "mod")
+    ``value``, ``conj_value`` are phi(F), phi(F*), and ``grad[k]``,
+    ``conj_grad[k]`` are phi(dF), phi(dF*) for d = d/dt in a real slot t
+    and the holomorphic d/dz in a complex one.  phi is a ring map, so
+    arithmetic acts on each component alone, and conjugation swaps them.
+    A real t is seeded with unit gradients in both components and z with
+    a unit ``grad`` and a zero ``conj_grad``, since dz*/dz = 0.
+    """
 
-    def __init__(self, value: tuple, grad: list, mod: int = P):
+    __slots__ = ("value", "conj_value", "grad", "conj_grad", "mod")
+
+    def __init__(self, value: int, conj_value: int, grad: list, conj_grad: list, mod: int):
         self.value = value
+        self.conj_value = conj_value
         self.grad = grad
+        self.conj_grad = conj_grad
         self.mod = mod
 
     def __bool__(self):
-        return self.value != (0, 0)
+        return bool(self.value or self.conj_value)
 
-    def conj(self) -> "ModJet":
-        p = self.mod
-        re, im = self.value
-        return ModJet((re, -im % p), [(a, -b % p) for a, b in self.grad], p)
+    def conj(self) -> "SplitJet":
+        return SplitJet(self.conj_value, self.value, self.conj_grad, self.grad, self.mod)
 
-    def __add__(self, o: "ModJet") -> "ModJet":
+    def __add__(self, o: "SplitJet") -> "SplitJet":
         p = self.mod
-        (ur, ui), (vr, vi) = self.value, o.value
-        return ModJet(((ur + vr) % p, (ui + vi) % p),
-                      [((a + c) % p, (b + d) % p) for (a, b), (c, d) in zip(self.grad, o.grad)], p)
+        return SplitJet((self.value + o.value) % p, (self.conj_value + o.conj_value) % p,
+                        [(a + b) % p for a, b in zip(self.grad, o.grad)],
+                        [(a + b) % p for a, b in zip(self.conj_grad, o.conj_grad)], p)
 
-    def __sub__(self, o: "ModJet") -> "ModJet":
+    def __sub__(self, o: "SplitJet") -> "SplitJet":
         p = self.mod
-        (ur, ui), (vr, vi) = self.value, o.value
-        return ModJet(((ur - vr) % p, (ui - vi) % p),
-                      [((a - c) % p, (b - d) % p) for (a, b), (c, d) in zip(self.grad, o.grad)], p)
+        return SplitJet((self.value - o.value) % p, (self.conj_value - o.conj_value) % p,
+                        [(a - b) % p for a, b in zip(self.grad, o.grad)],
+                        [(a - b) % p for a, b in zip(self.conj_grad, o.conj_grad)], p)
 
-    def __mul__(self, o: "ModJet") -> "ModJet":
+    def __mul__(self, o: "SplitJet") -> "SplitJet":
         p = self.mod
-        (ur, ui), (vr, vi) = self.value, o.value
-        return ModJet(((ur * vr - ui * vi) % p, (ur * vi + ui * vr) % p),
-                      [((a * vr - b * vi + ur * c - ui * d) % p,
-                        (a * vi + b * vr + ur * d + ui * c) % p)
-                       for (a, b), (c, d) in zip(self.grad, o.grad)], p)
+        u, uc, v, vc = self.value, self.conj_value, o.value, o.conj_value
+        return SplitJet(u * v % p, uc * vc % p,
+                        [(a * v + u * b) % p for a, b in zip(self.grad, o.grad)],
+                        [(a * vc + uc * b) % p for a, b in zip(self.conj_grad, o.conj_grad)], p)
 
-    def __truediv__(self, o: "ModJet") -> "ModJet":
-        # 1/v = conj(v)/|v|^2 and d(1/v) = -dv/v^2; |v|^2 is 0 mod p only for v = 0.
+    def __truediv__(self, o: "SplitJet") -> "SplitJet":
+        # q = u/v and dq = (du - q dv)/v, on each component
         p = self.mod
-        vr, vi = o.value
-        norm = (vr * vr + vi * vi) % p
-        if not norm:
+        if not (o.value and o.conj_value):
             raise ZeroDivisionError("jet division by a value that is zero mod p")
-        n = pow(norm, -1, p)
-        wr, wi = vr * n % p, -vi * n % p
-        sr, si = (wr * wr - wi * wi) % p, 2 * wr * wi % p
-        inv = ModJet((wr, wi), [((b * si - a * sr) % p, -(a * si + b * sr) % p)
-                                for a, b in o.grad], p)
-        return self * inv
+        n, nc = pow(o.value, -1, p), pow(o.conj_value, -1, p)
+        q, qc = self.value * n % p, self.conj_value * nc % p
+        return SplitJet(q, qc, [(a - q * b) * n % p for a, b in zip(self.grad, o.grad)],
+                        [(a - qc * b) * nc % p for a, b in zip(self.conj_grad, o.conj_grad)], p)

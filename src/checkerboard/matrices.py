@@ -6,12 +6,12 @@ of a Hermitian ``ZMat`` is the signed constant term of its integer
 characteristic polynomial (``charpoly``).  Rank is one forward Gaussian
 elimination over the Gaussian rationals with exact pivots.
 
-The modular helpers work in F_p[i] for primes p = 3 mod 4, from
-P = 2^61 - 1 down (``primes``): residues of Gaussian rationals and a
-sparse rank by elimination.  A rank mod p never exceeds the rank over the
-Gaussian rationals of the matrix it reduces, so it is a proven lower
-bound; ``counting`` uses it to certify the subfamily's Jacobian rank and
-falls back to ``rank`` when it is not enough.
+The modular helpers work over F_p for the primes p = 1 mod 4 from
+2^61 - 31 down (``primes``).  With iota^2 = -1 mod p, phi: i -> iota is
+a ring map onto F_p from the Gaussian rationals whose denominators p
+does not divide (``split_residue``), so the ``rank_mod_p`` of phi(M) is
+a proven lower bound of the rank of M; ``counting`` uses it to certify
+the subfamily's Jacobian rank and falls back to ``rank`` otherwise.
 """
 
 from __future__ import annotations
@@ -236,16 +236,10 @@ def rank(m: GMat) -> int:
     return found
 
 
-# ---------------------------------------------------------------------------
-# Arithmetic mod p for primes p = 3 mod 4.  Then x^2 + 1 has no root mod p
-# and F_p[i] is a field: the residue of a Gaussian rational is the pair of
-# the residues of its parts, and complex conjugation commutes with
-# reduction.  P = 2^61 - 1 is the first prime of ``primes()``.
-
-P = (1 << 61) - 1
 # Deterministic Miller-Rabin: these bases decide primality for every n < 3.3 * 10^24.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PRIMES = [P]
+# (p, iota) for p = 2^61 - 31, whose least non-residue is 7: iota = 7^((p - 1)/4).
+_PRIMES = [((1 << 61) - 31, 583529827753931384)]
 
 
 def is_prime(n: int) -> bool:
@@ -272,69 +266,64 @@ def is_prime(n: int) -> bool:
 
 
 def primes():
-    """P, then the primes p = 3 mod 4 below it in descending order.
+    """(p, iota) for the primes p = 1 mod 4 from 2^61 - 31 down, with iota^2 = -1 mod p.
 
-    Each prime is found on first use and cached, so the sequence is the
-    same in every run and costs nothing until a caller walks past P.
+    iota = c^((p - 1)/4) for the least non-residue c, as c^((p - 1)/2) =
+    -1 by Euler's criterion.  Each pair past the first, a constant, is
+    found on first use and cached, so the sequence is the same in every
+    run and costs nothing until a caller walks past the first prime.
     """
     k = 0
     while True:
         if k == len(_PRIMES):
-            n = _PRIMES[-1] - 4
+            n = _PRIMES[-1][0] - 4
             while not is_prime(n):
                 n -= 4
-            _PRIMES.append(n)
+            c = 2
+            while pow(c, (n - 1) // 2, n) != n - 1:
+                c += 1
+            _PRIMES.append((n, pow(c, (n - 1) // 4, n)))
         yield _PRIMES[k]
         k += 1
 
 
-def gauss_residue(z: GaussRat, p: int = P) -> tuple:
-    """(Re z, Im z) mod p with one inverse of the denominator; raises
-    ZeroDivisionError when p divides it."""
+def split_residue(z: GaussRat, p: int, iota: int) -> tuple:
+    """(phi(z), phi(z*)) for the ring map phi: i -> iota into F_p; raises
+    ZeroDivisionError when p divides the denominator."""
     den = z.d % p
     if not den:
         raise ZeroDivisionError("p divides the denominator")
     inv = pow(den, -1, p)
-    return z.x * inv % p, z.y * inv % p
+    return (z.x + iota * z.y) * inv % p, (z.x - iota * z.y) * inv % p
 
 
-def complex_rank_mod_p(rows: Sequence[Sequence[tuple]], p: int) -> int:
-    """Rank over F_p[i] of rows of (re, im) residue pairs, by sparse elimination.
+def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over F_p of integer rows, by sparse elimination.
 
-    Each row is kept as a dict from column to its nonzero entries.  The
+    Each row is kept as a dict from column to its nonzero residues.  The
     columns are taken in order, the pivot row is the one with the fewest
     nonzeros, which keeps the sparse Jacobians sparse, and it is scaled to
-    lead with (1, 0).  Every entry is reduced, so (0, 0) is the only zero.
+    lead with 1.
     """
-    rest = [row for row in ({c: z for c, z in enumerate(row) if z != (0, 0)} for row in rows)
-            if row]
+    rest = list(filter(None, [{c: r for c, x in enumerate(row) if (r := x % p)} for row in rows]))
     found = 0
     for c in range(len(rows[0]) if rows else 0):
         hits = [k for k, row in enumerate(rest) if c in row]
         if not hits:
             continue
         piv = rest.pop(min(hits, key=lambda k: len(rest[k])))
-        ar, ai = piv[c]
-        n = pow(ar * ar + ai * ai, -1, p)  # 1/(ar + i ai) = (ar - i ai)/(ar^2 + ai^2)
-        ir, ii = ar * n % p, -ai * n % p
-        entries = [(j, ((yr * ir - yi * ii) % p, (yr * ii + yi * ir) % p))
-                   for j, (yr, yi) in piv.items()]
-        below = []
+        inv = pow(piv[c], -1, p)
+        entries = [(j, y * inv % p) for j, y in piv.items()]
         for row in rest:
             f = row.get(c)
             if f is not None:
-                fr, fi = f
-                for j, (yr, yi) in entries:
-                    xr, xi = row.get(j, (0, 0))
-                    zr, zi = (xr - fr * yr + fi * yi) % p, (xi - fr * yi - fi * yr) % p
-                    if zr or zi:
-                        row[j] = (zr, zi)
+                for j, y in entries:
+                    z = (row.get(j, 0) - f * y) % p
+                    if z:
+                        row[j] = z
                     else:
                         del row[j]
-                if not row:
-                    continue
-            below.append(row)
-        rest = below
+        rest = [row for row in rest if row]
         found += 1
     return found
 

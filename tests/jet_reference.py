@@ -1,16 +1,22 @@
 """The jet-based Jacobian builders the package used before the chain rule.
 
 They push forward-mode jets through the whole state construction, the
-completion and the outer sum, and are kept here, unchanged, as the
-reference for ``checkerboard.counting``: the closed-form full-family rows
-must equal ``psi_coordinate_jets`` row for row, the chain-rule subfamily
-rows mod P must equal ``lambda_rows_mod_p``, and the certified ranks must
-equal the exact ranks computed here.
+completion and the outer sum, and are kept here as the reference for
+``checkerboard.counting``: the closed-form full-family rows must equal
+``psi_coordinate_jets`` row for row, the subfamily rows mod the first
+prime must equal ``lambda_rows_mod_p`` (split jets through the outer
+sum), and the certified ranks must equal the exact ranks computed here.
 """
 
 from fractions import Fraction
 
-from checkerboard.counting import LAMBDA_COORDS, LAMBDA_SLOTS, PSI_COORDS, PSI_SLOTS
+from checkerboard.counting import (
+    LAMBDA_COLUMNS,
+    LAMBDA_COORDS,
+    LAMBDA_SLOTS,
+    PSI_COORDS,
+    PSI_SLOTS,
+)
 from checkerboard.family import (
     EVEN_POSITIONS,
     ODD_POSITIONS,
@@ -19,8 +25,8 @@ from checkerboard.family import (
     placed_vectors,
 )
 from checkerboard.gaussian import GaussRat
-from checkerboard.jets import ModJet, jet_complex_var, jet_const, jet_rank, jet_real_var
-from checkerboard.matrices import P, GMat, gauss_residue, rank
+from checkerboard.jets import SplitJet, jet_complex_var, jet_const, jet_rank, jet_real_var
+from checkerboard.matrices import GMat, primes, rank, split_residue
 from checkerboard.subfamily import COMPLEX_LETTERS, complete_parameters
 
 
@@ -101,33 +107,26 @@ def lambda_rank(sp) -> int:
 
 
 def lambda_rows_mod_p(sp) -> list:
-    """The 41x13 complex Jacobian mod P from ModJets through the completion and the outer sum.
+    """The 41x13 Wirtinger Jacobian mod the first prime, from SplitJets through the whole outer sum.
 
-    Rows of (re, im) pairs: d/dt, d/dx, d/dy and d/dx_k - i d/dy_k.
+    Rows dE for the diagonal entries E, then dE and dE* for each entry
+    below it, over d/dt, d/dx, d/dy and d/dz_k.
     """
+    p, iota = next(primes())
     values = [GaussRat(sp.t), GaussRat(sp.x), GaussRat(sp.y)] + [
         getattr(sp, ch) for ch in COMPLEX_LETTERS
     ]
     seeds = []
     for idx, z in enumerate(values):
-        unit = [(0, 0)] * LAMBDA_SLOTS
-        if idx < 3:
-            unit[idx] = (1, 0)
-        else:
-            unit[2 * idx - 3], unit[2 * idx - 2] = (1, 0), (0, 1)
-        seeds.append(ModJet(gauss_residue(z), unit))
-    zero = ModJet((0, 0), [(0, 0)] * LAMBDA_SLOTS)
+        unit = [0] * LAMBDA_COLUMNS
+        unit[idx] = 1
+        conj_unit = unit if idx < 3 else [0] * LAMBDA_COLUMNS  # dz*/dz = 0
+        seeds.append(SplitJet(*split_residue(z, p, iota), unit, conj_unit, p))
+    zero = SplitJet(0, 0, [0] * LAMBDA_COLUMNS, [0] * LAMBDA_COLUMNS, p)
     entries = outer_sum_entries(placed_vectors(complete_parameters(*seeds)), zero)
-    # the real gradient of each coordinate: Re of a diagonal entry, Re and Im below it
-    coords = [[re for re, _ in entries[d][d].grad] for d in range(9)]
+    rows = [entries[d][d].grad for d in range(9)]
     for r in range(9):
         for c in range(r):
             if (r + c) % 2 == 0:
-                grad = entries[r][c].grad
-                coords += [[re for re, _ in grad], [im for _, im in grad]]
-    rows = []
-    for g in coords:
-        a = g[:3] + g[3::2]  # d/dt, d/dx, d/dy, d/dx_k
-        b = [0, 0, 0] + [-y % P for y in g[4::2]]  # -d/dy_k
-        rows.append(list(zip(a, b)))
+                rows += [entries[r][c].grad, entries[r][c].conj_grad]
     return rows

@@ -1,9 +1,10 @@
 """Certified Jacobian ranks: the closed forms, the proofs mod p and the exact fallback.
 
 The reference is the jet-based construction in ``jet_reference``.  Every
-certified rank must equal the exact rank it computes, the chain-rule rows
-mod P must equal its ModJet rows, the full-family rank is 28 exactly when
-both leading block minors are nonzero, the subfamily's closed-form kernel
+certified rank must equal the exact rank it computes, the subfamily's
+rows mod the first prime P must equal its split-jet rows and the image
+of its exact Jacobian, the full-family rank is 28 exactly when both
+leading block minors are nonzero, the subfamily's closed-form kernel
 vector lies in the kernel of its exact Jacobian, and a point reaches the
 exact ``rank`` only when neither closed form nor any prime of the budget
 gives a proof.
@@ -19,6 +20,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -37,7 +39,7 @@ from checkerboard.counting import (
 from checkerboard.errors import SingularParameterError
 from checkerboard.family import CheckerParams
 from checkerboard.gaussian import GaussRat, conj
-from checkerboard.matrices import P, complex_rank_mod_p, gauss_residue, is_prime, primes
+from checkerboard.matrices import GMat, is_prime, primes, rank, rank_mod_p, split_residue
 from checkerboard.subfamily import (
     COMPLEX_LETTERS,
     SubfamilyParams,
@@ -63,6 +65,9 @@ from jet_reference import (
     psi_coordinate_jets,
     psi_rank,
 )
+
+# The first two primes p = 1 mod 4 of the walk, with their square roots of -1.
+(P, IOTA), (P2, _) = islice(primes(), 2)
 
 
 def _settings(examples):
@@ -202,7 +207,7 @@ def test_psi_closed_form_answers_28_when_p_divides_a_denominator(exact_rank_call
     # P does not matter: both minors are nonzero, so no rank is computed
     p = replace(presets.ONE_DISTILLABLE_PARAMS, c=GaussRat(Fraction(3, P), 1))
     with pytest.raises(ZeroDivisionError):
-        gauss_residue(p.c)
+        split_residue(p.c, P, IOTA)
     assert jacobian_rank_psi(p) == psi_rank(p) == 28
     assert exact_rank_calls == []
 
@@ -211,7 +216,7 @@ def test_psi_closed_form_answers_28_at_multiples_of_p(exact_rank_calls):
     # every residue is 0 mod P, which the closed form never looks at
     scaled = CheckerParams.from_dict(
         {ch: z * P for ch, z in presets.ONE_DISTILLABLE_PARAMS.as_dict().items()})
-    assert all(gauss_residue(z) == (0, 0) for z in scaled.as_dict().values())
+    assert all(split_residue(z, P, IOTA) == (0, 0) for z in scaled.as_dict().values())
     assert jacobian_rank_psi(scaled) == 28
     assert exact_rank_calls == []
 
@@ -290,27 +295,52 @@ def test_lambda_certified_rank_equals_exact_rank(strategy):
     check()
 
 
+def _rows_mod_p(sp):
+    residues = counting._residues(counting._lambda_values(sp), P, IOTA)
+    assume(residues is not None)
+    return [[x % P for x in row] for row in counting._lambda_rows_mod(residues, P)]
+
+
 @pytest.mark.parametrize("strategy", ["default", "sparse", "5-digit"])
 def test_lambda_chain_rule_rows_equal_the_modjet_pipeline(strategy):
+    """The rows equal those of split jets pushed through the whole outer sum."""
     @_settings(LAMBDA_EXAMPLES.get(strategy, 4))
     @given(LAMBDA_STRATEGIES[strategy])
     def check(sp):
         _assume_completes(sp)
-        residues = counting._residues(counting._lambda_values(sp), P)
-        assume(residues is not None)
-        assert counting._lambda_rows_mod(residues, P) == lambda_rows_mod_p(sp)
+        assert _rows_mod_p(sp) == lambda_rows_mod_p(sp)
 
     check()
 
 
-def test_lambda_modular_rank_never_claims_a_wrong_rank_at_20_digits(exact_rank_calls,
-                                                                   monkeypatch):
-    # The kernel vector at 20 digits has entries of about 900 bits, but it
-    # is known in closed form: one prime proves the rank.
-    walked = _walked_primes(monkeypatch)
+@pytest.mark.parametrize("strategy", sorted(LAMBDA_STRATEGIES))
+def test_lambda_rows_mod_p_are_phi_of_the_exact_wirtinger_jacobian(strategy):
+    """phi: i -> IOTA of the exact Jacobian, after the (E, E*) row change.
 
-    @_settings(LAMBDA_EXAMPLES["20-digit"])
-    @given(LAMBDA_STRATEGIES["20-digit"])
+    ``lambda_jacobian`` has the rows d Re E (and d Im E below the
+    diagonal) over d/dt, d/dx, d/dy and d/dz_k; the rows mod p are dE,
+    and dE = d Re E + i d Im E and dE* = d Re E - i d Im E below it.
+    """
+    def phi(z):
+        return split_residue(z, P, IOTA)[0]
+
+    @_settings(LAMBDA_EXAMPLES.get(strategy, 4))
+    @given(LAMBDA_STRATEGIES[strategy])
+    def check(sp):
+        _assume_completes(sp)
+        exact = lambda_jacobian(sp)
+        rows = [[phi(z) for z in row] for row in exact[:9]]
+        for re_row, im_row in zip(exact[9::2], exact[10::2]):
+            rows.append([phi(x + GaussRat(0, 1) * y) for x, y in zip(re_row, im_row)])
+            rows.append([phi(x - GaussRat(0, 1) * y) for x, y in zip(re_row, im_row)])
+        assert _rows_mod_p(sp) == rows
+
+    check()
+
+
+def _one_prime_certifies(strategy, walked, exact_rank_calls):
+    @_settings(LAMBDA_EXAMPLES.get(strategy, 4))
+    @given(LAMBDA_STRATEGIES[strategy])
     def check(sp):
         _assume_completes(sp)
         walked.clear()
@@ -319,6 +349,17 @@ def test_lambda_modular_rank_never_claims_a_wrong_rank_at_20_digits(exact_rank_c
 
     check()
     assert exact_rank_calls == []
+
+
+def test_lambda_modular_rank_never_claims_a_wrong_rank_at_20_digits(exact_rank_calls,
+                                                                   monkeypatch):
+    # The kernel vector at 20 digits has entries of about 900 bits, but it
+    # is known in closed form: one prime proves the rank.
+    _one_prime_certifies("20-digit", _walked_primes(monkeypatch), exact_rank_calls)
+
+
+def test_lambda_rank_is_certified_by_one_prime_at_5_digits(exact_rank_calls, monkeypatch):
+    _one_prime_certifies("5-digit", _walked_primes(monkeypatch), exact_rank_calls)
 
 
 def test_lambda_rank_is_certified_at_sampled_points(exact_rank_calls, monkeypatch):
@@ -334,7 +375,7 @@ def test_lambda_rank_is_certified_at_sampled_points(exact_rank_calls, monkeypatc
 @pytest.mark.parametrize("change", [
     {"c": GaussRat(Fraction(2, P), 1)},  # P divides a denominator
     {"t": Fraction(P)},  # P divides a nonzero parameter
-    {"a": GaussRat(0, -P)},  # a = 0 mod P: the completion is singular mod P
+    {"a": GaussRat(IOTA, -1)},  # a != 0 but phi(a) = IOTA - IOTA = 0 mod P
 ])
 def test_lambda_rank_falls_back_when_the_modular_rank_is_no_proof(change, exact_rank_calls,
                                                                   monkeypatch):
@@ -343,20 +384,35 @@ def test_lambda_rank_falls_back_when_the_modular_rank_is_no_proof(change, exact_
     sp = replace(presets.SUBFAMILY_RANK_POINT, **change)
     assert jacobian_rank_lambda(sp) == lambda_rank(sp) == 12
     assert exact_rank_calls == []
-    assert P not in walked[-1:]
+    assert walked == [P2]
+
+
+@pytest.mark.parametrize("offset", [GaussRat(IOTA, -1), GaussRat(P)],
+                         ids=["one-component", "both-components"])
+def test_lambda_rank_skips_a_prime_where_a_completion_divisor_vanishes(offset, exact_rank_calls,
+                                                                       monkeypatch):
+    # k = bj/a + offset makes ak - bj = a * offset, which is nonzero but 0
+    # mod P in one component (the completion divides by it) or in both (the
+    # completion tests it); P is walked, skipped, and the next prime decides.
+    walked = _walked_primes(monkeypatch)
+    point = presets.SUBFAMILY_RANK_POINT
+    sp = replace(point, k=point.b * point.j / point.a + offset)
+    assert counting._residues(counting._lambda_values(sp), P, IOTA) is not None
+    assert jacobian_rank_lambda(sp) == lambda_rank(sp) == 12
+    assert exact_rank_calls == []
+    assert walked == [P, P2]
 
 
 def test_lambda_rank_falls_back_to_exact_elimination_when_the_primes_run_out(
         monkeypatch, exact_rank_calls):
-    monkeypatch.setattr(counting, "primes", lambda: iter([P]))
+    monkeypatch.setattr(counting, "primes", lambda: iter([(P, IOTA)]))
     sp = replace(presets.SUBFAMILY_RANK_POINT, c=GaussRat(Fraction(2, P), 1))
     assert jacobian_rank_lambda(sp) == 12
     assert exact_rank_calls == [(41, 13)]
 
 
 def _shifted_modular_rank(monkeypatch, shift):
-    monkeypatch.setattr(counting, "complex_rank_mod_p",
-                        lambda rows, p: complex_rank_mod_p(rows, p) + shift)
+    monkeypatch.setattr(counting, "rank_mod_p", lambda rows, p: rank_mod_p(rows, p) + shift)
 
 
 def test_lambda_rank_falls_back_when_the_modular_rank_is_low(monkeypatch, exact_rank_calls):
@@ -366,7 +422,7 @@ def test_lambda_rank_falls_back_when_the_modular_rank_is_low(monkeypatch, exact_
     _shifted_modular_rank(monkeypatch, -1)
     assert jacobian_rank_lambda(presets.SUBFAMILY_RANK_POINT) == 12
     assert exact_rank_calls == [(41, 13)]
-    assert len(walked) == 2
+    assert walked == [P, P2]
 
 
 def test_lambda_rank_never_trusts_a_modular_rank_of_13(monkeypatch, exact_rank_calls):
@@ -376,7 +432,7 @@ def test_lambda_rank_never_trusts_a_modular_rank_of_13(monkeypatch, exact_rank_c
     _shifted_modular_rank(monkeypatch, 1)
     assert jacobian_rank_lambda(presets.SUBFAMILY_RANK_POINT) == 12
     assert exact_rank_calls == [(41, 13)]
-    assert len(walked) == 2
+    assert walked == [P, P2]
 
 
 def test_lambda_rank_at_singular_point_still_raises(monkeypatch):
@@ -388,19 +444,27 @@ def test_lambda_rank_at_singular_point_still_raises(monkeypatch):
 
 # -- the modular helpers ---------------------------------------------------
 
-def test_p_is_a_prime_with_no_square_root_of_minus_one():
-    assert P == 2**61 - 1 and P % 4 == 3
-    assert pow(3, P - 1, P) == 1 and pow(P - 1, (P - 1) // 2, P) == P - 1
+def test_first_prime_is_a_constant_split_prime():
+    assert P == 2**61 - 31 and sympy.isprime(P) and P % 4 == 1
+    assert IOTA * IOTA % P == P - 1
+    # iota = c^((p - 1)/4) for the least non-residue c, as ``primes`` finds later pairs
+    assert [c for c in range(2, 8) if pow(c, (P - 1) // 2, P) == P - 1] == [7]
+    assert IOTA == pow(7, (P - 1) // 4, P)
 
 
-def test_prime_source_is_distinct_primes_3_mod_4_below_2_61():
-    walked = [p for _, p in zip(range(counting.PRIME_BUDGET + 6), primes())]
-    assert walked[0] == P
-    assert all(sympy.isprime(p) and p % 4 == 3 and p < 2**61 for p in walked)
-    assert walked == sorted(set(walked), reverse=True)
+def test_prime_source_is_descending_primes_1_mod_4_below_2_61():
+    pairs = list(islice(primes(), counting.PRIME_BUDGET + 6))
+    walked = [p for p, _ in pairs]
+    assert pairs[0] == (P, IOTA)
+    assert all(sympy.isprime(p) and p % 4 == 1 and iota * iota % p == p - 1
+               for p, iota in pairs)
+    # consecutive: no prime p = 1 mod 4 is skipped
+    assert not any(sympy.isprime(n) for hi, lo in zip(walked, walked[1:])
+                   for n in range(lo + 4, hi, 4))
+    assert walked == sorted(set(walked), reverse=True) and walked[0] < 2**61
     # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 31 (only 37
     # exposes it), and two plain composites
-    for n in (3215031751, 3825123056546413051, 2**61 - 3, P * 1000003):
+    for n in (3215031751, 3825123056546413051, 2**61 - 3, (2**61 - 1) * 1000003):
         assert not is_prime(n) and not sympy.isprime(n)
     assert all(is_prime(n) == sympy.isprime(n) for n in range(P - 400, P + 1))
 
@@ -410,21 +474,58 @@ def test_importing_the_cli_generates_no_prime():
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import checkerboard.cli, checkerboard.matrices as m; print(m._PRIMES == [m.P])"],
+         "import checkerboard.cli, checkerboard.matrices as m; print(len(m._PRIMES))"],
         capture_output=True, text=True, env=env, check=True).stdout
-    assert out.strip() == "True"
+    assert out.strip() == "1"
 
 
-def test_gauss_residue_reduces_both_parts_over_the_denominator():
-    assert gauss_residue(GaussRat(Fraction(P + 5), Fraction(-1, 3))) == (5, (P - 1) // 3)
+@given(small_gauss, small_gauss)
+def test_split_residue_is_the_ring_map_sending_i_to_iota(z, w):
+    def phi(u):
+        return split_residue(u, P, IOTA)
+
+    assert phi(GaussRat(0, 1)) == (IOTA, P - IOTA)
+    assert phi(z)[1] == phi(z.conj())[0]
+    assert phi(z + w)[0] == (phi(z)[0] + phi(w)[0]) % P
+    assert phi(z * w)[0] == phi(z)[0] * phi(w)[0] % P
+
+
+def test_split_residue_reduces_over_the_denominator():
+    third = pow(3, -1, P)
+    assert split_residue(GaussRat(Fraction(P + 5), Fraction(-1, 3)), P, IOTA) == (
+        (5 - IOTA * third) % P, (5 + IOTA * third) % P)
     with pytest.raises(ZeroDivisionError):
-        gauss_residue(GaussRat(Fraction(1, 2 * P)))
+        split_residue(GaussRat(Fraction(1, 2 * P)), P, IOTA)
 
 
 def test_complex_rank_mod_p():
-    # rows of rank 2 times 1 + 2i, over F_P[i]
+    def phi(z):
+        return split_residue(z, P, IOTA)[0]
+
+    # rows of rank 2 times 1 + 2i
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert complex_rank_mod_p([[(x % P, 2 * x % P) for x in row] for row in rows], P) == 2
+    assert rank_mod_p([[phi(GaussRat(x, 2 * x)) for x in row] for row in rows], P) == 2
     # a zero column, and -1 + i = i (1 + i)
-    assert complex_rank_mod_p([[(0, 0), (1, 1)], [(0, 0), (P - 1, 1)]], P) == 1
-    assert complex_rank_mod_p([], P) == 0
+    assert rank_mod_p([[0, phi(GaussRat(1, 1))], [0, phi(GaussRat(-1, 1))]], P) == 1
+    assert rank_mod_p([], P) == 0
+    # phi only lowers a rank: (1, i) and (1, IOTA) are independent, their images are not
+    assert rank(GMat.from_rows([[1, GaussRat(0, 1)], [1, IOTA]])) == 2
+    assert rank_mod_p([[1, phi(GaussRat(0, 1))], [1, IOTA]], P) == 1
+
+
+_small_ints = st.integers(-3, 3)
+
+
+@_settings(60)
+@given(st.integers(0, 4), st.integers(1, 6), st.integers(1, 6), st.data())
+def test_rank_mod_p_equals_the_exact_rank_of_small_integer_matrices(inner, n, m, data):
+    # A product of n x inner and inner x m factors has rank at most inner.
+    # Its entries are at most 36 in size, so by Hadamard's bound every
+    # minor is below 10^12 < P: nonzero minors stay nonzero mod P.
+    a = data.draw(st.lists(st.lists(_small_ints, min_size=inner, max_size=inner),
+                           min_size=n, max_size=n))
+    b = data.draw(st.lists(st.lists(_small_ints, min_size=m, max_size=m),
+                           min_size=inner, max_size=inner))
+    rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] if b else [0] * m
+            for row in a]
+    assert rank_mod_p(rows, P) == rank(GMat.from_rows(rows)) <= inner

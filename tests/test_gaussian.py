@@ -59,9 +59,8 @@ def test_real_fraction():
 
 
 def test_generic_conj_helper():
-    """``conj`` keeps the type and negates the imaginary part of every scalar in use."""
-    from checkerboard.jets import Jet, ModJet
-    from checkerboard.matrices import P
+    """``conj`` keeps the type and negates the imaginary part of every scalar, or swaps a split jet."""
+    from checkerboard.jets import Jet, SplitJet
 
     for z, want in [(5, 5), (Fraction(1, 3), Fraction(1, 3)), (1 + 2j, 1 - 2j),
                     (GaussRat(1, 2), GaussRat(1, -2))]:
@@ -72,9 +71,10 @@ def test_generic_conj_helper():
     jet = conj(Jet(GaussRat(1, 2), [GaussRat(3, -4), GaussRat(Fraction(1, 5))]))
     assert type(jet) is Jet
     assert (jet.value, jet.grad) == (GaussRat(1, -2), (GaussRat(3, 4), GaussRat(Fraction(1, 5))))
-    mod = conj(ModJet((3, 1), [(0, 2), (5, 0)]))
-    assert type(mod) is ModJet
-    assert (mod.value, mod.grad) == ((3, P - 1), [(0, P - 2), (5, 0)])
+    # a split jet holds (phi(F), phi(F*)) for the value and each gradient entry: conj swaps them
+    split = conj(SplitJet(3, 1, [0, 2], [5, 0], 13))
+    assert type(split) is SplitJet
+    assert (split.value, split.conj_value, split.grad, split.conj_grad) == (1, 3, [5, 0], [0, 2])
 
 
 @given(small_gauss, small_gauss, small_gauss)

@@ -154,16 +154,39 @@ def test_gradients_match_central_differences():
 
 
 def test_mod_jet_is_the_reduction_of_the_exact_jet():
-    from checkerboard.jets import ModJet
-    from checkerboard.matrices import gauss_residue as reduce
+    """A SplitJet is (phi, phi o conj) of the exact Jet, with the gradient in Wirtinger slots.
 
-    x = jet_complex_var(GaussRat(Fraction(1, 3), 2), 0, 1, 3)
-    y = jet_real_var(Fraction(-3, 4), 2, 3)
-    mx, my = (ModJet(reduce(j.value), [reduce(g) for g in j.grad]) for j in (x, y))
-    exact = (x * y.conj() - y) / (x.conj() + y)
-    modular = (mx * my.conj() - my) / (mx.conj() + my)
-    assert modular.value == reduce(exact.value)
-    assert modular.grad == [reduce(g) for g in exact.grad]
-    assert bool(modular) and not ModJet((0, 0), [])
+    The exact jet has real slots (Re z, Im z, t); the split jet has slots
+    (d/dz, d/dt).  For a function F, d/dz F = (F_re - i F_im)/2, and
+    d/dz F* is the conjugate of d/dz* F = (F_re + i F_im)/2, which is the
+    second component of that value's split residue.
+    """
+    from checkerboard.jets import SplitJet
+    from checkerboard.matrices import primes, split_residue
+
+    p, iota = next(primes())
+
+    def reduce(z):
+        return split_residue(z, p, iota)
+
+    z = jet_complex_var(GaussRat(Fraction(1, 3), 2), 0, 1, 3)
+    t = jet_real_var(Fraction(-3, 4), 2, 3)
+    jz = SplitJet(*reduce(z.value), [1, 0], [0, 0], p)
+    jt = SplitJet(*reduce(t.value), [0, 1], [0, 1], p)
+    exact = (z * t.conj() - t) / (z.conj() + t)
+    split = (jz * jt.conj() - jt) / (jz.conj() + jt)
+    assert (split.value, split.conj_value) == reduce(exact.value)
+    g_re, g_im, g_t = exact.grad
+    half = Fraction(1, 2)
+    d_z = (g_re - GaussRat(0, 1) * g_im) * half
+    d_zbar = (g_re + GaussRat(0, 1) * g_im) * half
+    assert split.grad == [reduce(d_z)[0], reduce(g_t)[0]]
+    assert split.conj_grad == [reduce(d_zbar)[1], reduce(g_t)[1]]
+    assert bool(split) and not SplitJet(0, 0, [], [], p)
     with pytest.raises(ZeroDivisionError):
-        mx / (mx - mx)
+        jz / (jz - jz)
+    # a unit needs both components nonzero: phi(iota - i) = 0 but phi((iota - i)*) != 0
+    half_zero = SplitJet(*reduce(GaussRat(iota, -1)), [0, 0], [0, 0], p)
+    assert bool(half_zero) and half_zero.value == 0
+    with pytest.raises(ZeroDivisionError):
+        jz / half_zero
