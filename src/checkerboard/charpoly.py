@@ -7,18 +7,29 @@ determinant, (-1)^n times its constant term, and an inertia read off by
 Descartes' rule of signs, which is exact because the polynomial has only
 real roots.
 
-Classification hands ``blocks_inertia`` the 4x4 and 5x5 blocks of every
-matrix it tests: a checkerboard state, its partial transpose and its
-reduction matrices are each such a block pair (see ``family``).  Each
-block, divided by its content, goes through fraction-free symmetric
-elimination over Z[i] (Bareiss): each pivot is a nonzero diagonal entry,
-its value is the next leading principal minor of the pivots taken, and
-Sylvester's law of inertia counts it by the sign of that minor against
-the one before.  When no nonzero diagonal entry remains, the remaining
-entries are the last minor times the Schur complement, whose inertia
-adds to that of the pivots (Haynsworth); the characteristic polynomial
-finishes that stalled remainder, so no 2x2 pivots are needed.
+Classification hands ``blocks_inertia`` (or ``has_negative_eigenvalue``)
+the 4x4 and 5x5 blocks of every matrix it tests: a checkerboard state,
+its partial transpose and its reduction matrices are each such a block
+pair (see ``family``).  Each block, divided by its content, goes
+through fraction-free symmetric elimination over Z[i] (Bareiss): each
+pivot is a nonzero diagonal entry, its value is the next leading
+principal minor of the pivots taken, and Sylvester's law of inertia
+counts it by the sign of that minor against the one before.  When no
+nonzero diagonal entry remains, the remaining entries are the last minor
+times the Schur complement, whose inertia adds to that of the pivots
+(Haynsworth); the characteristic polynomial finishes that stalled
+remainder, so no 2x2 pivots are needed.
 ``inertia`` counts any Hermitian ``ZMat`` as one block.
+
+The reduction criterion needs only whether a block pair has a negative
+eigenvalue, so ``has_negative_eigenvalue`` stops at the first negative
+pivot: the pivots taken so far index a principal submatrix whose
+leading minors are all nonzero, a sign change among them gives it a
+negative eigenvalue (Sylvester, Jacobi), and by Cauchy interlacing the
+whole block then has one too.  A block with no negative pivot is counted
+in full, its stalled remainder by the characteristic polynomial as
+above.  The count and the test run the same elimination,
+``_inertia_parts``.
 """
 
 from __future__ import annotations
@@ -157,31 +168,39 @@ def _primitive(rows) -> list:
     return [[(x // content, y // content) for x, y in row] for row in rows]
 
 
-def _block_inertia(rows) -> Inertia:
-    """Inertia of one Hermitian block of (re, im) int pairs by fraction-free elimination.
+# The (neg, zero, pos) counts of one pivot.
+_POSITIVE, _NEGATIVE = (0, 0, 1), (1, 0, 0)
 
-    The pivot is the first remaining index with a nonzero diagonal entry.
-    After pivots with leading principal minors D_1, ..., D_k, every
-    remaining entry is a (k+1)x(k+1) minor, a_ij <- (p a_ij - a_ip a_pj) /
-    D_(k-1) for the pivot value p = D_k, and the division is exact.  A
-    pivot is positive when D_k has the sign of D_(k-1) (D_0 = 1) and
-    negative otherwise.  If elimination stalls, the remaining entries are
-    D_k times the Schur complement, so the counts of its characteristic
-    polynomial are swapped when D_k < 0.
+
+def _inertia_parts(rows):
+    """The inertia of one Hermitian block of (re, im) int pairs, in parts, by fraction-free elimination.
+
+    Yields (neg, zero, pos) counts: one count per pivot, then, if the
+    elimination stalls, the counts of the remainder; their sum is the
+    inertia of the block.  The pivot is the first remaining index with a
+    nonzero diagonal entry.  After pivots with leading principal minors
+    D_1, ..., D_k, every remaining entry is a (k+1)x(k+1) minor, a_ij <-
+    (p a_ij - a_ip a_pj) / D_(k-1) for the pivot value p = D_k, and the
+    division is exact.  A pivot is positive when D_k has the sign of
+    D_(k-1) (D_0 = 1) and negative otherwise; it is yielded before its
+    elimination step, so a caller that stops there skips the rest.  If
+    elimination stalls, the remaining entries are D_k times the Schur
+    complement, so the counts of its characteristic polynomial are
+    swapped when D_k < 0.
     """
     a = _primitive(rows)
     rest = list(range(len(rows)))
     prev = 1
-    n_neg = n_pos = 0
     while rest:
         p = next((k for k in rest if a[k][k][0]), None)
         if p is None:
-            break
+            tail = ZMat(len(rest), len(rest), [GaussInt(*a[i][j]) for i in rest for j in rest])
+            part = inertia_from_char_poly(char_poly(tail), len(rest))
+            neg, pos = (part.n_pos, part.n_neg) if prev < 0 else (part.n_neg, part.n_pos)
+            yield neg, part.n_zero, pos
+            return
         piv = a[p][p][0]
-        if (piv > 0) == (prev > 0):
-            n_pos += 1
-        else:
-            n_neg += 1
+        yield _POSITIVE if (piv > 0) == (prev > 0) else _NEGATIVE
         rest.remove(p)
         row_p = a[p]
         for t, i in enumerate(rest):
@@ -197,21 +216,34 @@ def _block_inertia(rows) -> Inertia:
                 row_i[j] = (re, im)
                 a[j][i] = (re, -im)
         prev = piv
-    if not rest:
-        return Inertia(n_neg, 0, n_pos)
-    tail = ZMat(len(rest), len(rest), [GaussInt(*a[i][j]) for i in rest for j in rest])
-    part = inertia_from_char_poly(char_poly(tail), len(rest))
-    neg, pos = (part.n_pos, part.n_neg) if prev < 0 else (part.n_neg, part.n_pos)
-    return Inertia(n_neg + neg, part.n_zero, n_pos + pos)
 
 
 def blocks_inertia(blocks) -> Inertia:
     """Exact eigenvalue sign counts of the direct sum of Hermitian blocks.
 
     Each block is rows of (re, im) int pairs, Hermitian by construction;
-    the spectrum of the sum is the union of the blocks' spectra.
+    the spectrum of the sum is the union of the blocks' spectra, so the
+    counts are the sums of every part of every block.
     """
-    return sum(map(_block_inertia, blocks), Inertia(0, 0, 0))
+    n_neg = n_zero = n_pos = 0
+    for blk in blocks:
+        for neg, zero, pos in _inertia_parts(blk):
+            n_neg, n_zero, n_pos = n_neg + neg, n_zero + zero, n_pos + pos
+    return Inertia(n_neg, n_zero, n_pos)
+
+
+def has_negative_eigenvalue(blocks) -> bool:
+    """True iff the direct sum of Hermitian blocks has a negative eigenvalue.
+
+    Stops at the first negative pivot.  The pivots taken so far index a
+    principal submatrix whose leading minors D_1, ..., D_k are all
+    nonzero, so by Jacobi's rule its negative eigenvalues number the sign
+    changes of 1, D_1, ..., D_k; one sign change gives it a negative
+    eigenvalue, and by Cauchy interlacing the smallest eigenvalue of the
+    block is at most that of any principal submatrix.  A block with no
+    negative pivot is counted in full, stalled remainder included.
+    """
+    return any(neg for blk in blocks for neg, _, _ in _inertia_parts(blk))
 
 
 def inertia(m: ZMat) -> Inertia:
@@ -219,4 +251,4 @@ def inertia(m: ZMat) -> Inertia:
     if not m.is_square():
         raise DimensionError("inertia of non-square matrix")
     require_hermitian(m, "inertia input")
-    return _block_inertia([[(z.re, z.im) for z in m.row(r)] for r in range(m.rows)])
+    return blocks_inertia([[[(z.re, z.im) for z in m.row(r)] for r in range(m.rows)]])

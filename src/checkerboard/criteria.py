@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .charpoly import blocks_inertia
+from .charpoly import blocks_inertia, has_negative_eigenvalue
 from .errors import CheckerboardError, DegenerateStateError, DimensionError
 from .family import BLOCK_POSITIONS, CheckerParams, StateMatrix, block_map, map_blocks, placed_vectors
 from .gaussian import GaussInt, GaussRat, lift_to_integers
@@ -107,9 +107,10 @@ def reduction_criterion(s: StateMatrix) -> bool:
     """True iff rho_A (x) 1 - rho or 1 (x) rho_B - rho has a negative eigenvalue.
 
     Violation certifies that the state is entangled and distillable.  The
-    second matrix is built only when the first has no negative eigenvalue.
+    second matrix is built only when the first has no negative eigenvalue,
+    and each test stops at its first negative pivot.
     """
-    return any(blocks_inertia(m).n_neg > 0 for m in reduction_matrices(s))
+    return any(map(has_negative_eigenvalue, reduction_matrices(s)))
 
 
 def schmidt_rank(w: WitnessVector) -> int:

@@ -200,10 +200,6 @@ class StateMatrix:
         """N*rho."""
         return self.grid.over(self.scale)
 
-    def normalized(self) -> GMat:
-        """rho = grid / trace(grid)."""
-        return self.grid.over(self.trace)
-
 
 @dataclass(frozen=True)
 class QuadForm:
@@ -309,16 +305,28 @@ def lambda_mu(p: CheckerParams) -> tuple:
     return lam, mu
 
 
-def theorem1_product(p: CheckerParams) -> GaussRat:
-    """The genericity product (fs-ip)(gr-hq) F(l,-c) F(mu,-lambda)."""
+# Degrees of the four factors of the Theorem 1 product, each homogeneous.
+THEOREM1_DEGREES = (2, 2, 4, 8)
+
+
+def theorem1_product(p: CheckerParams, reduce=None) -> GaussRat:
+    """The genericity product (fs-ip)(gr-hq) F(l,-c) F(mu,-lambda).
+
+    Generic over the scalar type.  With ``reduce``, each factor z of
+    degree k (``THEOREM1_DEGREES``) is replaced by reduce(z, k) before the
+    product: ``report.classify`` evaluates the factors on the lifted
+    Gaussian integers w = D params and takes each over D^k, so t1 comes
+    out as a product of four reduced values instead of one reduction of
+    t1(w)/D^16.
+    """
     form = quad_form_F(p)
     lam, mu = lambda_mu(p)
-    return (
-        (p.f * p.s - p.i * p.p)
-        * (p.g * p.r - p.h * p.q)
-        * form.evaluate(p.l, -p.c)
-        * form.evaluate(mu, -lam)
-    )
+    factors = (p.f * p.s - p.i * p.p, p.g * p.r - p.h * p.q,
+               form.evaluate(p.l, -p.c), form.evaluate(mu, -lam))
+    if reduce is not None:
+        factors = map(reduce, factors, THEOREM1_DEGREES)
+    first, second, third, fourth = factors
+    return first * second * third * fourth
 
 
 def theorem1_generic(p: CheckerParams) -> bool:

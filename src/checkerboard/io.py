@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .criteria import WitnessVector
 from .errors import ParseError
-from .family import CheckerParams, PARAM_LETTERS
+from .family import BLOCK_POSITIONS, CheckerParams, PARAM_LETTERS, StateMatrix
 from .gaussian import GaussRat
-from .matrices import GMat
 from .subfamily import BrussPeresParams, COMPLEX_LETTERS, SubfamilyParams
 
 # ASCII digits only, matched against the whole string: "3\n" and "٣/٤" are not fractions.
@@ -35,10 +35,15 @@ def _int_to_str(n: int) -> str:
         return ("-" if n < 0 else "") + _int_to_str(high) + _int_to_str(low).zfill(half)
 
 
+def _ratio_to_str(num: int, den: int) -> str:
+    """The fraction string of num/den, given in lowest terms with den > 0."""
+    if den == 1:
+        return _int_to_str(num)
+    return f"{_int_to_str(num)}/{_int_to_str(den)}"
+
+
 def format_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return _int_to_str(value.numerator)
-    return f"{_int_to_str(value.numerator)}/{_int_to_str(value.denominator)}"
+    return _ratio_to_str(value.numerator, value.denominator)
 
 
 def parse_fraction(text) -> Fraction:
@@ -164,5 +169,21 @@ def parse_witness_doc(doc) -> WitnessVector:
 # Matrix dumps: nested row-major lists of complex objects.
 
 
-def matrix_to_obj(m: GMat) -> list:
-    return [[gauss_to_obj(m[r, c]) for c in range(m.cols)] for r in range(m.rows)]
+def matrix_to_obj(s: StateMatrix) -> list:
+    """rho = blocks / trace as a 9x9 row-major nested list of complex objects.
+
+    Each part x of the 41 block entries is written as x/T in lowest terms,
+    T the trace of the blocks, with one gcd; the 40 entries outside the
+    blocks are zero.
+    """
+    t = s.trace
+    zero = {"re": "0", "im": "0"}
+    rows = [[zero] * 9 for _ in range(9)]
+    for pos, blk in zip(BLOCK_POSITIONS, s.blocks):
+        for r, row in zip(pos, blk):
+            out = rows[r]
+            for c, (x, y) in zip(pos, row):
+                gx, gy = gcd(x, t), gcd(y, t)
+                out[c] = {"re": _ratio_to_str(x // gx, t // gx),
+                          "im": _ratio_to_str(y // gy, t // gy)}
+    return rows

@@ -54,14 +54,6 @@ class Jet:
     def conj(self) -> "Jet":
         return Jet(self.value.conj(), tuple(g.conj() for g in self.grad))
 
-    def real_part(self) -> "Jet":
-        return Jet(GaussInt(self.value.x).over(self.value.d),
-                   tuple(GaussInt(g.x).over(g.d) for g in self.grad))
-
-    def imag_part(self) -> "Jet":
-        return Jet(GaussInt(self.value.y).over(self.value.d),
-                   tuple(GaussInt(g.y).over(g.d) for g in self.grad))
-
     def __add__(self, other):
         o = self._lift(other)
         if o is None:

@@ -59,9 +59,13 @@ def classify(kind: str, params) -> Classification:
     (built once per state, ``StateMatrix.gamma``), ``gamma_fixed`` is
     whether those blocks equal the state's, the rank is rank(V_odd) +
     rank(V_even), and the reduction matrices are block pairs read off the
-    state's blocks.  ``t1`` is the Theorem 1 product, t1(w)/D^16 because
-    it is homogeneous of degree 16, and ``t2`` = abf(ak-bj) t1 is
-    t2(w)/D^21, because abf(ak-bj) is of degree 5.
+    state's blocks.  ``t1`` is the Theorem 1 product, evaluated factor by
+    factor on w: each factor is homogeneous of degree k (2, 2, 4 and 8),
+    so it is taken over D^k on its own and the four reduced values are
+    multiplied.  ``t2`` = abf(ak-bj) t1 takes its degree-5 factor over
+    D^5 the same way.  A ``GaussRat`` is kept in lowest terms, so the two
+    equal t1(w)/D^16 and t2(w)/D^21 exactly, and no full-size product is
+    ever reduced.
     """
     if kind == "ppt":
         full = derive_full_params(params)
@@ -72,14 +76,18 @@ def classify(kind: str, params) -> Classification:
     state = build_state(full)
     w, d = full.lifted
     ppt, inert = is_ppt(state)
-    t1w = theorem1_product(w)
+
+    def over_d(z, degree):
+        return z.over(d ** degree)
+
+    t1 = theorem1_product(w, over_d)
     return Classification(
         kind=kind,
         params=params,
         state=state,
         rank=state_rank(w),
-        t1=t1w.over(d ** 16),
-        t2=theorem2_from_theorem1(w, t1w).over(d ** 21) if kind == "ppt" else None,
+        t1=t1,
+        t2=theorem2_from_theorem1(w, t1, over_d) if kind == "ppt" else None,
         ppt=ppt,
         inertia=inert,
         gamma_fixed=state.gamma == state.blocks,

@@ -122,13 +122,15 @@ def fixed_point_conditions(p: CheckerParams) -> bool:
     return not any(fixed_point_defects(p))
 
 
-def theorem2_from_theorem1(full: CheckerParams, t1: GaussRat) -> GaussRat:
+def theorem2_from_theorem1(full: CheckerParams, t1: GaussRat, reduce=None) -> GaussRat:
     """Theorem 2's product abf(ak-bj) t1 from the completion and t1 = theorem1_product(full).
 
-    Generic over the scalar type: ``report.classify`` calls it on the
-    lifted Gaussian integers.
+    Generic over the scalar type.  With ``reduce``, the factor abf(ak-bj),
+    homogeneous of degree 5, is replaced by reduce(factor, 5) first, as
+    in ``theorem1_product``.
     """
-    return full.a * full.b * full.f * (full.a * full.k - full.b * full.j) * t1
+    factor = full.a * full.b * full.f * (full.a * full.k - full.b * full.j)
+    return (factor if reduce is None else reduce(factor, 5)) * t1
 
 
 def theorem2_product(sp: SubfamilyParams) -> GaussRat:

@@ -2,8 +2,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
+from checkerboard import sampling
 from checkerboard.family import PARAM_LETTERS, CheckerParams
 from checkerboard.gaussian import GaussRat
 from checkerboard.subfamily import COMPLEX_LETTERS, SubfamilyParams
@@ -46,6 +48,36 @@ def subfamily_points(reals, entries, required=nonzero_gauss, required_letters="a
     fields = {"t": reals, "x": reals, "y": reals}
     fields.update({ch: required if ch in required_letters else entries for ch in COMPLEX_LETTERS})
     return st.builds(SubfamilyParams, **fields)
+
+
+def generate_only(examples):
+    """Derandomized examples, no deadline, and no shrink phase.
+
+    For properties whose examples are costly: every shrink step would
+    rerun them, so a failure would take minutes to report.  The examples
+    are the same derandomized draws either way.
+    """
+    return settings(max_examples=examples, deadline=None, derandomize=True,
+                    phases=(Phase.explicit, Phase.generate))
+
+
+seeds = st.integers(0, 2**32 - 1)
+digits5 = digit_fractions(5)
+gauss5 = st.builds(GaussRat, digits5, digits5)
+
+# Points of each family at the default sampler size, 5 digits and 20 digits.
+SIZED_POINTS = {
+    "full": {
+        "default": seeds.map(lambda seed: sampling.random_checker_params(sampling.rng_for(seed))),
+        "5-digit": checker_points(gauss5),
+        "20-digit": checker_points(big_gauss),
+    },
+    "ppt": {
+        "default": seeds.map(lambda seed: sampling.draw_subfamily_params(sampling.rng_for(seed))),
+        "5-digit": subfamily_points(digits5, gauss5, gauss5),
+        "20-digit": subfamily_points(big_fractions, big_gauss, big_gauss),
+    },
+}
 
 
 def gauss_matrix(rows, cols, entries=small_gauss):

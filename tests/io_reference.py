@@ -2,6 +2,8 @@
 
 The package parses Bruss-Peres documents and witnesses and writes
 matrices; these are the other directions, for round trips and fixtures.
+``gmat_to_obj`` is the 9x9 dump the package wrote before ``matrix_to_obj``
+read the block pair.
 """
 
 from checkerboard.errors import ParseError
@@ -32,3 +34,7 @@ def parse_matrix_obj(obj) -> GMat:
     if any(len(r) != width for r in obj):
         raise ParseError("matrix rows have unequal lengths")
     return GMat.from_rows([[obj_to_gauss(x) for x in row] for row in obj])
+
+
+def gmat_to_obj(m: GMat) -> list:
+    return [[gauss_to_obj(m[r, c]) for c in range(m.cols)] for r in range(m.rows)]

@@ -6,6 +6,8 @@ completion and the outer sum, and are kept here as the reference for
 ``psi_coordinate_jets`` row for row, the subfamily rows mod the first
 prime must equal ``lambda_rows_mod_p`` (split jets through the outer
 sum), and the certified ranks must equal the exact ranks computed here.
+``real_part`` and ``imag_part`` split a jet over the Gaussian rationals
+into the real coordinates those builders take.
 """
 
 from fractions import Fraction
@@ -24,22 +26,34 @@ from checkerboard.family import (
     outer_sum_entries,
     placed_vectors,
 )
-from checkerboard.gaussian import GaussRat
-from checkerboard.jets import SplitJet, jet_complex_var, jet_const, jet_rank, jet_real_var
+from checkerboard.gaussian import GaussInt, GaussRat
+from checkerboard.jets import Jet, SplitJet, jet_complex_var, jet_const, jet_rank, jet_real_var
 from checkerboard.matrices import GMat, primes, rank, split_residue
 from checkerboard.subfamily import COMPLEX_LETTERS, complete_parameters
+
+
+def real_part(jet: Jet) -> Jet:
+    """The real part of a jet over the Gaussian rationals, value and gradient."""
+    return Jet(GaussInt(jet.value.x).over(jet.value.d),
+               tuple(GaussInt(g.x).over(g.d) for g in jet.grad))
+
+
+def imag_part(jet: Jet) -> Jet:
+    """The imaginary part of a jet over the Gaussian rationals, value and gradient."""
+    return Jet(GaussInt(jet.value.y).over(jet.value.d),
+               tuple(GaussInt(g.y).over(g.d) for g in jet.grad))
 
 
 def _tall_block_coords(entries, positions, width):
     """Independent real coordinates of the first ``width`` columns of a Hermitian block."""
     coords = []
     for d in range(width):
-        coords.append(entries[positions[d]][positions[d]].real_part())
+        coords.append(real_part(entries[positions[d]][positions[d]]))
     for ri in range(len(positions)):
         for ci in range(min(ri, width)):
             ent = entries[positions[ri]][positions[ci]]
-            coords.append(ent.real_part())
-            coords.append(ent.imag_part())
+            coords.append(real_part(ent))
+            coords.append(imag_part(ent))
     return coords
 
 
@@ -71,12 +85,12 @@ def lambda_coordinate_jets(sp) -> list:
     entries = outer_sum_entries(placed_vectors(values), jet_const(0, LAMBDA_SLOTS))
     coords = []
     for d in range(9):
-        coords.append(entries[d][d].real_part())
+        coords.append(real_part(entries[d][d]))
     for r in range(9):
         for c in range(r):
             if (r + c) % 2 == 0:
-                coords.append(entries[r][c].real_part())
-                coords.append(entries[r][c].imag_part())
+                coords.append(real_part(entries[r][c]))
+                coords.append(imag_part(entries[r][c]))
     assert len(coords) == LAMBDA_COORDS
     return coords
 

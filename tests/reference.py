@@ -318,6 +318,14 @@ class StateMatrix:
         return self.unnormalized.scale(inv)
 
 
+def normalized(s) -> GMat:
+    """rho = grid / trace(grid) of a ``checkerboard.family.StateMatrix``, as a 9x9 GMat.
+
+    The 9x9 path the ``build`` dump took before it read the block pair.
+    """
+    return s.grid.over(s.trace)
+
+
 def build_state(p: CheckerParams) -> StateMatrix:
     """Unnormalized state sum |v><v| with its normalizer N = sum <v|v>."""
     values = p.as_dict()

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import Phase, assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import checkerboard.counting as counting
@@ -48,6 +48,7 @@ from checkerboard.subfamily import (
 )
 from conftest import (
     big_fractions,
+    generate_only,
     big_gauss,
     checker_points,
     digit_fractions,
@@ -68,12 +69,6 @@ from jet_reference import (
 
 # The first two primes p = 1 mod 4 of the walk, with their square roots of -1.
 (P, IOTA), (P2, _) = islice(primes(), 2)
-
-
-def _settings(examples):
-    """Derandomized examples, no deadline, and no shrink phase."""
-    return settings(max_examples=examples, deadline=None, derandomize=True,
-                    phases=(Phase.explicit, Phase.generate))
 
 
 def _vanishing_minor(pick):
@@ -166,7 +161,7 @@ def _walked_primes(monkeypatch):
 
 @pytest.mark.parametrize("strategy", sorted(PSI_STRATEGIES))
 def test_psi_closed_form_rows_and_certified_rank(strategy):
-    @_settings(4)
+    @generate_only(4)
     @given(PSI_STRATEGIES[strategy])
     def check(p):
         jets = psi_coordinate_jets(p)
@@ -182,7 +177,7 @@ def test_psi_closed_form_rows_and_certified_rank(strategy):
 
 @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
 def test_psi_rank_at_a_vanishing_minor_takes_one_exact_rank(odd, exact_rank_calls):
-    @_settings(4)
+    @generate_only(4)
     @given(vanishing_minor_points(st.just(odd)))
     def check(p):
         exact_rank_calls.clear()
@@ -271,7 +266,7 @@ def test_lambda_kernel_vector_moves_the_odd_rows_by_anti_hermitian_generators():
 
 @pytest.mark.parametrize("strategy", ["default", "sparse", "5-digit", "20-digit"])
 def test_lambda_closed_form_kernel_vector_is_in_the_exact_kernel(strategy):
-    @_settings(LAMBDA_EXAMPLES.get(strategy, 4))
+    @generate_only(LAMBDA_EXAMPLES.get(strategy, 4))
     @given(LAMBDA_STRATEGIES[strategy])
     def check(sp):
         _assume_completes(sp)
@@ -286,7 +281,7 @@ def test_lambda_closed_form_kernel_vector_is_in_the_exact_kernel(strategy):
 
 @pytest.mark.parametrize("strategy", ["default", "sparse", "5-digit", "single-nonzero"])
 def test_lambda_certified_rank_equals_exact_rank(strategy):
-    @_settings(LAMBDA_EXAMPLES.get(strategy, 4))
+    @generate_only(LAMBDA_EXAMPLES.get(strategy, 4))
     @given(LAMBDA_STRATEGIES[strategy])
     def check(sp):
         _assume_completes(sp)
@@ -304,7 +299,7 @@ def _rows_mod_p(sp):
 @pytest.mark.parametrize("strategy", ["default", "sparse", "5-digit"])
 def test_lambda_chain_rule_rows_equal_the_modjet_pipeline(strategy):
     """The rows equal those of split jets pushed through the whole outer sum."""
-    @_settings(LAMBDA_EXAMPLES.get(strategy, 4))
+    @generate_only(LAMBDA_EXAMPLES.get(strategy, 4))
     @given(LAMBDA_STRATEGIES[strategy])
     def check(sp):
         _assume_completes(sp)
@@ -324,7 +319,7 @@ def test_lambda_rows_mod_p_are_phi_of_the_exact_wirtinger_jacobian(strategy):
     def phi(z):
         return split_residue(z, P, IOTA)[0]
 
-    @_settings(LAMBDA_EXAMPLES.get(strategy, 4))
+    @generate_only(LAMBDA_EXAMPLES.get(strategy, 4))
     @given(LAMBDA_STRATEGIES[strategy])
     def check(sp):
         _assume_completes(sp)
@@ -339,7 +334,7 @@ def test_lambda_rows_mod_p_are_phi_of_the_exact_wirtinger_jacobian(strategy):
 
 
 def _one_prime_certifies(strategy, walked, exact_rank_calls):
-    @_settings(LAMBDA_EXAMPLES.get(strategy, 4))
+    @generate_only(LAMBDA_EXAMPLES.get(strategy, 4))
     @given(LAMBDA_STRATEGIES[strategy])
     def check(sp):
         _assume_completes(sp)
@@ -516,7 +511,7 @@ def test_complex_rank_mod_p():
 _small_ints = st.integers(-3, 3)
 
 
-@_settings(60)
+@generate_only(60)
 @given(st.integers(0, 4), st.integers(1, 6), st.integers(1, 6), st.data())
 def test_rank_mod_p_equals_the_exact_rank_of_small_integer_matrices(inner, n, m, data):
     # A product of n x inner and inner x m factors has rank at most inner.

@@ -7,12 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checkerboard.charpoly import Inertia, _block_inertia, char_poly, inertia, inertia_from_char_poly
+from checkerboard.charpoly import (
+    Inertia,
+    blocks_inertia,
+    char_poly,
+    has_negative_eigenvalue,
+    inertia,
+    inertia_from_char_poly,
+)
 from checkerboard.errors import SymmetryError
 from checkerboard.gaussian import GaussInt, GaussRat
 from checkerboard.matrices import GMat, ZMat, integer_lift, rank
 
-from conftest import gauss_matrix, hermitian_grid, sparse_gauss
+from conftest import gauss_matrix, generate_only, hermitian_grid, sparse_gauss
 
 
 def diag(*values):
@@ -28,7 +35,7 @@ def zmat(rows):
 
 
 def _pairs(m: ZMat) -> list:
-    """The rows of m as (re, im) int pairs, the block form ``_block_inertia`` takes."""
+    """The rows of m as (re, im) int pairs, the block form ``blocks_inertia`` takes."""
     return [[(z.re, z.im) for z in m.row(r)] for r in range(m.rows)]
 
 
@@ -179,12 +186,16 @@ def hermitian_blocks(draw):
     """Hermitian ZMats of size 1-6 with 1-, 5- or 20-digit parts.
 
     Either entry by entry, dense or sparse (about three entries in four
-    zero), or a signed sum of rank-one terms v v^dagger, singular whenever
-    there are fewer terms than rows.
+    zero), with a random or a zero diagonal (on which elimination stalls
+    at once); or a signed sum of rank-one terms v v^dagger, singular
+    whenever there are fewer terms than rows; or a Gram block V V^dagger
+    of an n x 2 matrix V, the shape of every state block, which stalls
+    after two positive pivots.
     """
     n = draw(st.integers(1, 6))
     bound = 10 ** draw(st.sampled_from([1, 5, 20]))
     sparse = draw(st.booleans())
+    shape = draw(st.sampled_from(["entries", "zero-diagonal", "signed-sum", "gram"]))
 
     def entry(real=False):
         if sparse and draw(st.integers(0, 3)):
@@ -193,15 +204,17 @@ def hermitian_blocks(draw):
                         0 if real else draw(st.integers(-bound, bound)))
 
     rows = [[GaussInt(0)] * n for _ in range(n)]
-    if draw(st.booleans()):
+    if shape in ("entries", "zero-diagonal"):
         for r in range(n):
-            rows[r][r] = entry(real=True)
+            if shape == "entries":
+                rows[r][r] = entry(real=True)
             for c in range(r):
                 rows[r][c] = entry()
                 rows[c][r] = rows[r][c].conj()
     else:
-        for _ in range(draw(st.integers(0, n))):
-            sign = GaussInt(draw(st.sampled_from([-1, 1])))
+        terms = 2 if shape == "gram" else draw(st.integers(0, n))
+        for _ in range(terms):
+            sign = GaussInt(1 if shape == "gram" else draw(st.sampled_from([-1, 1])))
             v = [entry() for _ in range(n)]
             rows = [[rows[r][c] + sign * v[r] * v[c].conj() for c in range(n)] for r in range(n)]
     return ZMat.from_rows(rows)
@@ -212,8 +225,31 @@ def hermitian_blocks(draw):
 def test_elimination_inertia_matches_char_poly_inertia(m):
     """Fraction-free elimination, on a block and through ``inertia``, matches Descartes."""
     want = inertia_from_char_poly(char_poly(m), m.rows)
-    assert _block_inertia(_pairs(m)) == want
+    assert blocks_inertia([_pairs(m)]) == want
     assert inertia(m) == want
+
+
+@generate_only(300)
+@given(st.lists(hermitian_blocks(), min_size=1, max_size=2))
+def test_negative_eigenvalue_test_matches_the_full_count(blocks):
+    """The early-exit test agrees with the whole inertia, and with Descartes block by block."""
+    pairs = [_pairs(m) for m in blocks]
+    want = any(inertia_from_char_poly(char_poly(m), m.rows).n_neg for m in blocks)
+    assert has_negative_eigenvalue(pairs) is want
+    assert (blocks_inertia(pairs).n_neg > 0) is want
+
+
+def test_negative_eigenvalue_test_at_a_stall():
+    """No pivot is negative on these blocks, so the answer comes from the stalled remainder."""
+    # zero diagonal: eigenvalues 1 and -1, no pivot at all
+    assert has_negative_eigenvalue([_pairs(zmat([[0, 1], [1, 0]]))]) is True
+    # a positive pivot, then the remainder [[0, 1], [1, 0]] times the pivot 1
+    assert has_negative_eigenvalue([_pairs(zmat([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))]) is True
+    # V V^dagger of rank 2 stalls after two positive pivots on a zero remainder
+    v = [(GaussInt(1), GaussInt(1)), (GaussInt(0, 1), GaussInt(1)), (GaussInt(0), GaussInt(1))]
+    gram = ZMat.from_rows([[a * c.conj() + b * d.conj() for c, d in v] for a, b in v])
+    assert inertia(gram) == Inertia(0, 1, 2)
+    assert has_negative_eigenvalue([_pairs(gram)]) is False
 
 
 def test_stall_after_negative_pivot_swaps_the_remainder_counts():
@@ -235,7 +271,7 @@ def test_inexact_division_is_an_arithmetic_error():
     # ``inertia`` itself rejects such input before eliminating.
     m = zmat([[2, 1, 1], [0, 1, 0], [1, 0, 0]])
     with pytest.raises(ArithmeticError, match="inexact division"):
-        _block_inertia(_pairs(m))
+        blocks_inertia([_pairs(m)])
     with pytest.raises(SymmetryError):
         inertia(m)
 

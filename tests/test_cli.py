@@ -154,6 +154,17 @@ def test_oversized_fraction_is_parse_error(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+def test_parser_loads_neither_reproduce_nor_presets():
+    """Only ``reproduce`` needs those modules, so the CLI's start-up leaves them out."""
+    code = ("import sys, checkerboard.cli as cli; cli.make_parser(); "
+            "print([m for m in ('checkerboard.reproduce', 'checkerboard.presets') if m in sys.modules])")
+    src = Path(checkerboard.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("text", ["1/2\n", "\u0663/\u0664"])
 def test_loose_fraction_string_is_parse_error(tmp_path, text):
     """A trailing newline or non-ASCII digits exit 2 from certify, as any bad fraction."""

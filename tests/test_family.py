@@ -24,6 +24,7 @@ from checkerboard.family import (
 from checkerboard.charpoly import inertia
 from checkerboard.gaussian import GaussRat, parse_gauss
 from checkerboard.matrices import GMat, integer_lift, rank
+from checkerboard.subfamily import theorem2_from_theorem1
 
 from conftest import small_gauss
 from linalg_reference import column_spans_equal, nullspace_basis
@@ -146,6 +147,30 @@ def test_theorem1_product_is_homogeneous_of_degree_16():
     t1 = theorem1_product(CheckerParams(*letters))
     assert t1 != 0
     assert {sum(monomial) for monomial in t1.monoms()} == {16}
+
+
+def test_theorem_factors_are_homogeneous_of_their_stated_degrees():
+    """Each factor that ``reduce`` gets is homogeneous of the degree it is told.
+
+    ``report.classify`` takes each factor of the lifted w over D^k for the
+    degree k that ``theorem1_product`` and ``theorem2_from_theorem1`` pass
+    with it, which is exact only when every monomial of the factor has
+    degree k.
+    """
+    sympy = pytest.importorskip("sympy")
+    _, *letters = sympy.ring(",".join(PARAM_LETTERS), sympy.ZZ)
+    p = CheckerParams(*letters)
+    seen = []
+
+    def record(z, degree):
+        seen.append(({sum(monomial) for monomial in z.monoms()}, degree))
+        return z
+
+    t1 = theorem1_product(p, record)
+    assert t1 == theorem1_product(p)
+    assert theorem2_from_theorem1(p, t1, record) == theorem2_from_theorem1(p, t1)
+    assert [degree for _, degree in seen] == [2, 2, 4, 8, 5]
+    assert all(monomial_degrees == {degree} for monomial_degrees, degree in seen)
 
 
 def test_theorem1_on_examples():

@@ -1,6 +1,7 @@
 """Byte-identity of the user-visible outputs.
 
-Each case runs one CLI command (or one script) on fixed inputs
+Each case runs one CLI command (or one script) on fixed inputs (the
+presets, or the seeded large-coefficient files under ``golden/inputs/``)
 and compares what it prints, and for ``build`` the dump it writes, with a
 stored file under ``tests/golden/``.  Any change to a certificate, dump,
 CSV or script line shows up here.
@@ -49,6 +50,14 @@ CLI_CASES = {
     "jacobian_full": ["jacobian", "--input", "{full}"],
     "jacobian_ppt": ["jacobian", "--input", "{ppt}"],
     "jacobian_full_odd_minor": ["jacobian", "--input", "{odd_minor}"],
+    # 5-digit numerators and denominators: t1 and t2 run to about 1,200 digits
+    "certify_big_full": ["certify", "--input", "{big_full}"],
+    "certify_big_ppt": ["certify", "--input", "{big_ppt}"],
+    "certify_big_full_witness": ["certify", "--input", "{big_full}", "--witness", "{big_witness}"],
+    "certify_big_ppt_witness": ["certify", "--input", "{big_ppt}", "--witness", "{big_witness}"],
+    "build_big_full": ["build", "--input", "{big_full}", "--out", "{out}"],
+    "build_big_ppt": ["build", "--input", "{big_ppt}", "--witness", "{big_witness}",
+                      "--out", "{out}"],
 }
 # golden file stem: (script under scripts/, its arguments)
 SCRIPT_CASES = {
@@ -72,6 +81,9 @@ def _write_inputs(tmp: Path) -> dict:
         paths[name] = tmp / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
     paths["out"] = tmp / "dump.json"
+    # seeded parameter files kept next to the goldens (seed 17001, 5 digits)
+    for name in ("full", "ppt", "witness"):
+        paths[f"big_{name}"] = GOLDEN / "inputs" / f"bigcoef_{name}.json"
     return {key: str(path) for key, path in paths.items()}
 
 

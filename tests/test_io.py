@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
 
 from checkerboard import presets
-from checkerboard.errors import ParseError
+from checkerboard.errors import ParseError, SingularParameterError
+from checkerboard.family import build_state
 from checkerboard.gaussian import GaussRat
 from checkerboard.io import (
     checker_params_to_doc,
@@ -17,8 +19,10 @@ from checkerboard.io import (
     parse_witness_doc,
     subfamily_params_to_doc,
 )
-from checkerboard.subfamily import BrussPeresParams
-from io_reference import bruss_peres_params_to_doc, parse_matrix_obj, witness_to_doc
+from checkerboard.subfamily import BrussPeresParams, derive_full_params
+from conftest import SIZED_POINTS, generate_only
+from io_reference import bruss_peres_params_to_doc, gmat_to_obj, parse_matrix_obj, witness_to_doc
+from reference import normalized
 
 
 def test_fraction_round_trip():
@@ -138,8 +142,26 @@ def test_witness_doc_rejects():
 
 
 def test_matrix_round_trip():
-    m = presets.ONE_DISTILLABLE_MATRIX
-    assert parse_matrix_obj(matrix_to_obj(m)) == m
+    state = build_state(presets.ONE_DISTILLABLE_PARAMS)
+    assert parse_matrix_obj(matrix_to_obj(state)) == normalized(state)
+
+
+@pytest.mark.parametrize("kind", ["full", "ppt"])
+@pytest.mark.parametrize("size,examples", [("default", 20), ("5-digit", 10), ("20-digit", 3)])
+def test_block_dump_equals_the_9x9_dump(kind, size, examples):
+    """The dump read off the block pair is that of the normalized 9x9 matrix, entry for entry."""
+    @generate_only(examples)
+    @given(SIZED_POINTS[kind][size])
+    def check(params):
+        if kind == "ppt":
+            try:
+                params = derive_full_params(params)
+            except SingularParameterError:
+                assume(False)
+        state = build_state(params)
+        assert matrix_to_obj(state) == gmat_to_obj(normalized(state))
+
+    check()
 
 
 def test_matrix_rejects_ragged():

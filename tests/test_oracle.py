@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference
-from checkerboard import sampling
 from checkerboard.cli import main
 from checkerboard.criteria import WitnessVector
 from checkerboard.errors import CheckerboardError
@@ -27,10 +26,8 @@ from checkerboard.matrices import rank
 from checkerboard.report import classify, format_certificate
 from checkerboard.subfamily import COMPLEX_LETTERS, SubfamilyParams
 from conftest import (
-    big_fractions,
-    big_gauss,
+    SIZED_POINTS,
     checker_points,
-    digit_fractions,
     nonzero_gauss,
     single_nonzero_points,
     small_fractions,
@@ -39,9 +36,6 @@ from conftest import (
     subfamily_points,
 )
 
-seeds = st.integers(0, 2**32 - 1)
-digits5 = digit_fractions(5)
-gauss5 = st.builds(GaussRat, digits5, digits5)
 witnesses = st.lists(small_gauss, min_size=9, max_size=9).filter(any).map(
     WitnessVector.from_components)
 
@@ -54,17 +48,13 @@ def _single_nonzero_subfamily(key, value):
 
 
 FULL = {
-    "default": seeds.map(lambda seed: sampling.random_checker_params(sampling.rng_for(seed))),
-    "5-digit": checker_points(gauss5),
-    "20-digit": checker_points(big_gauss),
+    **SIZED_POINTS["full"],
     "sparse": checker_points(sparse_gauss),
     "single-nonzero": single_nonzero_points,
 }
 
 PPT = {
-    "default": seeds.map(lambda seed: sampling.draw_subfamily_params(sampling.rng_for(seed))),
-    "5-digit": subfamily_points(digits5, gauss5, gauss5),
-    "20-digit": subfamily_points(big_fractions, big_gauss, big_gauss),
+    **SIZED_POINTS["ppt"],
     "sparse": subfamily_points(st.just(Fraction(0)) | small_fractions, sparse_gauss),
     # the completion divides by a, b and f, so these points are all rejected
     "single-nonzero": st.one_of(
@@ -88,7 +78,7 @@ def assert_matches_reference(kind, params, witness):
     assert (rec.kind, rec.params) == (ref.kind, ref.params)
     assert rec.state.unnormalized == ref.state.unnormalized
     assert rec.state.normalizer == ref.state.normalizer
-    assert rec.state.normalized() == ref.state.normalized()
+    assert reference.normalized(rec.state) == ref.state.normalized()
     assert rec.rank == rank(ref.state.unnormalized)
     assert (rec.t1, rec.t2) == (ref.t1, ref.t2)
     assert (rec.ppt, rec.inertia, rec.pd_gamma) == (ref.ppt, ref.inertia, ref.pd_gamma)

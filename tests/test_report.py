@@ -8,14 +8,17 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
 
 from checkerboard import presets, reproduce, sampling
 from checkerboard.cli import main
 from checkerboard.criteria import is_ppt, partial_transpose_matrix, reduction_criterion
+from checkerboard.errors import SingularParameterError
 from checkerboard.family import build_state, theorem1_product
 from checkerboard.io import checker_params_to_doc, subfamily_params_to_doc
 from checkerboard.report import build_certificate, classify
-from checkerboard.subfamily import theorem2_product
+from checkerboard.subfamily import derive_full_params, theorem2_from_theorem1, theorem2_product
+from conftest import SIZED_POINTS, generate_only
 from io_reference import witness_to_doc
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scan_pd_gamma.py"
@@ -120,6 +123,25 @@ def test_classify_agrees_with_the_criteria():
             assert rec.reduction_violated == reduction_criterion(state)
             assert rec.t1 == theorem1_product(full)
             assert rec.t2 == (theorem2_product(sp) if kind == "ppt" else None)
+
+
+@pytest.mark.parametrize("kind", ["full", "ppt"])
+@pytest.mark.parametrize("size,examples", [("default", 20), ("5-digit", 10), ("20-digit", 2)])
+def test_t1_and_t2_from_reduced_factors_equal_the_products(kind, size, examples):
+    """classify's factor-by-factor t1 and t2 equal the products on the GaussRat parameters."""
+    @generate_only(examples)
+    @given(SIZED_POINTS[kind][size])
+    def check(params):
+        try:
+            rec = classify(kind, params)
+        except SingularParameterError:
+            assume(False)
+        full = derive_full_params(params) if kind == "ppt" else params
+        t1 = theorem1_product(full)
+        assert rec.t1 == t1
+        assert rec.t2 == (theorem2_from_theorem1(full, t1) if kind == "ppt" else None)
+
+    check()
 
 
 def test_reduction_criterion_runs_only_on_npt_states(monkeypatch, capsys):
