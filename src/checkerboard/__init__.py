@@ -2,14 +2,13 @@
 
 from .charpoly import Inertia, char_poly, inertia
 from .criteria import (
-    ProductVector,
     RangeCertificate,
     WitnessVector,
     is_ppt,
     partial_transpose_matrix,
+    range_has_no_product_vector,
     reduction_criterion,
     schmidt_rank,
-    search_product_vector_numeric,
     witness_expectation,
 )
 from .counting import (

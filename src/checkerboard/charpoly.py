@@ -51,14 +51,6 @@ class Inertia:
     n_zero: int
     n_pos: int
 
-    def dim(self) -> int:
-        return self.n_neg + self.n_zero + self.n_pos
-
-    def __add__(self, other: "Inertia") -> "Inertia":
-        """The counts of a direct sum."""
-        return Inertia(self.n_neg + other.n_neg, self.n_zero + other.n_zero,
-                       self.n_pos + other.n_pos)
-
 
 # ---------------------------------------------------------------------------
 # Characteristic polynomial via the Faddeev-LeVerrier recursion on a

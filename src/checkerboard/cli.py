@@ -2,9 +2,8 @@
 
 Subcommands: build, certify, reproduce, scan, embed-bp, jacobian.
 Exit codes: 0 success, 1 golden mismatch, 2 parse error, 3 singular
-parameters, 4 internal error (traceback on stderr).  All exact values in
-the output are fraction strings; the only floating-point fields are
-prefixed "numeric_".
+parameters, 4 internal error (traceback on stderr).  Every value in the
+output is exact: fractions are printed as strings, never as floats.
 """
 
 from __future__ import annotations
@@ -44,8 +43,11 @@ def _dump(doc) -> str:
 def _write(text: str, path=None) -> None:
     """Write ``text`` to ``path``, or to stdout when no path is given."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

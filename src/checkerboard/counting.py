@@ -49,7 +49,7 @@ from .errors import SingularParameterError
 from .family import BLOCK_POSITIONS, BLOCK_ROWS, CheckerParams, PARAM_LETTERS, placed_vectors
 from .gaussian import GaussRat, lift_to_integers
 from .jets import SplitJet, jet_complex_var, jet_real_var
-from .matrices import GMat, primes, rank, rank_mod_p, split_residue
+from .matrices import PRIME_BUDGET, GMat, primes, rank, rank_mod_p, split_residue
 from .subfamily import COMPLEX_LETTERS, SubfamilyParams, complete_parameters, derive_full_params
 
 PSI_SLOTS = 36
@@ -58,11 +58,6 @@ LAMBDA_SLOTS = 23
 LAMBDA_COORDS = 41
 LAMBDA_COLUMNS = 13
 LAMBDA_SLOT_ORDER = ("t", "x", "y") + tuple(COMPLEX_LETTERS)
-# The most primes one lambda rank walks before the exact elimination.  A
-# usable prime settles the rank or, with a second one, hands it to the
-# exact elimination, so this bounds only the primes skipped because they
-# divide a denominator, a nonzero part or a completion divisor.
-PRIME_BUDGET = 64
 
 # The two letters placed at each basis position (one per vector of its
 # sublattice, in vector order) and the real slot of each letter.

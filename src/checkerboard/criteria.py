@@ -1,43 +1,32 @@
 """Entanglement and distillability criteria for the constructed states.
 
-Everything except ``search_product_vector_numeric`` is exact.  The criteria
-on a state read its block pair D^2 N rho: rho^Gamma (``StateMatrix.gamma``)
-and both reduction matrices are block pairs of the same scale, read off it
-through index maps fixed at import, and their inertia is that of the
-normalized matrices.  The numeric search is a floating-point oracle used
-to cross-check the exact range certificate; it never overrides it.
+Every criterion is exact.  The criteria on a state read its block pair
+D^2 N rho: rho^Gamma (``StateMatrix.gamma``) and both reduction matrices
+are block pairs of the same scale, read off it through index maps fixed
+at import, and their inertia is that of the normalized matrices.  The
+range criterion has two certificates: the genericity product of Theorem 1
+(``range_certificate``), and a test of the range itself
+(``range_has_no_product_vector``) that decides, mod one prime, whether
+the span of the four generating vectors holds a product vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from itertools import combinations, combinations_with_replacement, islice, product
+from typing import Sequence
 
 from .charpoly import blocks_inertia, has_negative_eigenvalue
-from .errors import CheckerboardError, DegenerateStateError, DimensionError
+from .errors import DegenerateStateError, DimensionError
 from .family import BLOCK_POSITIONS, CheckerParams, StateMatrix, block_map, map_blocks, placed_vectors
 from .gaussian import GaussInt, GaussRat, lift_to_integers
-from .matrices import GMat, rank
+from .matrices import PRIME_BUDGET, GMat, primes, rank, rank_mod_p, split_residue
 
 
 class RangeCertificate(Enum):
     NO_PRODUCT_VECTOR = "no_product_vector"
     UNDECIDED = "undecided"
-
-
-@dataclass(frozen=True)
-class ProductVector:
-    """A product vector factor_a (x) factor_b in the fixed basis ordering.
-
-    Produced by the numeric search, so the factors are floating complex;
-    ``residual`` is the squared distance of the (unit) product vector from
-    the range of the state.
-    """
-
-    factor_a: tuple
-    factor_b: tuple
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -151,63 +140,57 @@ def range_certificate(t1: GaussRat) -> RangeCertificate:
     return RangeCertificate.NO_PRODUCT_VECTOR if t1 else RangeCertificate.UNDECIDED
 
 
-_SEESAW_ITERATIONS = 50
+# Monomials in lambda_1..lambda_4 as sorted index tuples: the 20 cubics, and
+# the column of each of the 56 quintics.
+_CUBICS = tuple(combinations_with_replacement(range(4), 3))
+_QUINTIC_COLUMN = {m: k for k, m in enumerate(combinations_with_replacement(range(4), 5))}
 
 
-def search_product_vector_numeric(
-    p: CheckerParams,
-    attempts: int = 200,
-    tolerance: float = 1e-8,
-    seed: int = 0,
-) -> Optional[ProductVector]:
-    """Multi-start alternating minimization of the residual of product vectors.
+def range_has_no_product_vector(p: CheckerParams) -> bool:
+    """True when the span of the four generating vectors holds no nonzero product vector.
 
-    Minimizes || (1 - P) (alpha (x) delta) ||^2 over unit product vectors,
-    where P projects onto the span of the four generating vectors.  For a
-    fixed factor the residual is a 3x3 Hermitian quadratic form, so each
-    half-step is an exact smallest-eigenvector update.  Deterministic for
-    a given seed; attempts are merged by smallest residual with ties going
-    to the lowest attempt index.
+    A vector sum_k lambda_k v_k is a product vector exactly when its 3x3
+    reshaping M(lambda), M[i][j] = sum_k lambda_k v_k[3i+j], has rank 1,
+    that is when it is nonzero and its nine 2x2 minors vanish.  The minors
+    are quadrics in lambda.  Each is multiplied by the 20 cubic monomials,
+    giving 180 rows over the 56 quintic monomials, and the rows are mapped
+    by phi: i -> iota into F_p (``split_residue``) at the first (p, iota)
+    of ``primes()``, within PRIME_BUDGET, where p divides no denominator.
+
+    Rank 56 is a proof.  phi is a ring map, so a 56x56 minor of the rows
+    that is nonzero mod p is nonzero, and the rows have rank 56 over the
+    Gaussian rationals too.  So every quintic monomial lies in the ideal
+    of the minors, lambda_k^5 among them, and the minors have no common
+    zero but lambda = 0.  A product vector in the span would be such a zero:
+    lambda != 0 because the vector is nonzero, and every minor vanishes
+    because M(lambda) has rank 1.  Any other rank, or no usable prime, is
+    undecided and gives False.  Over the Gaussian rationals the converse
+    holds too: minors with no common nonzero zero generate an ideal that
+    holds a regular sequence of four quadrics, whose quotient ring is 0
+    from degree 5 on.  So only a prime that lowers the rank leaves such a
+    range undecided.
     """
-    import numpy as np  # only this floating-point oracle needs numpy
-
-    if attempts < 1:
-        raise CheckerboardError("attempts must be >= 1")
-    cols = np.zeros((9, 4), dtype=complex)
-    for ci, vec in enumerate(placed_vectors(p.as_dict())):
-        for pos, val in vec:
-            cols[pos, ci] = complex(val)
-    u, sing, _ = np.linalg.svd(cols, full_matrices=False)
-    ncols = int((sing > 1e-12 * max(1.0, sing[0])).sum()) if sing.size else 0
-    if ncols == 0:
-        return None
-    basis = u[:, :ncols]
-    K = np.eye(9) - basis @ basis.conj().T
-    Kr = K.reshape(3, 3, 3, 3)
-
-    rng = np.random.default_rng(seed)
-    alpha = rng.standard_normal((attempts, 3)) + 1j * rng.standard_normal((attempts, 3))
-    delta = rng.standard_normal((attempts, 3)) + 1j * rng.standard_normal((attempts, 3))
-    alpha /= np.linalg.norm(alpha, axis=1, keepdims=True)
-    delta /= np.linalg.norm(delta, axis=1, keepdims=True)
-
-    for _ in range(_SEESAW_ITERATIONS):
-        qa = np.einsum("aj,ijkl,al->aik", delta.conj(), Kr, delta)
-        qa = (qa + qa.conj().transpose(0, 2, 1)) / 2
-        _, vecs_a = np.linalg.eigh(qa)
-        alpha = vecs_a[:, :, 0]
-        qb = np.einsum("ai,ijkl,ak->ajl", alpha.conj(), Kr, alpha)
-        qb = (qb + qb.conj().transpose(0, 2, 1)) / 2
-        _, vecs_b = np.linalg.eigh(qb)
-        delta = vecs_b[:, :, 0]
-
-    prods = np.einsum("ai,aj->aij", alpha, delta).reshape(attempts, 9)
-    residuals = np.real(np.einsum("ar,rc,ac->a", prods.conj(), K, prods))
-    best = int(np.argmin(residuals))
-    if residuals[best] < tolerance:
-        return ProductVector(
-            factor_a=tuple(alpha[best]),
-            factor_b=tuple(delta[best]),
-            residual=float(max(residuals[best], 0.0)),
-        )
-    return None
+    values = p.as_dict()
+    for prime, iota in islice(primes(), PRIME_BUDGET):
+        if all(z.d % prime for z in values.values()):
+            break
+    else:
+        return False
+    forms = [[0] * 4 for _ in range(9)]  # forms[3i+j][k]: phi(v_k[3i+j])
+    for k, vec in enumerate(placed_vectors(values)):
+        for pos, z in vec:
+            forms[pos][k] = split_residue(z, prime, iota)[0]
+    rows = []
+    for (i1, i2), (j1, j2) in product(combinations(range(3), 2), repeat=2):
+        a, b = forms[3 * i1 + j1], forms[3 * i2 + j2]
+        c, d = forms[3 * i1 + j2], forms[3 * i2 + j1]
+        quadric = {}  # (k, l) with k <= l: the coefficient of lambda_k lambda_l
+        for k, l in product(range(4), repeat=2):
+            key = (min(k, l), max(k, l))
+            quadric[key] = quadric.get(key, 0) + a[k] * b[l] - c[k] * d[l]
+        for cubic in _CUBICS:
+            row = [0] * len(_QUINTIC_COLUMN)
+            for pair, x in quadric.items():
+                row[_QUINTIC_COLUMN[tuple(sorted(pair + cubic))]] += x
+            rows.append(row)
+    return rank_mod_p(rows, prime) == len(_QUINTIC_COLUMN)

@@ -11,7 +11,8 @@ The modular helpers work over F_p for the primes p = 1 mod 4 from
 a ring map onto F_p from the Gaussian rationals whose denominators p
 does not divide (``split_residue``), so the ``rank_mod_p`` of phi(M) is
 a proven lower bound of the rank of M; ``counting`` uses it to certify
-the subfamily's Jacobian rank and falls back to ``rank`` otherwise.
+the subfamily's Jacobian rank and falls back to ``rank`` otherwise, and
+``criteria`` to certify that a range holds no product vector.
 """
 
 from __future__ import annotations
@@ -240,6 +241,10 @@ def rank(m: GMat) -> int:
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # (p, iota) for p = 2^61 - 31, whose least non-residue is 7: iota = 7^((p - 1)/4).
 _PRIMES = [((1 << 61) - 31, 583529827753931384)]
+# The most primes one modular certificate walks.  A usable prime settles
+# the question or hands it on, so this bounds only the primes skipped
+# because they divide a denominator, a nonzero part or a divisor.
+PRIME_BUDGET = 64
 
 
 def is_prime(n: int) -> bool:

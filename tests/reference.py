@@ -11,6 +11,11 @@ certificate formatted from it (tests/test_oracle.py).
 became one Gaussian-integer numerator over one denominator: a pair of
 Fractions, unchanged apart from its name.  tests/test_gaussian.py checks
 every operation of ``GaussRat`` against it.
+
+``search_product_vector_numeric`` is the floating-point seesaw search for
+product vectors in the range that the package ran before its exact range
+test, unchanged; tests/test_criteria.py checks the exact verdicts against
+it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Optional
 
 from checkerboard.charpoly import Inertia, inertia_from_char_poly
 from checkerboard.criteria import WitnessVector, range_certificate, schmidt_rank
-from checkerboard.errors import DegenerateStateError, DimensionError
+from checkerboard.errors import CheckerboardError, DegenerateStateError, DimensionError
 from checkerboard.family import (
     CheckerParams,
     ZERO,
@@ -408,6 +413,86 @@ def witness_expectation(s: StateMatrix, w: WitnessVector) -> GaussRat:
             if w.components[c]:
                 acc = acc + wr * m[r - r % 3 + c % 3, c - c % 3 + r % 3] * w.components[c]
     return acc / GaussRat(s.normalizer)
+
+
+# The floating-point product-vector search the package used before
+# ``criteria.range_has_no_product_vector``.
+
+
+@dataclass(frozen=True)
+class ProductVector:
+    """A product vector factor_a (x) factor_b in the fixed basis ordering.
+
+    Produced by the numeric search, so the factors are floating complex;
+    ``residual`` is the squared distance of the (unit) product vector from
+    the range of the state.
+    """
+
+    factor_a: tuple
+    factor_b: tuple
+    residual: float
+
+
+_SEESAW_ITERATIONS = 50
+
+
+def search_product_vector_numeric(
+    p: CheckerParams,
+    attempts: int = 200,
+    tolerance: float = 1e-8,
+    seed: int = 0,
+) -> Optional[ProductVector]:
+    """Multi-start alternating minimization of the residual of product vectors.
+
+    Minimizes || (1 - P) (alpha (x) delta) ||^2 over unit product vectors,
+    where P projects onto the span of the four generating vectors.  For a
+    fixed factor the residual is a 3x3 Hermitian quadratic form, so each
+    half-step is an exact smallest-eigenvector update.  Deterministic for
+    a given seed; attempts are merged by smallest residual with ties going
+    to the lowest attempt index.
+    """
+    import numpy as np  # only this floating-point oracle needs numpy
+
+    if attempts < 1:
+        raise CheckerboardError("attempts must be >= 1")
+    cols = np.zeros((9, 4), dtype=complex)
+    for ci, vec in enumerate(placed_vectors(p.as_dict())):
+        for pos, val in vec:
+            cols[pos, ci] = complex(val)
+    u, sing, _ = np.linalg.svd(cols, full_matrices=False)
+    ncols = int((sing > 1e-12 * max(1.0, sing[0])).sum()) if sing.size else 0
+    if ncols == 0:
+        return None
+    basis = u[:, :ncols]
+    K = np.eye(9) - basis @ basis.conj().T
+    Kr = K.reshape(3, 3, 3, 3)
+
+    rng = np.random.default_rng(seed)
+    alpha = rng.standard_normal((attempts, 3)) + 1j * rng.standard_normal((attempts, 3))
+    delta = rng.standard_normal((attempts, 3)) + 1j * rng.standard_normal((attempts, 3))
+    alpha /= np.linalg.norm(alpha, axis=1, keepdims=True)
+    delta /= np.linalg.norm(delta, axis=1, keepdims=True)
+
+    for _ in range(_SEESAW_ITERATIONS):
+        qa = np.einsum("aj,ijkl,al->aik", delta.conj(), Kr, delta)
+        qa = (qa + qa.conj().transpose(0, 2, 1)) / 2
+        _, vecs_a = np.linalg.eigh(qa)
+        alpha = vecs_a[:, :, 0]
+        qb = np.einsum("ai,ijkl,ak->ajl", alpha.conj(), Kr, alpha)
+        qb = (qb + qb.conj().transpose(0, 2, 1)) / 2
+        _, vecs_b = np.linalg.eigh(qb)
+        delta = vecs_b[:, :, 0]
+
+    prods = np.einsum("ai,aj->aij", alpha, delta).reshape(attempts, 9)
+    residuals = np.real(np.einsum("ar,rc,ac->a", prods.conj(), K, prods))
+    best = int(np.argmin(residuals))
+    if residuals[best] < tolerance:
+        return ProductVector(
+            factor_a=tuple(alpha[best]),
+            factor_b=tuple(delta[best]),
+            residual=float(max(residuals[best], 0.0)),
+        )
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,39 @@ def test_parser_loads_neither_reproduce_nor_presets():
     assert proc.stdout == "[]\n"
 
 
+def test_reproduce_runs_without_numpy():
+    """No golden item needs numpy: with its import blocked, reproduce still passes."""
+    code = ("import runpy, sys; sys.modules['numpy'] = None; "
+            "sys.argv = ['checkerboard', 'reproduce']; "
+            "runpy.run_module('checkerboard.cli', run_name='__main__')")
+    src = Path(checkerboard.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("ALL PASS\n")
+
+
+@pytest.mark.parametrize("command", ["scan", "build"])
+def test_unwritable_out_is_parse_error(tmp_path, command):
+    """An --out that names a directory, or a file in a missing directory, exits 2 without a traceback."""
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(checker_params_to_doc(presets.ONE_DISTILLABLE_PARAMS)))
+    if command == "scan":
+        out = tmp_path
+        argv = ["scan", "--family", "full", "--samples", "2", "--out", str(out)]
+    else:
+        out = tmp_path / "missing" / "x.json"
+        argv = ["build", "--input", str(params), "--out", str(out)]
+    src = Path(checkerboard.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "checkerboard.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot write {out}")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("text", ["1/2\n", "\u0663/\u0664"])
 def test_loose_fraction_string_is_parse_error(tmp_path, text):
     """A trailing newline or non-ASCII digits exit 2 from certify, as any bad fraction."""

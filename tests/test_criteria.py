@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -12,32 +14,38 @@ from checkerboard.criteria import (
     is_ppt,
     partial_transpose_matrix,
     range_certificate,
+    range_has_no_product_vector,
     reduction_criterion,
     reduction_matrices,
     schmidt_rank,
-    search_product_vector_numeric,
     witness_expectation,
 )
 from checkerboard.errors import DegenerateStateError, SingularParameterError
 from checkerboard.family import (
     CheckerParams,
+    PARAM_LETTERS,
     StateMatrix,
     build_state,
+    build_vectors,
     outer_sum_entries,
     placed_vectors,
+    theorem1_generic,
     theorem1_product,
 )
 from checkerboard.gaussian import GaussInt, GaussRat
-from checkerboard.matrices import GMat, ZMat, integer_lift, kron
+from checkerboard.matrices import GMat, ZMat, integer_lift, kron, rank
 from checkerboard.subfamily import derive_full_params
 
-from reference import normalized
+from reference import normalized, search_product_vector_numeric
 from conftest import (
+    SIZED_POINTS,
     big_fractions,
     big_gauss,
     checker_points,
     gauss_matrix,
+    generate_only,
     hermitian_matrix,
+    nonzero_gauss,
     small_fractions,
     sparse_gauss,
     subfamily_points,
@@ -281,6 +289,124 @@ def test_numeric_search_consistent_with_certificate_on_100_samples():
                 break
         hit = search_product_vector_numeric(p, attempts=40, tolerance=1e-8, seed=idx)
         assert hit is None
+
+
+def _sized_full_point(family, point):
+    """The 18 letters of a drawn point; a ppt point whose completion is singular is assumed away."""
+    if family == "full":
+        return point
+    try:
+        return derive_full_params(point)
+    except SingularParameterError:
+        assume(False)
+
+
+@pytest.mark.parametrize("size", ["default", "5-digit", "20-digit"])
+@pytest.mark.parametrize("family", ["full", "ppt"])
+def test_range_test_certifies_every_point_with_nonzero_t1(family, size):
+    """Theorem 1: t1 != 0 leaves no product vector in the range, and one prime proves it."""
+    @generate_only(10)
+    @given(SIZED_POINTS[family][size])
+    def check(point):
+        p = _sized_full_point(family, point)
+        assume(theorem1_product(p))
+        assert range_has_no_product_vector(p)
+
+    check()
+
+
+@pytest.mark.parametrize("size", ["default", "5-digit", "20-digit"])
+def test_range_test_never_certifies_a_span_holding_a_product_vector(size):
+    """v2 = f|10>, or v1 + v3 = (a0|0> + a2|2>)(b0|0> + b2|2>), with the other letters generic."""
+    @generate_only(10)
+    @given(SIZED_POINTS["full"][size], st.tuples(*[nonzero_gauss] * 4))
+    def check(p, factors):
+        zero = GaussRat(0)
+        assert not range_has_no_product_vector(replace(p, g=zero, h=zero, i=zero))
+        a0, a2, b0, b2 = factors
+        q = replace(p, j=a0 * b0 - p.a, k=a2 * b0 - p.b, l=-p.c, m=a0 * b2 - p.d, n=a2 * b2 - p.e)
+        assert not range_has_no_product_vector(q)
+
+    check()
+
+
+# The letters zeroed in a generic point: one generating vector left on two
+# basis positions.  Where those positions share no row and no column, the
+# vector has rank 2 on one 2x2 sub-block, whose minor alone is nonzero on
+# it; the five sub-blocks whose row pair and column pair differ by the same
+# parity are each hit twice.  Where they share one, the vector is a product.
+RANGE_POINT_ZEROS = {
+    "v1 = a|00> + c|11>": "bde", "v2 = g|01> + f|10>": "hi",
+    "v1 = d|02> + c|11>": "abe", "v2 = g|01> + i|12>": "fh",
+    "v1 = b|20> + c|11>": "ade", "v2 = f|10> + h|21>": "gi",
+    "v1 = c|11> + e|22>": "abd", "v2 = i|12> + h|21>": "fg",
+    "v1 = a|00> + e|22>": "bcd", "v1 = d|02> + b|20>": "ace",
+    "v2 = f|10>": "ghi", "v2 = f|10> + i|12>": "gh", "v3 = j|00> + k|20>": "lmn",
+}
+
+
+def _range_point(name):
+    presets_by_name = {"first example": presets.REDUCTION_VIOLATING_PARAMS,
+                       "second example": presets.ONE_DISTILLABLE_PARAMS,
+                       "single letter": CheckerParams(a=GaussRat(2, 1))}
+    if name in presets_by_name:
+        return presets_by_name[name]
+    generic = sampling.random_checker_params(sampling.rng_for(9, 0))
+    return replace(generic, **dict.fromkeys(RANGE_POINT_ZEROS[name], GaussRat(0)))
+
+
+@pytest.mark.parametrize("name", ["first example", "second example", "single letter",
+                                  *RANGE_POINT_ZEROS])
+def test_range_test_agrees_with_a_groebner_basis(name):
+    """Certified exactly where the nine minors have no common zero but 0 over QQ_I.
+
+    The minors are homogeneous, so their zero set is a cone, and it is {0}
+    exactly when the ideal is zero-dimensional.
+    """
+    sympy = pytest.importorskip("sympy")
+    p = _range_point(name)
+    lams = sympy.symbols("l1:5")
+    m = sympy.zeros(3, 3)
+    for lam, vec in zip(lams, placed_vectors(p.as_dict())):
+        for pos, z in vec:
+            m[pos // 3, pos % 3] += lam * (sympy.Rational(z.re) + sympy.I * sympy.Rational(z.im))
+    minors = [sympy.expand(m.extract(list(rows), list(cols)).det())
+              for rows, cols in product(combinations(range(3), 2), repeat=2)]
+    basis = sympy.groebner(minors, *lams, order="grevlex", domain=sympy.QQ_I)
+    assert range_has_no_product_vector(p) == basis.is_zero_dimensional
+
+
+def test_numeric_oracle_agrees_with_reproduce_item13():
+    """The seesaw search, run as item 13 once ran it, agrees with its exact verdicts.
+
+    Every certified-generic point is certified by the range test and the
+    search finds nothing; at every single-letter point the search finds a
+    product vector and the basis vector at the letter's position is in the
+    range.
+    """
+    from checkerboard.reproduce import SEED_NUMERIC
+
+    for idx in range(20):
+        rng = sampling.rng_for(SEED_NUMERIC, idx)
+        while True:
+            p = sampling.random_checker_params(rng)
+            if theorem1_generic(p):
+                break
+        assert range_has_no_product_vector(p)
+        assert search_product_vector_numeric(p, attempts=200, tolerance=1e-8,
+                                             seed=SEED_NUMERIC + idx) is None
+    position = {ch: pos for vec in placed_vectors({ch: ch for ch in PARAM_LETTERS})
+                for pos, ch in vec}
+    for idx in range(20):
+        rng = sampling.rng_for(SEED_NUMERIC, 1000 + idx)
+        letter = PARAM_LETTERS[idx % len(PARAM_LETTERS)]
+        p = CheckerParams.from_dict({letter: sampling.random_nonzero_gauss(rng)})
+        vecs = build_vectors(p)
+        basis = tuple(GaussRat(int(k == position[letter])) for k in range(9))
+        assert rank(GMat.from_rows(vecs + (basis,))) == rank(GMat.from_rows(vecs))
+        assert not range_has_no_product_vector(p)
+        assert search_product_vector_numeric(p, attempts=200, tolerance=1e-8,
+                                             seed=SEED_NUMERIC + 1000 + idx) is not None
 
 
 def test_fixed_point_states_satisfy_all_criteria_on_100_samples():

@@ -58,6 +58,7 @@ CLI_CASES = {
     "build_big_full": ["build", "--input", "{big_full}", "--out", "{out}"],
     "build_big_ppt": ["build", "--input", "{big_ppt}", "--witness", "{big_witness}",
                       "--out", "{out}"],
+    "reproduce": ["reproduce"],
 }
 # golden file stem: (script under scripts/, its arguments)
 SCRIPT_CASES = {
