@@ -1,6 +1,6 @@
 """Exact construction and certification of checkerboard two-qutrit states."""
 
-from .charpoly import Inertia, char_poly, inertia
+from .charpoly import Inertia, char_poly
 from .criteria import (
     RangeCertificate,
     WitnessVector,
@@ -21,7 +21,6 @@ from .errors import (
     DegenerateStateError,
     DimensionError,
     ParseError,
-    PatternError,
     SingularParameterError,
     SymmetryError,
 )
@@ -31,25 +30,20 @@ from .family import (
     StateMatrix,
     build_state,
     build_vectors,
-    checkerboard_split,
     lambda_mu,
     prime_block_null_basis,
     quad_form_F,
     state_rank,
-    theorem1_generic,
     theorem1_product,
 )
 from .gaussian import GaussInt, GaussRat, lift_to_integers, parse_gauss
-from .jets import Jet, jet_complex_var, jet_const, jet_rank, jet_real_var
-from .matrices import GMat, ZMat, det, integer_lift, kron, rank
+from .jets import Jet, jet_complex_var, jet_rank, jet_real_var
+from .matrices import GMat, ZMat, det, kron, rank
 from .subfamily import (
     BrussPeresParams,
     SubfamilyParams,
     bruss_peres_embed,
     derive_full_params,
-    fixed_point_conditions,
-    fixed_point_defects,
-    theorem2_generic,
     theorem2_product,
 )
 

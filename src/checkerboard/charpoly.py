@@ -1,11 +1,12 @@
 """Integer characteristic polynomials, determinants and exact eigenvalue sign counts.
 
-Every matrix here is Hermitian with Gaussian-integer entries: a ``ZMat``,
-or a block given as rows of (re, im) int pairs.  The characteristic
+Every matrix here is Hermitian with Gaussian-integer entries, a block
+of one of the block pairs of ``family``: rows of (re, im) int pairs, or
+a ``ZMat`` of GaussInts for ``char_poly``.  The characteristic
 polynomial of such a matrix has integer coefficients; it gives the
-determinant, (-1)^n times its constant term, and an inertia read off by
-Descartes' rule of signs, which is exact because the polynomial has only
-real roots.
+determinant, (-1)^n times its constant term (``matrices.det``), and an
+inertia read off by Descartes' rule of signs, which is exact because the
+polynomial has only real roots.
 
 Classification hands ``blocks_inertia`` (or ``has_negative_eigenvalue``)
 the 4x4 and 5x5 blocks of every matrix it tests: a checkerboard state,
@@ -19,7 +20,6 @@ nonzero diagonal entry remains, the remaining entries are the last minor
 times the Schur complement, whose inertia adds to that of the pivots
 (Haynsworth); the characteristic polynomial finishes that stalled
 remainder, so no 2x2 pivots are needed.
-``inertia`` counts any Hermitian ``ZMat`` as one block.
 
 The reduction criterion needs only whether a block pair has a negative
 eigenvalue, so ``has_negative_eigenvalue`` stops at the first negative
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 
-from .errors import DimensionError
 from .gaussian import GaussInt
 from .matrices import ZMat, require_hermitian
 
@@ -236,11 +235,3 @@ def has_negative_eigenvalue(blocks) -> bool:
     negative pivot is counted in full, stalled remainder included.
     """
     return any(neg for blk in blocks for neg, _, _ in _inertia_parts(blk))
-
-
-def inertia(m: ZMat) -> Inertia:
-    """Exact (negative, zero, positive) eigenvalue counts of a Hermitian matrix, as one block."""
-    if not m.is_square():
-        raise DimensionError("inertia of non-square matrix")
-    require_hermitian(m, "inertia input")
-    return blocks_inertia([[[(z.re, z.im) for z in m.row(r)] for r in range(m.rows)]])

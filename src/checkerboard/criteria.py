@@ -8,6 +8,10 @@ range criterion has two certificates: the genericity product of Theorem 1
 (``range_certificate``), and a test of the range itself
 (``range_has_no_product_vector``) that decides, mod one prime, whether
 the span of the four generating vectors holds a product vector.
+
+``partial_transpose_matrix`` is the 9x9 definition of rho^Gamma.  No
+command calls it, since every state is a block pair; the tests check the
+block maps against it, and the benchmark's layer table still names it.
 """
 
 from __future__ import annotations

@@ -13,10 +13,6 @@ class SymmetryError(CheckerboardError):
     """An operation requiring a Hermitian matrix received a non-Hermitian one."""
 
 
-class PatternError(CheckerboardError):
-    """A matrix expected to have the checkerboard zero pattern does not."""
-
-
 class DegenerateStateError(CheckerboardError):
     """State construction received data that cannot yield a trace-one state."""
 

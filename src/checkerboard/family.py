@@ -13,9 +13,11 @@ generating vectors live on complementary sublattices of that ordering,
 With this ordering the unnormalized state sum |v><v| vanishes at every
 entry whose index sum is odd (the checkerboard pattern), and restricting
 to the odd and even sublattices in their natural order yields the 4x4 and
-5x5 blocks used throughout the package.  A ``StateMatrix`` is stored as
-that block pair; rho^Gamma and the reduction matrices are block pairs too,
-read off it through index maps (``block_map``) built once at import.
+5x5 blocks used throughout the package.  A ``StateMatrix`` is that block
+pair and nothing else; rho^Gamma and the reduction matrices are block
+pairs too, read off it through index maps (``block_map``) built once at
+import.  No 9x9 matrix is built: every command, ``reproduce`` included,
+reads the blocks.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DegenerateStateError, PatternError
-from .gaussian import GaussInt, GaussRat, ZERO, conj, lift_to_integers
-from .matrices import GMat, ZMat
+from .errors import DegenerateStateError
+from .gaussian import GaussRat, ZERO, conj, lift_to_integers
+from .matrices import GMat
 
 PARAM_LETTERS = "abcdefghijklmnpqrs"  # the letter "o" is unused
 
@@ -39,7 +41,6 @@ _VECTOR_SLOTS = (
 
 ODD_POSITIONS = (1, 3, 5, 7)
 EVEN_POSITIONS = (0, 2, 4, 6, 8)
-SPLIT_PERMUTATION = ODD_POSITIONS + EVEN_POSITIONS
 
 
 @dataclass(frozen=True)
@@ -155,20 +156,11 @@ class StateMatrix:
 
     The blocks are rows of (re, im) int pairs, and every other entry is
     zero.  ``build_state`` gives the blocks V V* of the lifted generator
-    rows with scale D^2; ``StateMatrix.from_grid(*integer_lift(m))`` holds
-    any checkerboard N*rho m.  Every sign fact is read off the blocks.
+    rows with scale D^2.  Every sign fact is read off the blocks.
     """
 
     blocks: tuple
     scale: int
-
-    @classmethod
-    def from_grid(cls, grid: ZMat, scale: int) -> "StateMatrix":
-        """The state of a 9x9 integer grid D^2 N rho with the checkerboard pattern."""
-        if not has_checkerboard_pattern(grid):
-            raise PatternError("matrix does not have the checkerboard zero pattern")
-        return cls(tuple(tuple(tuple((grid[r, c].re, grid[r, c].im) for c in pos) for r in pos)
-                         for pos in BLOCK_POSITIONS), scale)
 
     @property
     def trace(self) -> int:
@@ -180,25 +172,10 @@ class StateMatrix:
         """The blocks of D^2 N rho^Gamma, built once per state."""
         return partial_transpose_blocks(self.blocks)
 
-    @cached_property
-    def grid(self) -> ZMat:
-        """D^2 N rho as a 9x9 integer grid, zero outside the blocks."""
-        data = [GaussInt(0)] * 81
-        for pos, blk in zip(BLOCK_POSITIONS, self.blocks):
-            for r, row in zip(pos, blk):
-                for c, z in zip(pos, row):
-                    data[9 * r + c] = GaussInt(*z)
-        return ZMat(9, 9, data)
-
     @property
     def normalizer(self) -> Fraction:
         """N = trace(N*rho)."""
         return Fraction(self.trace, self.scale)
-
-    @cached_property
-    def unnormalized(self) -> GMat:
-        """N*rho."""
-        return self.grid.over(self.scale)
 
 
 @dataclass(frozen=True)
@@ -327,34 +304,6 @@ def theorem1_product(p: CheckerParams, reduce=None) -> GaussRat:
         factors = map(reduce, factors, THEOREM1_DEGREES)
     first, second, third, fourth = factors
     return first * second * third * fourth
-
-
-def theorem1_generic(p: CheckerParams) -> bool:
-    """True iff the genericity product is nonzero; then the state is entangled.
-
-    The condition is sufficient only: a False result leaves the state
-    undecided, it never certifies separability.
-    """
-    return bool(theorem1_product(p))
-
-
-def has_checkerboard_pattern(m) -> bool:
-    return all(
-        not m[r, c]
-        for r in range(m.rows)
-        for c in range(m.cols)
-        if (r + c) % 2 == 1
-    )
-
-
-def checkerboard_split(s: StateMatrix) -> tuple:
-    """The 4x4 odd-sublattice block and 5x5 even-sublattice block of N*rho.
-
-    Simultaneously permuting rows and columns of the unnormalized matrix by
-    ``SPLIT_PERMUTATION`` gives exactly block_odd (+) block_even.
-    """
-    return tuple(GMat(len(blk), len(blk), [GaussInt(*z).over(s.scale) for row in blk for z in row])
-                 for blk in s.blocks)
 
 
 def prime_block_null_basis(p: CheckerParams) -> GMat:

@@ -67,9 +67,6 @@ class GaussRat:
     def __bool__(self) -> bool:
         return bool(self.x or self.y)
 
-    def is_real(self) -> bool:
-        return not self.y
-
     # -- involution and magnitude ----------------------------------
     def conj(self) -> "GaussRat":
         return _gauss(self.x, -self.y, self.d)

@@ -114,10 +114,6 @@ class Jet:
         return f"Jet({self.value}, grad={[str(g) for g in self.grad]})"
 
 
-def jet_const(value, slots: int) -> Jet:
-    return Jet(GaussRat(0) + value, (GaussRat(0),) * slots)
-
-
 def jet_real_var(value, slot: int, slots: int) -> Jet:
     """Jet of a real coordinate parameter (derivative 1 in its own slot)."""
     grad = [GaussRat(0)] * slots

@@ -1,10 +1,13 @@
 """Dense matrices over the Gaussian rationals and integers, with exact linear algebra.
 
-``GMat`` holds GaussRats and ``ZMat`` GaussInts; ``integer_lift`` turns the
-first into the second over the least common denominator.  The determinant
-of a Hermitian ``ZMat`` is the signed constant term of its integer
-characteristic polynomial (``charpoly``).  Rank is one forward Gaussian
-elimination over the Gaussian rationals with exact pivots.
+``GMat`` holds GaussRats and ``ZMat`` GaussInts.  Neither has any
+algebra: the state and its derived matrices are block pairs of int pairs
+(see ``family``), and a grid is built only to be ranked or to have its
+characteristic polynomial taken.  The determinant of a Hermitian
+``ZMat`` is the signed constant term of that polynomial (``charpoly``).
+Rank is one forward Gaussian elimination over the Gaussian rationals
+with exact pivots.  No command calls ``kron``; the tests use it as a
+reference, and the benchmark's layer table still names it.
 
 The modular helpers work over F_p for the primes p = 1 mod 4 from
 2^61 - 31 down (``primes``).  With iota^2 = -1 mod p, phi: i -> iota is
@@ -21,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, SymmetryError
-from .gaussian import GaussRat, lift_to_integers
+from .gaussian import GaussRat
 
 
 def _as_gauss(x) -> GaussRat:
@@ -71,24 +74,8 @@ class _Grid:
     def row(self, r: int) -> tuple:
         return self.data[r * self.cols : (r + 1) * self.cols]
 
-    def transpose(self):
-        return type(self)(self.cols, self.rows,
-                          [self.data[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)])
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise DimensionError("trace of non-square matrix")
-        return sum(self.data[d * self.cols + d] for d in range(self.rows))
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]):
-        return type(self)(len(row_idx), len(col_idx),
-                          [self.data[r * self.cols + c] for r in row_idx for c in col_idx])
-
     def shape(self) -> tuple:
         return (self.rows, self.cols)
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
     def is_hermitian(self) -> bool:
         if self.rows != self.cols:
@@ -113,10 +100,6 @@ class _Grid:
         body = "; ".join(" ".join(str(x) for x in self.row(r)) for r in range(self.rows))
         return f"{type(self).__name__}[{self.rows}x{self.cols}: {body}]"
 
-    def _same_shape(self, other):
-        if self.shape() != other.shape():
-            raise DimensionError(f"shape mismatch {self.shape()} vs {other.shape()}")
-
 
 class GMat(_Grid):
     """Immutable dense matrix with GaussRat entries (ints and Fractions are coerced)."""
@@ -126,47 +109,6 @@ class GMat(_Grid):
     @staticmethod
     def _entries(data) -> tuple:
         return tuple(_as_gauss(x) for x in data)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "GMat":
-        return cls(rows, cols, [GaussRat(0)] * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> "GMat":
-        return cls(n, n, [GaussRat(1 if r == c else 0) for r in range(n) for c in range(n)])
-
-    # -- algebra -----------------------------------------------------
-    def __add__(self, other: "GMat") -> "GMat":
-        self._same_shape(other)
-        return GMat(self.rows, self.cols, [x + y for x, y in zip(self.data, other.data)])
-
-    def __sub__(self, other: "GMat") -> "GMat":
-        self._same_shape(other)
-        return GMat(self.rows, self.cols, [x - y for x, y in zip(self.data, other.data)])
-
-    def __neg__(self) -> "GMat":
-        return GMat(self.rows, self.cols, [-x for x in self.data])
-
-    def scale(self, s) -> "GMat":
-        s = _as_gauss(s)
-        return GMat(self.rows, self.cols, [x * s for x in self.data])
-
-    def __matmul__(self, other: "GMat") -> "GMat":
-        if self.cols != other.rows:
-            raise DimensionError(f"cannot multiply {self.shape()} by {other.shape()}")
-        out = []
-        for r in range(self.rows):
-            rr = self.row(r)
-            for c in range(other.cols):
-                acc = GaussRat(0)
-                for k in range(self.cols):
-                    acc = acc + rr[k] * other.data[k * other.cols + c]
-                out.append(acc)
-        return GMat(self.rows, other.cols, out)
-
-    def conj_transpose(self) -> "GMat":
-        return GMat(self.cols, self.rows,
-                    [self.data[r * self.cols + c].conj() for c in range(self.cols) for r in range(self.rows)])
 
 
 class ZMat(_Grid):
@@ -179,16 +121,6 @@ class ZMat(_Grid):
     __slots__ = ()
 
     _entries = staticmethod(tuple)
-
-    def over(self, den: int) -> GMat:
-        """This matrix divided by the positive integer ``den``, as a GMat."""
-        return GMat(self.rows, self.cols, [z.over(den) for z in self.data])
-
-
-def integer_lift(m: GMat) -> tuple:
-    """(d*m as a ZMat, d) for the least common denominator d of m's entries."""
-    ints, d = lift_to_integers(m.data)
-    return ZMat(m.rows, m.cols, ints), d
 
 
 def kron(a: GMat, b: GMat) -> GMat:

@@ -149,7 +149,11 @@ def jacobian_report(kind: str, params) -> dict:
     """Exact Jacobian rank of the applicable family map, with the raw counts.
 
     The lower bound for the normalized family is the rank minus one,
-    accounting for the overall normalization direction.
+    accounting for the overall normalization direction.  That direction
+    lies in the image: scaling the free letters by s and t, x, y by s^2
+    scales every completed letter by s, and so the state by s^2
+    (tests/test_subfamily.py::test_completion_is_weighted_homogeneous_symbolic);
+    the full family's letters scale freely.
     """
     if kind == "full":
         rk = jacobian_rank_psi(params)

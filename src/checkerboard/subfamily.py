@@ -95,33 +95,6 @@ def derive_full_params(sp: SubfamilyParams) -> CheckerParams:
     return CheckerParams.from_dict(values)
 
 
-def fixed_point_defects(p: CheckerParams) -> tuple:
-    """The eight defects that all vanish exactly when rho^Gamma = rho.
-
-    Five are lhs - rhs of complex conditions and three are z - conj(z) of
-    values that must be real.  Generic over the scalar type; each defect
-    is homogeneous of degree two, so a positive scale of p keeps its zeros.
-    """
-    lhs_rhs = (
-        (p.f * conj(p.g) + p.p * conj(p.q), p.c * conj(p.a) + p.l * conj(p.j)),
-        (p.i * conj(p.g) + p.s * conj(p.q), p.c * conj(p.d) + p.l * conj(p.m)),
-        (p.f * conj(p.h) + p.p * conj(p.r), p.c * conj(p.b) + p.l * conj(p.k)),
-        (p.i * conj(p.h) + p.s * conj(p.r), p.c * conj(p.e) + p.l * conj(p.n)),
-        (p.a * conj(p.e) + p.j * conj(p.n), p.d * conj(p.b) + p.m * conj(p.k)),
-    )
-    real_parts = (
-        p.a * conj(p.d) + p.j * conj(p.m),
-        p.b * conj(p.e) + p.k * conj(p.n),
-        p.f * conj(p.i) + p.p * conj(p.s),
-    )
-    return tuple(lhs - rhs for lhs, rhs in lhs_rhs) + tuple(z - conj(z) for z in real_parts)
-
-
-def fixed_point_conditions(p: CheckerParams) -> bool:
-    """The eight exact conditions equivalent to rho^Gamma = rho."""
-    return not any(fixed_point_defects(p))
-
-
 def theorem2_from_theorem1(full: CheckerParams, t1: GaussRat, reduce=None) -> GaussRat:
     """Theorem 2's product abf(ak-bj) t1 from the completion and t1 = theorem1_product(full).
 
@@ -139,20 +112,18 @@ def theorem2_product(sp: SubfamilyParams) -> GaussRat:
     return theorem2_from_theorem1(full, theorem1_product(full))
 
 
-def theorem2_generic(sp: SubfamilyParams) -> bool:
-    """True iff the product is nonzero; then the state is PPT entangled."""
-    return bool(theorem2_product(sp))
-
-
 def bruss_peres_embed(bp: BrussPeresParams, real_only: bool = False) -> SubfamilyParams:
     """Free parameters reproducing the classic embedded family.
 
     Sets k = y = 0, j = c*, l = -a*, m = x/c, p = t c f*/(x a),
     s = x a*/(f c*).  With ``real_only`` the inputs a, b, c, f are
     required to be real, recovering the five-real-parameter version;
-    left complex they give the seven-parameter variant.
+    left complex they give the seven-parameter variant.  a, b, c, f and x
+    must be nonzero, else SingularParameterError names the culprit: the
+    embedding divides by a, c, f and x, and its ak - bj = -b c* is the
+    denominator of the completion.
     """
-    for name in ("a", "c", "f"):
+    for name in ("a", "b", "c", "f"):
         if not getattr(bp, name):
             raise SingularParameterError(name)
     if not bp.x:

@@ -114,7 +114,7 @@ def hermitian_matrix(n, entries=small_gauss):
 
 def hermitian_grid(n, entries=small_gauss):
     """Random Hermitian n x n ``ZMat``s: ``hermitian_matrix`` over its common denominator."""
-    from checkerboard.matrices import integer_lift
+    from linalg_reference import integer_lift
 
     return hermitian_matrix(n, entries).map(lambda m: integer_lift(m)[0])
 

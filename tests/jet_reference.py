@@ -7,7 +7,8 @@ completion and the outer sum, and are kept here as the reference for
 prime must equal ``lambda_rows_mod_p`` (split jets through the outer
 sum), and the certified ranks must equal the exact ranks computed here.
 ``real_part`` and ``imag_part`` split a jet over the Gaussian rationals
-into the real coordinates those builders take.
+into the real coordinates those builders take, and ``jet_const`` is the
+constant jet they start the outer sum from.
 """
 
 from fractions import Fraction
@@ -27,9 +28,13 @@ from checkerboard.family import (
     placed_vectors,
 )
 from checkerboard.gaussian import GaussInt, GaussRat
-from checkerboard.jets import Jet, SplitJet, jet_complex_var, jet_const, jet_rank, jet_real_var
+from checkerboard.jets import Jet, SplitJet, jet_complex_var, jet_rank, jet_real_var
 from checkerboard.matrices import GMat, primes, rank, split_residue
 from checkerboard.subfamily import COMPLEX_LETTERS, complete_parameters
+
+
+def jet_const(value, slots: int) -> Jet:
+    return Jet(GaussRat(0) + value, (GaussRat(0),) * slots)
 
 
 def real_part(jet: Jet) -> Jet:

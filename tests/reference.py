@@ -12,6 +12,13 @@ became one Gaussian-integer numerator over one denominator: a pair of
 Fractions, unchanged apart from its name.  tests/test_gaussian.py checks
 every operation of ``GaussRat`` against it.
 
+``grid``, ``unnormalized``, ``state_from_grid``, ``checkerboard_split``
+and ``has_checkerboard_pattern`` are the 9x9 views of a block-pair
+``checkerboard.family.StateMatrix`` that the package held before every
+command read the block pair, and ``fixed_point_defects`` the eight
+conditions equivalent to rho^Gamma = rho; the tests state 9x9
+definitions with them.
+
 ``search_product_vector_numeric`` is the floating-point seesaw search for
 product vectors in the range that the package ran before its exact range
 test, unchanged; tests/test_criteria.py checks the exact verdicts against
@@ -25,22 +32,27 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
+from checkerboard import family
 from checkerboard.charpoly import Inertia, inertia_from_char_poly
 from checkerboard.criteria import WitnessVector, range_certificate, schmidt_rank
 from checkerboard.errors import CheckerboardError, DegenerateStateError, DimensionError
 from checkerboard.family import (
+    BLOCK_POSITIONS,
+    EVEN_POSITIONS,
+    ODD_POSITIONS,
     CheckerParams,
     ZERO,
-    has_checkerboard_pattern,
     outer_sum_entries,
     placed_vectors,
     theorem1_product,
 )
-from checkerboard.gaussian import GaussRat
+from checkerboard.gaussian import GaussInt, GaussRat, conj
 from checkerboard.io import format_fraction, gauss_to_obj
-from checkerboard.matrices import GMat, kron, rank, require_hermitian
+from checkerboard.matrices import GMat, ZMat, kron, rank, require_hermitian
 from checkerboard.report import jacobian_report
-from checkerboard.subfamily import derive_full_params, fixed_point_conditions, theorem2_from_theorem1
+from checkerboard.subfamily import derive_full_params, theorem2_from_theorem1
+
+from linalg_reference import identity, integer_lift, over, scale, sub, submatrix, trace
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +305,14 @@ def inertia(m: GMat) -> Inertia:
     the union of the spectra of those diagonal blocks, so each block's
     counts come from its own, smaller characteristic polynomial.
     """
-    if not m.is_square():
+    if m.rows != m.cols:
         raise DimensionError("inertia of non-square matrix")
     require_hermitian(m, "inertia input")
     n = m.rows
     edges = ((r, c) for r in range(n) for c in range(n) if r != c and m.data[r * n + c])
     n_neg = n_zero = n_pos = 0
     for group in connected_components(n, edges):
-        part = inertia_from_char_poly(char_poly(m.submatrix(group, group)), len(group))
+        part = inertia_from_char_poly(char_poly(submatrix(m, group, group)), len(group))
         n_neg += part.n_neg
         n_zero += part.n_zero
         n_pos += part.n_pos
@@ -320,7 +332,38 @@ class StateMatrix:
 
     def normalized(self) -> GMat:
         inv = GaussRat(Fraction(1, 1) / self.normalizer)
-        return self.unnormalized.scale(inv)
+        return scale(self.unnormalized, inv)
+
+
+SPLIT_PERMUTATION = ODD_POSITIONS + EVEN_POSITIONS
+
+
+class PatternError(CheckerboardError):
+    """A matrix expected to have the checkerboard zero pattern does not."""
+
+
+def has_checkerboard_pattern(m) -> bool:
+    return all(
+        not m[r, c]
+        for r in range(m.rows)
+        for c in range(m.cols)
+        if (r + c) % 2 == 1
+    )
+
+
+def grid(s) -> ZMat:
+    """D^2 N rho of a ``checkerboard.family.StateMatrix`` as a 9x9 grid, zero off the blocks."""
+    data = [GaussInt(0)] * 81
+    for pos, blk in zip(BLOCK_POSITIONS, s.blocks):
+        for r, row in zip(pos, blk):
+            for c, z in zip(pos, row):
+                data[9 * r + c] = GaussInt(*z)
+    return ZMat(9, 9, data)
+
+
+def unnormalized(s) -> GMat:
+    """N*rho of a ``checkerboard.family.StateMatrix``, as a 9x9 GMat."""
+    return over(grid(s), s.scale)
 
 
 def normalized(s) -> GMat:
@@ -328,7 +371,25 @@ def normalized(s) -> GMat:
 
     The 9x9 path the ``build`` dump took before it read the block pair.
     """
-    return s.grid.over(s.trace)
+    return over(grid(s), s.trace)
+
+
+def state_from_grid(m: ZMat, den: int) -> "family.StateMatrix":
+    """The block-pair state of a 9x9 integer grid D^2 N rho with the checkerboard pattern."""
+    if not has_checkerboard_pattern(m):
+        raise PatternError("matrix does not have the checkerboard zero pattern")
+    return family.StateMatrix(tuple(tuple(tuple((m[r, c].re, m[r, c].im) for c in pos) for r in pos)
+                                    for pos in BLOCK_POSITIONS), den)
+
+
+def checkerboard_split(s) -> tuple:
+    """The 4x4 odd-sublattice block and 5x5 even-sublattice block of N*rho.
+
+    Simultaneously permuting rows and columns of the unnormalized matrix by
+    ``SPLIT_PERMUTATION`` gives exactly block_odd (+) block_even.
+    """
+    return tuple(GMat(len(blk), len(blk), [GaussInt(*z).over(s.scale) for row in blk for z in row])
+                 for blk in s.blocks)
 
 
 def build_state(p: CheckerParams) -> StateMatrix:
@@ -338,7 +399,7 @@ def build_state(p: CheckerParams) -> StateMatrix:
         raise DegenerateStateError("all parameters are zero; the state has no trace")
     entries = outer_sum_entries(placed_vectors(values), ZERO)
     unnorm = GMat.from_rows(entries)
-    normalizer = unnorm.trace().real_fraction()
+    normalizer = trace(unnorm).real_fraction()
     return StateMatrix(unnorm, normalizer)
 
 
@@ -389,10 +450,10 @@ def reduction_criterion(s: StateMatrix) -> bool:
     Computed on the N-scaled matrices to stay in integer arithmetic.
     """
     m = s.unnormalized
-    eye = GMat.identity(3)
+    eye = identity(3)
     ra, rb = _partial_traces(m)
-    first = kron(ra, eye) - m
-    second = kron(eye, rb) - m
+    first = sub(kron(ra, eye), m)
+    second = sub(kron(eye, rb), m)
     return inertia(first).n_neg > 0 or inertia(second).n_neg > 0
 
 
@@ -493,6 +554,37 @@ def search_product_vector_numeric(
             residual=float(max(residuals[best], 0.0)),
         )
     return None
+
+
+# ---------------------------------------------------------------------------
+# subfamily.py
+
+
+def fixed_point_defects(p: CheckerParams) -> tuple:
+    """The eight defects that all vanish exactly when rho^Gamma = rho.
+
+    Five are lhs - rhs of complex conditions and three are z - conj(z) of
+    values that must be real.  Generic over the scalar type; each defect
+    is homogeneous of degree two, so a positive scale of p keeps its zeros.
+    """
+    lhs_rhs = (
+        (p.f * conj(p.g) + p.p * conj(p.q), p.c * conj(p.a) + p.l * conj(p.j)),
+        (p.i * conj(p.g) + p.s * conj(p.q), p.c * conj(p.d) + p.l * conj(p.m)),
+        (p.f * conj(p.h) + p.p * conj(p.r), p.c * conj(p.b) + p.l * conj(p.k)),
+        (p.i * conj(p.h) + p.s * conj(p.r), p.c * conj(p.e) + p.l * conj(p.n)),
+        (p.a * conj(p.e) + p.j * conj(p.n), p.d * conj(p.b) + p.m * conj(p.k)),
+    )
+    real_parts = (
+        p.a * conj(p.d) + p.j * conj(p.m),
+        p.b * conj(p.e) + p.k * conj(p.n),
+        p.f * conj(p.i) + p.p * conj(p.s),
+    )
+    return tuple(lhs - rhs for lhs, rhs in lhs_rhs) + tuple(z - conj(z) for z in real_parts)
+
+
+def fixed_point_conditions(p: CheckerParams) -> bool:
+    """The eight exact conditions equivalent to rho^Gamma = rho."""
+    return not any(fixed_point_defects(p))
 
 
 # ---------------------------------------------------------------------------

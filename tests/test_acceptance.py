@@ -30,3 +30,25 @@ def test_acceptance_criterion(item):
 
 def test_all_thirteen_criteria_present():
     assert [item.number for item in ITEMS] == list(range(1, 14))
+
+
+def test_reproduce_reads_only_block_pairs():
+    """Every item reads the block pair: no 9x9 definition runs, and items 3 and 4
+    take their determinants through ``det`` and ``char_poly`` on the blocks."""
+    import sys
+
+    from checkerboard import reproduce
+
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call" and "checkerboard" in frame.f_code.co_filename:
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(record)
+    try:
+        assert reproduce.run_all()
+    finally:
+        sys.setprofile(None)
+    assert not called & {"partial_transpose_matrix", "kron", "outer_sum_entries"}
+    assert {"det", "char_poly", "blocks_inertia"} <= called

@@ -35,6 +35,8 @@ from conftest import (
     subfamily_points,
 )
 from io_reference import bruss_peres_params_to_doc, parse_matrix_obj, witness_to_doc
+from linalg_reference import scale
+from reference import unnormalized
 
 _gauss5 = st.builds(GaussRat, digit_fractions(5), digit_fractions(5))
 ROUND_TRIP_DOCS = st.one_of(
@@ -81,9 +83,7 @@ def test_build_matrix_dump(tmp_path, first_file, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     matrix = parse_matrix_obj(doc["matrix"])
-    expected = presets.REDUCTION_VIOLATING_MATRIX.scale(
-        GaussRat(Fraction(1, 17))
-    )
+    expected = scale(presets.REDUCTION_VIOLATING_MATRIX, GaussRat(Fraction(1, 17)))
     assert matrix == expected
     assert doc["normalizer"] == "17"
     cert = json.loads(capsys.readouterr().out)
@@ -379,7 +379,20 @@ def test_embed_bp_command(tmp_path, capsys):
         assert getattr(full, ch) == GaussRat(0)
     from checkerboard.criteria import partial_transpose_matrix
     state = build_state(full)
-    assert partial_transpose_matrix(state.unnormalized) == state.unnormalized
+    assert partial_transpose_matrix(unnormalized(state)) == unnormalized(state)
+
+
+def test_embed_bp_rejects_zero_b(tmp_path, capsys):
+    """b = 0 makes ak - bj = -b c* vanish, so embed-bp exits 3 and writes nothing."""
+    bp = BrussPeresParams(
+        t=Fraction(1), x=Fraction(2),
+        a=GaussRat(1), b=GaussRat(0), c=GaussRat(1), f=GaussRat(1),
+    )
+    path, out = tmp_path / "bp.json", tmp_path / "ppt.json"
+    path.write_text(json.dumps(bruss_peres_params_to_doc(bp)))
+    assert main(["embed-bp", "--input", str(path), "--out", str(out)]) == 3
+    assert "denominator b is zero" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_embed_bp_real_flag(tmp_path):

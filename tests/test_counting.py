@@ -31,6 +31,8 @@ from checkerboard.subfamily import (
     derive_full_params,
 )
 from jet_reference import lambda_coordinate_jets, psi_coordinate_jets
+from linalg_reference import submatrix
+from reference import unnormalized
 
 
 def psi_map(p: CheckerParams) -> tuple:
@@ -41,8 +43,8 @@ def psi_map(p: CheckerParams) -> tuple:
     """
     entries = outer_sum_entries(placed_vectors(p.as_dict()), GaussRat(0))
     m = GMat.from_rows(entries)
-    tall_odd = m.submatrix(ODD_POSITIONS, ODD_POSITIONS[:2])
-    tall_even = m.submatrix(EVEN_POSITIONS, EVEN_POSITIONS[:2])
+    tall_odd = submatrix(m, ODD_POSITIONS, ODD_POSITIONS[:2])
+    tall_even = submatrix(m, EVEN_POSITIONS, EVEN_POSITIONS[:2])
     return tall_odd, tall_even
 
 
@@ -82,7 +84,7 @@ def test_psi_rank_bounded():
 
 def test_lambda_map_at_rank_point():
     state = lambda_map(presets.SUBFAMILY_RANK_POINT)
-    assert partial_transpose_matrix(state.unnormalized) == state.unnormalized
+    assert partial_transpose_matrix(unnormalized(state)) == unnormalized(state)
 
 
 def test_lambda_map_singular():

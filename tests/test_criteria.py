@@ -29,14 +29,14 @@ from checkerboard.family import (
     build_vectors,
     outer_sum_entries,
     placed_vectors,
-    theorem1_generic,
     theorem1_product,
 )
 from checkerboard.gaussian import GaussInt, GaussRat
-from checkerboard.matrices import GMat, ZMat, integer_lift, kron, rank
+from checkerboard.matrices import GMat, ZMat, kron, rank
 from checkerboard.subfamily import derive_full_params
 
-from reference import normalized, search_product_vector_numeric
+from linalg_reference import identity, integer_lift, over, sub, trace, transpose
+from reference import grid, normalized, search_product_vector_numeric, state_from_grid, unnormalized
 from conftest import (
     SIZED_POINTS,
     big_fractions,
@@ -53,7 +53,7 @@ from conftest import (
 
 
 def _state_from(m: GMat) -> StateMatrix:
-    return StateMatrix.from_grid(*integer_lift(m))
+    return state_from_grid(*integer_lift(m))
 
 
 def partial_transpose(s: StateMatrix) -> GMat:
@@ -88,7 +88,7 @@ def test_partial_transpose_involution_and_diagonal(rows):
     m = GMat.from_rows(rows)
     g = partial_transpose_matrix(m)
     assert partial_transpose_matrix(g) == m
-    assert g.trace() == m.trace()
+    assert trace(g) == trace(m)
     for d in range(9):
         assert g[d, d] == m[d, d]
 
@@ -103,22 +103,22 @@ def test_partial_transpose_preserves_hermiticity(m):
 @given(gauss_matrix(3, 3), gauss_matrix(3, 3))
 def test_partial_transpose_of_product(ra, rb):
     a, b = GMat.from_rows(ra), GMat.from_rows(rb)
-    assert partial_transpose_matrix(kron(a, b)) == kron(a, b.transpose())
+    assert partial_transpose_matrix(kron(a, b)) == kron(a, transpose(b))
 
 
 def test_partial_transpose_of_state_is_normalized():
     state = build_state(presets.REDUCTION_VIOLATING_PARAMS)
     g = partial_transpose(state)
-    assert g.trace() == GaussRat(1)
+    assert trace(g) == GaussRat(1)
 
 
 def test_reduced_states_of_transposed_state():
     state = build_state(presets.ONE_DISTILLABLE_PARAMS)
     ra, rb = reduced_states(state)
-    gstate = _state_from(partial_transpose_matrix(state.unnormalized))
+    gstate = _state_from(partial_transpose_matrix(unnormalized(state)))
     ga, gb = reduced_states(gstate)
     assert ga == ra
-    assert gb == rb.transpose()
+    assert gb == transpose(rb)
 
 
 def test_is_ppt_on_examples():
@@ -156,8 +156,8 @@ def test_reduced_states_pure_product():
 def test_reduced_states_direct_summation_oracle():
     state = build_state(presets.ONE_DISTILLABLE_PARAMS)
     ra, rb = reduced_states(state)
-    assert ra.trace() == GaussRat(1)
-    assert rb.trace() == GaussRat(1)
+    assert trace(ra) == GaussRat(1)
+    assert trace(rb) == GaussRat(1)
     m = normalized(state)
     for i in range(3):
         for i2 in range(3):
@@ -179,7 +179,7 @@ def test_reduction_criterion_examples():
 
 
 def test_reduction_criterion_maximally_mixed():
-    m = GMat.identity(9)
+    m = identity(9)
     assert reduction_criterion(_state_from(m)) is False
 
 
@@ -279,13 +279,11 @@ def test_numeric_search_consistent_with_certificate_on_100_samples():
     More attempts can only help the search find something, so a reduced
     attempt count keeps this sweep fast without weakening the assertion.
     """
-    from checkerboard.family import theorem1_generic
-
     for idx in range(100):
         rng = sampling.rng_for(55, idx)
         while True:
             p = sampling.random_checker_params(rng)
-            if theorem1_generic(p):
+            if bool(theorem1_product(p)):
                 break
         hit = search_product_vector_numeric(p, attempts=40, tolerance=1e-8, seed=idx)
         assert hit is None
@@ -384,21 +382,21 @@ def test_numeric_oracle_agrees_with_reproduce_item13():
     product vector and the basis vector at the letter's position is in the
     range.
     """
-    from checkerboard.reproduce import SEED_NUMERIC
+    from checkerboard.reproduce import SEED_RANGE
 
     for idx in range(20):
-        rng = sampling.rng_for(SEED_NUMERIC, idx)
+        rng = sampling.rng_for(SEED_RANGE, idx)
         while True:
             p = sampling.random_checker_params(rng)
-            if theorem1_generic(p):
+            if bool(theorem1_product(p)):
                 break
         assert range_has_no_product_vector(p)
         assert search_product_vector_numeric(p, attempts=200, tolerance=1e-8,
-                                             seed=SEED_NUMERIC + idx) is None
+                                             seed=SEED_RANGE + idx) is None
     position = {ch: pos for vec in placed_vectors({ch: ch for ch in PARAM_LETTERS})
                 for pos, ch in vec}
     for idx in range(20):
-        rng = sampling.rng_for(SEED_NUMERIC, 1000 + idx)
+        rng = sampling.rng_for(SEED_RANGE, 1000 + idx)
         letter = PARAM_LETTERS[idx % len(PARAM_LETTERS)]
         p = CheckerParams.from_dict({letter: sampling.random_nonzero_gauss(rng)})
         vecs = build_vectors(p)
@@ -406,19 +404,19 @@ def test_numeric_oracle_agrees_with_reproduce_item13():
         assert rank(GMat.from_rows(vecs + (basis,))) == rank(GMat.from_rows(vecs))
         assert not range_has_no_product_vector(p)
         assert search_product_vector_numeric(p, attempts=200, tolerance=1e-8,
-                                             seed=SEED_NUMERIC + 1000 + idx) is not None
+                                             seed=SEED_RANGE + 1000 + idx) is not None
 
 
 def test_fixed_point_states_satisfy_all_criteria_on_100_samples():
     """Generic fixed-point states: PPT, reduction satisfied, range certificate firm."""
-    from checkerboard.subfamily import theorem2_generic
+    from checkerboard.subfamily import theorem2_product
 
     checked = 0
     idx = 0
     while checked < 100:
         sp, full = sampling.random_subfamily_params(sampling.rng_for(56, idx))
         idx += 1
-        if not theorem2_generic(sp):
+        if not bool(theorem2_product(sp)):
             continue
         state = build_state(full)
         ppt, inert = is_ppt(state)
@@ -462,15 +460,15 @@ def test_block_pairs_are_the_9x9_definitions(kind, name):
             state = build_state(full)
         except (SingularParameterError, DegenerateStateError):
             assume(False)
-        grid = ZMat.from_rows(outer_sum_entries(placed_vectors(full.lifted[0].as_dict()),
-                                                GaussInt(0)))
-        m = grid.over(1)
+        lifted = ZMat.from_rows(outer_sum_entries(placed_vectors(full.lifted[0].as_dict()),
+                                                  GaussInt(0)))
+        m = over(lifted, 1)
         rho_a, rho_b = partial_traces(m)
-        one = GMat.identity(3)
-        first, second = (integer_lift(x)[0] for x in (kron(rho_a, one) - m, kron(one, rho_b) - m))
+        one = identity(3)
+        first, second = (integer_lift(x)[0] for x in (sub(kron(rho_a, one), m), sub(kron(one, rho_b), m)))
         pairs = [state.blocks, state.gamma, *reduction_matrices(state)]
-        for pair, definition in zip(pairs, (grid, partial_transpose_matrix(grid), first, second)):
-            assert StateMatrix(pair, 1).grid == definition
+        for pair, definition in zip(pairs, (lifted, partial_transpose_matrix(lifted), first, second)):
+            assert grid(StateMatrix(pair, 1)) == definition
             for rows in pair:
                 assert ZMat.from_rows([[GaussInt(*z) for z in row] for row in rows]).is_hermitian()
             assert blocks_inertia(pair) == inertia_from_char_poly(char_poly(definition), 9)

@@ -5,8 +5,8 @@ import pytest
 
 from checkerboard.errors import DimensionError
 from checkerboard.gaussian import GaussRat
-from checkerboard.jets import jet_complex_var, jet_const, jet_rank, jet_real_var
-from jet_reference import imag_part, real_part
+from checkerboard.jets import jet_complex_var, jet_rank, jet_real_var
+from jet_reference import imag_part, jet_const, real_part
 
 
 def test_real_var_seeding():

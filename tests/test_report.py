@@ -20,6 +20,7 @@ from checkerboard.report import build_certificate, classify
 from checkerboard.subfamily import derive_full_params, theorem2_from_theorem1, theorem2_product
 from conftest import SIZED_POINTS, generate_only
 from io_reference import witness_to_doc
+from reference import unnormalized
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scan_pd_gamma.py"
 
@@ -118,8 +119,8 @@ def test_classify_agrees_with_the_criteria():
             ppt, inert = is_ppt(state)
             assert rec.state == state
             assert (rec.ppt, rec.inertia) == (ppt, inert)
-            assert rec.gamma_fixed == (partial_transpose_matrix(state.unnormalized)
-                                       == state.unnormalized)
+            assert rec.gamma_fixed == (partial_transpose_matrix(unnormalized(state))
+                                       == unnormalized(state))
             assert rec.reduction_violated == reduction_criterion(state)
             assert rec.t1 == theorem1_product(full)
             assert rec.t2 == (theorem2_product(sp) if kind == "ppt" else None)

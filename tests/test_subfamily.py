@@ -22,12 +22,10 @@ from checkerboard.subfamily import (
     bruss_peres_embed,
     complete_parameters,
     derive_full_params,
-    fixed_point_conditions,
-    fixed_point_defects,
     theorem1_product,
-    theorem2_generic,
     theorem2_product,
 )
+from reference import fixed_point_conditions, fixed_point_defects, unnormalized
 
 
 def test_derived_values_at_rank_point():
@@ -47,13 +45,13 @@ def test_rank_point_state_is_gamma_fixed():
     full = derive_full_params(presets.SUBFAMILY_RANK_POINT)
     assert fixed_point_conditions(full)
     state = build_state(full)
-    assert partial_transpose_matrix(state.unnormalized) == state.unnormalized
+    assert partial_transpose_matrix(unnormalized(state)) == unnormalized(state)
 
 
 def test_theorem2_product_at_rank_point():
     value = theorem2_product(presets.SUBFAMILY_RANK_POINT)
     assert value == GaussRat(3250, Fraction(60125, 8))
-    assert theorem2_generic(presets.SUBFAMILY_RANK_POINT)
+    assert bool(theorem2_product(presets.SUBFAMILY_RANK_POINT))
 
 
 def _rank_point_with(**overrides):
@@ -103,7 +101,7 @@ def test_fixed_point_matches_transpose_equality():
     for idx in range(50):
         _, full = sampling.random_subfamily_params(sampling.rng_for(31, idx))
         state = build_state(full)
-        fixed = partial_transpose_matrix(state.unnormalized) == state.unnormalized
+        fixed = partial_transpose_matrix(unnormalized(state)) == unnormalized(state)
         assert fixed_point_conditions(full) == fixed
         assert fixed
         # perturb one derived parameter; the equivalence must still hold
@@ -112,7 +110,7 @@ def test_fixed_point_matches_transpose_equality():
         )
         pstate = build_state(perturbed)
         pfixed = (
-            partial_transpose_matrix(pstate.unnormalized) == pstate.unnormalized
+            partial_transpose_matrix(unnormalized(pstate)) == unnormalized(pstate)
         )
         assert fixed_point_conditions(perturbed) == pfixed
 
@@ -183,10 +181,30 @@ def test_completion_satisfies_the_fixed_point_conditions_symbolic():
     assert all(sympy.expand(d) != 0 for d in fixed_point_defects(generic))
 
 
+def test_completion_is_weighted_homogeneous_symbolic():
+    """Scaling the ten free letters by s and t, x, y by s^2 scales every completed letter by s.
+
+    The free letters are complex symbols, each independent of its
+    conjugate, and t, x, y real ones; both points go through the
+    program's own ``complete_parameters``.  So the overall scale of the
+    state, rho -> s^2 rho, is a direction inside the family's image, and
+    ``normalized_family_lower_bound`` (``report.jacobian_report``) may
+    subtract one from the rank for it.
+    """
+    sympy = pytest.importorskip("sympy")
+    s = sympy.symbols("s", positive=True)
+    reals = sympy.symbols("t x y", real=True)
+    free = sympy.symbols(" ".join(COMPLEX_LETTERS))
+    base = complete_parameters(*reals, *free)
+    scaled = complete_parameters(*(s ** 2 * v for v in reals), *(s * z for z in free))
+    assert set(scaled) == set(PARAM_LETTERS)
+    assert all(sympy.cancel(scaled[ch] - s * base[ch]) == 0 for ch in PARAM_LETTERS)
+
+
 def test_theorem2_contains_theorem1_factor():
     for idx in range(20):
         sp, full = sampling.random_subfamily_params(sampling.rng_for(32, idx))
-        if theorem2_generic(sp):
+        if bool(theorem2_product(sp)):
             assert theorem1_product(full) != GaussRat(0)
 
 
@@ -248,15 +266,15 @@ def test_embed_states_are_gamma_fixed_and_generic():
         sp = bruss_peres_embed(bp)
         full = derive_full_params(sp)
         state = build_state(full)
-        assert partial_transpose_matrix(state.unnormalized) == state.unnormalized
+        assert partial_transpose_matrix(unnormalized(state)) == unnormalized(state)
         # every valid embedded point passes the full genericity product
-        assert theorem2_generic(sp)
+        assert bool(theorem2_product(sp))
 
 
 def test_embed_singular_inputs():
     good = dict(t=Fraction(1), x=Fraction(1), a=GaussRat(1), b=GaussRat(1),
                 c=GaussRat(1), f=GaussRat(1))
-    for name in ("a", "c", "f"):
+    for name in ("a", "b", "c", "f"):
         bad = dict(good)
         bad[name] = GaussRat(0)
         with pytest.raises(SingularParameterError):
