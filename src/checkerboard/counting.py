@@ -29,11 +29,13 @@ blocks' generator rows is nonzero (proof in ``jacobian_rank_psi``);
 otherwise it is the exact ``rank`` of ``psi_jacobian``.
 
 The subfamily's rank is at most 12 at every point, because a kernel
-vector is known in closed form, and a rank of 12 mod the first usable
-prime p = 1 mod 4 of ``matrices.primes()`` proves 12 (proofs in
-``_certified_rank_lambda``); ``SplitJet``s through
-``complete_parameters`` give the rows mod p.  Every other outcome falls
-back to the exact ``rank`` of the exact Jacobian.
+vector is known in closed form, and 12 pivots mod the first usable prime
+p = 1 mod 4 of ``matrices.primes()`` prove 12 (proofs in
+``_certified_rank_lambda``).  ``SplitJet``s through
+``complete_parameters`` give the rows mod p on 12 columns, the 13 but
+d/dp, which the kernel vector puts in the span of the others; the first
+13 rows are ranked, and all 41 only when those fall short.  Every other
+outcome falls back to the exact ``rank`` of the exact 41x13 Jacobian.
 
 The slot ordering is fixed so Jacobians are bit-reproducible: for the
 full family, (re, im) pairs of the letters in alphabetical order; for
@@ -79,12 +81,15 @@ PSI_ENTRIES = tuple(
                                               for c in pos[:min(ri, 2)]])
 LAMBDA_ENTRIES = tuple((d, d) for d in range(9)) + tuple(
     (r, c) for r in range(9) for c in range(r) if (r + c) % 2 == 0)
-# The column of each free letter of the subfamily map, and for each entry
-# of LAMBDA_ENTRIES the pairs (u, w) of its letters and whether it is below
-# the diagonal.
-_COLUMN = {ch: 3 + idx for idx, ch in enumerate(COMPLEX_LETTERS)}
+# The column of each parameter variable in the rows mod p: all but p, whose
+# column is dropped (see ``_certified_rank_lambda``).  For each entry of
+# LAMBDA_ENTRIES, the pairs (u, w) of its letters and whether it is below
+# the diagonal.  The first _HEAD_ROWS rows mod p are those of the diagonal
+# entries and of the entries (2, 0) and (3, 1).
+_COLUMN = {ch: idx for idx, ch in enumerate(ch for ch in LAMBDA_SLOT_ORDER if ch != "p")}
 _ENTRY_PAIRS = tuple((tuple(zip(_LETTERS_AT[r], _LETTERS_AT[c])), r != c)
                      for r, c in LAMBDA_ENTRIES)
+_HEAD_ROWS = 13
 
 
 def outer_jacobian(parts: dict, entries) -> list:
@@ -165,45 +170,49 @@ def _residues(values: list, p: int, iota: int):
     return None if any(z and not (u and w) for z, (u, w) in zip(values, residues)) else residues
 
 
-def _lambda_rows_mod(residues: list, p: int) -> list:
-    """The 41x13 Wirtinger Jacobian mod p, as unreduced integer rows, from ``SplitJet``s.
+def _lambda_rows_mod(residues: list, p: int):
+    """The rows of the Wirtinger Jacobian mod p without column p, as unreduced integer rows.
 
-    The jets go through ``complete_parameters`` only.  Each entry E =
-    sum u w* of N*rho over the letters of its vectors gives the row
-    dE = sum w* du + u dw*, and an entry below the diagonal also the row
-    dE* = sum w du* + u* dw.  The columns are d/dt, d/dx, d/dy and d/dz_k.
-    A free letter z_k has du = e_k and du* = 0, so it adds one scalar to
-    its own column; a completed letter's gradients are dense.  Raises
-    ZeroDivisionError or SingularParameterError when the completion
-    divides by, or tests, a value that is 0 mod p.
+    A generator: ``SplitJet``s go through ``complete_parameters`` when the
+    first row is taken, which raises ZeroDivisionError or
+    SingularParameterError when the completion divides by, or tests, a
+    value that is 0 mod p, and each row is built when it is taken, in
+    LAMBDA_ENTRIES order.  Each entry E = sum u w* of N*rho over the
+    letters of its vectors gives the row dE = sum w* du + u dw*, and an
+    entry below the diagonal also the row dE* = sum w du* + u* dw.  The 12
+    columns are d/dt, d/dx, d/dy and d/dz_k for every free letter but p,
+    whose jet has zero gradients.  A free letter z_k has du = e_k and
+    du* = 0, so it adds one scalar to its own column, and p adds nothing;
+    a completed letter's gradients are dense.
     """
+    width = len(_COLUMN)
+    zero = [0] * width
     seeds = []
-    for idx, (z, z_conj) in enumerate(residues):
-        unit = [0] * LAMBDA_COLUMNS
-        unit[idx] = 1
-        seeds.append(SplitJet(z, z_conj, unit, unit if idx < 3 else [0] * LAMBDA_COLUMNS, p))
+    for ch, (z, z_conj) in zip(LAMBDA_SLOT_ORDER, residues):
+        unit = [0] * width
+        if ch in _COLUMN:
+            unit[_COLUMN[ch]] = 1
+        seeds.append(SplitJet(z, z_conj, unit, unit if ch in "txy" else zero, p))
     letters = complete_parameters(*seeds)
-    rows = []
     for pairs, below in _ENTRY_PAIRS:
-        d_e, d_e_conj = [0] * LAMBDA_COLUMNS, [0] * LAMBDA_COLUMNS
+        d_e, d_e_conj = [0] * width, [0] * width
         for u, w in pairs:
-            ju, jw, ku, kw = letters[u], letters[w], _COLUMN.get(u), _COLUMN.get(w)
-            if ku is None:
+            ju, jw = letters[u], letters[w]
+            if u not in COMPLEX_LETTERS:
                 s, t = jw.conj_value, jw.value
                 d_e = [x + s * g for x, g in zip(d_e, ju.grad)]
                 d_e_conj = [x + t * g for x, g in zip(d_e_conj, ju.conj_grad)]
-            else:
-                d_e[ku] += jw.conj_value
-            if kw is None:
+            elif u in _COLUMN:
+                d_e[_COLUMN[u]] += jw.conj_value
+            if w not in COMPLEX_LETTERS:
                 s, t = ju.value, ju.conj_value
                 d_e = [x + s * g for x, g in zip(d_e, jw.conj_grad)]
                 d_e_conj = [x + t * g for x, g in zip(d_e_conj, jw.grad)]
-            else:
-                d_e_conj[kw] += ju.conj_value
-        rows.append(d_e)
+            elif w in _COLUMN:
+                d_e_conj[_COLUMN[w]] += ju.conj_value
+        yield d_e
         if below:
-            rows.append(d_e_conj)
-    return rows
+            yield d_e_conj
 
 
 def _certified_rank_lambda(sp: SubfamilyParams):
@@ -229,25 +238,33 @@ def _certified_rank_lambda(sp: SubfamilyParams):
     f != 0, so v_p != 0 and v is a kernel vector at every point where the
     completion is defined.
 
-    The rank mod p is taken of a matrix with the rank of J.  Its rows
-    are dE and dE* (dE alone on the diagonal), which span the rows
-    d Re E and d Im E, as Re E = (E + E*)/2 and Im E = (E - E*)/2i; its
-    columns d/dz_k = (d/dx_k - i d/dy_k)/2 are half those of J.  Both
-    changes are invertible over the Gaussian rationals.  For p = 1 mod 4
-    and iota^2 = -1 mod p, phi: i -> iota is a ring map onto F_p from the
-    Gaussian rationals whose denominators p does not divide;
-    ``SplitJet``s compute phi of every entry, and phi only lowers a rank,
-    since a minor that is nonzero mod p is nonzero.  So a rank of 12 mod
-    one prime proves exactly 12.
+    Column p can be dropped.  As v_p != 0, J v = 0 puts column p in the
+    span of columns f and s, so the 12 other columns have the rank of J.
+
+    The rank mod p is taken of a matrix with the rank of those 12
+    columns.  Its rows are dE and dE* (dE alone on the diagonal), which
+    span the rows d Re E and d Im E, as Re E = (E + E*)/2 and Im E =
+    (E - E*)/2i; its columns d/dz_k = (d/dx_k - i d/dy_k)/2 are half
+    those of J.  Both changes are invertible over the Gaussian rationals.
+    For p = 1 mod 4 and iota^2 = -1 mod p, phi: i -> iota is a ring map
+    onto F_p from the Gaussian rationals whose denominators p does not
+    divide; ``SplitJet``s compute phi of every entry, and phi only lowers
+    a rank, since a minor that is nonzero mod p is nonzero.  So 12
+    pivots mod p prove rank J >= 12, and with the kernel vector exactly 12.
+
+    12 pivots in any subset of the rows prove it as well, so the first
+    _HEAD_ROWS rows are ranked first and all 41 only when those fall
+    short.  The head is 9 diagonal rows and dE20, dE20*, dE31 and dE31*,
+    one more than 12 because dE20* = dE20: the completion makes
+    E20 = d a* + m j* equal to the real x, and E86 = y likewise
+    (``test_completion_makes_e20_equal_x_and_e86_equal_y``).
 
     The pairs (p, iota) come from ``primes()``, at most PRIME_BUDGET of
     them.  A prime is skipped when it divides a denominator, when phi
     sends a nonzero parameter or its conjugate to 0, or when the
     completion divides by a value that is 0 mod p; the first such prime
     also runs the exact completion, which raises SingularParameterError
-    at a singular point.  Two usable primes below 12 end the walk, and a
-    rank of 13 mod p, which the kernel vector rules out, counts as no
-    proof.
+    at a singular point.  Two usable primes below 12 end the walk.
     """
     values = _lambda_values(sp)
     usable, completed = 0, False
@@ -257,13 +274,15 @@ def _certified_rank_lambda(sp: SubfamilyParams):
             continue
         try:
             rows = _lambda_rows_mod(residues, p)
+            head = list(islice(rows, _HEAD_ROWS))
         except (ZeroDivisionError, SingularParameterError):
             if not completed:
                 derive_full_params(sp)  # raises at a singular point
                 completed = True
             continue
-        if rank_mod_p(rows, p) == LAMBDA_COLUMNS - 1:
-            return LAMBDA_COLUMNS - 1
+        full = LAMBDA_COLUMNS - 1
+        if rank_mod_p(head, p) == full or rank_mod_p(head + list(rows), p) == full:
+            return full
         usable += 1
         if usable == 2:
             return None
@@ -302,8 +321,9 @@ def jacobian_rank_lambda(sp: SubfamilyParams) -> int:
     in t, x, y, giving a 41x13 matrix whose rank is taken over the
     complex field.  Because the coordinates are real-valued, the
     conjugate derivatives carry no extra information for this rank.  The
-    rank is certified mod a prime p = 1 mod 4 when it can be (see the
-    module docstring) and computed exactly otherwise.
+    rank is certified mod a prime p = 1 mod 4 when it can be, from the
+    rows without the column d/dp (see ``_certified_rank_lambda``), and
+    otherwise it is the exact rank of the 41x13 matrix.
     """
     certified = _certified_rank_lambda(sp)
     if certified is not None:

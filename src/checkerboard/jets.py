@@ -5,7 +5,7 @@ with respect to a fixed list of parameters, and its arithmetic follows
 the product and quotient rules, which makes Jacobians of rational maps
 exact.  ``Jet`` works over the Gaussian rationals, with two real slots
 (real part, imaginary part) per complex parameter; ``SplitJet`` works
-mod a prime p = 1 mod 4, with one Wirtinger slot per parameter variable.
+mod a prime p = 1 mod 4, with Wirtinger slots.
 Their callers are all in ``counting``, on the parameter completion
 ``complete_parameters`` alone: ``SplitJet``s give the subfamily's
 Jacobian mod p, and 23-slot ``Jet``s the exact Jacobian for the fallback

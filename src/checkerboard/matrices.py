@@ -10,10 +10,11 @@ with exact pivots.  No command calls ``kron``; the tests use it as a
 reference, and the benchmark's layer table still names it.
 
 The modular helpers work over F_p for the primes p = 1 mod 4 from
-2^61 - 31 down (``primes``).  With iota^2 = -1 mod p, phi: i -> iota is
-a ring map onto F_p from the Gaussian rationals whose denominators p
-does not divide (``split_residue``), so the ``rank_mod_p`` of phi(M) is
-a proven lower bound of the rank of M; ``counting`` uses it to certify
+2^30 - 35 down (``primes``), so every residue is one CPython digit.
+With iota^2 = -1 mod p, phi: i -> iota is a ring map onto F_p from the
+Gaussian rationals whose denominators p does not divide
+(``split_residue``), so the ``rank_mod_p`` of phi(M) is a proven lower
+bound of the rank of M; ``counting`` uses it to certify
 the subfamily's Jacobian rank and falls back to ``rank`` otherwise, and
 ``criteria`` to certify that a range holds no product vector.
 """
@@ -171,8 +172,10 @@ def rank(m: GMat) -> int:
 
 # Deterministic Miller-Rabin: these bases decide primality for every n < 3.3 * 10^24.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# (p, iota) for p = 2^61 - 31, whose least non-residue is 7: iota = 7^((p - 1)/4).
-_PRIMES = [((1 << 61) - 31, 583529827753931384)]
+# (p, iota) for p = 2^30 - 35, the largest prime p = 1 mod 4 below 2^30, whose
+# least non-residue is 2: iota = 2^((p - 1)/4).  Below 2^30 every residue is
+# one digit of a CPython int.
+_PRIMES = [(1073741789, 933053945)]
 # The most primes one modular certificate walks.  A usable prime settles
 # the question or hands it on, so this bounds only the primes skipped
 # because they divide a denominator, a nonzero part or a divisor.
@@ -203,7 +206,7 @@ def is_prime(n: int) -> bool:
 
 
 def primes():
-    """(p, iota) for the primes p = 1 mod 4 from 2^61 - 31 down, with iota^2 = -1 mod p.
+    """(p, iota) for the primes p = 1 mod 4 from 2^30 - 35 down, with iota^2 = -1 mod p.
 
     iota = c^((p - 1)/4) for the least non-residue c, as c^((p - 1)/2) =
     -1 by Euler's criterion.  Each pair past the first, a constant, is

@@ -5,7 +5,8 @@ completion and the outer sum, and are kept here as the reference for
 ``checkerboard.counting``: the closed-form full-family rows must equal
 ``psi_coordinate_jets`` row for row, the subfamily rows mod the first
 prime must equal ``lambda_rows_mod_p`` (split jets through the outer
-sum), and the certified ranks must equal the exact ranks computed here.
+sum) with its column d/dp sliced out, and the certified ranks must equal
+the exact ranks computed here.
 ``real_part`` and ``imag_part`` split a jet over the Gaussian rationals
 into the real coordinates those builders take, and ``jet_const`` is the
 constant jet they start the outer sum from.

@@ -37,7 +37,7 @@ from checkerboard.counting import (
     psi_jacobian,
 )
 from checkerboard.errors import SingularParameterError
-from checkerboard.family import CheckerParams
+from checkerboard.family import CheckerParams, outer_sum_entries, placed_vectors
 from checkerboard.gaussian import GaussRat, conj
 from checkerboard.matrices import GMat, is_prime, primes, rank, rank_mod_p, split_residue
 from checkerboard.subfamily import (
@@ -218,6 +218,25 @@ def test_psi_closed_form_answers_28_at_multiples_of_p(exact_rank_calls):
 
 # -- the subfamily Jacobian ------------------------------------------------
 
+def test_completion_makes_e20_equal_x_and_e86_equal_y():
+    """The entries (2, 0) and (8, 6) of N*rho are the real parameters x and y.
+
+    E20 = d a* + m j* and E86 = e b* + n k*, through the program's own
+    ``complete_parameters`` and outer sum, so dE20* = dE20 and dE86* =
+    dE86: the first rows mod p hold one duplicate.
+    """
+    t, x, y = sympy.symbols("t x y", real=True)
+    free = sympy.symbols(" ".join(COMPLEX_LETTERS))
+    pairs = [(z, sympy.Symbol(f"{z}_bar")) for z in free]
+    flip = {**{sympy.conjugate(z): zb for z, zb in pairs},
+            **{sympy.conjugate(zb): z for z, zb in pairs}}
+    full = {ch: w.xreplace(flip) for ch, w in complete_parameters(t, x, y, *free).items()}
+    entries = outer_sum_entries(placed_vectors(full), sympy.Integer(0))
+    for (r, c), value in (((2, 0), x), ((8, 6), y)):
+        diff = entries[r][c].xreplace(flip) - value
+        assert sympy.expand(sympy.numer(sympy.together(diff))) == 0, (r, c)
+
+
 def _kernel_entries(t, f, p, s, cj):
     """v_f, v_p and v_s of the closed-form kernel vector, generic over the scalar type."""
     return f * cj(p), -f * cj(f), s * cj(p) - t
@@ -296,21 +315,27 @@ def _rows_mod_p(sp):
     return [[x % P for x in row] for row in counting._lambda_rows_mod(residues, P)]
 
 
+def _without_column_p(rows):
+    """13-column rows with the column d/dp sliced out, as the rows mod p have it."""
+    k = LAMBDA_SLOT_ORDER.index("p")
+    return [row[:k] + row[k + 1:] for row in rows]
+
+
 @pytest.mark.parametrize("strategy", ["default", "sparse", "5-digit"])
 def test_lambda_chain_rule_rows_equal_the_modjet_pipeline(strategy):
-    """The rows equal those of split jets pushed through the whole outer sum."""
+    """The rows equal those of split jets pushed through the whole outer sum, but column p."""
     @generate_only(LAMBDA_EXAMPLES.get(strategy, 4))
     @given(LAMBDA_STRATEGIES[strategy])
     def check(sp):
         _assume_completes(sp)
-        assert _rows_mod_p(sp) == lambda_rows_mod_p(sp)
+        assert _rows_mod_p(sp) == _without_column_p(lambda_rows_mod_p(sp))
 
     check()
 
 
 @pytest.mark.parametrize("strategy", sorted(LAMBDA_STRATEGIES))
 def test_lambda_rows_mod_p_are_phi_of_the_exact_wirtinger_jacobian(strategy):
-    """phi: i -> IOTA of the exact Jacobian, after the (E, E*) row change.
+    """phi: i -> IOTA of the exact Jacobian, after the (E, E*) row change, but column p.
 
     ``lambda_jacobian`` has the rows d Re E (and d Im E below the
     diagonal) over d/dt, d/dx, d/dy and d/dz_k; the rows mod p are dE,
@@ -328,7 +353,7 @@ def test_lambda_rows_mod_p_are_phi_of_the_exact_wirtinger_jacobian(strategy):
         for re_row, im_row in zip(exact[9::2], exact[10::2]):
             rows.append([phi(x + GaussRat(0, 1) * y) for x, y in zip(re_row, im_row)])
             rows.append([phi(x - GaussRat(0, 1) * y) for x, y in zip(re_row, im_row)])
-        assert _rows_mod_p(sp) == rows
+        assert _rows_mod_p(sp) == _without_column_p(rows)
 
     check()
 
@@ -364,6 +389,49 @@ def test_lambda_rank_is_certified_at_sampled_points(exact_rank_calls, monkeypatc
         walked.clear()
         assert jacobian_rank_lambda(sp) == 12
         assert walked == [P]
+    assert exact_rank_calls == []
+
+
+def _built_and_ranked(monkeypatch):
+    """The prime of each row mod p ``counting`` takes, and (p, row count) of each ``rank_mod_p``."""
+    built, ranked = [], []
+    rows_mod, rank_mod = counting._lambda_rows_mod, counting.rank_mod_p
+
+    def rows_spy(residues, p):
+        for row in rows_mod(residues, p):
+            built.append(p)
+            yield row
+
+    def rank_spy(rows, p):
+        ranked.append((p, len(rows)))
+        return rank_mod(rows, p)
+
+    monkeypatch.setattr(counting, "_lambda_rows_mod", rows_spy)
+    monkeypatch.setattr(counting, "rank_mod_p", rank_spy)
+    return built, ranked
+
+
+def test_lambda_rank_is_certified_by_the_first_13_rows(exact_rank_calls, monkeypatch):
+    built, ranked = _built_and_ranked(monkeypatch)
+    points = [presets.SUBFAMILY_RANK_POINT] + [
+        sampling.random_subfamily_params(sampling.rng_for(66, idx))[0] for idx in range(10)]
+    for sp in points:
+        built.clear()
+        ranked.clear()
+        assert jacobian_rank_lambda(sp) == 12
+        assert len(built) <= 13 and ranked == [(P, 13)]
+    assert exact_rank_calls == []
+
+
+def test_lambda_rank_ranks_all_41_rows_when_the_first_13_fall_short(exact_rank_calls,
+                                                                   monkeypatch):
+    # Only a, b, f, k and s are nonzero, and the first 13 rows have rank 6.
+    one, zero = GaussRat(1), GaussRat(0)
+    sp = SubfamilyParams(t=Fraction(0), x=Fraction(0), y=Fraction(0), a=one, b=one, c=zero,
+                         f=one, j=zero, k=one, l=zero, m=zero, p=zero, s=one)
+    built, ranked = _built_and_ranked(monkeypatch)
+    assert jacobian_rank_lambda(sp) == lambda_rank(sp) == 12
+    assert ranked == [(P, 13), (P, 41)] and len(built) == 41
     assert exact_rank_calls == []
 
 
@@ -440,11 +508,13 @@ def test_lambda_rank_at_singular_point_still_raises(monkeypatch):
 # -- the modular helpers ---------------------------------------------------
 
 def test_first_prime_is_a_constant_split_prime():
-    assert P == 2**61 - 31 and sympy.isprime(P) and P % 4 == 1
+    assert P == 2**30 - 35 and sympy.isprime(P) and P % 4 == 1
+    # the largest such prime below 2^30
+    assert not any(sympy.isprime(n) for n in range(P + 4, 2**30, 4))
     assert IOTA * IOTA % P == P - 1
     # iota = c^((p - 1)/4) for the least non-residue c, as ``primes`` finds later pairs
-    assert [c for c in range(2, 8) if pow(c, (P - 1) // 2, P) == P - 1] == [7]
-    assert IOTA == pow(7, (P - 1) // 4, P)
+    assert pow(2, (P - 1) // 2, P) == P - 1
+    assert IOTA == pow(2, (P - 1) // 4, P)
 
 
 def test_prime_source_is_descending_primes_1_mod_4_below_2_61():
@@ -516,7 +586,8 @@ _small_ints = st.integers(-3, 3)
 def test_rank_mod_p_equals_the_exact_rank_of_small_integer_matrices(inner, n, m, data):
     # A product of n x inner and inner x m factors has rank at most inner.
     # Its entries are at most 36 in size, so by Hadamard's bound every
-    # minor is below 10^12 < P: nonzero minors stay nonzero mod P.
+    # minor of at most 4 rows is below 72^4 < 3 * 10^7 < P: a nonzero
+    # minor of the rank's size stays nonzero mod P.
     a = data.draw(st.lists(st.lists(_small_ints, min_size=inner, max_size=inner),
                            min_size=n, max_size=n))
     b = data.draw(st.lists(st.lists(_small_ints, min_size=m, max_size=m),
