@@ -62,20 +62,52 @@ def _load_json(path: str):
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _nested(text: str) -> str:
+    """``text``, a ``_dump`` at the top level, as the value of a top-level key.
+
+    Indenting every line after the first by one level is exact: json.dumps
+    escapes a newline inside a string as \\n, so every raw newline in
+    ``text`` starts an indented line.
+    """
+    return text.replace("\n", "\n  ")
+
+
+def _matrix_dump(rows) -> str:
+    """``matrix_to_obj``'s rows as ``_dump`` writes them as the value of a top-level key.
+
+    No part needs escaping: each is a fraction string of [-0-9/] only.
+    """
+    return "[\n    " + ",\n    ".join(
+        "[\n      " + ",\n      ".join(
+            f'{{\n        "im": "{z["im"]}",\n        "re": "{z["re"]}"\n      }}' for z in row
+        ) + "\n    ]" for row in rows
+    ) + "\n  ]"
+
+
 def cmd_build(args) -> int:
+    """Write ``_dump({params, normalizer, matrix, certificate})`` to --out; print the certificate.
+
+    The dump is put together from its parts, byte for byte the one
+    ``_dump`` would write, so that the certificate is dumped once and the
+    81 matrix entries skip the pure-Python indenting encoder.  The keys
+    are written in sorted order.  The certificate and the input document
+    go through ``_dump``; the matrix parts and the normalizer are fraction
+    strings, which need no escaping.
+    """
     doc = _load_json(args.input)
     kind, params = parse_param_doc(doc)
     witness = parse_witness_doc(_load_json(args.witness)) if args.witness else None
     rec = classify(kind, params)
     cert = format_certificate(rec, witness)
-    out_doc = {
-        "params": doc,
-        "normalizer": cert["normalizer"],
-        "matrix": matrix_to_obj(rec.state),
-        "certificate": cert,
-    }
-    _write(_dump(out_doc) + "\n", args.out)
-    print(_dump(cert))
+    cert_text = _dump(cert)
+    _write(
+        f'{{\n  "certificate": {_nested(cert_text)},\n'
+        f'  "matrix": {_matrix_dump(matrix_to_obj(rec.state))},\n'
+        f'  "normalizer": "{cert["normalizer"]}",\n'
+        f'  "params": {_nested(_dump(doc))}\n}}\n',
+        args.out,
+    )
+    print(cert_text)
     return EXIT_OK
 
 

@@ -169,21 +169,46 @@ def parse_witness_doc(doc) -> WitnessVector:
 # Matrix dumps: nested row-major lists of complex objects.
 
 
+def _negated(text: str) -> str:
+    """The fraction string of minus the value that ``text`` spells."""
+    if text == "0":
+        return text
+    return text[1:] if text[0] == "-" else "-" + text
+
+
 def matrix_to_obj(s: StateMatrix) -> list:
     """rho = blocks / trace as a 9x9 row-major nested list of complex objects.
 
-    Each part x of the 41 block entries is written as x/T in lowest terms,
-    T the trace of the blocks, with one gcd; the 40 entries outside the
-    blocks are zero.
+    Each part x of the 41 block entries is x/T in lowest terms, T the
+    trace of the blocks.  The blocks are Hermitian, so only the entries on
+    and below each block's diagonal are formatted: g = gcd(T, every such
+    part) is taken once, each part is written as (x/g)/T' with T' = T/g
+    over gcd(x/g, T'), and the string of T' serves every part coprime to
+    it.  An entry's mirror takes the same real part and the negated
+    imaginary part, and a diagonal entry's imaginary part is "0".  The 40
+    entries outside the blocks are zero.  Every part is a ``_ratio_to_str``
+    string, made of the characters [-0-9/] only.
     """
+    blocks = s.blocks
     t = s.trace
+    g = gcd(t, *(part for blk in blocks for i, row in enumerate(blk)
+                 for entry in row[:i + 1] for part in entry))
+    t //= g
+    over_t = "" if t == 1 else "/" + _int_to_str(t)
+
+    def ratio(x: int) -> str:
+        x //= g
+        d = gcd(x, t)
+        return _int_to_str(x) + over_t if d == 1 else _ratio_to_str(x // d, t // d)
+
     zero = {"re": "0", "im": "0"}
     rows = [[zero] * 9 for _ in range(9)]
-    for pos, blk in zip(BLOCK_POSITIONS, s.blocks):
-        for r, row in zip(pos, blk):
+    for pos, blk in zip(BLOCK_POSITIONS, blocks):
+        for i, (r, row) in enumerate(zip(pos, blk)):
             out = rows[r]
-            for c, (x, y) in zip(pos, row):
-                gx, gy = gcd(x, t), gcd(y, t)
-                out[c] = {"re": _ratio_to_str(x // gx, t // gx),
-                          "im": _ratio_to_str(y // gy, t // gy)}
+            for c, (x, y) in zip(pos[:i], row):
+                re, im = ratio(x), ratio(y)
+                out[c] = {"re": re, "im": im}
+                rows[c][r] = {"re": re, "im": _negated(im)}
+            out[r] = {"re": ratio(row[i][0]), "im": "0"}
     return rows

@@ -517,7 +517,7 @@ def test_first_prime_is_a_constant_split_prime():
     assert IOTA == pow(2, (P - 1) // 4, P)
 
 
-def test_prime_source_is_descending_primes_1_mod_4_below_2_61():
+def test_prime_source_is_descending_primes_1_mod_4_below_2_30():
     pairs = list(islice(primes(), counting.PRIME_BUDGET + 6))
     walked = [p for p, _ in pairs]
     assert pairs[0] == (P, IOTA)
@@ -526,7 +526,7 @@ def test_prime_source_is_descending_primes_1_mod_4_below_2_61():
     # consecutive: no prime p = 1 mod 4 is skipped
     assert not any(sympy.isprime(n) for hi, lo in zip(walked, walked[1:])
                    for n in range(lo + 4, hi, 4))
-    assert walked == sorted(set(walked), reverse=True) and walked[0] < 2**61
+    assert walked == sorted(set(walked), reverse=True) and walked[0] < 2**30
     # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 31 (only 37
     # exposes it), and two plain composites
     for n in (3215031751, 3825123056546413051, 2**61 - 3, (2**61 - 1) * 1000003):

@@ -9,26 +9,30 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import checkerboard
 from checkerboard import presets, reproduce
-from checkerboard.cli import main
+from checkerboard.cli import _dump, main
 from checkerboard.criteria import WitnessVector
 from checkerboard.family import build_state
 from checkerboard.gaussian import GaussRat
 from checkerboard.io import (
     checker_params_to_doc,
+    matrix_to_obj,
     parse_param_doc,
     parse_witness_doc,
     subfamily_params_to_doc,
 )
-from checkerboard.report import build_certificate
+from checkerboard.report import build_certificate, classify, format_certificate
 from checkerboard.subfamily import BrussPeresParams, derive_full_params
 from conftest import (
+    SIZED_POINTS,
     checker_points,
     digit_fractions,
+    generate_only,
+    single_nonzero_points,
     small_fractions,
     small_gauss,
     sparse_gauss,
@@ -123,6 +127,54 @@ def test_build_ppt_point_gamma_fixed(tmp_path, ppt_file, capsys):
     assert cert["gamma_fixed"] is True
     assert cert["ppt"]["is_ppt"] is True
     assert cert["theorem2"]["generic"] is True
+
+
+def _assert_build_writes_the_indented_dump(tmp, kind, params, witness) -> bool:
+    """``build`` writes json.dumps(out_doc, indent=2, sort_keys=True) and prints ``_dump(cert)``.
+
+    Returns False, checking nothing, at a singular ppt completion.
+    """
+    to_doc = checker_params_to_doc if kind == "full" else subfamily_params_to_doc
+    doc = to_doc(params)
+    (tmp / "p.json").write_text(json.dumps(doc))
+    argv = ["build", "--input", str(tmp / "p.json"), "--out", str(tmp / "dump.json")]
+    if witness is not None:
+        (tmp / "w.json").write_text(json.dumps(witness_to_doc(witness)))
+        argv += ["--witness", str(tmp / "w.json")]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    if code == 3:
+        return False
+    assert code == 0
+    rec = classify(kind, params)
+    cert = format_certificate(rec, witness)
+    out_doc = {"params": doc, "normalizer": cert["normalizer"],
+               "matrix": matrix_to_obj(rec.state), "certificate": cert}
+    assert (tmp / "dump.json").read_text() == json.dumps(out_doc, indent=2, sort_keys=True) + "\n"
+    assert out.getvalue() == _dump(cert) + "\n"
+    return True
+
+
+@pytest.mark.parametrize("kind", ["full", "ppt"])
+@pytest.mark.parametrize("size,examples", [("default", 20), ("5-digit", 10), ("20-digit", 3)])
+def test_build_dump_is_the_indented_json_dump(tmp_path, kind, size, examples):
+    """The dump that ``build`` puts together from its parts is json.dumps's, byte for byte."""
+    @generate_only(examples)
+    @given(SIZED_POINTS[kind][size], st.booleans())
+    def check(params, with_witness):
+        witness = presets.ONE_DISTILLABLE_WITNESS if with_witness else None
+        assume(_assert_build_writes_the_indented_dump(tmp_path, kind, params, witness))
+
+    check()
+
+
+@generate_only(20)
+@given(single_nonzero_points)
+def test_build_dump_of_a_single_letter_with_a_witness_is_the_indented_json_dump(params):
+    """One nonzero letter: the trace divides every part (T' = 1), and the dump holds a witness."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _assert_build_writes_the_indented_dump(
+            Path(tmp), "full", params, presets.ONE_DISTILLABLE_WITNESS)
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
