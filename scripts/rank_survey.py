@@ -27,6 +27,8 @@ def main() -> int:
     ap.add_argument("--real-slots", action="store_true",
                     help="also compute the 23-real-slot rank (slower)")
     args = ap.parse_args()
+    if args.samples < 1:
+        ap.error("samples must be >= 1")
 
     variable_ranks = Counter()
     slot_ranks = Counter()

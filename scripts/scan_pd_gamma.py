@@ -22,6 +22,8 @@ def main() -> int:
     ap.add_argument("--samples", type=int, default=500)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.samples < 1:
+        ap.error("samples must be >= 1")
 
     histogram = Counter()
     for idx in range(args.samples):

@@ -29,9 +29,9 @@ blocks' generator rows is nonzero (proof in ``jacobian_rank_psi``);
 otherwise it is the exact ``rank`` of ``psi_jacobian``.
 
 The subfamily's rank is at most 12 at every point, because a kernel
-vector is known in closed form, and 12 pivots mod the first usable prime
-p = 1 mod 4 of ``matrices.primes()`` prove 12 (proofs in
-``_certified_rank_lambda``).  ``SplitJet``s through
+vector is known in closed form (proof in ``jacobian_rank_lambda``), and
+12 pivots mod the first usable prime of ``matrices.split_prime_rank``
+prove 12 (proof there).  ``SplitJet``s through
 ``complete_parameters`` give the rows mod p on 12 columns, the 13 but
 d/dp, which the kernel vector puts in the span of the others; the first
 13 rows are ranked, and all 41 only when those fall short.  Every other
@@ -51,7 +51,7 @@ from .errors import SingularParameterError
 from .family import BLOCK_POSITIONS, BLOCK_ROWS, CheckerParams, PARAM_LETTERS, placed_vectors
 from .gaussian import GaussRat, lift_to_integers
 from .jets import SplitJet, jet_complex_var, jet_real_var
-from .matrices import PRIME_BUDGET, GMat, primes, rank, rank_mod_p, split_residue
+from .matrices import GMat, rank, rank_mod_p, split_prime_rank
 from .subfamily import COMPLEX_LETTERS, SubfamilyParams, complete_parameters, derive_full_params
 
 PSI_SLOTS = 36
@@ -82,7 +82,7 @@ PSI_ENTRIES = tuple(
 LAMBDA_ENTRIES = tuple((d, d) for d in range(9)) + tuple(
     (r, c) for r in range(9) for c in range(r) if (r + c) % 2 == 0)
 # The column of each parameter variable in the rows mod p: all but p, whose
-# column is dropped (see ``_certified_rank_lambda``).  For each entry of
+# column is dropped (see ``jacobian_rank_lambda``).  For each entry of
 # LAMBDA_ENTRIES, the pairs (u, w) of its letters and whether it is below
 # the diagonal.  The first _HEAD_ROWS rows mod p are those of the diagonal
 # entries and of the entries (2, 0) and (3, 1).
@@ -161,15 +161,6 @@ def _lambda_values(sp: SubfamilyParams) -> list:
     ]
 
 
-def _residues(values: list, p: int, iota: int):
-    """The values' split residues, or None when p divides a denominator or phi
-    sends a nonzero value or its conjugate to 0."""
-    if any(not z.d % p for z in values):
-        return None
-    residues = [split_residue(z, p, iota) for z in values]
-    return None if any(z and not (u and w) for z, (u, w) in zip(values, residues)) else residues
-
-
 def _lambda_rows_mod(residues: list, p: int):
     """The rows of the Wirtinger Jacobian mod p without column p, as unreduced integer rows.
 
@@ -215,80 +206,6 @@ def _lambda_rows_mod(residues: list, p: int):
             yield d_e_conj
 
 
-def _certified_rank_lambda(sp: SubfamilyParams):
-    """12 when a rank mod a split prime proves it; None otherwise.
-
-    Let J be the 41x13 matrix of the derivatives of the 41 real
-    coordinates (Re E of each diagonal entry E, Re E and Im E of each
-    entry below it) along d/dt, d/dx, d/dy and d/dx_k - i d/dy_k.  The
-    map sends the odd block's generator rows V = [(g, q); (f, p);
-    (i, s); (h, r)] of ``BLOCK_ROWS`` to V V*, which is unchanged when V
-    becomes V U for any unitary 2x2 U.  So the rank is at most 12: take
-    v = 0 on t, x, y and every letter but v_f = f p*, v_p = -|f|^2 and
-    v_s = s p* - t.  Column k is d/dx_k - i d/dy_k, so J v = 0 says that
-    every coordinate has zero derivative along the two real directions
-    dz = v and dz = -i v.  Along them every odd row moves as dV = V X,
-    with X = [[p* - p, -f*], [f, 0]] and X = -i [[p + p*, -f*], [-f, 0]];
-    for (f, p) this is v itself, for (i, s) it uses i f* = t - s p*, and
-    for (g, q) and (h, r) it follows from the completion's formulas (a
-    sympy test proves all 16 identities through ``complete_parameters``).
-    Both X are anti-Hermitian, so d(V V*) = V (X + X*) V* = 0.  The even
-    letters a, b, c, j, k, l, m do not move, and d, e, n do not depend on
-    t, f, p, s, so the even block is fixed too.  The completion needs
-    f != 0, so v_p != 0 and v is a kernel vector at every point where the
-    completion is defined.
-
-    Column p can be dropped.  As v_p != 0, J v = 0 puts column p in the
-    span of columns f and s, so the 12 other columns have the rank of J.
-
-    The rank mod p is taken of a matrix with the rank of those 12
-    columns.  Its rows are dE and dE* (dE alone on the diagonal), which
-    span the rows d Re E and d Im E, as Re E = (E + E*)/2 and Im E =
-    (E - E*)/2i; its columns d/dz_k = (d/dx_k - i d/dy_k)/2 are half
-    those of J.  Both changes are invertible over the Gaussian rationals.
-    For p = 1 mod 4 and iota^2 = -1 mod p, phi: i -> iota is a ring map
-    onto F_p from the Gaussian rationals whose denominators p does not
-    divide; ``SplitJet``s compute phi of every entry, and phi only lowers
-    a rank, since a minor that is nonzero mod p is nonzero.  So 12
-    pivots mod p prove rank J >= 12, and with the kernel vector exactly 12.
-
-    12 pivots in any subset of the rows prove it as well, so the first
-    _HEAD_ROWS rows are ranked first and all 41 only when those fall
-    short.  The head is 9 diagonal rows and dE20, dE20*, dE31 and dE31*,
-    one more than 12 because dE20* = dE20: the completion makes
-    E20 = d a* + m j* equal to the real x, and E86 = y likewise
-    (``test_completion_makes_e20_equal_x_and_e86_equal_y``).
-
-    The pairs (p, iota) come from ``primes()``, at most PRIME_BUDGET of
-    them.  A prime is skipped when it divides a denominator, when phi
-    sends a nonzero parameter or its conjugate to 0, or when the
-    completion divides by a value that is 0 mod p; the first such prime
-    also runs the exact completion, which raises SingularParameterError
-    at a singular point.  Two usable primes below 12 end the walk.
-    """
-    values = _lambda_values(sp)
-    usable, completed = 0, False
-    for p, iota in islice(primes(), PRIME_BUDGET):
-        residues = _residues(values, p, iota)
-        if residues is None:
-            continue
-        try:
-            rows = _lambda_rows_mod(residues, p)
-            head = list(islice(rows, _HEAD_ROWS))
-        except (ZeroDivisionError, SingularParameterError):
-            if not completed:
-                derive_full_params(sp)  # raises at a singular point
-                completed = True
-            continue
-        full = LAMBDA_COLUMNS - 1
-        if rank_mod_p(head, p) == full or rank_mod_p(head + list(rows), p) == full:
-            return full
-        usable += 1
-        if usable == 2:
-            return None
-    return None
-
-
 def _lambda_real_jacobian(sp: SubfamilyParams) -> list:
     """The exact 41x23 real-slot Jacobian, scaled by one positive integer, as rows of ints.
 
@@ -316,18 +233,63 @@ def _lambda_real_jacobian(sp: SubfamilyParams) -> list:
 def jacobian_rank_lambda(sp: SubfamilyParams) -> int:
     """Rank of the subfamily-map Jacobian with one column per parameter variable.
 
-    The 41 real coordinates are differentiated holomorphically in each of
-    the ten complex parameters (d/dz = (d/dx - i d/dy)/2) and ordinarily
-    in t, x, y, giving a 41x13 matrix whose rank is taken over the
-    complex field.  Because the coordinates are real-valued, the
-    conjugate derivatives carry no extra information for this rank.  The
-    rank is certified mod a prime p = 1 mod 4 when it can be, from the
-    rows without the column d/dp (see ``_certified_rank_lambda``), and
-    otherwise it is the exact rank of the 41x13 matrix.
+    Let J be the 41x13 matrix of the derivatives of the 41 real
+    coordinates (Re E of each diagonal entry E, Re E and Im E of each
+    entry below it) along d/dt, d/dx, d/dy and d/dx_k - i d/dy_k, twice
+    the holomorphic d/dz_k; its rank is taken over the complex field.
+    The coordinates are real-valued, so the conjugate derivatives carry
+    no extra information for this rank.
+
+    The rank is at most 12.  The map sends the odd block's generator rows
+    V = [(g, q); (f, p); (i, s); (h, r)] of ``BLOCK_ROWS`` to V V*, which
+    is unchanged when V becomes V U for any unitary 2x2 U.  Take v = 0 on
+    t, x, y and every letter but v_f = f p*, v_p = -|f|^2 and
+    v_s = s p* - t.  J v = 0 says that every coordinate has zero
+    derivative along the two real directions dz = v and dz = -i v.  Along
+    them every odd row moves as dV = V X, with X = [[p* - p, -f*], [f, 0]]
+    and X = -i [[p + p*, -f*], [-f, 0]]; for (f, p) this is v itself, for
+    (i, s) it uses i f* = t - s p*, and for (g, q) and (h, r) it follows
+    from the completion's formulas (a sympy test proves all 16 identities
+    through ``complete_parameters``).  Both X are anti-Hermitian, so
+    d(V V*) = V (X + X*) V* = 0.  The even letters a, b, c, j, k, l, m do
+    not move, and d, e, n do not depend on t, f, p, s, so the even block
+    is fixed too.  The completion needs f != 0, so v_p != 0 and v is a
+    kernel vector wherever the completion is defined.  So column p is in
+    the span of columns f and s, and the 12 other columns have the rank
+    of J.
+
+    12 is proved mod the first usable prime of ``split_prime_rank``.  Its
+    rows are dE and dE* (dE alone on the diagonal), which span the rows
+    d Re E and d Im E, as Re E = (E + E*)/2 and Im E = (E - E*)/2i; its
+    columns d/dz_k are half those of J.  Both changes are invertible, and
+    ``SplitJet``s compute phi of every entry.  12 pivots in any subset of
+    the rows prove 12, so the first _HEAD_ROWS rows are ranked first and
+    all 41 only when those fall short.  The head is 9 diagonal rows and
+    dE20, dE20*, dE31 and dE31*, one more than 12 because dE20* = dE20:
+    the completion makes E20 = d a* + m j* equal to the real x, and E86 =
+    y likewise (``test_completion_makes_e20_equal_x_and_e86_equal_y``).
+
+    A prime where the completion divides by a value that is 0 mod p is
+    skipped.  Where it tests one, the exact completion runs first, which
+    raises SingularParameterError at a singular point, and then the prime
+    is skipped.  Any other rank, or no usable prime, takes the exact
+    ``rank`` of the exact 41x13 matrix.
     """
-    certified = _certified_rank_lambda(sp)
-    if certified is not None:
-        return certified
+    full = LAMBDA_COLUMNS - 1
+
+    def rank_at(residues, p):
+        rows = _lambda_rows_mod(residues, p)
+        try:
+            head = list(islice(rows, _HEAD_ROWS))
+        except SingularParameterError:
+            derive_full_params(sp)  # raises at a singular point
+            raise ZeroDivisionError("the completion tests a value that is 0 mod p") from None
+        if rank_mod_p(head, p) == full:
+            return full
+        return rank_mod_p(head + list(rows), p)
+
+    if split_prime_rank(_lambda_values(sp), rank_at) == full:
+        return full
     rows = [[GaussRat(x) for x in row[:3]] + [GaussRat(x, -y) for x, y in zip(row[3::2], row[4::2])]
             for row in _lambda_real_jacobian(sp)]
     return rank(GMat.from_rows(rows))

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, combinations_with_replacement, islice, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Sequence
 
 from .charpoly import blocks_inertia, has_negative_eigenvalue
 from .errors import DegenerateStateError, DimensionError
 from .family import BLOCK_POSITIONS, CheckerParams, StateMatrix, block_map, map_blocks, placed_vectors
 from .gaussian import GaussInt, GaussRat, lift_to_integers
-from .matrices import PRIME_BUDGET, GMat, primes, rank, rank_mod_p, split_residue
+from .matrices import GMat, rank, rank_mod_p, split_prime_rank
 
 
 class RangeCertificate(Enum):
@@ -157,15 +157,14 @@ def range_has_no_product_vector(p: CheckerParams) -> bool:
     reshaping M(lambda), M[i][j] = sum_k lambda_k v_k[3i+j], has rank 1,
     that is when it is nonzero and its nine 2x2 minors vanish.  The minors
     are quadrics in lambda.  Each is multiplied by the 20 cubic monomials,
-    giving 180 rows over the 56 quintic monomials, and the rows are mapped
-    by phi: i -> iota into F_p (``split_residue``) at the first (p, iota)
-    of ``primes()``, within PRIME_BUDGET, where p divides no denominator.
+    giving 180 rows over the 56 quintic monomials, which are ranked mod
+    the first usable prime of ``split_prime_rank``.
 
-    Rank 56 is a proof.  phi is a ring map, so a 56x56 minor of the rows
-    that is nonzero mod p is nonzero, and the rows have rank 56 over the
-    Gaussian rationals too.  So every quintic monomial lies in the ideal
-    of the minors, lambda_k^5 among them, and the minors have no common
-    zero but lambda = 0.  A product vector in the span would be such a zero:
+    Rank 56 is a proof.  The rank mod p is a lower bound (proof in
+    ``split_prime_rank``), so the rows have rank 56 over the Gaussian
+    rationals too.  So every quintic monomial lies in the ideal of the
+    minors, lambda_k^5 among them, and the minors have no common zero but
+    lambda = 0.  A product vector in the span would be such a zero:
     lambda != 0 because the vector is nonzero, and every minor vanishes
     because M(lambda) has rank 1.  Any other rank, or no usable prime, is
     undecided and gives False.  Over the Gaussian rationals the converse
@@ -175,26 +174,26 @@ def range_has_no_product_vector(p: CheckerParams) -> bool:
     range undecided.
     """
     values = p.as_dict()
-    for prime, iota in islice(primes(), PRIME_BUDGET):
-        if all(z.d % prime for z in values.values()):
-            break
-    else:
-        return False
-    forms = [[0] * 4 for _ in range(9)]  # forms[3i+j][k]: phi(v_k[3i+j])
-    for k, vec in enumerate(placed_vectors(values)):
-        for pos, z in vec:
-            forms[pos][k] = split_residue(z, prime, iota)[0]
-    rows = []
-    for (i1, i2), (j1, j2) in product(combinations(range(3), 2), repeat=2):
-        a, b = forms[3 * i1 + j1], forms[3 * i2 + j2]
-        c, d = forms[3 * i1 + j2], forms[3 * i2 + j1]
-        quadric = {}  # (k, l) with k <= l: the coefficient of lambda_k lambda_l
-        for k, l in product(range(4), repeat=2):
-            key = (min(k, l), max(k, l))
-            quadric[key] = quadric.get(key, 0) + a[k] * b[l] - c[k] * d[l]
-        for cubic in _CUBICS:
-            row = [0] * len(_QUINTIC_COLUMN)
-            for pair, x in quadric.items():
-                row[_QUINTIC_COLUMN[tuple(sorted(pair + cubic))]] += x
-            rows.append(row)
-    return rank_mod_p(rows, prime) == len(_QUINTIC_COLUMN)
+
+    def rank_at(residues, prime):
+        phi = {ch: u for ch, (u, _) in zip(values, residues)}
+        forms = [[0] * 4 for _ in range(9)]  # forms[3i+j][k]: phi(v_k[3i+j])
+        for k, vec in enumerate(placed_vectors(phi)):
+            for pos, u in vec:
+                forms[pos][k] = u
+        rows = []
+        for (i1, i2), (j1, j2) in product(combinations(range(3), 2), repeat=2):
+            a, b = forms[3 * i1 + j1], forms[3 * i2 + j2]
+            c, d = forms[3 * i1 + j2], forms[3 * i2 + j1]
+            quadric = {}  # (k, l) with k <= l: the coefficient of lambda_k lambda_l
+            for k, l in product(range(4), repeat=2):
+                key = (min(k, l), max(k, l))
+                quadric[key] = quadric.get(key, 0) + a[k] * b[l] - c[k] * d[l]
+            for cubic in _CUBICS:
+                row = [0] * len(_QUINTIC_COLUMN)
+                for pair, x in quadric.items():
+                    row[_QUINTIC_COLUMN[tuple(sorted(pair + cubic))]] += x
+                rows.append(row)
+        return rank_mod_p(rows, prime)
+
+    return split_prime_rank(list(values.values()), rank_at) == len(_QUINTIC_COLUMN)

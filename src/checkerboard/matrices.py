@@ -11,18 +11,19 @@ reference, and the benchmark's layer table still names it.
 
 The modular helpers work over F_p for the primes p = 1 mod 4 from
 2^30 - 35 down (``primes``), so every residue is one CPython digit.
-With iota^2 = -1 mod p, phi: i -> iota is a ring map onto F_p from the
-Gaussian rationals whose denominators p does not divide
-(``split_residue``), so the ``rank_mod_p`` of phi(M) is a proven lower
-bound of the rank of M; ``counting`` uses it to certify
-the subfamily's Jacobian rank and falls back to ``rank`` otherwise, and
-``criteria`` to certify that a range holds no product vector.
+``split_prime_rank`` is the one walk over them: it splits the values at
+the first usable prime and returns the rank a caller's row builder
+takes there, a proven lower bound (proof in its docstring).
+``counting`` uses it to certify the subfamily's Jacobian rank and falls
+back to ``rank`` otherwise, and ``criteria`` to certify that a range
+holds no product vector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionError, SymmetryError
 from .gaussian import GaussRat
@@ -176,9 +177,9 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # least non-residue is 2: iota = 2^((p - 1)/4).  Below 2^30 every residue is
 # one digit of a CPython int.
 _PRIMES = [(1073741789, 933053945)]
-# The most primes one modular certificate walks.  A usable prime settles
-# the question or hands it on, so this bounds only the primes skipped
-# because they divide a denominator, a nonzero part or a divisor.
+# The most primes ``split_prime_rank`` walks.  The first usable prime
+# decides, so this bounds only the primes skipped because they divide a
+# denominator, a nonzero part or a divisor.
 PRIME_BUDGET = 64
 
 
@@ -235,6 +236,40 @@ def split_residue(z: GaussRat, p: int, iota: int) -> tuple:
         raise ZeroDivisionError("p divides the denominator")
     inv = pow(den, -1, p)
     return (z.x + iota * z.y) * inv % p, (z.x - iota * z.y) * inv % p
+
+
+def split_prime_rank(values: Sequence[GaussRat], rank_at: Callable):
+    """``rank_at(residues, p)`` at the first usable split prime, a lower bound of a rank; or None.
+
+    The pairs (p, iota) come from ``primes()``, at most PRIME_BUDGET of
+    them, and ``residues`` are the values' ``split_residue``s at p.  A
+    prime is skipped when it divides a denominator of the values, when
+    phi sends a nonzero value or its conjugate to 0, or when ``rank_at``
+    raises ZeroDivisionError; any other exception passes through.  The
+    first prime that is not skipped decides: its rank is returned.
+
+    For p = 1 mod 4 and iota^2 = -1 mod p, phi: i -> iota is a ring map
+    onto F_p from the quotients u/v of Gaussian integers with phi(v) != 0,
+    among them every Gaussian rational whose denominator p does not
+    divide.  So when ``rank_at`` ranks phi(M) for a matrix M built from
+    the values and their conjugates by sums, products and quotients by
+    elements that phi does not send to 0, a minor of phi(M) that is
+    nonzero mod p is phi of a minor of M, which is then nonzero too: the
+    rank returned is at most the rank of M.  Each caller
+    proves its own upper bound, and takes its own fallback when the rank
+    does not reach it or no prime is usable.
+    """
+    for p, iota in islice(primes(), PRIME_BUDGET):
+        if any(not z.d % p for z in values):
+            continue
+        residues = [split_residue(z, p, iota) for z in values]
+        if any(z and not (u and w) for z, (u, w) in zip(values, residues)):
+            continue
+        try:
+            return rank_at(residues, p)
+        except ZeroDivisionError:
+            continue
+    return None
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:

@@ -6,8 +6,8 @@ rows mod the first prime P must equal its split-jet rows and the image
 of its exact Jacobian, the full-family rank is 28 exactly when both
 leading block minors are nonzero, the subfamily's closed-form kernel
 vector lies in the kernel of its exact Jacobian, and a point reaches the
-exact ``rank`` only when neither closed form nor any prime of the budget
-gives a proof.
+exact ``rank`` only when neither closed form nor the first usable prime
+of the budget gives a proof.
 
 The properties run without hypothesis's shrink phase: every shrink step
 recomputes an exact jet Jacobian and its rank, so a failing property
@@ -29,6 +29,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import checkerboard.counting as counting
+import checkerboard.matrices as matrices
 from checkerboard import presets, sampling
 from checkerboard.counting import (
     LAMBDA_SLOT_ORDER,
@@ -39,7 +40,15 @@ from checkerboard.counting import (
 from checkerboard.errors import SingularParameterError
 from checkerboard.family import CheckerParams, outer_sum_entries, placed_vectors
 from checkerboard.gaussian import GaussRat, conj
-from checkerboard.matrices import GMat, is_prime, primes, rank, rank_mod_p, split_residue
+from checkerboard.matrices import (
+    GMat,
+    is_prime,
+    primes,
+    rank,
+    rank_mod_p,
+    split_prime_rank,
+    split_residue,
+)
 from checkerboard.subfamily import (
     COMPLEX_LETTERS,
     SubfamilyParams,
@@ -309,8 +318,18 @@ def test_lambda_certified_rank_equals_exact_rank(strategy):
     check()
 
 
+def _residues_at_p(sp):
+    """The split residues of the subfamily's values at P, or None where P is skipped:
+    it divides a denominator, or phi sends a nonzero value or its conjugate to 0."""
+    values = counting._lambda_values(sp)
+    if any(not z.d % P for z in values):
+        return None
+    residues = [split_residue(z, P, IOTA) for z in values]
+    return None if any(z and not (u and w) for z, (u, w) in zip(values, residues)) else residues
+
+
 def _rows_mod_p(sp):
-    residues = counting._residues(counting._lambda_values(sp), P, IOTA)
+    residues = _residues_at_p(sp)
     assume(residues is not None)
     return [[x % P for x in row] for row in counting._lambda_rows_mod(residues, P)]
 
@@ -460,7 +479,7 @@ def test_lambda_rank_skips_a_prime_where_a_completion_divisor_vanishes(offset, e
     walked = _walked_primes(monkeypatch)
     point = presets.SUBFAMILY_RANK_POINT
     sp = replace(point, k=point.b * point.j / point.a + offset)
-    assert counting._residues(counting._lambda_values(sp), P, IOTA) is not None
+    assert _residues_at_p(sp) is not None
     assert jacobian_rank_lambda(sp) == lambda_rank(sp) == 12
     assert exact_rank_calls == []
     assert walked == [P, P2]
@@ -468,7 +487,7 @@ def test_lambda_rank_skips_a_prime_where_a_completion_divisor_vanishes(offset, e
 
 def test_lambda_rank_falls_back_to_exact_elimination_when_the_primes_run_out(
         monkeypatch, exact_rank_calls):
-    monkeypatch.setattr(counting, "primes", lambda: iter([(P, IOTA)]))
+    monkeypatch.setattr(matrices, "primes", lambda: iter([(P, IOTA)]))
     sp = replace(presets.SUBFAMILY_RANK_POINT, c=GaussRat(Fraction(2, P), 1))
     assert jacobian_rank_lambda(sp) == 12
     assert exact_rank_calls == [(41, 13)]
@@ -480,12 +499,12 @@ def _shifted_modular_rank(monkeypatch, shift):
 
 def test_lambda_rank_falls_back_when_the_modular_rank_is_low(monkeypatch, exact_rank_calls):
     # No generic point has turned up where the rank mod p is below 12, so
-    # one is simulated; two usable primes below 12 end the walk.
+    # one is simulated; the first usable prime decides, so the walk ends there.
     walked = _walked_primes(monkeypatch)
     _shifted_modular_rank(monkeypatch, -1)
     assert jacobian_rank_lambda(presets.SUBFAMILY_RANK_POINT) == 12
     assert exact_rank_calls == [(41, 13)]
-    assert walked == [P, P2]
+    assert walked == [P]
 
 
 def test_lambda_rank_never_trusts_a_modular_rank_of_13(monkeypatch, exact_rank_calls):
@@ -495,7 +514,7 @@ def test_lambda_rank_never_trusts_a_modular_rank_of_13(monkeypatch, exact_rank_c
     _shifted_modular_rank(monkeypatch, 1)
     assert jacobian_rank_lambda(presets.SUBFAMILY_RANK_POINT) == 12
     assert exact_rank_calls == [(41, 13)]
-    assert walked == [P, P2]
+    assert walked == [P]
 
 
 def test_lambda_rank_at_singular_point_still_raises(monkeypatch):
@@ -518,7 +537,7 @@ def test_first_prime_is_a_constant_split_prime():
 
 
 def test_prime_source_is_descending_primes_1_mod_4_below_2_30():
-    pairs = list(islice(primes(), counting.PRIME_BUDGET + 6))
+    pairs = list(islice(primes(), matrices.PRIME_BUDGET + 6))
     walked = [p for p, _ in pairs]
     assert pairs[0] == (P, IOTA)
     assert all(sympy.isprime(p) and p % 4 == 1 and iota * iota % p == p - 1
@@ -542,6 +561,39 @@ def test_importing_the_cli_generates_no_prime():
          "import checkerboard.cli, checkerboard.matrices as m; print(len(m._PRIMES))"],
         capture_output=True, text=True, env=env, check=True).stdout
     assert out.strip() == "1"
+
+
+def test_split_prime_rank_skips_primes_in_order_and_returns_the_first_rank(monkeypatch):
+    # P divides a denominator, phi at P2 sends IOTA2 - i to 0, phi at P3
+    # sends the conjugate of IOTA3 + i to 0, and the builder raises
+    # ZeroDivisionError at P4: P5 decides.
+    pairs = list(islice(primes(), 5))
+    (_, iota2), (_, iota3), (p4, _), (p5, iota5) = pairs[1:]
+    values = [GaussRat(Fraction(1, P)), GaussRat(iota2, -1), GaussRat(iota3, 1), GaussRat(0)]
+    seen = []
+
+    def rank_at(residues, p):
+        seen.append(p)
+        if p == p4:
+            raise ZeroDivisionError
+        assert residues == [split_residue(z, p, iota5) for z in values]
+        return 7
+
+    monkeypatch.setattr(matrices, "primes", lambda: iter(pairs))
+    assert split_prime_rank(values, rank_at) == 7
+    assert seen == [p4, p5]
+    monkeypatch.setattr(matrices, "primes", lambda: iter(pairs[:4]))
+    seen.clear()
+    assert split_prime_rank(values, rank_at) is None
+    assert seen == [p4]
+
+
+def test_split_prime_rank_passes_any_other_exception_through():
+    def rank_at(residues, p):
+        raise SingularParameterError("a")
+
+    with pytest.raises(SingularParameterError):
+        split_prime_rank([GaussRat(1)], rank_at)
 
 
 @given(small_gauss, small_gauss)

@@ -1,11 +1,13 @@
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import checkerboard.criteria as criteria
+import checkerboard.matrices as matrices
 from checkerboard import presets, sampling
 from checkerboard.charpoly import Inertia, blocks_inertia, char_poly, inertia_from_char_poly
 from checkerboard.criteria import (
@@ -32,7 +34,7 @@ from checkerboard.family import (
     theorem1_product,
 )
 from checkerboard.gaussian import GaussInt, GaussRat
-from checkerboard.matrices import GMat, ZMat, kron, rank
+from checkerboard.matrices import GMat, ZMat, kron, primes, rank
 from checkerboard.subfamily import derive_full_params
 
 from linalg_reference import identity, integer_lift, over, sub, trace, transpose
@@ -372,6 +374,30 @@ def test_range_test_agrees_with_a_groebner_basis(name):
               for rows, cols in product(combinations(range(3), 2), repeat=2)]
     basis = sympy.groebner(minors, *lams, order="grevlex", domain=sympy.QQ_I)
     assert range_has_no_product_vector(p) == basis.is_zero_dimensional
+
+
+# The first two primes of the walk, and a t1 != 0 point where P divides c's denominator.
+(P, IOTA), (P2, _) = islice(primes(), 2)
+SKIPPED_P_POINT = replace(presets.ONE_DISTILLABLE_PARAMS, c=GaussRat(Fraction(3, 2 * P), 1))
+
+
+def test_range_test_skips_a_prime_dividing_a_denominator(monkeypatch):
+    walked = []
+    original = criteria.rank_mod_p
+
+    def spy(rows, p):
+        walked.append(p)
+        return original(rows, p)
+
+    monkeypatch.setattr(criteria, "rank_mod_p", spy)
+    assert theorem1_product(SKIPPED_P_POINT)
+    assert range_has_no_product_vector(SKIPPED_P_POINT)
+    assert walked == [P2]
+
+
+def test_range_test_is_undecided_when_the_primes_run_out(monkeypatch):
+    monkeypatch.setattr(matrices, "primes", lambda: iter([(P, IOTA)]))
+    assert not range_has_no_product_vector(SKIPPED_P_POINT)
 
 
 def test_numeric_oracle_agrees_with_reproduce_item13():

@@ -1,11 +1,18 @@
-"""Every module-level function and class in ``src/checkerboard`` has a caller outside the tests.
+"""Structural checks on ``src/checkerboard``, from its syntax trees.
+
+Every module-level function and class has a caller outside the tests.
 
 A definition counts as used when its name is referenced in ``src/``
 (outside its own definition and outside ``__init__.py``, whose exports
 are not uses), in ``scripts/``, in ``bench/*.py``, or in the ``LAYERS``
 table of ``bench/tracing.py``, whose names the benchmark wraps by
-string.  Code that only the tests call belongs in ``tests/``.  The files
-are parsed, never imported, so nothing is written next to them.
+string.  Code that only the tests call belongs in ``tests/``.
+
+The primes are walked in one place: only ``matrices`` reads ``primes``,
+``PRIME_BUDGET`` or ``split_residue``, and every other module takes a
+modular rank through ``matrices.split_prime_rank``.
+
+The files are parsed, never imported, so nothing is written next to them.
 """
 
 import ast
@@ -65,3 +72,10 @@ def test_every_definition_in_src_has_a_caller_outside_the_tests():
         and not any(name in names for mod, owner, names in reads if (mod, owner) != (module, name))
     ]
     assert not unused, f"defined in src/ but referenced only by tests: {unused}"
+
+
+def test_only_matrices_walks_the_primes():
+    walk = {"primes", "PRIME_BUDGET", "split_residue"}
+    readers = {path.name: sorted(walk & _names(_parse(path)))
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "matrices.py"}
+    assert not {name: read for name, read in readers.items() if read}

@@ -4,7 +4,8 @@ Each case runs one CLI command (or one script) on fixed inputs (the
 presets, or the seeded large-coefficient files under ``golden/inputs/``)
 and compares what it prints, and for ``build`` the dump it writes, with a
 stored file under ``tests/golden/``.  Any change to a certificate, dump,
-CSV or script line shows up here.
+CSV or script line shows up here.  The scripts' argument checks run
+here too, since they share the subprocess runner.
 
 To regenerate after an intended output change, call ``write_golden()``.
 """
@@ -101,12 +102,15 @@ def run_cli_case(name: str, tmp: Path) -> dict:
     return outputs
 
 
-def run_script(name: str) -> str:
-    script, args = SCRIPT_CASES[name]
+def _run_script(script: str, args: list) -> subprocess.CompletedProcess:
     src = Path(checkerboard.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
+    return subprocess.run([sys.executable, str(SCRIPTS / script), *args],
                           capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def run_script(name: str) -> str:
+    proc = _run_script(*SCRIPT_CASES[name])
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -132,3 +136,11 @@ def test_scan_pd_gamma_script_is_byte_identical():
 
 def test_rank_survey_script_is_byte_identical():
     assert run_script("rank_survey") == (GOLDEN / "rank_survey.out").read_text()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("name", sorted(SCRIPT_CASES))
+def test_script_rejects_a_sample_count_below_1(name, samples):
+    proc = _run_script(SCRIPT_CASES[name][0], ["--samples", samples])
+    assert proc.returncode == 2 and not proc.stdout
+    assert "samples must be >= 1" in proc.stderr and "Traceback" not in proc.stderr
