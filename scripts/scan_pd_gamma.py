@@ -31,7 +31,7 @@ def main() -> int:
         rec = classify("full", p)
         histogram[rec.inertia.n_neg, rec.inertia.n_zero, rec.inertia.n_pos] += 1
         if rec.pd_gamma:
-            print(f"POSITIVE-DEFINITE GAMMA at sample {idx} (theorem1 generic: {bool(rec.t1)}):")
+            print(f"POSITIVE-DEFINITE GAMMA at sample {idx} (theorem1 generic: {rec.generic_t1}):")
             print(checker_params_to_doc(p))
     print(f"samples: {args.samples}, positive-definite hits: {histogram[0, 0, 9]}")
     for key in sorted(histogram):

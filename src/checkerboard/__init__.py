@@ -26,13 +26,10 @@ from .errors import (
 )
 from .family import (
     CheckerParams,
-    QuadForm,
     StateMatrix,
     build_state,
     build_vectors,
-    lambda_mu,
     prime_block_null_basis,
-    quad_form_F,
     state_rank,
     theorem1_product,
 )

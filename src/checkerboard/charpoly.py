@@ -148,12 +148,16 @@ def inertia_from_char_poly(coeffs: tuple, dim: int) -> Inertia:
 
 
 def _primitive(rows) -> list:
-    """Mutable rows of a block divided by its content, the gcd of all parts.
+    """Mutable rows of a Hermitian block divided by its content, the gcd of all parts.
 
     A positive scale leaves the signs of the eigenvalues alone, and the
-    elimination on the smaller entries is cheaper.
+    elimination on the smaller entries is cheaper.  The gcd is taken over
+    the real parts of the diagonal and the entries strictly below it only:
+    the diagonal is real, and each entry above is the conjugate of its
+    mirror, whose parts are the same up to sign.
     """
-    content = gcd(*chain.from_iterable(chain.from_iterable(rows)))
+    lower = chain.from_iterable(row[:r] for r, row in enumerate(rows))
+    content = gcd(*(row[r][0] for r, row in enumerate(rows)), *chain.from_iterable(lower))
     if content <= 1:
         return [list(row) for row in rows]
     return [[(x // content, y // content) for x, y in row] for row in rows]

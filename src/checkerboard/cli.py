@@ -139,7 +139,8 @@ def _scan_row(family: str, target: str, seed: int, idx: int) -> tuple:
         return f"{idx},{idx},,,,,,,singular:{exc.denominator}", None, None
     jrank = jacobian_report(family, params)["rank"] if target == "max-rank" else None
     row = ",".join([
-        str(idx), str(idx), str(bool(rec.t1)), "" if rec.t2 is None else str(bool(rec.t2)),
+        str(idx), str(idx), str(rec.generic_t1),
+        "" if rec.generic_t2 is None else str(rec.generic_t2),
         str(rec.ppt), str(rec.inertia.n_neg), str(rec.reduction_violated),
         str(rec.rank if jrank is None else jrank),
         "pd-gamma" if rec.pd_gamma else "",

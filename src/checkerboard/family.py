@@ -18,6 +18,13 @@ pair and nothing else; rho^Gamma and the reduction matrices are block
 pairs too, read off it through index maps (``block_map``) built once at
 import.  No 9x9 matrix is built: every command, ``reproduce`` included,
 reads the blocks.
+
+Classification computes on int pairs only.  ``CheckerParams.lifted``
+gives each letter as the (re, im) ints of D times its value, for D the
+least common denominator of the 36 parts.  The blocks (``build_state``),
+the rank (``state_rank``) and the factors of the Theorem 1 and 2
+products (``theorem_factors``) are read off those pairs.  A factor is
+taken over its D^k, a ``GaussRat``, only where its value is printed.
 """
 
 from __future__ import annotations
@@ -25,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import DegenerateStateError
-from .gaussian import GaussRat, ZERO, conj, lift_to_integers
+from .gaussian import GaussRat, ZERO, conj, gauss_over
 from .matrices import GMat
 
 PARAM_LETTERS = "abcdefghijklmnpqrs"  # the letter "o" is unused
@@ -78,14 +86,15 @@ class CheckerParams:
 
     @cached_property
     def lifted(self) -> tuple:
-        """(w, D): D is the least common denominator of the 36 parts and w the
-        parameters times D, a CheckerParams of GaussInts.
+        """(parts, D): D is the least common denominator of the 36 parts, and
+        ``parts`` maps each letter to the (re, im) ints of D times its value.
 
-        Computed once per instance; the state, its rank and t1 of a
-        classification all come from it.
+        Computed once per instance; the state, its rank and the Theorem 1/2
+        factors of a classification all come from it.
         """
-        ints, d = lift_to_integers([getattr(self, ch) for ch in PARAM_LETTERS])
-        return CheckerParams(*ints), d
+        values = [getattr(self, ch) for ch in PARAM_LETTERS]
+        d = lcm(*(z.d for z in values))
+        return {ch: (z.x * (q := d // z.d), z.y * q) for ch, z in zip(PARAM_LETTERS, values)}, d
 
 
 BLOCK_POSITIONS = (ODD_POSITIONS, EVEN_POSITIONS)
@@ -178,18 +187,6 @@ class StateMatrix:
         return Fraction(self.trace, self.scale)
 
 
-@dataclass(frozen=True)
-class QuadForm:
-    """Binary quadratic form c20*A1^2 + c11*A1*A3 + c02*A3^2."""
-
-    c20: GaussRat
-    c11: GaussRat
-    c02: GaussRat
-
-    def evaluate(self, a1: GaussRat, a3: GaussRat) -> GaussRat:
-        return self.c20 * a1 * a1 + self.c11 * a1 * a3 + self.c02 * a3 * a3
-
-
 # ---------------------------------------------------------------------------
 # Generic construction helpers.  These operate on any scalar supporting the
 # ring operations plus conj (GaussRat, Jet, or floating complex), so the
@@ -235,75 +232,113 @@ def build_vectors(p: CheckerParams) -> tuple:
 
 def build_state(p: CheckerParams) -> StateMatrix:
     """The state sum |v><v| as the blocks V V* of the lifted generator rows, scale D^2."""
-    w, d = p.lifted
-    values = w.as_dict()
-    if not any(values.values()):
+    parts, d = p.lifted
+    if not any(map(any, parts.values())):
         raise DegenerateStateError("all parameters are zero; the state has no trace")
-    parts = {ch: (z.re, z.im) for ch, z in values.items()}
     return StateMatrix(tuple(_gram([(parts[u], parts[v]) for u, v in rows])
                              for rows in BLOCK_ROWS), d * d)
 
 
 def _two_column_rank(rows) -> int:
-    """Rank of an n x 2 matrix given as (u, v) rows: 2 iff some 2x2 minor is nonzero."""
-    for k, (u, v) in enumerate(rows):
-        if any(u * v2 != v * u2 for u2, v2 in rows[k + 1:]):
-            return 2
-    return 1 if any(u or v for u, v in rows) else 0
+    """Rank of an n x 2 matrix of (u, v) rows of (re, im) pairs: 2 iff some 2x2 minor is nonzero."""
+    for k, ((a, b), (c, d)) in enumerate(rows):
+        for (e, f), (g, h) in rows[k + 1:]:
+            # u v' = v u' for u = a + ib, v = c + id, u' = e + if, v' = g + ih
+            if a * g - b * h != c * e - d * f or a * h + b * g != c * f + d * e:
+                return 2
+    return 1 if any(any(u) or any(v) for u, v in rows) else 0
 
 
-def state_rank(p: CheckerParams) -> int:
-    """rank(N rho) = rank(V_odd) + rank(V_even), since rank(V V*) = rank(V)."""
-    values = p.as_dict()
-    return sum(_two_column_rank([(values[u], values[v]) for u, v in rows]) for rows in BLOCK_ROWS)
+def state_rank(parts) -> int:
+    """rank(N rho) = rank(V_odd) + rank(V_even), since rank(V V*) = rank(V).
 
-
-def quad_form_F(p: CheckerParams) -> QuadForm:
-    return QuadForm(
-        c20=p.a * p.e - p.b * p.d,
-        c11=p.a * p.n + p.e * p.j - p.b * p.m - p.d * p.k,
-        c02=p.j * p.n - p.k * p.m,
-    )
-
-
-def lambda_mu(p: CheckerParams) -> tuple:
-    lam = (
-        p.a * (p.h * p.s - p.i * p.r)
-        + p.b * (p.i * p.q - p.g * p.s)
-        + p.d * (p.f * p.r - p.h * p.p)
-        + p.e * (p.g * p.p - p.f * p.q)
-    )
-    mu = (
-        p.f * (p.m * p.r - p.n * p.q)
-        + p.g * (p.n * p.p - p.k * p.s)
-        + p.h * (p.j * p.s - p.m * p.p)
-        + p.i * (p.k * p.q - p.j * p.r)
-    )
-    return lam, mu
-
-
-# Degrees of the four factors of the Theorem 1 product, each homogeneous.
-THEOREM1_DEGREES = (2, 2, 4, 8)
-
-
-def theorem1_product(p: CheckerParams, reduce=None) -> GaussRat:
-    """The genericity product (fs-ip)(gr-hq) F(l,-c) F(mu,-lambda).
-
-    Generic over the scalar type.  With ``reduce``, each factor z of
-    degree k (``THEOREM1_DEGREES``) is replaced by reduce(z, k) before the
-    product: ``report.classify`` evaluates the factors on the lifted
-    Gaussian integers w = D params and takes each over D^k, so t1 comes
-    out as a product of four reduced values instead of one reduction of
-    t1(w)/D^16.
+    ``parts`` maps each letter to its (re, im) pair (``CheckerParams.lifted``).
     """
-    form = quad_form_F(p)
-    lam, mu = lambda_mu(p)
-    factors = (p.f * p.s - p.i * p.p, p.g * p.r - p.h * p.q,
-               form.evaluate(p.l, -p.c), form.evaluate(mu, -lam))
-    if reduce is not None:
-        factors = map(reduce, factors, THEOREM1_DEGREES)
-    first, second, third, fourth = factors
+    return sum(_two_column_rank([(parts[u], parts[v]) for u, v in rows]) for rows in BLOCK_ROWS)
+
+
+# ---------------------------------------------------------------------------
+# The genericity products of Theorems 1 and 2, on (re, im) pairs.  Only +, -
+# and x are used, so a pair may hold ints or any other commutative ring's
+# elements (the tests push sympy generators through).
+
+
+def _mul(u, v) -> tuple:
+    """u v for (re, im) pairs."""
+    (a, b), (c, d) = u, v
+    return a * c - b * d, a * d + b * c
+
+
+def _minor(x, y, z, w) -> tuple:
+    """x y - z w for (re, im) pairs."""
+    (a, b), (c, d), (e, f), (g, h) = x, y, z, w
+    return a * c - b * d - e * g + f * h, a * d + b * c - e * h - f * g
+
+
+def _dot(us, vs) -> tuple:
+    """sum_k us[k] vs[k] for two sequences of (re, im) pairs."""
+    re = im = 0
+    for (a, b), (c, d) in zip(us, vs):
+        re += a * c - b * d
+        im += a * d + b * c
+    return re, im
+
+
+def _form_at(c20, c11, c02, x, y) -> tuple:
+    """F(x, -y) = c20 x^2 - c11 x y + c02 y^2 for (re, im) pairs."""
+    xy_re, xy_im = _mul(x, y)
+    return _dot((c20, c02, c11), (_mul(x, x), _mul(y, y), (-xy_re, -xy_im)))
+
+
+# The degree of each factor that ``theorem_factors`` returns, each homogeneous.
+FACTOR_DEGREES = (2, 2, 4, 8, 5)
+
+
+def theorem_factors(parts) -> tuple:
+    """fs-ip, gr-hq, F(l,-c), F(mu,-lambda) and abf(ak-bj) as unreduced (re, im) pairs.
+
+    The first four are the factors of Theorem 1's product t1 and the last
+    is the one Theorem 2 adds, t2 = abf(ak-bj) t1.  The binary quadratic
+    form is F(A1, A3) = (ae-bd) A1^2 + (an+ej-bm-dk) A1 A3 + (jn-km) A3^2,
+    and lambda = a(hs-ir) + b(iq-gs) + d(fr-hp) + e(gp-fq),
+    mu = f(mr-nq) + g(np-ks) + h(js-mp) + i(kq-jr).  Each factor is
+    homogeneous of its degree in ``FACTOR_DEGREES`` (2, 2, 4, 8, 5), so on
+    the parts of ``CheckerParams.lifted`` it is D^k times the factor of the
+    parameters, and a product vanishes exactly when one of its factors does.
+    """
+    a, b, c, d, e, f, g, h, i, j, k, l, m, n, p, q, r, s = (parts[ch] for ch in PARAM_LETTERS)
+    c20, c02 = _minor(a, e, b, d), _minor(j, n, k, m)
+    c11 = _dot((a, e, b, d), (n, j, (-m[0], -m[1]), (-k[0], -k[1])))
+    lam = _dot((a, b, d, e), (_minor(h, s, i, r), _minor(i, q, g, s),
+                              _minor(f, r, h, p), _minor(g, p, f, q)))
+    mu = _dot((f, g, h, i), (_minor(m, r, n, q), _minor(n, p, k, s),
+                             _minor(j, s, m, p), _minor(k, q, j, r)))
+    return (_minor(f, s, i, p), _minor(g, r, h, q), _form_at(c20, c11, c02, l, c),
+            _form_at(c20, c11, c02, mu, lam), _mul(_mul(_mul(a, b), f), _minor(a, k, b, j)))
+
+
+def factor_over(factor, degree: int, d: int) -> GaussRat:
+    """A factor of parameters lifted over d, divided by d^degree, in lowest terms."""
+    x, y = factor
+    return gauss_over(x, y, d ** degree)
+
+
+def theorem1_from_factors(factors, d: int) -> GaussRat:
+    """t1 from ``theorem_factors`` of parameters lifted over d.
+
+    Each factor is taken over its own d^k and the four reduced values are
+    multiplied, which gives t1(w)/d^16 in lowest terms without reducing the
+    full product.
+    """
+    first, second, third, fourth = (factor_over(z, k, d)
+                                    for z, k in zip(factors[:4], FACTOR_DEGREES))
     return first * second * third * fourth
+
+
+def theorem1_product(p: CheckerParams) -> GaussRat:
+    """The genericity product (fs-ip)(gr-hq) F(l,-c) F(mu,-lambda) of Theorem 1."""
+    parts, d = p.lifted
+    return theorem1_from_factors(theorem_factors(parts), d)
 
 
 def prime_block_null_basis(p: CheckerParams) -> GMat:

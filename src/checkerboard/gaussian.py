@@ -5,11 +5,14 @@ d, in lowest terms, so its arithmetic is plain int arithmetic and one gcd
 per result.  Parameters, witnesses and every value a user reads or writes
 are ``GaussRat``s (or plain ``Fraction``s where a value is real by
 construction); ``re`` and ``im`` give their parts as Fractions.
-Classification runs on ``GaussInt``s instead: the parameters of a state
-are lifted once to Gaussian integers over one common denominator
-(``lift_to_integers``), and every matrix built from them is an integer
-grid.  Arithmetic is exact; there is no floating point anywhere in the
-core.
+Classification uses no scalar objects: the parameters of a state are
+lifted once to (re, im) int pairs over one common denominator
+(``family.CheckerParams.lifted``), and every block and product built
+from them is plain int arithmetic; ``gauss_over`` turns a pair back into
+a ``GaussRat`` where a value is printed.  A ``GaussInt`` is the entry of
+a ``ZMat`` (``char_poly``, ``det``), and ``lift_to_integers`` lifts the
+witness and the Jacobian values.  Arithmetic is exact; there is no
+floating point anywhere in the core.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ class GaussRat:
     The three ints are kept in lowest terms, gcd(x, y, d) = 1, so the form
     is canonical and equality compares them.  ``re`` and ``im`` give the
     parts as Fractions; hot paths read ``x``, ``y`` and ``d`` instead.
-    Every operation builds its result through ``_gauss``, which reduces
+    Every operation builds its result through ``gauss_over``, which reduces
     with one gcd.
     """
 
@@ -69,7 +72,7 @@ class GaussRat:
 
     # -- involution and magnitude ----------------------------------
     def conj(self) -> "GaussRat":
-        return _gauss(self.x, -self.y, self.d)
+        return gauss_over(self.x, -self.y, self.d)
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact nonnegative rational."""
@@ -89,8 +92,8 @@ class GaussRat:
             return NotImplemented
         d1, d2 = self.d, o.d
         if d1 == d2:
-            return _gauss(self.x + o.x, self.y + o.y, d1)
-        return _gauss(self.x * d2 + o.x * d1, self.y * d2 + o.y * d1, d1 * d2)
+            return gauss_over(self.x + o.x, self.y + o.y, d1)
+        return gauss_over(self.x * d2 + o.x * d1, self.y * d2 + o.y * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -99,8 +102,8 @@ class GaussRat:
             return NotImplemented
         d1, d2 = self.d, o.d
         if d1 == d2:
-            return _gauss(self.x - o.x, self.y - o.y, d1)
-        return _gauss(self.x * d2 - o.x * d1, self.y * d2 - o.y * d1, d1 * d2)
+            return gauss_over(self.x - o.x, self.y - o.y, d1)
+        return gauss_over(self.x * d2 - o.x * d1, self.y * d2 - o.y * d1, d1 * d2)
 
     def __rsub__(self, o):
         if (o := _coerce(o)) is None:
@@ -111,7 +114,7 @@ class GaussRat:
         if type(o) is not GaussRat and (o := _coerce(o)) is None:
             return NotImplemented
         a, b, c, e = self.x, self.y, o.x, o.y
-        return _gauss(a * c - b * e, a * e + b * c, self.d * o.d)
+        return gauss_over(a * c - b * e, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
@@ -123,7 +126,7 @@ class GaussRat:
         norm = c * c + e * e
         if not norm:
             raise ZeroDivisionError("division by zero GaussRat")
-        return _gauss((a * c + b * e) * d2, (b * c - a * e) * d2, self.d * norm)
+        return gauss_over((a * c + b * e) * d2, (b * c - a * e) * d2, self.d * norm)
 
     def __rtruediv__(self, o):
         if (o := _coerce(o)) is None:
@@ -131,7 +134,7 @@ class GaussRat:
         return o / self
 
     def __neg__(self):
-        return _gauss(-self.x, -self.y, self.d)
+        return gauss_over(-self.x, -self.y, self.d)
 
     def __pos__(self):
         return self
@@ -196,7 +199,7 @@ _set_x, _set_y, _set_d = GaussRat.x.__set__, GaussRat.y.__set__, GaussRat.d.__se
 _new = object.__new__
 
 
-def _gauss(x: int, y: int, d: int) -> GaussRat:
+def gauss_over(x: int, y: int, d: int) -> GaussRat:
     """(x + iy)/d for ints with d > 0, reduced to lowest terms."""
     g = gcd(x, y, d)
     if g != 1:
@@ -264,7 +267,7 @@ class GaussInt:
 
     def over(self, den: int) -> GaussRat:
         """This value divided by the positive integer ``den``, as a GaussRat."""
-        return _gauss(self.re, self.im, den)
+        return gauss_over(self.re, self.im, den)
 
 
 def lift_to_integers(values) -> tuple:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .charpoly import Inertia
@@ -22,22 +23,28 @@ from .criteria import (
     schmidt_rank,
     witness_expectation,
 )
-from .family import StateMatrix, build_state, state_rank, theorem1_product
+from .family import StateMatrix, build_state, state_rank, theorem1_from_factors, theorem_factors
 from .gaussian import GaussRat
 from .io import format_fraction, gauss_to_obj
-from .subfamily import derive_full_params, theorem2_from_theorem1
+from .subfamily import derive_full_params, theorem2_from_factors
 
 
 @dataclass(frozen=True)
 class Classification:
-    """The exact facts about one state; ``t2`` is None outside the ppt family."""
+    """The exact facts about one state; ``t2`` and ``generic_t2`` are None outside the ppt family.
+
+    ``factors`` are ``family.theorem_factors`` of the full parameters lifted
+    over ``denominator``: unreduced (re, im) int pairs.  The genericity
+    flags read them as they are; ``t1`` and ``t2`` scale them back only
+    when a certificate prints them.
+    """
 
     kind: str
     params: object
     state: StateMatrix
     rank: int
-    t1: GaussRat
-    t2: Optional[GaussRat]
+    factors: tuple
+    denominator: int
     ppt: bool
     inertia: Inertia
     gamma_fixed: bool
@@ -47,25 +54,47 @@ class Classification:
     def pd_gamma(self) -> bool:
         return self.inertia == Inertia(0, 0, 9)
 
+    @property
+    def generic_t1(self) -> bool:
+        """t1 != 0: each of its four factors is nonzero."""
+        return all(x or y for x, y in self.factors[:4])
+
+    @property
+    def generic_t2(self) -> Optional[bool]:
+        """t2 != 0: each of its five factors is nonzero."""
+        return all(x or y for x, y in self.factors) if self.kind == "ppt" else None
+
+    @cached_property
+    def t1(self) -> GaussRat:
+        """Theorem 1's product, each factor taken over D^k before the four are multiplied."""
+        return theorem1_from_factors(self.factors, self.denominator)
+
+    @cached_property
+    def t2(self) -> Optional[GaussRat]:
+        """Theorem 2's product abf(ak-bj) t1, its extra factor taken over D^5."""
+        if self.kind != "ppt":
+            return None
+        return theorem2_from_factors(self.factors, self.denominator, self.t1)
+
 
 def classify(kind: str, params) -> Classification:
     """Every exact fact about the state of ``params``, each computed once.
 
     ``kind`` is "full" (CheckerParams) or "ppt" (SubfamilyParams, completed
-    first).  The 18 full parameters are lifted once to Gaussian integers w
-    over their least common denominator D, and every fact comes from w:
-    the state is the block pair V V* = D^2 N rho of the lifted generator
-    rows, ``inertia`` is that of the blocks of its partial transpose
-    (built once per state, ``StateMatrix.gamma``), ``gamma_fixed`` is
-    whether those blocks equal the state's, the rank is rank(V_odd) +
-    rank(V_even), and the reduction matrices are block pairs read off the
-    state's blocks.  ``t1`` is the Theorem 1 product, evaluated factor by
-    factor on w: each factor is homogeneous of degree k (2, 2, 4 and 8),
-    so it is taken over D^k on its own and the four reduced values are
-    multiplied.  ``t2`` = abf(ak-bj) t1 takes its degree-5 factor over
-    D^5 the same way.  A ``GaussRat`` is kept in lowest terms, so the two
-    equal t1(w)/D^16 and t2(w)/D^21 exactly, and no full-size product is
-    ever reduced.
+    first).  The 18 full parameters are lifted once to (re, im) int pairs
+    over their least common denominator D (``CheckerParams.lifted``), and
+    every fact comes from those pairs: the state is the block pair
+    V V* = D^2 N rho of the lifted generator rows, ``inertia`` is that of
+    the blocks of its partial transpose (built once per state,
+    ``StateMatrix.gamma``), ``gamma_fixed`` is whether those blocks equal
+    the state's, the rank is rank(V_odd) + rank(V_even), and the reduction
+    matrices are block pairs read off the state's blocks.  The factors of
+    the Theorem 1 and 2 products are evaluated once, on the pairs and left
+    unreduced: whether t1 or t2 vanishes is whether one of its factors
+    does, so ``scan`` never scales them back.  ``t1`` and ``t2`` take each
+    factor, homogeneous of degree k, over D^k on its own and multiply the
+    reduced values, so they equal t1/D^16 and t2/D^21 of the pairs in
+    lowest terms, and no full-size product is ever reduced.
     """
     if kind == "ppt":
         full = derive_full_params(params)
@@ -74,20 +103,15 @@ def classify(kind: str, params) -> Classification:
     else:
         raise ValueError(f"unknown certificate kind {kind!r}")
     state = build_state(full)
-    w, d = full.lifted
+    parts, d = full.lifted
     ppt, inert = is_ppt(state)
-
-    def over_d(z, degree):
-        return z.over(d ** degree)
-
-    t1 = theorem1_product(w, over_d)
     return Classification(
         kind=kind,
         params=params,
         state=state,
-        rank=state_rank(w),
-        t1=t1,
-        t2=theorem2_from_theorem1(w, t1, over_d) if kind == "ppt" else None,
+        rank=state_rank(parts),
+        factors=theorem_factors(parts),
+        denominator=d,
         ppt=ppt,
         inertia=inert,
         gamma_fixed=state.gamma == state.blocks,
@@ -111,7 +135,7 @@ def format_certificate(rec: Classification, witness: Optional[WitnessVector] = N
         "trace": "1",
         "rank": rec.rank,
         "checkerboard": True,  # a block pair has the pattern by construction
-        "theorem1": {"value": gauss_to_obj(rec.t1), "generic": bool(rec.t1)},
+        "theorem1": {"value": gauss_to_obj(rec.t1), "generic": rec.generic_t1},
         "ppt": {
             "is_ppt": rec.ppt,
             "inertia": {"neg": inert.n_neg, "zero": inert.n_zero, "pos": inert.n_pos},
@@ -119,11 +143,11 @@ def format_certificate(rec: Classification, witness: Optional[WitnessVector] = N
         "gamma_fixed": rec.gamma_fixed,
         "reduction_violated": rec.reduction_violated,
         "range_certificate": range_certificate(rec.t1).value,
-        "certified_entangled": bool(rec.t1),
+        "certified_entangled": rec.generic_t1,
         "distillable": rec.reduction_violated,
     }
     if rec.t2 is not None:
-        cert["theorem2"] = {"value": gauss_to_obj(rec.t2), "generic": bool(rec.t2)}
+        cert["theorem2"] = {"value": gauss_to_obj(rec.t2), "generic": rec.generic_t2}
     if witness is not None:
         value = witness_expectation(state, witness)
         srank = schmidt_rank(witness)

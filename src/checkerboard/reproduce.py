@@ -34,16 +34,17 @@ from .family import (
     CheckerParams,
     build_state,
     build_vectors,
-    lambda_mu,
+    factor_over,
     partial_transpose_blocks,
     placed_vectors,
     prime_block_null_basis,
-    quad_form_F,
+    theorem1_from_factors,
     theorem1_product,
+    theorem_factors,
 )
 from .gaussian import ZERO, GaussInt, GaussRat
 from .matrices import GMat, ZMat, det, rank
-from .subfamily import bruss_peres_embed, derive_full_params, theorem2_from_theorem1
+from .subfamily import bruss_peres_embed, derive_full_params, theorem2_from_factors
 
 GOLDEN = {
     "first_normalizer": Fraction(17),
@@ -223,8 +224,10 @@ def item10() -> ItemResult:
         if inert.n_neg:
             failures.append(f"sample {idx}: n_neg={inert.n_neg}")
             continue
-        t1 = theorem1_product(full)
-        if theorem2_from_theorem1(full, t1) and not t1:
+        parts, d = full.lifted
+        factors = theorem_factors(parts)
+        t1 = theorem1_from_factors(factors, d)
+        if theorem2_from_factors(factors, d, t1) and not t1:
             failures.append(f"sample {idx}: theorem2 holds but theorem1 fails")
     return _result(
         not failures,
@@ -263,8 +266,8 @@ def item11() -> ItemResult:
         full = derive_full_params(sp)
         t, x = GaussRat(bp.t), GaussRat(bp.x)
         a, b, c, f = bp.a, bp.b, bp.c, bp.f
-        form = quad_form_F(full)
-        lam, mu = lambda_mu(full)
+        parts, d = full.lifted
+        _, _, form_l_c, form_mu_lam = theorem_factors(parts)[:4]
         weight = x * a.abs2() - t * f.abs2()
         claims = {
             "d=0": full.d == GaussRat(0),
@@ -275,8 +278,8 @@ def item11() -> ItemResult:
             "g=tfc*/(xa*)": full.g == t * f * c.conj() / (x * a.conj()),
             "q=-f*": full.q == -f.conj(),
             "h=bc*/f*": full.h == b * c.conj() / f.conj(),
-            "F(l,-c)=-xba*": form.evaluate(full.l, -full.c) == -(x * b * a.conj()),
-            "F(mu,-lam) closed form": form.evaluate(mu, -lam)
+            "F(l,-c)=-xba*": factor_over(form_l_c, 4, d) == -(x * b * a.conj()),
+            "F(mu,-lam) closed form": factor_over(form_mu_lam, 8, d)
             == x * b ** 3 * c.conj() * weight * weight
             / (a * c * GaussRat(f.abs2() ** 2)),
         }

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import SingularParameterError
 from .family import CheckerParams, PARAM_LETTERS
-from .gaussian import GaussInt, GaussRat
+from .gaussian import GaussRat, gauss_over
 from .subfamily import BrussPeresParams, SubfamilyParams, derive_full_params
 
 DEFAULT_MAX_NUMERATOR = 4
@@ -39,7 +39,7 @@ def random_rational(rng: random.Random) -> Fraction:
 def random_gauss(rng: random.Random) -> GaussRat:
     """xn/xd + i yn/yd, drawn in the order of two ``random_rational`` calls."""
     (xn, xd), (yn, yd) = _fraction_parts(rng), _fraction_parts(rng)
-    return GaussInt(xn * yd, yn * xd).over(xd * yd)
+    return gauss_over(xn * yd, yn * xd, xd * yd)
 
 
 def random_nonzero_gauss(rng: random.Random) -> GaussRat:

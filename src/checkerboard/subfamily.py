@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CheckerboardError, SingularParameterError
-from .family import CheckerParams, theorem1_product
+from .family import (
+    FACTOR_DEGREES,
+    CheckerParams,
+    factor_over,
+    theorem1_from_factors,
+    theorem_factors,
+)
 from .gaussian import GaussRat, conj
 
 COMPLEX_LETTERS = "abcfjklmps"
@@ -95,21 +101,20 @@ def derive_full_params(sp: SubfamilyParams) -> CheckerParams:
     return CheckerParams.from_dict(values)
 
 
-def theorem2_from_theorem1(full: CheckerParams, t1: GaussRat, reduce=None) -> GaussRat:
-    """Theorem 2's product abf(ak-bj) t1 from the completion and t1 = theorem1_product(full).
+def theorem2_from_factors(factors, d: int, t1: GaussRat) -> GaussRat:
+    """Theorem 2's product abf(ak-bj) t1 from ``family.theorem_factors`` of a
+    completion lifted over d and t1 = ``theorem1_from_factors(factors, d)``.
 
-    Generic over the scalar type.  With ``reduce``, the factor abf(ak-bj),
-    homogeneous of degree 5, is replaced by reduce(factor, 5) first, as
-    in ``theorem1_product``.
+    The factor abf(ak-bj) is taken over d^5 on its own, as t1's factors are.
     """
-    factor = full.a * full.b * full.f * (full.a * full.k - full.b * full.j)
-    return (factor if reduce is None else reduce(factor, 5)) * t1
+    return factor_over(factors[4], FACTOR_DEGREES[4], d) * t1
 
 
 def theorem2_product(sp: SubfamilyParams) -> GaussRat:
     """abf (fs-ip)(gr-hq)(ak-bj) F(l,-c) F(mu,-lambda) on the completed parameters."""
-    full = derive_full_params(sp)
-    return theorem2_from_theorem1(full, theorem1_product(full))
+    parts, d = derive_full_params(sp).lifted
+    factors = theorem_factors(parts)
+    return theorem2_from_factors(factors, d, theorem1_from_factors(factors, d))
 
 
 def bruss_peres_embed(bp: BrussPeresParams, real_only: bool = False) -> SubfamilyParams:

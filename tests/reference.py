@@ -19,6 +19,12 @@ command read the block pair, and ``fixed_point_defects`` the eight
 conditions equivalent to rho^Gamma = rho; the tests state 9x9
 definitions with them.
 
+``QuadForm``, ``quad_form_F``, ``lambda_mu`` and ``theorem1_product`` are
+the Theorem 1 formulas on ``GaussRat`` parameters as the package stated
+them before it evaluated the factors on lifted (re, im) int pairs
+(``checkerboard.family.theorem_factors``); ``theorem2_product`` adds
+Theorem 2's factor abf(ak-bj).  They are generic over the scalar type.
+
 ``search_product_vector_numeric`` is the floating-point seesaw search for
 product vectors in the range that the package ran before its exact range
 test, unchanged; tests/test_criteria.py checks the exact verdicts against
@@ -44,13 +50,12 @@ from checkerboard.family import (
     ZERO,
     outer_sum_entries,
     placed_vectors,
-    theorem1_product,
 )
 from checkerboard.gaussian import GaussInt, GaussRat, conj
 from checkerboard.io import format_fraction, gauss_to_obj
 from checkerboard.matrices import GMat, ZMat, kron, rank, require_hermitian
 from checkerboard.report import jacobian_report
-from checkerboard.subfamily import derive_full_params, theorem2_from_theorem1
+from checkerboard.subfamily import SubfamilyParams, derive_full_params
 
 from linalg_reference import identity, integer_lift, over, scale, sub, submatrix, trace
 
@@ -403,6 +408,63 @@ def build_state(p: CheckerParams) -> StateMatrix:
     return StateMatrix(unnorm, normalizer)
 
 
+@dataclass(frozen=True)
+class QuadForm:
+    """Binary quadratic form c20*A1^2 + c11*A1*A3 + c02*A3^2."""
+
+    c20: GaussRat
+    c11: GaussRat
+    c02: GaussRat
+
+    def evaluate(self, a1: GaussRat, a3: GaussRat) -> GaussRat:
+        return self.c20 * a1 * a1 + self.c11 * a1 * a3 + self.c02 * a3 * a3
+
+
+def quad_form_F(p: CheckerParams) -> QuadForm:
+    return QuadForm(
+        c20=p.a * p.e - p.b * p.d,
+        c11=p.a * p.n + p.e * p.j - p.b * p.m - p.d * p.k,
+        c02=p.j * p.n - p.k * p.m,
+    )
+
+
+def lambda_mu(p: CheckerParams) -> tuple:
+    lam = (
+        p.a * (p.h * p.s - p.i * p.r)
+        + p.b * (p.i * p.q - p.g * p.s)
+        + p.d * (p.f * p.r - p.h * p.p)
+        + p.e * (p.g * p.p - p.f * p.q)
+    )
+    mu = (
+        p.f * (p.m * p.r - p.n * p.q)
+        + p.g * (p.n * p.p - p.k * p.s)
+        + p.h * (p.j * p.s - p.m * p.p)
+        + p.i * (p.k * p.q - p.j * p.r)
+    )
+    return lam, mu
+
+
+def theorem_factors(p: CheckerParams) -> tuple:
+    """fs-ip, gr-hq, F(l,-c), F(mu,-lambda) and abf(ak-bj) on the parameters themselves."""
+    form = quad_form_F(p)
+    lam, mu = lambda_mu(p)
+    return (p.f * p.s - p.i * p.p, p.g * p.r - p.h * p.q,
+            form.evaluate(p.l, -p.c), form.evaluate(mu, -lam),
+            p.a * p.b * p.f * (p.a * p.k - p.b * p.j))
+
+
+def theorem1_product(p: CheckerParams) -> GaussRat:
+    """The genericity product (fs-ip)(gr-hq) F(l,-c) F(mu,-lambda)."""
+    first, second, third, fourth, _ = theorem_factors(p)
+    return first * second * third * fourth
+
+
+def theorem2_product(sp: SubfamilyParams) -> GaussRat:
+    """abf(ak-bj) times Theorem 1's product, on the completed parameters."""
+    full = derive_full_params(sp)
+    return theorem_factors(full)[4] * theorem1_product(full)
+
+
 # ---------------------------------------------------------------------------
 # criteria.py
 
@@ -632,7 +694,7 @@ def classify(kind: str, params) -> Classification:
         params=params,
         state=state,
         t1=t1,
-        t2=theorem2_from_theorem1(full, t1) if kind == "ppt" else None,
+        t2=theorem_factors(full)[4] * t1 if kind == "ppt" else None,
         ppt=ppt,
         inertia=inert,
         gamma_fixed=fixed_point_conditions(full),

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -9,16 +10,20 @@ from hypothesis import strategies as st
 
 from checkerboard.charpoly import (
     Inertia,
+    _primitive,
     blocks_inertia,
     char_poly,
     has_negative_eigenvalue,
     inertia_from_char_poly,
 )
-from checkerboard.errors import SymmetryError
+from checkerboard.criteria import reduction_matrices
+from checkerboard.errors import SingularParameterError, SymmetryError
+from checkerboard.family import build_state
+from checkerboard.subfamily import derive_full_params
 from checkerboard.gaussian import GaussInt, GaussRat
 from checkerboard.matrices import GMat, ZMat, rank
 
-from conftest import gauss_matrix, generate_only, hermitian_grid, sparse_gauss
+from conftest import SIZED_POINTS, gauss_matrix, generate_only, hermitian_grid, sparse_gauss
 from linalg_reference import (
     add,
     conj_transpose,
@@ -322,3 +327,34 @@ def test_inertia_matches_float_eigensolver():
         assert inertia(m) == want
         checked += 1
     assert checked == 100
+
+
+def _scaled_blocks(kind, params, diag, off):
+    """Every block the inertia sees for ``params`` (state, rho^Gamma, both reduction
+    matrices), with the diagonal times ``diag`` and the rest times ``off``:
+    still Hermitian, and the diagonal alone can set the content."""
+    full = derive_full_params(params) if kind == "ppt" else params
+    state = build_state(full)
+    pairs = [state.blocks, state.gamma, *reduction_matrices(state)]
+    return [[[(x * (diag if r == c else off), y * (diag if r == c else off))
+              for c, (x, y) in enumerate(row)] for r, row in enumerate(blk)]
+            for pair in pairs for blk in pair]
+
+
+@pytest.mark.parametrize("kind", ["full", "ppt"])
+@pytest.mark.parametrize("size,examples", [("default", 15), ("5-digit", 8), ("20-digit", 3)])
+def test_primitive_content_from_half_of_each_block_is_the_whole_content(kind, size, examples):
+    """The gcd over the diagonal and the strictly-lower entries is that of every part."""
+    @generate_only(examples)
+    @given(SIZED_POINTS[kind][size], st.integers(1, 6), st.integers(1, 6))
+    def check(params, diag, off):
+        try:
+            blocks = _scaled_blocks(kind, params, diag, off)
+        except SingularParameterError:
+            return
+        for rows in blocks:
+            content = gcd(*chain.from_iterable(chain.from_iterable(rows)))
+            assert _primitive(rows) == [[(x // max(content, 1), y // max(content, 1))
+                                         for x, y in row] for row in rows]
+
+    check()

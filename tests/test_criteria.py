@@ -486,8 +486,9 @@ def test_block_pairs_are_the_9x9_definitions(kind, name):
             state = build_state(full)
         except (SingularParameterError, DegenerateStateError):
             assume(False)
-        lifted = ZMat.from_rows(outer_sum_entries(placed_vectors(full.lifted[0].as_dict()),
-                                                  GaussInt(0)))
+        parts, _ = full.lifted
+        lifted = ZMat.from_rows(outer_sum_entries(
+            placed_vectors({ch: GaussInt(*z) for ch, z in parts.items()}), GaussInt(0)))
         m = over(lifted, 1)
         rho_a, rho_b = partial_traces(m)
         one = identity(3)

@@ -12,6 +12,10 @@ The primes are walked in one place: only ``matrices`` reads ``primes``,
 ``PRIME_BUDGET`` or ``split_residue``, and every other module takes a
 modular rank through ``matrices.split_prime_rank``.
 
+Classification computes on int pairs: ``family`` and ``report`` name no
+``GaussInt`` and no ``lift_to_integers``, so no scalar-object arithmetic
+enters the path every ``scan`` sample takes.
+
 The files are parsed, never imported, so nothing is written next to them.
 """
 
@@ -78,4 +82,11 @@ def test_only_matrices_walks_the_primes():
     walk = {"primes", "PRIME_BUDGET", "split_residue"}
     readers = {path.name: sorted(walk & _names(_parse(path)))
                for path in sorted(PACKAGE.glob("*.py")) if path.name != "matrices.py"}
+    assert not {name: read for name, read in readers.items() if read}
+
+
+def test_classification_path_has_no_integer_objects():
+    objects = {"GaussInt", "lift_to_integers"}
+    readers = {name: sorted(objects & _names(_parse(PACKAGE / name)))
+               for name in ("family.py", "report.py")}
     assert not {name: read for name, read in readers.items() if read}

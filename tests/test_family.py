@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -7,18 +8,18 @@ from hypothesis import strategies as st
 from checkerboard import presets
 from checkerboard.errors import DegenerateStateError
 from checkerboard.family import (
+    FACTOR_DEGREES,
     PARAM_LETTERS,
     CheckerParams,
     build_state,
     build_vectors,
-    lambda_mu,
+    factor_over,
     prime_block_null_basis,
-    quad_form_F,
     theorem1_product,
+    theorem_factors,
 )
 from checkerboard.gaussian import GaussRat, parse_gauss
 from checkerboard.matrices import GMat, rank
-from checkerboard.subfamily import theorem2_from_theorem1
 
 from conftest import small_gauss
 from linalg_reference import column_spans_equal, inertia, integer_lift, matmul, nullspace_basis, trace
@@ -31,6 +32,8 @@ from reference import (
     state_from_grid,
     unnormalized,
 )
+from reference import lambda_mu, quad_form_F
+from reference import theorem_factors as reference_factors
 
 params_strategy = st.builds(
     CheckerParams.from_dict,
@@ -120,60 +123,94 @@ def test_state_positive_semidefinite():
         assert inert.n_zero == 9 - rank(unnormalized(state))
 
 
+def _reduced_factors(p: CheckerParams) -> list:
+    """``theorem_factors`` of the lifted parameters, each taken over its own D^k."""
+    parts, d = p.lifted
+    return [factor_over(z, k, d) for z, k in zip(theorem_factors(parts), FACTOR_DEGREES)]
+
+
 def test_quad_form_first_example():
-    form = quad_form_F(presets.REDUCTION_VIOLATING_PARAMS)
+    p = presets.REDUCTION_VIOLATING_PARAMS
+    form = quad_form_F(p)
     assert form.c20 == GaussRat(0, 2)
     assert form.evaluate(GaussRat(0), GaussRat(0)) == GaussRat(0)
+    assert _reduced_factors(p)[2] == form.evaluate(p.l, -p.c)
 
 
 def test_quad_form_zero_params():
     form = quad_form_F(CheckerParams())
     assert form.c20 == form.c11 == form.c02 == GaussRat(0)
+    assert theorem_factors(CheckerParams().lifted[0]) == ((0, 0),) * 5
 
 
 def test_lambda_mu():
     assert lambda_mu(CheckerParams()) == (GaussRat(0), GaussRat(0))
-    lam, mu = lambda_mu(presets.REDUCTION_VIOLATING_PARAMS)
+    p = presets.REDUCTION_VIOLATING_PARAMS
+    lam, mu = lambda_mu(p)
     assert lam and mu
+    assert _reduced_factors(p)[3] == quad_form_F(p).evaluate(mu, -lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params_strategy)
+def test_theorem_factors_equal_the_gaussrat_forms(p):
+    """Each factor of the lifted pairs, over its D^k, is the factor of the parameters."""
+    assert _reduced_factors(p) == list(reference_factors(p))
+
+
+@functools.cache
+def _generator_factors() -> tuple:
+    """``theorem_factors`` of the 36 generators of sympy's Z[x_a, y_a, ..., x_s, y_s].
+
+    Each letter's (re, im) pair is (x_ch, y_ch).  The evaluator uses no
+    conjugate, so the ring needs none.
+    """
+    sympy = pytest.importorskip("sympy")
+    _, *gens = sympy.ring(",".join(f"{part}_{ch}" for ch in PARAM_LETTERS for part in "xy"),
+                          sympy.ZZ)
+    return theorem_factors({ch: (gens[2 * k], gens[2 * k + 1])
+                            for k, ch in enumerate(PARAM_LETTERS)})
+
+
+def _degrees(z) -> set:
+    return {sum(monomial) for monomial in z.monoms()}
+
+
+def _times(u, v) -> tuple:
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
 
 
 def test_theorem1_product_is_homogeneous_of_degree_16():
     """t1(D w) = D^16 t1(w), which lets classification compute t1 on lifted integers.
 
-    The 18 letters are the generators of the polynomial ring Z[a, ..., s]
-    (sympy's sparse ``ring``), pushed through the program's own
-    ``theorem1_product``; every monomial of the result has total degree 16.
-    The product uses no conjugate, so the ring needs none.
+    The 36 real parts of the letters, as generators of a polynomial ring
+    over Z, go through the program's own ``theorem_factors``: both parts of
+    each of the first four factors are homogeneous, of degrees 2, 2, 4 and
+    8, so their product is homogeneous of degree 16.  Expanding the
+    product itself would take millions of terms; at a lifted example,
+    scaling every part by 3 scales it by 3^16.
     """
-    sympy = pytest.importorskip("sympy")
-    _, *letters = sympy.ring(",".join(PARAM_LETTERS), sympy.ZZ)
-    t1 = theorem1_product(CheckerParams(*letters))
-    assert t1 != 0
-    assert {sum(monomial) for monomial in t1.monoms()} == {16}
+    assert [(_degrees(re), _degrees(im)) for re, im in _generator_factors()[:4]] == [
+        ({k}, {k}) for k in (2, 2, 4, 8)]
+    parts, _ = presets.ONE_DISTILLABLE_PARAMS.lifted
+    scaled = {ch: (3 * x, 3 * y) for ch, (x, y) in parts.items()}
+    t1, t1_scaled = (functools.reduce(_times, theorem_factors(w)[:4]) for w in (parts, scaled))
+    assert any(t1) and t1_scaled == (3 ** 16 * t1[0], 3 ** 16 * t1[1])
 
 
 def test_theorem_factors_are_homogeneous_of_their_stated_degrees():
-    """Each factor that ``reduce`` gets is homogeneous of the degree it is told.
+    """Each factor is homogeneous of the degree it is taken over D to.
 
-    ``report.classify`` takes each factor of the lifted w over D^k for the
-    degree k that ``theorem1_product`` and ``theorem2_from_theorem1`` pass
-    with it, which is exact only when every monomial of the factor has
-    degree k.
+    ``factor_over`` divides each factor of the lifted pairs by D^k for its
+    degree k in ``FACTOR_DEGREES``, which is exact only when every monomial
+    of both parts of the factor has degree k.
     """
-    sympy = pytest.importorskip("sympy")
-    _, *letters = sympy.ring(",".join(PARAM_LETTERS), sympy.ZZ)
-    p = CheckerParams(*letters)
-    seen = []
-
-    def record(z, degree):
-        seen.append(({sum(monomial) for monomial in z.monoms()}, degree))
-        return z
-
-    t1 = theorem1_product(p, record)
-    assert t1 == theorem1_product(p)
-    assert theorem2_from_theorem1(p, t1, record) == theorem2_from_theorem1(p, t1)
-    assert [degree for _, degree in seen] == [2, 2, 4, 8, 5]
-    assert all(monomial_degrees == {degree} for monomial_degrees, degree in seen)
+    factors = _generator_factors()
+    assert FACTOR_DEGREES == (2, 2, 4, 8, 5)
+    assert len(factors) == len(FACTOR_DEGREES)
+    for (re, im), degree in zip(factors, FACTOR_DEGREES):
+        assert re and im
+        assert _degrees(re) == _degrees(im) == {degree}
 
 
 def test_theorem1_on_examples():

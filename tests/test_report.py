@@ -10,17 +10,20 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given
 
-from checkerboard import presets, reproduce, sampling
+from checkerboard import family, presets, reproduce, sampling
 from checkerboard.cli import main
 from checkerboard.criteria import is_ppt, partial_transpose_matrix, reduction_criterion
 from checkerboard.errors import SingularParameterError
 from checkerboard.family import build_state, theorem1_product
 from checkerboard.io import checker_params_to_doc, subfamily_params_to_doc
-from checkerboard.report import build_certificate, classify
-from checkerboard.subfamily import derive_full_params, theorem2_from_theorem1, theorem2_product
+from checkerboard.report import Classification, build_certificate, classify
+from checkerboard.subfamily import derive_full_params, theorem2_product
 from conftest import SIZED_POINTS, generate_only
 from io_reference import witness_to_doc
+from reference import theorem1_product as reference_t1
+from reference import theorem2_product as reference_t2
 from reference import unnormalized
+from test_golden import GOLDEN, run_cli_case
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scan_pd_gamma.py"
 
@@ -28,15 +31,19 @@ COUNTED = (
     ("subfamily", "derive_full_params"),
     ("family", "build_state"),
     ("family", "partial_transpose_blocks"),
-    ("family", "theorem1_product"),
+    ("family", "theorem_factors"),
 )
+
+
+def _namespaces() -> list:
+    return [mod for name, mod in sys.modules.items()
+            if mod is not None and name.split(".")[0] == "checkerboard"]
 
 
 def _count_calls(monkeypatch, counted) -> Counter:
     """Counts the calls of the ``counted`` functions that return, in every checkerboard namespace."""
     counts = Counter()
-    namespaces = [mod for name, mod in sys.modules.items()
-                  if mod is not None and name.split(".")[0] == "checkerboard"]
+    namespaces = _namespaces()
     for mod_name, fn_name in counted:
         original = getattr(importlib.import_module(f"checkerboard.{mod_name}"), fn_name)
 
@@ -59,7 +66,7 @@ def calls(monkeypatch):
 
 def _expected(states: int, ppt_states: int) -> Counter:
     return Counter(derive_full_params=ppt_states, build_state=states,
-                   partial_transpose_blocks=states, theorem1_product=states)
+                   partial_transpose_blocks=states, theorem_factors=states)
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -129,7 +136,11 @@ def test_classify_agrees_with_the_criteria():
 @pytest.mark.parametrize("kind", ["full", "ppt"])
 @pytest.mark.parametrize("size,examples", [("default", 20), ("5-digit", 10), ("20-digit", 2)])
 def test_t1_and_t2_from_reduced_factors_equal_the_products(kind, size, examples):
-    """classify's factor-by-factor t1 and t2 equal the products on the GaussRat parameters."""
+    """classify's t1, t2 and genericity flags agree with the products on the GaussRat parameters.
+
+    The products are the program's entry points and the reference forms
+    on the unlifted parameters; each flag is whether its product is nonzero.
+    """
     @generate_only(examples)
     @given(SIZED_POINTS[kind][size])
     def check(params):
@@ -139,10 +150,48 @@ def test_t1_and_t2_from_reduced_factors_equal_the_products(kind, size, examples)
             assume(False)
         full = derive_full_params(params) if kind == "ppt" else params
         t1 = theorem1_product(full)
-        assert rec.t1 == t1
-        assert rec.t2 == (theorem2_from_theorem1(full, t1) if kind == "ppt" else None)
+        assert rec.t1 == t1 == reference_t1(full)
+        assert rec.generic_t1 is bool(t1)
+        if kind == "ppt":
+            t2 = theorem2_product(params)
+            assert rec.t2 == t2 == reference_t2(params)
+            assert rec.generic_t2 is bool(t2)
+        else:
+            assert rec.t2 is None and rec.generic_t2 is None
 
     check()
+
+
+def _forbid_values(monkeypatch) -> None:
+    """Every way from the factor pairs back to a reduced t1 or t2 raises."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Theorem 1/2 value was reduced")
+
+    monkeypatch.setattr(Classification, "t1", property(refuse))
+    monkeypatch.setattr(Classification, "t2", property(refuse))
+    for ns in _namespaces():
+        for attr, value in list(vars(ns).items()):
+            if value is family.factor_over:
+                monkeypatch.setattr(ns, attr, refuse)
+
+
+@pytest.mark.parametrize("name", ["scan_full", "scan_ppt", "scan_ppt_singular",
+                                  "scan_full_max_rank", "scan_ppt_max_rank"])
+def test_scan_reads_the_flags_and_never_reduces(monkeypatch, tmp_path, name):
+    """With the value path raising, every golden scan still prints its golden bytes."""
+    _forbid_values(monkeypatch)
+    with pytest.raises(AssertionError, match="reduced"):
+        classify("full", presets.ONE_DISTILLABLE_PARAMS).t1
+    for fname, text in run_cli_case(name, tmp_path).items():
+        assert text == (GOLDEN / fname).read_text(), fname
+
+
+def test_pd_gamma_script_reads_the_flags_and_never_reduces(monkeypatch, capsys):
+    _forbid_values(monkeypatch)
+    script = runpy.run_path(str(SCRIPT))
+    monkeypatch.setattr(sys, "argv", ["scan_pd_gamma.py", "--samples", "40", "--seed", "7"])
+    assert script["main"]() == 0
+    assert capsys.readouterr().out == (GOLDEN / "scan_pd_gamma.out").read_text()
 
 
 def test_reduction_criterion_runs_only_on_npt_states(monkeypatch, capsys):

@@ -9,10 +9,9 @@ from checkerboard.family import (
     PARAM_LETTERS,
     CheckerParams,
     build_state,
-    lambda_mu,
     outer_sum_entries,
     placed_vectors,
-    quad_form_F,
+    theorem1_product,
 )
 from checkerboard.gaussian import GaussRat, parse_gauss
 from checkerboard.subfamily import (
@@ -22,10 +21,15 @@ from checkerboard.subfamily import (
     bruss_peres_embed,
     complete_parameters,
     derive_full_params,
-    theorem1_product,
     theorem2_product,
 )
-from reference import fixed_point_conditions, fixed_point_defects, unnormalized
+from reference import (
+    fixed_point_conditions,
+    fixed_point_defects,
+    lambda_mu,
+    quad_form_F,
+    unnormalized,
+)
 
 
 def test_derived_values_at_rank_point():
