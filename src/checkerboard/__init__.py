@@ -33,8 +33,8 @@ from .family import (
     state_rank,
     theorem1_product,
 )
-from .gaussian import GaussInt, GaussRat, lift_to_integers, parse_gauss
-from .jets import Jet, jet_complex_var, jet_rank, jet_real_var
+from .gaussian import GaussInt, GaussRat, parse_gauss
+from .jets import jet_rank
 from .matrices import GMat, ZMat, det, kron, rank
 from .subfamily import (
     BrussPeresParams,

@@ -15,27 +15,26 @@ Two maps are differentiated:
   point is stated.  The plain 23-real-slot rank is exposed separately
   as ``jacobian_rank_lambda_real_slots`` (it is 15 at that point).
 
-The outer sum is quadratic, so its Jacobian over the letters' real slots
-is written down directly (``outer_jacobian``): every entry is plus or
-minus the real or imaginary part of one parameter, doubled on the
-diagonal coordinates.  Its rows on the full family's 28 coordinates are
-that map's Jacobian.  On all 41 coordinates, times the Jacobian of the
-completion from exact jets, they give the subfamily's real-slot
-Jacobian by the chain rule, for the exact fallback and the real-slot
-rank.
+The full family's Jacobian is written down directly (``psi_jacobian``):
+the outer sum is quadratic, so every entry is plus or minus the real or
+imaginary part of one parameter, doubled on the diagonal coordinates.
+Its rank is 28 exactly when the leading 2x2 minor of both blocks'
+generator rows is nonzero (proof in ``jacobian_rank_psi``); otherwise it
+is the exact ``rank`` of ``psi_jacobian``.
 
-The full family's rank is 28 exactly when the leading 2x2 minor of both
-blocks' generator rows is nonzero (proof in ``jacobian_rank_psi``);
-otherwise it is the exact ``rank`` of ``psi_jacobian``.
-
-The subfamily's rank is at most 12 at every point, because a kernel
-vector is known in closed form (proof in ``jacobian_rank_lambda``), and
-12 pivots mod the first usable prime of ``matrices.split_prime_rank``
-prove 12 (proof there).  ``SplitJet``s through
-``complete_parameters`` give the rows mod p on 12 columns, the 13 but
-d/dp, which the kernel vector puts in the span of the others; the first
-13 rows are ranked, and all 41 only when those fall short.  Every other
-outcome falls back to the exact ``rank`` of the exact 41x13 Jacobian.
+The subfamily's Jacobian has one row builder, ``_lambda_rows``: jets of
+the free parameters pushed through ``complete_parameters`` give the
+Wirtinger rows dE and dE* of the entries E of N*rho, mod p from
+``SplitJet``s and exact from ``GaussJet``s.  Its holomorphic rank is at
+most 12 at every point, because a kernel vector is known in closed form
+(proof in ``jacobian_rank_lambda``), and 12 pivots mod the first usable
+prime of ``matrices.split_prime_rank`` prove 12 (proof there).  The rows
+mod p take 12 columns, the 13 but d/dp, which the kernel vector puts in
+the span of the others; the first 13 rows are ranked, and all 41 only
+when those fall short.  Every other outcome falls back to the exact
+``rank`` of the exact 41x13 rows.  The real-slot rank is the exact rank
+of the realification of the same 41 rows (proof in
+``jacobian_rank_lambda_real_slots``).
 
 The slot ordering is fixed so Jacobians are bit-reproducible: for the
 full family, (re, im) pairs of the letters in alphabetical order; for
@@ -46,11 +45,12 @@ a, b, c, f, j, k, l, m, p, s.
 from __future__ import annotations
 
 from itertools import islice
+from math import lcm
 
 from .errors import SingularParameterError
 from .family import BLOCK_POSITIONS, BLOCK_ROWS, CheckerParams, PARAM_LETTERS, placed_vectors
-from .gaussian import GaussRat, lift_to_integers
-from .jets import SplitJet, jet_complex_var, jet_real_var
+from .gaussian import IUNIT, ONE, ZERO, GaussRat
+from .jets import GaussJet, SplitJet
 from .matrices import GMat, rank, rank_mod_p, split_prime_rank
 from .subfamily import COMPLEX_LETTERS, SubfamilyParams, complete_parameters, derive_full_params
 
@@ -62,12 +62,12 @@ LAMBDA_COLUMNS = 13
 LAMBDA_SLOT_ORDER = ("t", "x", "y") + tuple(COMPLEX_LETTERS)
 
 # The two letters placed at each basis position (one per vector of its
-# sublattice, in vector order) and the real slot of each letter.
+# sublattice, in vector order) and the (re, im) real slots of each letter.
 _LETTERS_AT = {}
 for _vec in placed_vectors({ch: ch for ch in PARAM_LETTERS}):
     for _pos, _ch in _vec:
         _LETTERS_AT.setdefault(_pos, []).append(_ch)
-_SLOT = {ch: 2 * idx for idx, ch in enumerate(PARAM_LETTERS)}
+_SLOT = {ch: slice(2 * idx, 2 * idx + 2) for idx, ch in enumerate(PARAM_LETTERS)}
 
 # The entries (r, c), r >= c, of N*rho whose real coordinates each map
 # takes: Re of a diagonal entry, Re and Im of an entry below it.  For the
@@ -81,56 +81,45 @@ PSI_ENTRIES = tuple(
                                               for c in pos[:min(ri, 2)]])
 LAMBDA_ENTRIES = tuple((d, d) for d in range(9)) + tuple(
     (r, c) for r in range(9) for c in range(r) if (r + c) % 2 == 0)
-# The column of each parameter variable in the rows mod p: all but p, whose
-# column is dropped (see ``jacobian_rank_lambda``).  For each entry of
-# LAMBDA_ENTRIES, the pairs (u, w) of its letters and whether it is below
-# the diagonal.  The first _HEAD_ROWS rows mod p are those of the diagonal
-# entries and of the entries (2, 0) and (3, 1).
+# The column of each parameter variable in the exact rows, and in the rows
+# mod p: all but p, whose column is dropped (see ``jacobian_rank_lambda``).
+# For each entry of LAMBDA_ENTRIES, the pairs (u, w) of its letters and
+# whether it is below the diagonal.  The first _HEAD_ROWS rows mod p are
+# those of the diagonal entries and of the entries (2, 0) and (3, 1).
+_EXACT_COLUMN = {ch: idx for idx, ch in enumerate(LAMBDA_SLOT_ORDER)}
 _COLUMN = {ch: idx for idx, ch in enumerate(ch for ch in LAMBDA_SLOT_ORDER if ch != "p")}
 _ENTRY_PAIRS = tuple((tuple(zip(_LETTERS_AT[r], _LETTERS_AT[c])), r != c)
                      for r, c in LAMBDA_ENTRIES)
 _HEAD_ROWS = 13
 
 
-def outer_jacobian(parts: dict, entries) -> list:
-    """Sparse rows of the real Jacobian of the outer sum, over the letters' real slots.
+def psi_jacobian(parts: dict) -> list:
+    """Rows of the 28x36 real Jacobian of the two-column map, over the letters' real slots.
 
     ``parts`` maps each letter to the (re, im) parts of its value, in any
-    ring.  A diagonal entry gives one row, Re, and an entry below the
-    diagonal two, Re and Im.  A row lists (letter, dRe, dIm): the
-    derivatives of its coordinate in the real and imaginary part of that
-    letter, the only nonzero ones.  A diagonal entry is the sum of |u|^2
-    over its letters, so d|u|^2 = 2 Re u dRe u + 2 Im u dIm u; an entry
-    below it is u w* + u' w'* over the letters of its vectors, and
+    ring; the letters' slots are (re, im) pairs in alphabetical order.  A
+    diagonal entry of PSI_ENTRIES gives one row, Re, and an entry below
+    the diagonal two, Re and Im, each nonzero only in the slots of the
+    entry's letters.  A diagonal entry is the sum of |u|^2 over its
+    letters, so d|u|^2 = 2 Re u dRe u + 2 Im u dIm u; an entry below it is
+    u w* + u' w'* over the letters of its vectors, and
     d Re(u w*) = Re w dRe u + Im w dIm u + Re u dRe w + Im u dIm w,
     d Im(u w*) = -Im w dRe u + Re w dIm u + Im u dRe w - Re u dIm w.
     """
     rows = []
-    for r, c in entries:
+    for r, c in PSI_ENTRIES:
         if r == c:
-            rows.append([(ch, 2 * parts[ch][0], 2 * parts[ch][1]) for ch in _LETTERS_AT[r]])
+            row = [0] * PSI_SLOTS
+            for ch in _LETTERS_AT[r]:
+                row[_SLOT[ch]] = 2 * parts[ch][0], 2 * parts[ch][1]
+            rows.append(row)
             continue
-        re_row, im_row = [], []
+        re_row, im_row = [0] * PSI_SLOTS, [0] * PSI_SLOTS
         for u, w in zip(_LETTERS_AT[r], _LETTERS_AT[c]):
             (u1, u2), (w1, w2) = parts[u], parts[w]
-            re_row += [(u, w1, w2), (w, u1, u2)]
-            im_row += [(u, -w2, w1), (w, u2, -u1)]
+            re_row[_SLOT[u]], re_row[_SLOT[w]] = (w1, w2), (u1, u2)
+            im_row[_SLOT[u]], im_row[_SLOT[w]] = (-w2, w1), (u2, -u1)
         rows += [re_row, im_row]
-    return rows
-
-
-def psi_jacobian(parts: dict) -> list:
-    """Rows of the 28x36 real Jacobian of the two-column map: ``outer_jacobian`` on PSI_ENTRIES.
-
-    ``parts`` maps each letter to the (re, im) parts of its value, in any
-    ring; the letters' slots are (re, im) pairs in alphabetical order.
-    """
-    rows = []
-    for sparse in outer_jacobian(parts, PSI_ENTRIES):
-        row = [0] * PSI_SLOTS
-        for ch, d_re, d_im in sparse:
-            row[_SLOT[ch]], row[_SLOT[ch] + 1] = d_re, d_im
-        rows.append(row)
     return rows
 
 
@@ -161,20 +150,49 @@ def _lambda_values(sp: SubfamilyParams) -> list:
     ]
 
 
+def _lambda_rows(letters: dict, column: dict, zero):
+    """The rows of the Wirtinger Jacobian of N*rho, each built when it is taken.
+
+    ``letters`` maps the 18 letters to the jets ``complete_parameters``
+    returns, ``SplitJet``s or ``GaussJet``s, whose gradients have a column
+    for each parameter variable in ``column``; ``zero`` is their scalar 0.
+    Each entry E = sum u w* of N*rho over the letters of its vectors gives
+    the row dE = sum w* du + u dw*, and an entry below the diagonal also
+    the row dE* = sum w du* + u* dw, in LAMBDA_ENTRIES order.  A free
+    letter z_k has du = e_k and du* = 0, so it adds one scalar to its own
+    column, or nothing when ``column`` has none; a completed letter's
+    gradients are dense.
+    """
+    width = len(column)
+    for pairs, below in _ENTRY_PAIRS:
+        d_e, d_e_conj = [zero] * width, [zero] * width
+        for u, w in pairs:
+            ju, jw = letters[u], letters[w]
+            if u not in COMPLEX_LETTERS:
+                s, t = jw.conj_value, jw.value
+                d_e = [x + s * g for x, g in zip(d_e, ju.grad)]
+                d_e_conj = [x + t * g for x, g in zip(d_e_conj, ju.conj_grad)]
+            elif u in column:
+                d_e[column[u]] += jw.conj_value
+            if w not in COMPLEX_LETTERS:
+                s, t = ju.value, ju.conj_value
+                d_e = [x + s * g for x, g in zip(d_e, jw.conj_grad)]
+                d_e_conj = [x + t * g for x, g in zip(d_e_conj, jw.grad)]
+            elif w in column:
+                d_e_conj[column[w]] += ju.conj_value
+        yield d_e
+        if below:
+            yield d_e_conj
+
+
 def _lambda_rows_mod(residues: list, p: int):
-    """The rows of the Wirtinger Jacobian mod p without column p, as unreduced integer rows.
+    """The rows of ``_lambda_rows`` mod p without column p, as unreduced integer rows.
 
     A generator: ``SplitJet``s go through ``complete_parameters`` when the
     first row is taken, which raises ZeroDivisionError or
     SingularParameterError when the completion divides by, or tests, a
-    value that is 0 mod p, and each row is built when it is taken, in
-    LAMBDA_ENTRIES order.  Each entry E = sum u w* of N*rho over the
-    letters of its vectors gives the row dE = sum w* du + u dw*, and an
-    entry below the diagonal also the row dE* = sum w du* + u* dw.  The 12
-    columns are d/dt, d/dx, d/dy and d/dz_k for every free letter but p,
-    whose jet has zero gradients.  A free letter z_k has du = e_k and
-    du* = 0, so it adds one scalar to its own column, and p adds nothing;
-    a completed letter's gradients are dense.
+    value that is 0 mod p.  The 12 columns are d/dt, d/dx, d/dy and d/dz_k
+    for every free letter but p, whose jet has zero gradients.
     """
     width = len(_COLUMN)
     zero = [0] * width
@@ -184,50 +202,19 @@ def _lambda_rows_mod(residues: list, p: int):
         if ch in _COLUMN:
             unit[_COLUMN[ch]] = 1
         seeds.append(SplitJet(z, z_conj, unit, unit if ch in "txy" else zero, p))
-    letters = complete_parameters(*seeds)
-    for pairs, below in _ENTRY_PAIRS:
-        d_e, d_e_conj = [0] * width, [0] * width
-        for u, w in pairs:
-            ju, jw = letters[u], letters[w]
-            if u not in COMPLEX_LETTERS:
-                s, t = jw.conj_value, jw.value
-                d_e = [x + s * g for x, g in zip(d_e, ju.grad)]
-                d_e_conj = [x + t * g for x, g in zip(d_e_conj, ju.conj_grad)]
-            elif u in _COLUMN:
-                d_e[_COLUMN[u]] += jw.conj_value
-            if w not in COMPLEX_LETTERS:
-                s, t = ju.value, ju.conj_value
-                d_e = [x + s * g for x, g in zip(d_e, jw.conj_grad)]
-                d_e_conj = [x + t * g for x, g in zip(d_e_conj, jw.grad)]
-            elif w in _COLUMN:
-                d_e_conj[_COLUMN[w]] += ju.conj_value
-        yield d_e
-        if below:
-            yield d_e_conj
+    yield from _lambda_rows(complete_parameters(*seeds), _COLUMN, 0)
 
 
-def _lambda_real_jacobian(sp: SubfamilyParams) -> list:
-    """The exact 41x23 real-slot Jacobian, scaled by one positive integer, as rows of ints.
-
-    Exact jets over the 23 real slots go through ``complete_parameters``;
-    lifting the letters' values and gradients to Gaussian integers scales
-    each by a positive common denominator, which changes no rank.
-    """
-    seeds = [jet_real_var(z, idx, LAMBDA_SLOTS) if idx < 3
-             else jet_complex_var(z, 2 * idx - 3, 2 * idx - 2, LAMBDA_SLOTS)
-             for idx, z in enumerate(_lambda_values(sp))]
-    letters = complete_parameters(*seeds)
-    values, _ = lift_to_integers([letters[ch].value for ch in PARAM_LETTERS])
-    grads, _ = lift_to_integers([g for ch in PARAM_LETTERS for g in letters[ch].grad])
-    parts = {ch: (z.re, z.im) for ch, z in zip(PARAM_LETTERS, values)}
-    grad = {ch: grads[k * LAMBDA_SLOTS:(k + 1) * LAMBDA_SLOTS] for k, ch in enumerate(PARAM_LETTERS)}
-    rows = []
-    for sparse in outer_jacobian(parts, LAMBDA_ENTRIES):
-        row = [0] * LAMBDA_SLOTS
-        for ch, d_re, d_im in sparse:
-            row = [x + d_re * g.re + d_im * g.im for x, g in zip(row, grad[ch])]
-        rows.append(row)
-    return rows
+def _lambda_exact_rows(sp: SubfamilyParams):
+    """The exact rows of ``_lambda_rows`` over all 13 columns, from ``GaussJet``s."""
+    width = len(_EXACT_COLUMN)
+    zero = [ZERO] * width
+    seeds = []
+    for idx, (ch, z) in enumerate(zip(LAMBDA_SLOT_ORDER, _lambda_values(sp))):
+        unit = [ZERO] * width
+        unit[idx] = ONE
+        seeds.append(GaussJet(z, z.conj(), unit, unit if ch in "txy" else zero))
+    return _lambda_rows(complete_parameters(*seeds), _EXACT_COLUMN, ZERO)
 
 
 def jacobian_rank_lambda(sp: SubfamilyParams) -> int:
@@ -273,7 +260,7 @@ def jacobian_rank_lambda(sp: SubfamilyParams) -> int:
     skipped.  Where it tests one, the exact completion runs first, which
     raises SingularParameterError at a singular point, and then the prime
     is skipped.  Any other rank, or no usable prime, takes the exact
-    ``rank`` of the exact 41x13 matrix.
+    ``rank`` of the exact rows dE and dE*, from ``GaussJet``s.
     """
     full = LAMBDA_COLUMNS - 1
 
@@ -290,9 +277,28 @@ def jacobian_rank_lambda(sp: SubfamilyParams) -> int:
 
     if split_prime_rank(_lambda_values(sp), rank_at) == full:
         return full
-    rows = [[GaussRat(x) for x in row[:3]] + [GaussRat(x, -y) for x, y in zip(row[3::2], row[4::2])]
-            for row in _lambda_real_jacobian(sp)]
-    return rank(GMat.from_rows(rows))
+    return rank(GMat.from_rows(_lambda_exact_rows(sp)))
+
+
+def _lambda_real_rows(sp: SubfamilyParams) -> list:
+    """The 41 exact rows of ``_lambda_rows``, realified over the 23 real slots, as rows of ints.
+
+    The rows are dE on the diagonal, and dE + dE* and i (dE* - dE) below
+    it; each complex column becomes the two columns (Re, -Im), and t, x
+    and y, whose entries are real, stay one column each.  Each row is
+    lifted over the lcm of its denominators.
+    """
+    rows = list(_lambda_exact_rows(sp))
+    real = rows[:9]
+    for d_e, d_e_conj in zip(rows[9::2], rows[10::2]):
+        real += [[a + b for a, b in zip(d_e, d_e_conj)],
+                 [IUNIT * (b - a) for a, b in zip(d_e, d_e_conj)]]
+    lifted = []
+    for row in real:
+        den = lcm(*(z.d for z in row))
+        lifted.append([z.x * (den // z.d) for z in row[:3]] + [
+            v for z in row[3:] for v in (z.x * (den // z.d), -z.y * (den // z.d))])
+    return lifted
 
 
 def jacobian_rank_lambda_real_slots(sp: SubfamilyParams) -> int:
@@ -301,5 +307,16 @@ def jacobian_rank_lambda_real_slots(sp: SubfamilyParams) -> int:
     Never smaller than ``jacobian_rank_lambda``; the two differ when the
     map is not holomorphic in the complex parameters, which is the
     generic situation here.
+
+    It is the rank of ``_lambda_real_rows``.  For a real function G of
+    z_k = x_k + i y_k, dG/dz_k* is the conjugate of dG/dz_k, so
+    dG/dx_k = dG/dz_k + dG/dz_k* = 2 Re dG/dz_k and
+    dG/dy_k = i (dG/dz_k - dG/dz_k*) = -2 Im dG/dz_k.  Below the
+    diagonal, dE + dE* and i (dE* - dE) are the Wirtinger rows of the
+    real functions 2 Re E and 2 Im E, and on it dE is that of E = Re E.
+    So each realified row is the real-slot row of Re E or Im E, with the
+    columns t, x and y doubled, times 1 below the diagonal and 1/2 on it.
+    Doubling three columns, and scaling each row by a positive rational,
+    changes no rank.
     """
-    return rank(GMat.from_rows(_lambda_real_jacobian(sp)))
+    return rank(GMat.from_rows(_lambda_real_rows(sp)))

@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, combinations_with_replacement, product
+from math import lcm
 from typing import Sequence
 
 from .charpoly import blocks_inertia, has_negative_eigenvalue
 from .errors import DegenerateStateError, DimensionError
 from .family import BLOCK_POSITIONS, CheckerParams, StateMatrix, block_map, map_blocks, placed_vectors
-from .gaussian import GaussInt, GaussRat, lift_to_integers
+from .gaussian import GaussRat, gauss_over
 from .matrices import GMat, rank, rank_mod_p, split_prime_rank
 
 
@@ -120,18 +121,26 @@ def witness_expectation(s: StateMatrix, w: WitnessVector) -> GaussRat:
     """Exact <w| rho^Gamma |w> with rho normalized and w used as given.
 
     A negative value together with Schmidt rank <= 2 certifies
-    1-distillability.  With w lifted to integers e*w and G the blocks of
-    D^2 N rho^Gamma, the value is <ew|G|ew> / (e^2 trace(D^2 N rho)).
+    1-distillability.  With w lifted to (re, im) int pairs e*w over the
+    lcm e of its denominators and G the blocks of D^2 N rho^Gamma, the
+    value is <ew|G|ew> / (e^2 trace(D^2 N rho)).
     """
-    v, e = lift_to_integers(w.components)
-    acc = GaussInt(0)
+    e = lcm(*(z.d for z in w.components))
+    v = [(z.x * (e // z.d), z.y * (e // z.d)) for z in w.components]
+    acc_re = acc_im = 0
     for pos, blk in zip(BLOCK_POSITIONS, s.gamma):
         for r, row in zip(pos, blk):
-            if v[r]:
-                wr = v[r].conj()
-                for c, z in zip(pos, row):
-                    acc = acc + wr * GaussInt(*z) * v[c]
-    return acc.over(e * e * s.trace)
+            a, b = v[r]
+            if a or b:
+                # (G ew)_r, then times the conjugate of (ew)_r
+                g_re = g_im = 0
+                for c, (x, y) in zip(pos, row):
+                    u, t = v[c]
+                    g_re += x * u - y * t
+                    g_im += x * t + y * u
+                acc_re += a * g_re + b * g_im
+                acc_im += a * g_im - b * g_re
+    return gauss_over(acc_re, acc_im, e * e * s.trace)
 
 
 def range_certificate(t1: GaussRat) -> RangeCertificate:

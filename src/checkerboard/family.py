@@ -189,8 +189,9 @@ class StateMatrix:
 
 # ---------------------------------------------------------------------------
 # Generic construction helpers.  These operate on any scalar supporting the
-# ring operations plus conj (GaussRat, Jet, or floating complex), so the
-# Jacobian machinery can push jets through the same formulas.
+# ring operations plus conj (GaussRat, a jet, a sympy expression or a
+# floating complex), so the tests can push reference jets through the same
+# formulas.
 
 
 def placed_vectors(values: dict) -> list:

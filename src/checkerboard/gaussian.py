@@ -10,8 +10,7 @@ lifted once to (re, im) int pairs over one common denominator
 (``family.CheckerParams.lifted``), and every block and product built
 from them is plain int arithmetic; ``gauss_over`` turns a pair back into
 a ``GaussRat`` where a value is printed.  A ``GaussInt`` is the entry of
-a ``ZMat`` (``char_poly``, ``det``), and ``lift_to_integers`` lifts the
-witness and the Jacobian values.  Arithmetic is exact; there is no
+a ``ZMat`` (``char_poly``, ``det``).  Arithmetic is exact; there is no
 floating point anywhere in the core.
 """
 
@@ -268,13 +267,6 @@ class GaussInt:
     def over(self, den: int) -> GaussRat:
         """This value divided by the positive integer ``den``, as a GaussRat."""
         return gauss_over(self.re, self.im, den)
-
-
-def lift_to_integers(values) -> tuple:
-    """(ints, d) for a sequence of GaussRats: d is their least common
-    denominator and ints[k] = d * values[k] as a GaussInt."""
-    d = lcm(*(z.d for z in values))
-    return [GaussInt(z.x * (d // z.d), z.y * (d // z.d)) for z in values], d
 
 
 IUNIT = GaussRat(0, 1)

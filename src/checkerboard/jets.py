@@ -1,136 +1,31 @@
 """First-order jets: values bundled with gradients.
 
-A jet carries a value together with the vector of its partial derivatives
-with respect to a fixed list of parameters, and its arithmetic follows
-the product and quotient rules, which makes Jacobians of rational maps
-exact.  ``Jet`` works over the Gaussian rationals, with two real slots
-(real part, imaginary part) per complex parameter; ``SplitJet`` works
-mod a prime p = 1 mod 4, with Wirtinger slots.
-Their callers are all in ``counting``, on the parameter completion
-``complete_parameters`` alone: ``SplitJet``s give the subfamily's
-Jacobian mod p, and 23-slot ``Jet``s the exact Jacobian for the fallback
-and for the real-slot rank.  ``jet_rank``, the exact rank of the rows of
-a list of jets, has callers in the tests only.
+A jet of a function F carries F, its conjugate F*, and the gradients dF
+and dF* over a fixed list of columns: d/dt for a real parameter t and
+the holomorphic (Wirtinger) d/dz for a complex z.  Its arithmetic
+follows the sum, product and quotient rules on each component alone, and
+conjugation swaps the components, which makes Jacobians of rational maps
+exact.  ``GaussJet`` works over the Gaussian rationals and ``SplitJet``
+mod a prime p = 1 mod 4, holding phi of each of ``GaussJet``'s
+components.  Their callers are in ``counting``, on the parameter
+completion ``complete_parameters`` alone: one row builder turns either
+kind into the subfamily's Wirtinger Jacobian, mod p for the certificate
+and exact for the fallback and the real-slot rank.  ``jet_rank``, the
+exact rank of the real and imaginary rows of a list of jets over real
+slots, has callers in the tests only.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError
-from .gaussian import GaussInt, GaussRat
+from .gaussian import gauss_over
 from .matrices import GMat, rank
 
 
-class Jet:
-    __slots__ = ("value", "grad")
-
-    def __init__(self, value: GaussRat, grad: Sequence[GaussRat]):
-        if not isinstance(value, GaussRat):
-            value = GaussRat(value)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "grad", tuple(grad))
-
-    def __setattr__(self, name, val):
-        raise AttributeError("Jet is immutable")
-
-    @property
-    def slots(self) -> int:
-        return len(self.grad)
-
-    def _lift(self, other):
-        if isinstance(other, Jet):
-            if other.slots != self.slots:
-                raise DimensionError("jets with mismatched gradient lengths")
-            return other
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return Jet(GaussRat(0) + other, (GaussRat(0),) * self.slots)
-        return None
-
-    def __bool__(self):
-        return bool(self.value)
-
-    def conj(self) -> "Jet":
-        return Jet(self.value.conj(), tuple(g.conj() for g in self.grad))
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.value + o.value, tuple(a + b for a, b in zip(self.grad, o.grad)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.value - o.value, tuple(a - b for a, b in zip(self.grad, o.grad)))
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        u, v = self.value, o.value
-        return Jet(u * v, tuple(du * v + u * dv for du, dv in zip(self.grad, o.grad)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        u, v = self.value, o.value
-        if not v:
-            raise ZeroDivisionError("jet division by zero value")
-        vv = v * v
-        return Jet(u / v, tuple((du * v - u * dv) / vv for du, dv in zip(self.grad, o.grad)))
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return Jet(-self.value, tuple(-g for g in self.grad))
-
-    def __eq__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return self.value == other.value and self.grad == other.grad
-
-    def __hash__(self):
-        return hash((self.value, self.grad))
-
-    def __repr__(self):
-        return f"Jet({self.value}, grad={[str(g) for g in self.grad]})"
-
-
-def jet_real_var(value, slot: int, slots: int) -> Jet:
-    """Jet of a real coordinate parameter (derivative 1 in its own slot)."""
-    grad = [GaussRat(0)] * slots
-    grad[slot] = GaussRat(1)
-    return Jet(GaussRat(0) + value, grad)
-
-
-def jet_complex_var(value: GaussRat, re_slot: int, im_slot: int, slots: int) -> Jet:
-    """Jet of a complex parameter z = x + iy over real slots (x, y): dz/dx = 1, dz/dy = i."""
-    grad = [GaussRat(0)] * slots
-    grad[re_slot] = GaussRat(1)
-    grad[im_slot] = GaussRat(0, 1)
-    return Jet(value, grad)
-
-
-def jet_rank(functions: Sequence[Jet], param_count: int) -> int:
-    """Exact rank of the real Jacobian stacked from the given jets.
+def jet_rank(functions: Sequence, param_count: int) -> int:
+    """Exact rank of the real Jacobian stacked from jets with GaussRat gradients over real slots.
 
     Each jet contributes the real part of its gradient as a row, plus the
     imaginary part when it is not identically zero at this point (a zero
@@ -139,18 +34,63 @@ def jet_rank(functions: Sequence[Jet], param_count: int) -> int:
     """
     rows = []
     for f in functions:
-        if f.slots != param_count:
+        if len(f.grad) != param_count:
             raise DimensionError(
-                f"jet gradient has {f.slots} entries, expected {param_count}"
+                f"jet gradient has {len(f.grad)} entries, expected {param_count}"
             )
-        re_row = [GaussInt(g.x).over(g.d) for g in f.grad]
-        im_row = [GaussInt(g.y).over(g.d) for g in f.grad]
+        re_row = [gauss_over(g.x, 0, g.d) for g in f.grad]
+        im_row = [gauss_over(g.y, 0, g.d) for g in f.grad]
         rows.append(re_row)
         if any(im_row):
             rows.append(im_row)
     if not rows:
         return 0
     return rank(GMat.from_rows(rows))
+
+
+class GaussJet:
+    """A jet of F over the Gaussian rationals: F, F*, dF and dF*, unreduced.
+
+    The exact twin of ``SplitJet``, over the same columns and with the
+    same arithmetic without ``% p``: ``grad[k]`` and ``conj_grad[k]`` are
+    dF and dF* for d = d/dt in a real slot t and the holomorphic d/dz in
+    a complex one, and phi of each component is ``SplitJet``'s.
+    """
+
+    __slots__ = ("value", "conj_value", "grad", "conj_grad")
+
+    def __init__(self, value, conj_value, grad: list, conj_grad: list):
+        self.value = value
+        self.conj_value = conj_value
+        self.grad = grad
+        self.conj_grad = conj_grad
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def conj(self) -> "GaussJet":
+        return GaussJet(self.conj_value, self.value, self.conj_grad, self.grad)
+
+    def __add__(self, o: "GaussJet") -> "GaussJet":
+        return GaussJet(self.value + o.value, self.conj_value + o.conj_value,
+                        [a + b for a, b in zip(self.grad, o.grad)],
+                        [a + b for a, b in zip(self.conj_grad, o.conj_grad)])
+
+    def __sub__(self, o: "GaussJet") -> "GaussJet":
+        return GaussJet(self.value - o.value, self.conj_value - o.conj_value,
+                        [a - b for a, b in zip(self.grad, o.grad)],
+                        [a - b for a, b in zip(self.conj_grad, o.conj_grad)])
+
+    def __mul__(self, o: "GaussJet") -> "GaussJet":
+        u, uc, v, vc = self.value, self.conj_value, o.value, o.conj_value
+        return GaussJet(u * v, uc * vc, [a * v + u * b for a, b in zip(self.grad, o.grad)],
+                        [a * vc + uc * b for a, b in zip(self.conj_grad, o.conj_grad)])
+
+    def __truediv__(self, o: "GaussJet") -> "GaussJet":
+        # q = u/v and dq = (du - q dv)/v, on each component
+        q, qc = self.value / o.value, self.conj_value / o.conj_value
+        return GaussJet(q, qc, [(a - q * b) / o.value for a, b in zip(self.grad, o.grad)],
+                        [(a - qc * b) / o.conj_value for a, b in zip(self.conj_grad, o.conj_grad)])
 
 
 class SplitJet:

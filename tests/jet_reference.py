@@ -5,14 +5,19 @@ completion and the outer sum, and are kept here as the reference for
 ``checkerboard.counting``: the closed-form full-family rows must equal
 ``psi_coordinate_jets`` row for row, the subfamily rows mod the first
 prime must equal ``lambda_rows_mod_p`` (split jets through the outer
-sum) with its column d/dp sliced out, and the certified ranks must equal
-the exact ranks computed here.
-``real_part`` and ``imag_part`` split a jet over the Gaussian rationals
+sum) with its column d/dp sliced out, the realified exact rows must
+equal the rows of ``lambda_coordinate_jets`` up to one factor per row,
+and the certified ranks must equal the exact ranks computed here.
+``Jet`` is a first-order jet over the Gaussian rationals, with two real
+slots (real part, imaginary part) per complex parameter, seeded by
+``jet_real_var`` and ``jet_complex_var``; its arithmetic follows the
+product and quotient rules.  ``real_part`` and ``imag_part`` split a jet over the Gaussian rationals
 into the real coordinates those builders take, and ``jet_const`` is the
 constant jet they start the outer sum from.
 """
 
 from fractions import Fraction
+from typing import Sequence
 
 from checkerboard.counting import (
     LAMBDA_COLUMNS,
@@ -21,6 +26,7 @@ from checkerboard.counting import (
     PSI_COORDS,
     PSI_SLOTS,
 )
+from checkerboard.errors import DimensionError
 from checkerboard.family import (
     EVEN_POSITIONS,
     ODD_POSITIONS,
@@ -29,9 +35,115 @@ from checkerboard.family import (
     placed_vectors,
 )
 from checkerboard.gaussian import GaussInt, GaussRat
-from checkerboard.jets import Jet, SplitJet, jet_complex_var, jet_rank, jet_real_var
+from checkerboard.jets import SplitJet, jet_rank
 from checkerboard.matrices import GMat, primes, rank, split_residue
 from checkerboard.subfamily import COMPLEX_LETTERS, complete_parameters
+
+
+class Jet:
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value: GaussRat, grad: Sequence[GaussRat]):
+        if not isinstance(value, GaussRat):
+            value = GaussRat(value)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "grad", tuple(grad))
+
+    def __setattr__(self, name, val):
+        raise AttributeError("Jet is immutable")
+
+    @property
+    def slots(self) -> int:
+        return len(self.grad)
+
+    def _lift(self, other):
+        if isinstance(other, Jet):
+            if other.slots != self.slots:
+                raise DimensionError("jets with mismatched gradient lengths")
+            return other
+        if isinstance(other, (int, Fraction, GaussRat)):
+            return Jet(GaussRat(0) + other, (GaussRat(0),) * self.slots)
+        return None
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def conj(self) -> "Jet":
+        return Jet(self.value.conj(), tuple(g.conj() for g in self.grad))
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return Jet(self.value + o.value, tuple(a + b for a, b in zip(self.grad, o.grad)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return Jet(self.value - o.value, tuple(a - b for a, b in zip(self.grad, o.grad)))
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        u, v = self.value, o.value
+        return Jet(u * v, tuple(du * v + u * dv for du, dv in zip(self.grad, o.grad)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        u, v = self.value, o.value
+        if not v:
+            raise ZeroDivisionError("jet division by zero value")
+        vv = v * v
+        return Jet(u / v, tuple((du * v - u * dv) / vv for du, dv in zip(self.grad, o.grad)))
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __neg__(self):
+        return Jet(-self.value, tuple(-g for g in self.grad))
+
+    def __eq__(self, other):
+        if not isinstance(other, Jet):
+            return NotImplemented
+        return self.value == other.value and self.grad == other.grad
+
+    def __hash__(self):
+        return hash((self.value, self.grad))
+
+    def __repr__(self):
+        return f"Jet({self.value}, grad={[str(g) for g in self.grad]})"
+
+
+def jet_real_var(value, slot: int, slots: int) -> Jet:
+    """Jet of a real coordinate parameter (derivative 1 in its own slot)."""
+    grad = [GaussRat(0)] * slots
+    grad[slot] = GaussRat(1)
+    return Jet(GaussRat(0) + value, grad)
+
+
+def jet_complex_var(value: GaussRat, re_slot: int, im_slot: int, slots: int) -> Jet:
+    """Jet of a complex parameter z = x + iy over real slots (x, y): dz/dx = 1, dz/dy = i."""
+    grad = [GaussRat(0)] * slots
+    grad[re_slot] = GaussRat(1)
+    grad[im_slot] = GaussRat(0, 1)
+    return Jet(value, grad)
 
 
 def jet_const(value, slots: int) -> Jet:

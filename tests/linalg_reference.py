@@ -10,15 +10,18 @@ closed-form kernel of the odd block and the rank-nullity theorem against
 oracle of its permutation property.
 """
 
+from math import lcm
+
 from checkerboard.charpoly import Inertia, blocks_inertia
 from checkerboard.errors import DimensionError
-from checkerboard.gaussian import GaussRat, lift_to_integers
+from checkerboard.gaussian import GaussInt, GaussRat
 from checkerboard.matrices import GMat, ZMat, rank, require_hermitian
 
 
 def integer_lift(m: GMat) -> tuple:
     """(d*m as a ZMat, d) for the least common denominator d of m's entries."""
-    ints, d = lift_to_integers(m.data)
+    d = lcm(*(z.d for z in m.data))
+    ints = [GaussInt(z.x * (d // z.d), z.y * (d // z.d)) for z in m.data]
     return ZMat(m.rows, m.cols, ints), d
 
 

@@ -69,6 +69,7 @@ from conftest import (
     subfamily_points,
 )
 from jet_reference import (
+    lambda_coordinate_jets,
     lambda_jacobian,
     lambda_rank,
     lambda_rows_mod_p,
@@ -354,11 +355,13 @@ def test_lambda_chain_rule_rows_equal_the_modjet_pipeline(strategy):
 
 @pytest.mark.parametrize("strategy", sorted(LAMBDA_STRATEGIES))
 def test_lambda_rows_mod_p_are_phi_of_the_exact_wirtinger_jacobian(strategy):
-    """phi: i -> IOTA of the exact Jacobian, after the (E, E*) row change, but column p.
+    """The exact rows are the exact Jacobian after the (E, E*) row change, and mod p phi of them.
 
     ``lambda_jacobian`` has the rows d Re E (and d Im E below the
-    diagonal) over d/dt, d/dx, d/dy and d/dz_k; the rows mod p are dE,
-    and dE = d Re E + i d Im E and dE* = d Re E - i d Im E below it.
+    diagonal) over d/dt, d/dx, d/dy and d/dz_k; the rows of
+    ``_lambda_exact_rows`` are dE, and dE = d Re E + i d Im E and
+    dE* = d Re E - i d Im E below it.  The rows mod p are phi: i -> IOTA
+    of those, but column p.
     """
     def phi(z):
         return split_residue(z, P, IOTA)[0]
@@ -368,11 +371,43 @@ def test_lambda_rows_mod_p_are_phi_of_the_exact_wirtinger_jacobian(strategy):
     def check(sp):
         _assume_completes(sp)
         exact = lambda_jacobian(sp)
-        rows = [[phi(z) for z in row] for row in exact[:9]]
+        rows = exact[:9]
         for re_row, im_row in zip(exact[9::2], exact[10::2]):
-            rows.append([phi(x + GaussRat(0, 1) * y) for x, y in zip(re_row, im_row)])
-            rows.append([phi(x - GaussRat(0, 1) * y) for x, y in zip(re_row, im_row)])
-        assert _rows_mod_p(sp) == _without_column_p(rows)
+            rows.append([x + GaussRat(0, 1) * y for x, y in zip(re_row, im_row)])
+            rows.append([x - GaussRat(0, 1) * y for x, y in zip(re_row, im_row)])
+        exact_rows = list(counting._lambda_exact_rows(sp))
+        assert exact_rows == rows
+        assert _rows_mod_p(sp) == _without_column_p([[phi(z) for z in row] for row in exact_rows])
+
+    check()
+
+
+@pytest.mark.parametrize("strategy", sorted(LAMBDA_STRATEGIES))
+def test_lambda_real_rows_are_the_real_slot_jacobian_up_to_one_factor_per_row(strategy):
+    """Each realified row is a positive multiple of the reference row, with t, x and y doubled.
+
+    The reference rows are d Re E (and d Im E below the diagonal) over the
+    23 real slots; before its lift, a row's factor is 1/2 on the diagonal
+    and 1 below it.  Rank equality cannot catch a wrong factor, since
+    every point gives 15.
+    """
+    @generate_only(LAMBDA_EXAMPLES.get(strategy, 4))
+    @given(LAMBDA_STRATEGIES[strategy])
+    def check(sp):
+        _assume_completes(sp)
+        rows = counting._lambda_real_rows(sp)
+        jets = lambda_coordinate_jets(sp)
+        assert not any(g.im for jet in jets for g in jet.grad)
+        reference = [[2 * g.re if k < 3 else g.re for k, g in enumerate(jet.grad)]
+                     for jet in jets]
+        assert len(rows) == len(reference) == 41
+        for row, ref in zip(rows, reference):
+            k = next((k for k, x in enumerate(ref) if x), None)
+            if k is None:
+                assert not any(row)
+                continue
+            factor = Fraction(row[k]) / ref[k]
+            assert factor > 0 and row == [factor * x for x in ref]
 
     check()
 
@@ -483,6 +518,21 @@ def test_lambda_rank_skips_a_prime_where_a_completion_divisor_vanishes(offset, e
     assert jacobian_rank_lambda(sp) == lambda_rank(sp) == 12
     assert exact_rank_calls == []
     assert walked == [P, P2]
+
+
+@pytest.mark.parametrize("strategy", ["default", "sparse", "5-digit"])
+def test_lambda_exact_fallback_equals_the_exact_rank(strategy, monkeypatch, exact_rank_calls):
+    monkeypatch.setattr(matrices, "primes", lambda: iter([]))
+
+    @generate_only(LAMBDA_EXAMPLES.get(strategy, 4))
+    @given(LAMBDA_STRATEGIES[strategy])
+    def check(sp):
+        _assume_completes(sp)
+        exact_rank_calls.clear()
+        assert jacobian_rank_lambda(sp) == lambda_rank(sp)
+        assert exact_rank_calls == [(41, 13)]
+
+    check()
 
 
 def test_lambda_rank_falls_back_to_exact_elimination_when_the_primes_run_out(

@@ -12,9 +12,14 @@ The primes are walked in one place: only ``matrices`` reads ``primes``,
 ``PRIME_BUDGET`` or ``split_residue``, and every other module takes a
 modular rank through ``matrices.split_prime_rank``.
 
-Classification computes on int pairs: ``family`` and ``report`` name no
-``GaussInt`` and no ``lift_to_integers``, so no scalar-object arithmetic
-enters the path every ``scan`` sample takes.
+Classification computes on int pairs: ``family``, ``report``,
+``criteria`` and ``counting`` name no ``GaussInt`` and no
+``lift_to_integers``, so no scalar-object arithmetic enters the path
+every ``scan`` sample takes.
+
+The subfamily's Jacobian has one row builder and one derivative model:
+only ``counting._lambda_rows`` iterates the entries' letter pairs, and no
+real-slot jet or second chain rule is left in ``src/``.
 
 The files are parsed, never imported, so nothing is written next to them.
 """
@@ -88,5 +93,20 @@ def test_only_matrices_walks_the_primes():
 def test_classification_path_has_no_integer_objects():
     objects = {"GaussInt", "lift_to_integers"}
     readers = {name: sorted(objects & _names(_parse(PACKAGE / name)))
-               for name in ("family.py", "report.py")}
+               for name in ("family.py", "report.py", "criteria.py", "counting.py")}
     assert not {name: read for name, read in readers.items() if read}
+
+
+def test_one_lambda_row_builder():
+    gone = {"Jet", "jet_real_var", "jet_complex_var", "_lambda_real_jacobian", "outer_jacobian"}
+    readers = {path.name: sorted(gone & _names(_parse(path)))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert not {name: read for name, read in readers.items() if read}
+    iterating = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(_parse(path)):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    "_ENTRY_PAIRS" in _names(node.iter) for node in ast.walk(fn)
+                    if isinstance(node, (ast.For, ast.comprehension))):
+                iterating.add(f"{path.stem}.{fn.name}")
+    assert iterating == {"counting._lambda_rows"}

@@ -59,8 +59,9 @@ def test_real_fraction():
 
 
 def test_generic_conj_helper():
-    """``conj`` keeps the type and negates the imaginary part of every scalar, or swaps a split jet."""
-    from checkerboard.jets import Jet, SplitJet
+    """``conj`` keeps the type and negates the imaginary part of a scalar, or swaps a jet's parts."""
+    from checkerboard.jets import GaussJet, SplitJet
+    from jet_reference import Jet
 
     for z, want in [(5, 5), (Fraction(1, 3), Fraction(1, 3)), (1 + 2j, 1 - 2j),
                     (GaussRat(1, 2), GaussRat(1, -2))]:
@@ -75,6 +76,12 @@ def test_generic_conj_helper():
     split = conj(SplitJet(3, 1, [0, 2], [5, 0], 13))
     assert type(split) is SplitJet
     assert (split.value, split.conj_value, split.grad, split.conj_grad) == (1, 3, [5, 0], [0, 2])
+    # so does an exact one, whose components are GaussRats
+    one, i = GaussRat(1), GaussRat(0, 1)
+    gauss = conj(GaussJet(i, -i, [one, i], [-i, one]))
+    assert type(gauss) is GaussJet
+    assert (gauss.value, gauss.conj_value) == (-i, i)
+    assert (gauss.grad, gauss.conj_grad) == ([-i, one], [one, i])
 
 
 @given(small_gauss, small_gauss, small_gauss)

@@ -5,8 +5,9 @@ import pytest
 
 from checkerboard.errors import DimensionError
 from checkerboard.gaussian import GaussRat
-from checkerboard.jets import jet_complex_var, jet_rank, jet_real_var
-from jet_reference import imag_part, jet_const, real_part
+from checkerboard.jets import GaussJet, SplitJet, jet_rank
+from checkerboard.matrices import primes, split_residue
+from jet_reference import imag_part, jet_complex_var, jet_const, jet_real_var, real_part
 
 
 def test_real_var_seeding():
@@ -160,11 +161,9 @@ def test_mod_jet_is_the_reduction_of_the_exact_jet():
     The exact jet has real slots (Re z, Im z, t); the split jet has slots
     (d/dz, d/dt).  For a function F, d/dz F = (F_re - i F_im)/2, and
     d/dz F* is the conjugate of d/dz* F = (F_re + i F_im)/2, which is the
-    second component of that value's split residue.
+    second component of that value's split residue.  A GaussJet holds
+    F, F*, dF and dF* exactly, and phi of each component is the SplitJet's.
     """
-    from checkerboard.jets import SplitJet
-    from checkerboard.matrices import primes, split_residue
-
     p, iota = next(primes())
 
     def reduce(z):
@@ -183,6 +182,18 @@ def test_mod_jet_is_the_reduction_of_the_exact_jet():
     d_zbar = (g_re + GaussRat(0, 1) * g_im) * half
     assert split.grad == [reduce(d_z)[0], reduce(g_t)[0]]
     assert split.conj_grad == [reduce(d_zbar)[1], reduce(g_t)[1]]
+    one, zero = GaussRat(1), GaussRat(0)
+    gz = GaussJet(z.value, z.value.conj(), [one, zero], [zero, zero])
+    gt = GaussJet(t.value, t.value.conj(), [zero, one], [zero, one])
+    gauss = (gz * gt.conj() - gt) / (gz.conj() + gt)
+    assert (gauss.value, gauss.conj_value) == (exact.value, exact.value.conj())
+    assert (gauss.grad, gauss.conj_grad) == ([d_z, g_t], [d_zbar.conj(), g_t.conj()])
+    assert (split.value, split.conj_value) == (reduce(gauss.value)[0], reduce(gauss.conj_value)[0])
+    assert split.grad == [reduce(g)[0] for g in gauss.grad]
+    assert split.conj_grad == [reduce(g)[0] for g in gauss.conj_grad]
+    assert bool(gauss) and not GaussJet(zero, zero, [], [])
+    with pytest.raises(ZeroDivisionError):
+        gz / (gz - gz)
     assert bool(split) and not SplitJet(0, 0, [], [], p)
     with pytest.raises(ZeroDivisionError):
         jz / (jz - jz)
