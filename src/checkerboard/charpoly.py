@@ -11,15 +11,19 @@ polynomial has only real roots.
 Classification hands ``blocks_inertia`` (or ``has_negative_eigenvalue``)
 the 4x4 and 5x5 blocks of every matrix it tests: a checkerboard state,
 its partial transpose and its reduction matrices are each such a block
-pair (see ``family``).  Each block, divided by its content, goes
-through fraction-free symmetric elimination over Z[i] (Bareiss): each
-pivot is a nonzero diagonal entry, its value is the next leading
-principal minor of the pivots taken, and Sylvester's law of inertia
-counts it by the sign of that minor against the one before.  When no
+pair (see ``family``).  Each block goes through fraction-free symmetric
+elimination over Z[i] (Bareiss): each pivot is a nonzero diagonal entry,
+its value is the next leading principal minor of the pivots taken, and
+Sylvester's law of inertia counts it by the sign of that minor against
+the one before.  Each step divides exactly by the minor before its
+pivot; the first step's is D_0 = 1, so it divides by nothing.  When no
 nonzero diagonal entry remains, the remaining entries are the last minor
 times the Schur complement, whose inertia adds to that of the pivots
 (Haynsworth); the characteristic polynomial finishes that stalled
-remainder, so no 2x2 pivots are needed.
+remainder, so no 2x2 pivots are needed.  The remainder is most often the
+zero matrix: a block of a ppt-family state, where rho^Gamma = rho = V V*,
+is a rank-2 Gram matrix that stalls after two pivots on zeros, and
+``char_poly`` returns lambda^n for it without a recursion.
 
 The reduction criterion needs only whether a block pair has a negative
 eigenvalue, so ``has_negative_eigenvalue`` stops at the first negative
@@ -29,7 +33,10 @@ negative eigenvalue (Sylvester, Jacobi), and by Cauchy interlacing the
 whole block then has one too.  A block with no negative pivot is counted
 in full, its stalled remainder by the characteristic polynomial as
 above.  The count and the test run the same elimination,
-``_inertia_parts``.
+``_inertia_parts``.  Only the count divides each block by its content
+first (``_primitive``), which shrinks every step of a full elimination;
+a positive scale changes no sign, and the test, which mostly stops
+early on blocks of content 1, eliminates the block as given.
 """
 
 from __future__ import annotations
@@ -84,12 +91,12 @@ def _hermitian_product(a, b, n):
 def char_poly(m: ZMat) -> tuple:
     """Integer coefficients of det(lambda*I - m) for Hermitian m, lowest degree first.
 
-    The last coefficient is 1.
+    The last coefficient is 1.  The zero matrix gives lambda^n at once.
     """
     require_hermitian(m, "char_poly input")
     n = m.rows
-    if n == 0:
-        return (1,)
+    if not any(m.data):
+        return (0,) * n + (1,)
     a = [[(z.re, z.im) for z in m.row(r)] for r in range(n)]
     # Every B_k is a real polynomial in A, so A B_k is Hermitian.
     ab = a  # A B_1, with B_1 = I
@@ -167,8 +174,11 @@ def _primitive(rows) -> list:
 _POSITIVE, _NEGATIVE = (0, 0, 1), (1, 0, 0)
 
 
-def _inertia_parts(rows):
-    """The inertia of one Hermitian block of (re, im) int pairs, in parts, by fraction-free elimination.
+def _inertia_parts(a):
+    """The inertia of one Hermitian block, in parts, by fraction-free elimination.
+
+    ``a`` is the block as mutable rows of (re, im) int pairs, which the
+    elimination overwrites.
 
     Yields (neg, zero, pos) counts: one count per pivot, then, if the
     elimination stalls, the counts of the remainder; their sum is the
@@ -178,13 +188,13 @@ def _inertia_parts(rows):
     (p a_ij - a_ip a_pj) / D_(k-1) for the pivot value p = D_k, and the
     division is exact.  A pivot is positive when D_k has the sign of
     D_(k-1) (D_0 = 1) and negative otherwise; it is yielded before its
-    elimination step, so a caller that stops there skips the rest.  If
+    elimination step, so a caller that stops there skips the rest.  A step
+    after a minor D_(k-1) = 1, the first one always, divides by nothing.  If
     elimination stalls, the remaining entries are D_k times the Schur
     complement, so the counts of its characteristic polynomial are
     swapped when D_k < 0.
     """
-    a = _primitive(rows)
-    rest = list(range(len(rows)))
+    rest = list(range(len(a)))
     prev = 1
     while rest:
         p = next((k for k in rest if a[k][k][0]), None)
@@ -204,10 +214,13 @@ def _inertia_parts(rows):
             for j in rest[:t + 1]:
                 yr, yi = row_p[j]
                 zr, zi = row_i[j]
-                re, rem_re = divmod(piv * zr - xr * yr + xi * yi, prev)
-                im, rem_im = divmod(piv * zi - xr * yi - xi * yr, prev)
-                if rem_re or rem_im:
-                    raise ArithmeticError("inexact division in fraction-free elimination")
+                re = piv * zr - xr * yr + xi * yi
+                im = piv * zi - xr * yi - xi * yr
+                if prev != 1:
+                    re, rem_re = divmod(re, prev)
+                    im, rem_im = divmod(im, prev)
+                    if rem_re or rem_im:
+                        raise ArithmeticError("inexact division in fraction-free elimination")
                 row_i[j] = (re, im)
                 a[j][i] = (re, -im)
         prev = piv
@@ -222,7 +235,7 @@ def blocks_inertia(blocks) -> Inertia:
     """
     n_neg = n_zero = n_pos = 0
     for blk in blocks:
-        for neg, zero, pos in _inertia_parts(blk):
+        for neg, zero, pos in _inertia_parts(_primitive(blk)):
             n_neg, n_zero, n_pos = n_neg + neg, n_zero + zero, n_pos + pos
     return Inertia(n_neg, n_zero, n_pos)
 
@@ -238,4 +251,4 @@ def has_negative_eigenvalue(blocks) -> bool:
     block is at most that of any principal submatrix.  A block with no
     negative pivot is counted in full, stalled remainder included.
     """
-    return any(neg for blk in blocks for neg, _, _ in _inertia_parts(blk))
+    return any(neg for blk in blocks for neg, _, _ in _inertia_parts([list(row) for row in blk]))

@@ -2,8 +2,8 @@
 
 Every criterion is exact.  The criteria on a state read its block pair
 D^2 N rho: rho^Gamma (``StateMatrix.gamma``) and both reduction matrices
-are block pairs of the same scale, read off it through index maps fixed
-at import, and their inertia is that of the normalized matrices.  The
+are block pairs of the same scale, read off it through tables fixed at
+import, and their inertia is that of the normalized matrices.  The
 range criterion has two certificates: the genericity product of Theorem 1
 (``range_certificate``), and a test of the range itself
 (``range_has_no_product_vector``) that decides, mod one prime, whether
@@ -11,7 +11,7 @@ the span of the four generating vectors holds a product vector.
 
 ``partial_transpose_matrix`` is the 9x9 definition of rho^Gamma.  No
 command calls it, since every state is a block pair; the tests check the
-block maps against it, and the benchmark's layer table still names it.
+block tables against it, and the benchmark's layer table still names it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .charpoly import blocks_inertia, has_negative_eigenvalue
 from .errors import DegenerateStateError, DimensionError
-from .family import BLOCK_POSITIONS, CheckerParams, StateMatrix, block_map, map_blocks, placed_vectors
+from .family import BLOCK_INDEX, BLOCK_POSITIONS, CheckerParams, StateMatrix, placed_vectors
 from .gaussian import GaussRat, gauss_over
 from .matrices import GMat, rank, rank_mod_p, split_prime_rank
 
@@ -83,18 +83,47 @@ def is_ppt(s: StateMatrix) -> tuple:
 
 
 # rho_A (x) 1 - rho has rho_A[i, i'] = sum_k rho[3i+k, 3i'+k] at (3i+j, 3i'+j), and
-# 1 (x) rho_B - rho has rho_B[j, j'] = sum_k rho[3k+j, 3k+j'] at (3i+j, 3i+j').
-_REDUCTION_MAPS = (
-    block_map(lambda r, c: [(-1, (r, c))] + [(1, (r - r % 3 + k, c - c % 3 + k))
-                                             for k in range(3) if r % 3 == c % 3]),
-    block_map(lambda r, c: [(-1, (r, c))] + [(1, (3 * k + r % 3, 3 * k + c % 3))
-                                             for k in range(3) if r // 3 == c // 3]),
-)
+# 1 (x) rho_B - rho has rho_B[j, j'] = sum_k rho[3k+j, 3k+j'] at (3i+j, 3i+j'): each
+# keeps one index of a position r = 3i+j and traces the other.  A partial trace of a
+# checkerboard state is zero off its five entries (u, w) with u + w even.  Each table
+# holds the block entries that each of those five sums (a position outside the blocks
+# is a KeyError at import, which proves the pattern), and for each block entry the
+# index of the partial-trace entry added there, or None.
+_TRACE_KEYS = tuple((u, w) for u in range(3) for w in range(3) if (u + w) % 2 == 0)
+
+
+def _reduction_table(kept, traced) -> tuple:
+    return (tuple(tuple(BLOCK_INDEX[r, c] for r in range(9) for c in range(9)
+                        if (kept(r), kept(c)) == key and traced(r) == traced(c))
+                  for key in _TRACE_KEYS),
+            tuple(tuple(tuple(_TRACE_KEYS.index((kept(r), kept(c))) if traced(r) == traced(c)
+                              else None for c in pos) for r in pos) for pos in BLOCK_POSITIONS))
+
+
+_REDUCTION_TABLES = (_reduction_table(lambda r: r // 3, lambda r: r % 3),
+                     _reduction_table(lambda r: r % 3, lambda r: r // 3))
 
 
 def reduction_matrices(s: StateMatrix):
-    """The block pairs of D^2 N (rho_A (x) 1 - rho) and D^2 N (1 (x) rho_B - rho), lazily."""
-    return (map_blocks(s.blocks, index_map) for index_map in _REDUCTION_MAPS)
+    """The block pairs of D^2 N (rho_A (x) 1 - rho) and D^2 N (1 (x) rho_B - rho), lazily.
+
+    Each partial trace is summed once; each block entry is then -rho there,
+    plus the partial-trace entry that the table adds there, if any.
+    """
+    blocks = s.blocks
+    for sums, adds in _REDUCTION_TABLES:
+        trace = []
+        for terms in sums:
+            re = im = 0
+            for b, x, y in terms:
+                zr, zi = blocks[b][x][y]
+                re += zr
+                im += zi
+            trace.append((re, im))
+        yield tuple([tuple([tuple([(-zr, -zi) if t is None else (trace[t][0] - zr, trace[t][1] - zi)
+                                   for t, (zr, zi) in zip(add_row, row)])
+                            for add_row, row in zip(add_blk, blk)])
+                     for add_blk, blk in zip(adds, blocks)])
 
 
 def reduction_criterion(s: StateMatrix) -> bool:

@@ -15,9 +15,11 @@ entry whose index sum is odd (the checkerboard pattern), and restricting
 to the odd and even sublattices in their natural order yields the 4x4 and
 5x5 blocks used throughout the package.  A ``StateMatrix`` is that block
 pair and nothing else; rho^Gamma and the reduction matrices are block
-pairs too, read off it through index maps (``block_map``) built once at
-import.  No 9x9 matrix is built: every command, ``reproduce`` included,
-reads the blocks.
+pairs too, read off it through tables of block entries built once at
+import: rho^Gamma permutes the entries of rho (``partial_transpose_blocks``),
+and each reduction matrix adds one partial-trace entry to -rho where the
+partial trace has one (``criteria.reduction_matrices``).  No 9x9 matrix is
+built: every command, ``reproduce`` included, reads the blocks.
 
 Classification computes on int pairs only.  ``CheckerParams.lifted``
 gives each letter as the (re, im) ints of D times its value, for D the
@@ -105,47 +107,20 @@ BLOCK_ROWS = tuple(
     for x, y in ((_VECTOR_SLOTS[1], _VECTOR_SLOTS[3]), (_VECTOR_SLOTS[0], _VECTOR_SLOTS[2]))
 )
 # (block, row, column) of each 9x9 position inside the blocks.
-_BLOCK_INDEX = {(r, c): (b, x, y) for b, pos in enumerate(BLOCK_POSITIONS)
+BLOCK_INDEX = {(r, c): (b, x, y) for b, pos in enumerate(BLOCK_POSITIONS)
                 for x, r in enumerate(pos) for y, c in enumerate(pos)}
-
-
-def block_map(terms) -> tuple:
-    """For each entry of a block pair, the signed block entries that it sums.
-
-    ``terms(r, c)`` lists the (sign, 9x9 position) pairs of entry (r, c).  A
-    position outside the blocks is a KeyError, so a map built at import
-    proves that its matrix keeps the checkerboard pattern.
-    """
-    return tuple(tuple(tuple(tuple((sign, *_BLOCK_INDEX[q]) for sign, q in terms(r, c))
-                             for c in pos) for r in pos) for pos in BLOCK_POSITIONS)
-
-
-def map_blocks(blocks, index_map) -> tuple:
-    """The block pair whose entries are the signed sums of ``blocks`` that ``index_map`` names."""
-    out = []
-    for map_blk in index_map:
-        rows = []
-        for map_row in map_blk:
-            row = []
-            for terms in map_row:
-                re = im = 0
-                for sign, b, x, y in terms:
-                    zr, zi = blocks[b][x][y]
-                    re += sign * zr
-                    im += sign * zi
-                row.append((re, im))
-            rows.append(tuple(row))
-        out.append(tuple(rows))
-    return tuple(out)
-
-
-# rho^Gamma[3i+j, 3i'+j'] = rho[3i+j', 3i'+j]
-_PT_MAP = block_map(lambda r, c: [(1, (r - r % 3 + c % 3, c - c % 3 + r % 3))])
+# For each entry of the blocks of rho^Gamma, the (block, row, column) of the
+# entry of rho that it is: rho^Gamma[3i+j, 3i'+j'] = rho[3i+j', 3i'+j].  A
+# position outside the blocks is a KeyError, so building the table at import
+# proves that rho^Gamma keeps the checkerboard pattern.
+_GAMMA_SOURCE = tuple(tuple(tuple(BLOCK_INDEX[r - r % 3 + c % 3, c - c % 3 + r % 3] for c in pos)
+                            for r in pos) for pos in BLOCK_POSITIONS)
 
 
 def partial_transpose_blocks(blocks) -> tuple:
-    """The blocks of rho^Gamma, read off the blocks of rho."""
-    return map_blocks(blocks, _PT_MAP)
+    """The blocks of rho^Gamma, a permutation of the entries of the blocks of rho."""
+    return tuple([tuple([tuple([blocks[b][x][y] for b, x, y in row]) for row in blk])
+                  for blk in _GAMMA_SOURCE])
 
 
 def _gram(rows) -> tuple:
@@ -231,11 +206,17 @@ def build_vectors(p: CheckerParams) -> tuple:
     return tuple(dense)
 
 
-def build_state(p: CheckerParams) -> StateMatrix:
-    """The state sum |v><v| as the blocks V V* of the lifted generator rows, scale D^2."""
+def require_trace(p: CheckerParams) -> tuple:
+    """``p.lifted``; DegenerateStateError if every parameter is zero, a state with no trace."""
     parts, d = p.lifted
     if not any(map(any, parts.values())):
         raise DegenerateStateError("all parameters are zero; the state has no trace")
+    return parts, d
+
+
+def build_state(p: CheckerParams) -> StateMatrix:
+    """The state sum |v><v| as the blocks V V* of the lifted generator rows, scale D^2."""
+    parts, d = require_trace(p)
     return StateMatrix(tuple(_gram([(parts[u], parts[v]) for u, v in rows])
                              for rows in BLOCK_ROWS), d * d)
 

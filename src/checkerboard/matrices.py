@@ -26,13 +26,15 @@ from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionError, SymmetryError
-from .gaussian import GaussRat
+from .gaussian import GaussRat, gauss_over
 
 
 def _as_gauss(x) -> GaussRat:
     if isinstance(x, GaussRat):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
+        return gauss_over(int(x), 0, 1)
+    if isinstance(x, Fraction):
         return GaussRat(x)
     raise TypeError(f"matrix entries must be GaussRat-compatible, got {type(x).__name__}")
 

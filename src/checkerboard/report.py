@@ -23,7 +23,8 @@ from .criteria import (
     schmidt_rank,
     witness_expectation,
 )
-from .family import StateMatrix, build_state, state_rank, theorem1_from_factors, theorem_factors
+from .family import (StateMatrix, build_state, require_trace, state_rank, theorem1_from_factors,
+                     theorem_factors)
 from .gaussian import GaussRat
 from .io import format_fraction, gauss_to_obj
 from .subfamily import derive_full_params, theorem2_from_factors
@@ -180,6 +181,7 @@ def jacobian_report(kind: str, params) -> dict:
     the full family's letters scale freely.
     """
     if kind == "full":
+        require_trace(params)
         rk = jacobian_rank_psi(params)
         map_name, slots, coords = "two-column-blocks", PSI_SLOTS, PSI_COORDS
     elif kind == "ppt":

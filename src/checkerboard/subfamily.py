@@ -69,25 +69,27 @@ def complete_parameters(t, x, y, a, b, c, f, j, k, l, m, p, s) -> dict:
         raise SingularParameterError("b")
     if not f:
         raise SingularParameterError("f")
-    i = (t - s * conj(p)) / conj(f)
+    cf, cp, cs = conj(f), conj(p), conj(s)
+    i = (t - s * cp) / cf
     den_fs = f * s - i * p
     if not den_fs:
         raise SingularParameterError("fs-ip")
     akbj = a * k - b * j
     if not akbj:
         raise SingularParameterError("ak-bj")
-    n = (a * conj(a) * y - b * conj(b) * x - conj(m) * conj(b) * akbj) / (a * conj(akbj))
-    d = (x - m * conj(j)) / conj(a)
-    e = (y - n * conj(k)) / conj(b)
+    ca, cb, cc, cl, ci = conj(a), conj(b), conj(c), conj(l), conj(i)
+    n = (a * ca * y - b * cb * x - conj(m) * cb * akbj) / (a * conj(akbj))
+    d = (x - m * conj(j)) / ca
+    e = (y - n * conj(k)) / cb
     den = conj(den_fs)
-    ac_jl = a * conj(c) + j * conj(l)
-    dc_ml = d * conj(c) + m * conj(l)
-    bc_kl = b * conj(c) + k * conj(l)
-    ec_nl = e * conj(c) + n * conj(l)
-    g = (conj(s) * ac_jl - conj(p) * dc_ml) / den
-    q = (conj(f) * dc_ml - conj(i) * ac_jl) / den
-    h = (conj(s) * bc_kl - conj(p) * ec_nl) / den
-    r = (conj(f) * ec_nl - conj(i) * bc_kl) / den
+    ac_jl = a * cc + j * cl
+    dc_ml = d * cc + m * cl
+    bc_kl = b * cc + k * cl
+    ec_nl = e * cc + n * cl
+    g = (cs * ac_jl - cp * dc_ml) / den
+    q = (cf * dc_ml - ci * ac_jl) / den
+    h = (cs * bc_kl - cp * ec_nl) / den
+    r = (cf * ec_nl - ci * bc_kl) / den
     return dict(a=a, b=b, c=c, d=d, e=e, f=f, g=g, h=h, i=i, j=j, k=k, l=l,
                 m=m, n=n, p=p, q=q, r=r, s=s)
 

@@ -248,13 +248,27 @@ def test_elimination_inertia_matches_char_poly_inertia(m):
 
 
 @generate_only(300)
-@given(st.lists(hermitian_blocks(), min_size=1, max_size=2))
-def test_negative_eigenvalue_test_matches_the_full_count(blocks):
-    """The early-exit test agrees with the whole inertia, and with Descartes block by block."""
-    pairs = [_pairs(m) for m in blocks]
-    want = any(inertia_from_char_poly(char_poly(m), m.rows).n_neg for m in blocks)
+@given(st.lists(st.tuples(hermitian_blocks(), st.sampled_from([1, 1, 2, 6, 10 ** 9])),
+                min_size=1, max_size=2))
+def test_negative_eigenvalue_test_matches_the_full_count(scaled):
+    """The early-exit test agrees with the whole inertia, and with Descartes block by block.
+
+    Each block is taken times a content of 1 or more: the count divides it
+    out and the early-exit test eliminates the block as given.
+    """
+    pairs = [[[(k * x, k * y) for x, y in row] for row in _pairs(m)] for m, k in scaled]
+    want = any(inertia_from_char_poly(char_poly(m), m.rows).n_neg for m, _ in scaled)
     assert has_negative_eigenvalue(pairs) is want
     assert (blocks_inertia(pairs).n_neg > 0) is want
+    assert [blocks_inertia([p]) for p in pairs] == [inertia_from_char_poly(char_poly(m), m.rows)
+                                                     for m, _ in scaled]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_char_poly_of_the_zero_matrix_is_a_power_of_lambda(n):
+    zero = ZMat.from_rows([[GaussInt(0)] * n for _ in range(n)])
+    assert char_poly(zero) == (0,) * n + (1,)
+    assert inertia_from_char_poly(char_poly(zero), n) == Inertia(0, n, 0)
 
 
 def test_negative_eigenvalue_test_at_a_stall():

@@ -16,7 +16,7 @@ import checkerboard
 from checkerboard import presets, reproduce
 from checkerboard.cli import _dump, main
 from checkerboard.criteria import WitnessVector
-from checkerboard.family import build_state
+from checkerboard.family import CheckerParams, build_state
 from checkerboard.gaussian import GaussRat
 from checkerboard.io import (
     checker_params_to_doc,
@@ -444,6 +444,20 @@ def test_embed_bp_rejects_zero_b(tmp_path, capsys):
     path.write_text(json.dumps(bruss_peres_params_to_doc(bp)))
     assert main(["embed-bp", "--input", str(path), "--out", str(out)]) == 3
     assert "denominator b is zero" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["jacobian", "certify", "build"])
+def test_all_zero_full_family_exits_2_on_every_command(tmp_path, capsys, command):
+    """The all-zero full-family point has no state: every command that reads it
+    exits 2 with the same one-line error, prints nothing and writes nothing."""
+    path, out = tmp_path / "zero.json", tmp_path / "out.json"
+    path.write_text(json.dumps(checker_params_to_doc(CheckerParams())))
+    argv = [command, "--input", str(path)] + (["--out", str(out)] if command == "build" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: all parameters are zero; the state has no trace\n"
     assert not out.exists()
 
 

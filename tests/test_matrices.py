@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,16 @@ def gm(rows):
 def zm(rows):
     """The integer grid of a GMat with Gaussian-integer entries."""
     return integer_lift(gm(rows))[0]
+
+
+@pytest.mark.parametrize("value", [0, 1, -1, -7, 10 ** 40, -(3 ** 90), True])
+def test_int_entries_are_the_gauss_rats_of_those_ints(value):
+    """An int entry becomes the GaussRat of that int, in lowest terms with d = 1."""
+    for m in (GMat(1, 1, [value]), gm([[value, GaussRat(2)], [GaussRat(0, 1), value]])):
+        z = m[0, 0]
+        assert type(z) is GaussRat and z == GaussRat(value)
+        assert (z.x, z.y, z.d) == (int(value), 0, 1) and type(z.x) is int
+    assert GMat(1, 1, [Fraction(-6, 4)])[0, 0] == GaussRat(Fraction(-3, 2))
 
 
 def test_det_identity_and_permutation():
