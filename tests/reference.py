@@ -29,9 +29,18 @@ Theorem 2's factor abf(ak-bj).  They are generic over the scalar type.
 product vectors in the range that the package ran before its exact range
 test, unchanged; tests/test_criteria.py checks the exact verdicts against
 it.
+
+``random_rational`` through ``random_bruss_peres_params`` are the seven
+samplers as the package wrote them before it drew by table: every part a
+``random.Random.randint`` call and every Gaussian rational reduced by
+``gauss_over``, unchanged apart from their imports.
+tests/test_sampling.py checks draw for draw that ``checkerboard.sampling``
+returns the same values and leaves the generator in the same state.
 """
 
 from __future__ import annotations
+
+import random
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,21 +50,25 @@ from typing import Optional
 from checkerboard import family
 from checkerboard.charpoly import Inertia, inertia_from_char_poly
 from checkerboard.criteria import WitnessVector, range_certificate, schmidt_rank
-from checkerboard.errors import CheckerboardError, DegenerateStateError, DimensionError
+from checkerboard.errors import (
+    CheckerboardError, DegenerateStateError, DimensionError, SingularParameterError,
+)
 from checkerboard.family import (
     BLOCK_POSITIONS,
     EVEN_POSITIONS,
     ODD_POSITIONS,
+    PARAM_LETTERS,
     CheckerParams,
     ZERO,
     outer_sum_entries,
     placed_vectors,
 )
-from checkerboard.gaussian import GaussInt, GaussRat, conj
+from checkerboard.gaussian import GaussInt, GaussRat, conj, gauss_over
 from checkerboard.io import format_fraction, gauss_to_obj
 from checkerboard.matrices import GMat, ZMat, kron, rank, require_hermitian
 from checkerboard.report import jacobian_report
-from checkerboard.subfamily import SubfamilyParams, derive_full_params
+from checkerboard.sampling import DEFAULT_MAX_DENOMINATOR, DEFAULT_MAX_NUMERATOR, MAX_TRIES
+from checkerboard.subfamily import BrussPeresParams, SubfamilyParams, derive_full_params
 
 from linalg_reference import identity, integer_lift, over, scale, sub, submatrix, trace
 
@@ -742,3 +755,89 @@ def format_certificate(rec: Classification, witness: Optional[WitnessVector] = N
     if include_jacobian:
         cert["jacobian"] = jacobian_report(rec.kind, rec.params)
     return cert
+
+
+# ---------------------------------------------------------------------------
+# sampling.py
+
+
+def _fraction_parts(rng: random.Random) -> tuple:
+    """A numerator and then a denominator."""
+    return (rng.randint(-DEFAULT_MAX_NUMERATOR, DEFAULT_MAX_NUMERATOR),
+            rng.randint(1, DEFAULT_MAX_DENOMINATOR))
+
+
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(*_fraction_parts(rng))
+
+
+def random_gauss(rng: random.Random) -> GaussRat:
+    """xn/xd + i yn/yd, drawn in the order of two ``random_rational`` calls."""
+    (xn, xd), (yn, yd) = _fraction_parts(rng), _fraction_parts(rng)
+    return gauss_over(xn * yd, yn * xd, xd * yd)
+
+
+def random_nonzero_gauss(rng: random.Random) -> GaussRat:
+    while True:
+        z = random_gauss(rng)
+        if z:
+            return z
+
+
+def random_checker_params(rng: random.Random) -> CheckerParams:
+    while True:
+        values = {ch: random_gauss(rng) for ch in PARAM_LETTERS}
+        if any(values.values()):
+            return CheckerParams.from_dict(values)
+
+
+def draw_subfamily_params(rng: random.Random) -> SubfamilyParams:
+    """One unvalidated draw; the elimination denominators may vanish."""
+    return SubfamilyParams(
+        t=random_rational(rng),
+        x=random_rational(rng),
+        y=random_rational(rng),
+        a=random_gauss(rng),
+        b=random_gauss(rng),
+        c=random_gauss(rng),
+        f=random_gauss(rng),
+        j=random_gauss(rng),
+        k=random_gauss(rng),
+        l=random_gauss(rng),
+        m=random_gauss(rng),
+        p=random_gauss(rng),
+        s=random_gauss(rng),
+    )
+
+
+def random_subfamily_params(rng: random.Random) -> tuple:
+    """A valid subfamily point and its completion: (SubfamilyParams, CheckerParams).
+
+    Valid means every elimination denominator is nonzero; the completion
+    that proves it is returned rather than computed again by the caller.
+    """
+    for _ in range(MAX_TRIES):
+        sp = draw_subfamily_params(rng)
+        try:
+            full = derive_full_params(sp)
+        except SingularParameterError:
+            continue
+        return sp, full
+    raise SingularParameterError("subfamily-sample-retries-exhausted")
+
+
+def random_bruss_peres_params(rng: random.Random) -> BrussPeresParams:
+    """A valid embedded-family point: a, b, c, f, x and x|a|^2 - t|f|^2 all nonzero."""
+    for _ in range(MAX_TRIES):
+        t = random_rational(rng)
+        x = random_rational(rng)
+        a = random_nonzero_gauss(rng)
+        b = random_nonzero_gauss(rng)
+        c = random_nonzero_gauss(rng)
+        f = random_nonzero_gauss(rng)
+        if not x:
+            continue
+        if x * a.abs2() - t * f.abs2() == 0:
+            continue
+        return BrussPeresParams(t=t, x=x, a=a, b=b, c=c, f=f)
+    raise SingularParameterError("unable to sample a valid embedded-family point")
