@@ -26,14 +26,17 @@ The subfamily's Jacobian has one row builder, ``_lambda_rows``: jets of
 the free parameters pushed through ``complete_parameters`` give the
 Wirtinger rows dE and dE* of the entries E of N*rho, mod p from
 ``SplitJet``s and exact from ``GaussJet``s.  Its holomorphic rank is at
-most 12 at every point, because a kernel vector is known in closed form
-(proof in ``jacobian_rank_lambda``), and 12 pivots mod the first usable
-prime of ``matrices.split_prime_rank`` prove 12 (proof there).  The rows
-mod p take 12 columns, the 13 but d/dp, which the kernel vector puts in
-the span of the others; the first 13 rows are ranked, and all 41 only
-when those fall short.  Every other outcome falls back to the exact
-``rank`` of the exact 41x13 rows.  The real-slot rank is the exact rank
-of the realification of the same 41 rows (proof in
+most 12 at every point, because a kernel vector is known in closed form,
+and a closed form proves 12 exactly where the completion is defined and
+am != jd: a 12x12 minor is block triangular, with a determinant that is
+nonzero exactly when a, b, f, ak - bj, f*(fs - ip) and a*(am - jd) are
+(proofs in ``jacobian_rank_lambda``).  The test takes a dozen
+``GaussRat`` operations on the free parameters.  Elsewhere 12 pivots mod
+the first usable prime of ``matrices.split_prime_rank`` prove 12; the
+rows mod p take 12 columns, the 13 but d/dp, which the kernel vector
+puts in the span of the others.  Every other outcome falls back to the
+exact ``rank`` of the exact 41x13 rows.  The real-slot rank is the exact
+rank of the realification of the same 41 rows (proof in
 ``jacobian_rank_lambda_real_slots``).
 
 The slot ordering is fixed so Jacobians are bit-reproducible: for the
@@ -44,7 +47,6 @@ a, b, c, f, j, k, l, m, p, s.
 
 from __future__ import annotations
 
-from itertools import islice
 from math import lcm
 
 from .errors import SingularParameterError
@@ -84,13 +86,11 @@ LAMBDA_ENTRIES = tuple((d, d) for d in range(9)) + tuple(
 # The column of each parameter variable in the exact rows, and in the rows
 # mod p: all but p, whose column is dropped (see ``jacobian_rank_lambda``).
 # For each entry of LAMBDA_ENTRIES, the pairs (u, w) of its letters and
-# whether it is below the diagonal.  The first _HEAD_ROWS rows mod p are
-# those of the diagonal entries and of the entries (2, 0) and (3, 1).
+# whether it is below the diagonal.
 _EXACT_COLUMN = {ch: idx for idx, ch in enumerate(LAMBDA_SLOT_ORDER)}
 _COLUMN = {ch: idx for idx, ch in enumerate(ch for ch in LAMBDA_SLOT_ORDER if ch != "p")}
 _ENTRY_PAIRS = tuple((tuple(zip(_LETTERS_AT[r], _LETTERS_AT[c])), r != c)
                      for r, c in LAMBDA_ENTRIES)
-_HEAD_ROWS = 13
 
 
 def psi_jacobian(parts: dict) -> list:
@@ -225,7 +225,12 @@ def jacobian_rank_lambda(sp: SubfamilyParams) -> int:
     entry below it) along d/dt, d/dx, d/dy and d/dx_k - i d/dy_k, twice
     the holomorphic d/dz_k; its rank is taken over the complex field.
     The coordinates are real-valued, so the conjugate derivatives carry
-    no extra information for this rank.
+    no extra information for this rank.  The rows dE and dE* (dE alone on
+    the diagonal) span the rows d Re E and d Im E, as Re E = (E + E*)/2
+    and Im E = (E - E*)/2i, and the columns d/dz_k are half those of J;
+    both changes are invertible, so J has the rank of the Wirtinger rows
+    dE and dE* over the columns d/dt, d/dx, d/dy and d/dz_k, in which a
+    free letter z_k has dz_k = 1 and dz_k* = 0.
 
     The rank is at most 12.  The map sends the odd block's generator rows
     V = [(g, q); (f, p); (i, s); (h, r)] of ``BLOCK_ROWS`` to V V*, which
@@ -245,35 +250,55 @@ def jacobian_rank_lambda(sp: SubfamilyParams) -> int:
     the span of columns f and s, and the 12 other columns have the rank
     of J.
 
-    12 is proved mod the first usable prime of ``split_prime_rank``.  Its
-    rows are dE and dE* (dE alone on the diagonal), which span the rows
-    d Re E and d Im E, as Re E = (E + E*)/2 and Im E = (E - E*)/2i; its
-    columns d/dz_k are half those of J.  Both changes are invertible, and
-    ``SplitJet``s compute phi of every entry.  12 pivots in any subset of
-    the rows prove 12, so the first _HEAD_ROWS rows are ranked first and
-    all 41 only when those fall short.  The head is 9 diagonal rows and
-    dE20, dE20*, dE31 and dE31*, one more than 12 because dE20* = dE20:
-    the completion makes E20 = d a* + m j* equal to the real x, and E86 =
-    y likewise (``test_completion_makes_e20_equal_x_and_e86_equal_y``).
+    The rank is 12 where a, b, f, ak - bj, f*(fs - ip) and a*(am - jd)
+    are all nonzero.  Take the rows dE00, dE60*, dE60, dE66, dE40, dE64*,
+    dE33 | dE53, dE20, dE86 | dE55, dE22 and the columns
+    a, j, b, k, c, l, f | t, x, y | s, m.  This minor is block lower
+    triangular:
 
-    A prime where the completion divides by a value that is 0 mod p is
-    skipped.  Where it tests one, the exact completion runs first, which
-    raises SingularParameterError at a singular point, and then the prime
-    is skipped.  Any other rank, or no usable prime, takes the exact
-    ``rank`` of the exact rows dE and dE*, from ``GaussJet``s.
+    * Positions 0, 6, 4 and 3 hold only free letters (a, j; b, k; c, l;
+      f, p), so E00 = |a|^2 + |j|^2, E60* = a b* + j k*, E60 = b a* + k j*,
+      E66 = |b|^2 + |k|^2, E40 = c a* + l j*, E64* = c b* + l k* and
+      E33 = |f|^2 + |p|^2 have no derivative along t, x, y, s or m.  Their
+      block is three copies of [[a*, j*], [b*, k*]] and f*, with
+      determinant f* (ak - bj)*^3.
+    * The completion makes E53 = i f* + s p* = t, E20 = d a* + m j* = x
+      and E86 = e b* + n k* = y identically, so their rows are the unit
+      rows of t, x and y.
+    * E55 = |i|^2 + |s|^2 and E22 = |d|^2 + |m|^2, where i = (t - s p*)/f*
+      does not depend on m and d = (x - m j*)/a* does not depend on s.  So
+      dE55/ds = s* - i* p*/f* = ((fs - ip)/f)*, dE55/dm = 0,
+      dE22/ds = 0 and dE22/dm = m* - d* j*/a* = ((am - jd)/a)*.
+
+    The minor's determinant is f* (ak - bj)*^3 ((fs - ip)/f)* ((am - jd)/a)*
+    (a sympy test proves the pattern through ``complete_parameters``).
+    With i and d from the completion, f*(fs - ip) = s(|f|^2 + |p|^2) - t p
+    and a*(am - jd) = m(|a|^2 + |j|^2) - x j, so the test reads only the
+    free parameters; and where it holds, the completion divides by no 0.
+
+    Elsewhere 12 is proved mod the first usable prime of
+    ``split_prime_rank``: ``SplitJet``s compute phi of every row dE and
+    dE*, and 12 pivots among them prove 12.  A prime where the completion
+    divides by a value that is 0 mod p is skipped.  Where it tests one,
+    the exact completion runs first, which raises SingularParameterError
+    at a singular point, and then the prime is skipped.  Any other rank,
+    or no usable prime, takes the exact ``rank`` of the exact rows dE and
+    dE*, from ``GaussJet``s.
     """
     full = LAMBDA_COLUMNS - 1
+    a, b, f, j, p = sp.a, sp.b, sp.f, sp.j, sp.p
+    if (a and b and f and a * sp.k != b * j
+            and sp.s * (f * f.conj() + p * p.conj()) != p * sp.t
+            and sp.m * (a * a.conj() + j * j.conj()) != j * sp.x):
+        return full
 
-    def rank_at(residues, p):
-        rows = _lambda_rows_mod(residues, p)
+    def rank_at(residues, prime):
         try:
-            head = list(islice(rows, _HEAD_ROWS))
+            rows = list(_lambda_rows_mod(residues, prime))
         except SingularParameterError:
             derive_full_params(sp)  # raises at a singular point
             raise ZeroDivisionError("the completion tests a value that is 0 mod p") from None
-        if rank_mod_p(head, p) == full:
-            return full
-        return rank_mod_p(head + list(rows), p)
+        return rank_mod_p(rows, prime)
 
     if split_prime_rank(_lambda_values(sp), rank_at) == full:
         return full

@@ -5,7 +5,9 @@ certified rank must equal the exact rank it computes, the subfamily's
 rows mod the first prime P must equal its split-jet rows and the image
 of its exact Jacobian, the full-family rank is 28 exactly when both
 leading block minors are nonzero, the subfamily's closed-form kernel
-vector lies in the kernel of its exact Jacobian, and a point reaches the
+vector lies in the kernel of its exact Jacobian, its closed-form 12x12
+minor has the proved block pattern, a subfamily point walks the primes
+only where that minor is no proof (am = jd), and a point reaches the
 exact ``rank`` only when neither closed form nor the first usable prime
 of the budget gives a proof.
 
@@ -117,6 +119,16 @@ def _one_more_nonzero(pick):
     return SubfamilyParams(**fields)
 
 
+def _am_equals_jd(sp):
+    """``sp`` with m = x j/(|a|^2 + |j|^2), so a*(am - jd) = m(|a|^2 + |j|^2) - x j is 0.
+
+    The closed-form minor of ``jacobian_rank_lambda`` is then no proof, and
+    the rank takes the walk over the primes.
+    """
+    a, j = sp.a, sp.j
+    return replace(sp, m=j * sp.x / (a * a.conj() + j * j.conj()))
+
+
 _gauss5 = st.builds(GaussRat, digit_fractions(5), digit_fractions(5))
 LAMBDA_STRATEGIES = {
     "default": subfamily_points(small_fractions, small_gauss),
@@ -127,6 +139,7 @@ LAMBDA_STRATEGIES = {
                                 st.tuples(st.sampled_from("txycjlmp"), nonzero_gauss)
                                 ).map(_one_more_nonzero),
     "20-digit": subfamily_points(big_fractions, big_gauss, big_gauss),
+    "am=jd": subfamily_points(small_fractions, small_gauss).map(_am_equals_jd),
 }
 
 # The sparse points keep a, b, f, k and s nonzero, so few fail to complete.
@@ -152,6 +165,14 @@ def exact_rank_calls(monkeypatch):
 
     monkeypatch.setattr(counting, "rank", spy)
     return calls
+
+
+def _no_prime_walk(monkeypatch):
+    """Makes any walk over the primes by ``counting`` fail the test."""
+    def walk(values, rank_at):
+        raise AssertionError("the closed-form minor should have proved 12")
+
+    monkeypatch.setattr(counting, "split_prime_rank", walk)
 
 
 def _walked_primes(monkeypatch):
@@ -228,23 +249,93 @@ def test_psi_closed_form_answers_28_at_multiples_of_p(exact_rank_calls):
 
 # -- the subfamily Jacobian ------------------------------------------------
 
-def test_completion_makes_e20_equal_x_and_e86_equal_y():
-    """The entries (2, 0) and (8, 6) of N*rho are the real parameters x and y.
+def _symbolic_entries():
+    """The completed letters and the entries of N*rho over sympy symbols.
 
-    E20 = d a* + m j* and E86 = e b* + n k*, through the program's own
-    ``complete_parameters`` and outer sum, so dE20* = dE20 and dE86* =
-    dE86: the first rows mod p hold one duplicate.
+    t, x, y are real symbols and each free letter z has an independent
+    conjugate symbol z_bar; they go through the program's own
+    ``complete_parameters`` and outer sum.  Returns the real symbols, the
+    (z, z_bar) pairs, the completed letters, the entries, and ``cj``, the
+    conjugate in those symbols.
     """
     t, x, y = sympy.symbols("t x y", real=True)
     free = sympy.symbols(" ".join(COMPLEX_LETTERS))
     pairs = [(z, sympy.Symbol(f"{z}_bar")) for z in free]
     flip = {**{sympy.conjugate(z): zb for z, zb in pairs},
             **{sympy.conjugate(zb): z for z, zb in pairs}}
+
+    def cj(w):
+        return sympy.conjugate(w).xreplace(flip)
+
     full = {ch: w.xreplace(flip) for ch, w in complete_parameters(t, x, y, *free).items()}
-    entries = outer_sum_entries(placed_vectors(full), sympy.Integer(0))
-    for (r, c), value in (((2, 0), x), ((8, 6), y)):
-        diff = entries[r][c].xreplace(flip) - value
-        assert sympy.expand(sympy.numer(sympy.together(diff))) == 0, (r, c)
+    entries = [[w.xreplace(flip) for w in row]
+               for row in outer_sum_entries(placed_vectors(full), sympy.Integer(0))]
+    return (t, x, y), pairs, full, entries, cj
+
+
+def _is_zero(w):
+    return sympy.expand(sympy.numer(sympy.together(w))) == 0
+
+
+def test_completion_makes_e20_equal_x_and_e86_equal_y():
+    """The entries (5, 3), (2, 0) and (8, 6) of N*rho are the real parameters t, x and y.
+
+    E53 = i f* + s p*, E20 = d a* + m j* and E86 = e b* + n k*, through
+    the program's own ``complete_parameters`` and outer sum, so their rows
+    are the unit rows of t, x and y in the minor of ``jacobian_rank_lambda``.
+    """
+    (t, x, y), _, _, entries, _ = _symbolic_entries()
+    for (r, c), value in (((5, 3), t), ((2, 0), x), ((8, 6), y)):
+        assert _is_zero(entries[r][c] - value), (r, c)
+
+
+# The rows and columns of the closed-form minor of ``jacobian_rank_lambda``:
+# (r, c, conjugated) for the row dE_rc or dE_rc*, and the column letters,
+# each in three blocks.
+_MINOR_ROWS = (((0, 0, False), (6, 0, True), (6, 0, False), (6, 6, False), (4, 0, False),
+                (6, 4, True), (3, 3, False)),
+               ((5, 3, False), (2, 0, False), (8, 6, False)),
+               ((5, 5, False), (2, 2, False)))
+_MINOR_COLUMNS = ("ajbkclf", "txy", "sm")
+
+
+def test_lambda_minor_is_block_lower_triangular_symbolic():
+    """The 12x12 minor has blocks A, I and D on its diagonal and zeros above them.
+
+    Over the independent symbols of ``_symbolic_entries``, the rows dE (or
+    dE*) are the holomorphic derivatives of E (or of E*) along the columns.
+    The A rows vanish on t, x, y, s and m and det A = f*(ak - bj)*^3; the
+    rows of t, x and y are their unit rows; and D = diag(((fs - ip)/f)*,
+    ((am - jd)/a)*).  The two identities the closed form reads,
+    f*(fs - ip) = s(|f|^2 + |p|^2) - t p and a*(am - jd) = m(|a|^2 + |j|^2)
+    - x j, hold with i and d from the completion.
+    """
+    (t, x, y), pairs, full, entries, cj = _symbolic_entries()
+    var = {**dict(zip("txy", (t, x, y))), **{str(z): z for z, _ in pairs}}
+    bar = {str(z): zb for z, zb in pairs}
+    columns = [var[ch] for block in _MINOR_COLUMNS for ch in block]
+
+    def row(r, c, conjugated):
+        e = cj(entries[r][c]) if conjugated else entries[r][c]
+        return [sympy.diff(e, z) for z in columns]
+
+    a_rows, unit_rows, d_rows = ([row(*pick) for pick in block] for block in _MINOR_ROWS)
+    assert all(_is_zero(w) for r in a_rows for w in r[7:])
+    for k, r in enumerate(unit_rows):
+        assert all(_is_zero(w - int(k + 7 == n)) for n, w in enumerate(r)), k
+    fs_ip, am_jd = (full["f"] * full["s"] - full["i"] * full["p"],
+                    full["a"] * full["m"] - full["j"] * full["d"])
+    det_a = sympy.Matrix([r[:7] for r in a_rows]).det()
+    assert _is_zero(det_a - bar["f"] * cj(var["a"] * var["k"] - var["b"] * var["j"]) ** 3)
+    expected_d = ((cj(fs_ip / full["f"]), 0), (0, cj(am_jd / full["a"])))
+    for r, expected in zip(d_rows, expected_d):
+        assert all(_is_zero(w - v) for w, v in zip(r[10:], expected))
+
+    def norm2(*letters):
+        return sum(full[ch] * cj(full[ch]) for ch in letters)
+
+    assert _is_zero(cj(full["f"]) * fs_ip - (full["s"] * norm2("f", "p") - t * full["p"]))
+    assert _is_zero(cj(full["a"]) * am_jd - (full["m"] * norm2("a", "j") - x * full["j"]))
 
 
 def _kernel_entries(t, f, p, s, cj):
@@ -255,24 +346,14 @@ def _kernel_entries(t, f, p, s, cj):
 def test_lambda_kernel_vector_moves_the_odd_rows_by_anti_hermitian_generators():
     """Along dz = v and dz = -i v, each odd row moves as row X and the even letters stay.
 
-    t, x, y are real symbols and each free letter z has an independent
-    conjugate symbol z_bar; they go through the program's own
-    ``complete_parameters``.  The 16 identities d(row) = row X, over both
-    directions, the four odd rows and their two entries, hold as rational
-    functions: the numerator of each difference expands to 0.  Both X are
-    anti-Hermitian, and no even letter depends on f, p or s, so V V* is
-    unchanged to first order on both blocks.
+    The completed letters are those of ``_symbolic_entries``.  The 16
+    identities d(row) = row X, over both directions, the four odd rows and
+    their two entries, hold as rational functions: the numerator of each
+    difference expands to 0.  Both X are anti-Hermitian, and no even
+    letter depends on f, p or s, so V V* is unchanged to first order on
+    both blocks.
     """
-    t, x, y = sympy.symbols("t x y", real=True)
-    free = sympy.symbols(" ".join(COMPLEX_LETTERS))
-    pairs = [(z, sympy.Symbol(f"{z}_bar")) for z in free]
-    to_bar = {sympy.conjugate(z): zb for z, zb in pairs}
-    flip = {**to_bar, **{sympy.conjugate(zb): z for z, zb in pairs}}
-
-    def cj(w):
-        return sympy.conjugate(w).xreplace(flip)
-
-    full = {ch: w.xreplace(to_bar) for ch, w in complete_parameters(t, x, y, *free).items()}
+    (t, _, _), _, full, _, cj = _symbolic_entries()
     f, p, s = (full[ch] for ch in "fps")
     moving = {f, p, s} | {cj(z) for z in (f, p, s)}
     assert all(not full[ch].free_symbols & moving for ch in "abcdejklmn")
@@ -308,7 +389,7 @@ def test_lambda_closed_form_kernel_vector_is_in_the_exact_kernel(strategy):
     check()
 
 
-@pytest.mark.parametrize("strategy", ["default", "sparse", "5-digit", "single-nonzero"])
+@pytest.mark.parametrize("strategy", ["default", "sparse", "5-digit", "single-nonzero", "am=jd"])
 def test_lambda_certified_rank_equals_exact_rank(strategy):
     @generate_only(LAMBDA_EXAMPLES.get(strategy, 4))
     @given(LAMBDA_STRATEGIES[strategy])
@@ -412,9 +493,40 @@ def test_lambda_real_rows_are_the_real_slot_jacobian_up_to_one_factor_per_row(st
     check()
 
 
-def _one_prime_certifies(strategy, walked, exact_rank_calls):
+@pytest.mark.parametrize("strategy", ["default", "5-digit", "20-digit"])
+def test_lambda_closed_form_minor_certifies_12_without_a_prime(strategy, exact_rank_calls,
+                                                              monkeypatch):
+    _no_prime_walk(monkeypatch)
+
     @generate_only(LAMBDA_EXAMPLES.get(strategy, 4))
     @given(LAMBDA_STRATEGIES[strategy])
+    def check(sp):
+        _assume_completes(sp)
+        assert jacobian_rank_lambda(sp) == 12
+
+    check()
+    assert exact_rank_calls == []
+
+
+def _sampled(count):
+    """The first ``count`` subfamily samples of seed 66."""
+    return [sampling.random_subfamily_params(sampling.rng_for(66, idx))[0] for idx in range(count)]
+
+
+# Where the closed-form minor is no proof: the reference point moved to am = jd.
+_WALK_POINT = _am_equals_jd(presets.SUBFAMILY_RANK_POINT)
+
+
+def test_lambda_closed_form_minor_certifies_sampled_points(exact_rank_calls, monkeypatch):
+    _no_prime_walk(monkeypatch)
+    points = [presets.SUBFAMILY_RANK_POINT] + _sampled(40)
+    assert all(jacobian_rank_lambda(sp) == 12 for sp in points)
+    assert exact_rank_calls == []
+
+
+def _one_prime_certifies(strategy, walked, exact_rank_calls):
+    @generate_only(LAMBDA_EXAMPLES.get(strategy, 4))
+    @given(LAMBDA_STRATEGIES[strategy].map(_am_equals_jd))
     def check(sp):
         _assume_completes(sp)
         walked.clear()
@@ -428,7 +540,7 @@ def _one_prime_certifies(strategy, walked, exact_rank_calls):
 def test_lambda_modular_rank_never_claims_a_wrong_rank_at_20_digits(exact_rank_calls,
                                                                    monkeypatch):
     # The kernel vector at 20 digits has entries of about 900 bits, but it
-    # is known in closed form: one prime proves the rank.
+    # is known in closed form: one prime proves the rank where am = jd.
     _one_prime_certifies("20-digit", _walked_primes(monkeypatch), exact_rank_calls)
 
 
@@ -437,9 +549,9 @@ def test_lambda_rank_is_certified_by_one_prime_at_5_digits(exact_rank_calls, mon
 
 
 def test_lambda_rank_is_certified_at_sampled_points(exact_rank_calls, monkeypatch):
+    # Sampled points moved to am = jd, where the closed-form minor is no proof.
     walked = _walked_primes(monkeypatch)
-    for idx in range(10):
-        sp, _ = sampling.random_subfamily_params(sampling.rng_for(66, idx))
+    for sp in map(_am_equals_jd, _sampled(40)):
         walked.clear()
         assert jacobian_rank_lambda(sp) == 12
         assert walked == [P]
@@ -465,27 +577,18 @@ def _built_and_ranked(monkeypatch):
     return built, ranked
 
 
-def test_lambda_rank_is_certified_by_the_first_13_rows(exact_rank_calls, monkeypatch):
+def test_lambda_rank_ranks_the_41_rows_mod_p_once(exact_rank_calls, monkeypatch):
+    # The first point has only a, b, f, k and s nonzero, so m = j = 0 and am = jd.
+    one, zero = GaussRat(1), GaussRat(0)
+    sparse = SubfamilyParams(t=Fraction(0), x=Fraction(0), y=Fraction(0), a=one, b=one, c=zero,
+                             f=one, j=zero, k=one, l=zero, m=zero, p=zero, s=one)
+    assert lambda_rank(sparse) == 12
     built, ranked = _built_and_ranked(monkeypatch)
-    points = [presets.SUBFAMILY_RANK_POINT] + [
-        sampling.random_subfamily_params(sampling.rng_for(66, idx))[0] for idx in range(10)]
-    for sp in points:
+    for sp in [sparse, _WALK_POINT] + [_am_equals_jd(sp) for sp in _sampled(10)]:
         built.clear()
         ranked.clear()
         assert jacobian_rank_lambda(sp) == 12
-        assert len(built) <= 13 and ranked == [(P, 13)]
-    assert exact_rank_calls == []
-
-
-def test_lambda_rank_ranks_all_41_rows_when_the_first_13_fall_short(exact_rank_calls,
-                                                                   monkeypatch):
-    # Only a, b, f, k and s are nonzero, and the first 13 rows have rank 6.
-    one, zero = GaussRat(1), GaussRat(0)
-    sp = SubfamilyParams(t=Fraction(0), x=Fraction(0), y=Fraction(0), a=one, b=one, c=zero,
-                         f=one, j=zero, k=one, l=zero, m=zero, p=zero, s=one)
-    built, ranked = _built_and_ranked(monkeypatch)
-    assert jacobian_rank_lambda(sp) == lambda_rank(sp) == 12
-    assert ranked == [(P, 13), (P, 41)] and len(built) == 41
+        assert ranked == [(P, 41)] and built == [P] * 41
     assert exact_rank_calls == []
 
 
@@ -498,7 +601,7 @@ def test_lambda_rank_falls_back_when_the_modular_rank_is_no_proof(change, exact_
                                                                   monkeypatch):
     # P is skipped and the next prime certifies the rank.
     walked = _walked_primes(monkeypatch)
-    sp = replace(presets.SUBFAMILY_RANK_POINT, **change)
+    sp = _am_equals_jd(replace(presets.SUBFAMILY_RANK_POINT, **change))
     assert jacobian_rank_lambda(sp) == lambda_rank(sp) == 12
     assert exact_rank_calls == []
     assert walked == [P2]
@@ -512,7 +615,7 @@ def test_lambda_rank_skips_a_prime_where_a_completion_divisor_vanishes(offset, e
     # mod P in one component (the completion divides by it) or in both (the
     # completion tests it); P is walked, skipped, and the next prime decides.
     walked = _walked_primes(monkeypatch)
-    point = presets.SUBFAMILY_RANK_POINT
+    point = _WALK_POINT
     sp = replace(point, k=point.b * point.j / point.a + offset)
     assert _residues_at_p(sp) is not None
     assert jacobian_rank_lambda(sp) == lambda_rank(sp) == 12
@@ -525,7 +628,7 @@ def test_lambda_exact_fallback_equals_the_exact_rank(strategy, monkeypatch, exac
     monkeypatch.setattr(matrices, "primes", lambda: iter([]))
 
     @generate_only(LAMBDA_EXAMPLES.get(strategy, 4))
-    @given(LAMBDA_STRATEGIES[strategy])
+    @given(LAMBDA_STRATEGIES[strategy].map(_am_equals_jd))
     def check(sp):
         _assume_completes(sp)
         exact_rank_calls.clear()
@@ -538,7 +641,7 @@ def test_lambda_exact_fallback_equals_the_exact_rank(strategy, monkeypatch, exac
 def test_lambda_rank_falls_back_to_exact_elimination_when_the_primes_run_out(
         monkeypatch, exact_rank_calls):
     monkeypatch.setattr(matrices, "primes", lambda: iter([(P, IOTA)]))
-    sp = replace(presets.SUBFAMILY_RANK_POINT, c=GaussRat(Fraction(2, P), 1))
+    sp = replace(_WALK_POINT, c=GaussRat(Fraction(2, P), 1))
     assert jacobian_rank_lambda(sp) == 12
     assert exact_rank_calls == [(41, 13)]
 
@@ -552,7 +655,7 @@ def test_lambda_rank_falls_back_when_the_modular_rank_is_low(monkeypatch, exact_
     # one is simulated; the first usable prime decides, so the walk ends there.
     walked = _walked_primes(monkeypatch)
     _shifted_modular_rank(monkeypatch, -1)
-    assert jacobian_rank_lambda(presets.SUBFAMILY_RANK_POINT) == 12
+    assert jacobian_rank_lambda(_WALK_POINT) == 12
     assert exact_rank_calls == [(41, 13)]
     assert walked == [P]
 
@@ -562,7 +665,7 @@ def test_lambda_rank_never_trusts_a_modular_rank_of_13(monkeypatch, exact_rank_c
     # proves nothing and the exact rank decides.
     walked = _walked_primes(monkeypatch)
     _shifted_modular_rank(monkeypatch, 1)
-    assert jacobian_rank_lambda(presets.SUBFAMILY_RANK_POINT) == 12
+    assert jacobian_rank_lambda(_WALK_POINT) == 12
     assert exact_rank_calls == [(41, 13)]
     assert walked == [P]
 
@@ -572,6 +675,23 @@ def test_lambda_rank_at_singular_point_still_raises(monkeypatch):
     with pytest.raises(SingularParameterError):
         jacobian_rank_lambda(replace(presets.SUBFAMILY_RANK_POINT, a=GaussRat(0)))
     assert walked == [P]
+
+
+def _singular(sp, name):
+    """``sp`` moved so that the completion's test of ``name`` fails, and only that one."""
+    if name in "abf":
+        return replace(sp, **{name: GaussRat(0)})
+    if name == "fs-ip":  # f*(fs - ip) = s(|f|^2 + |p|^2) - t p
+        return replace(sp, s=sp.p * sp.t / (sp.f * sp.f.conj() + sp.p * sp.p.conj()))
+    return replace(sp, k=sp.b * sp.j / sp.a)  # ak - bj
+
+
+@pytest.mark.parametrize("name", ["a", "b", "f", "fs-ip", "ak-bj"])
+def test_lambda_rank_raises_at_each_singular_case(name):
+    for sp in [presets.SUBFAMILY_RANK_POINT] + _sampled(5):
+        with pytest.raises(SingularParameterError) as raised:
+            jacobian_rank_lambda(_singular(sp, name))
+        assert raised.value.denominator == name
 
 
 # -- the modular helpers ---------------------------------------------------
