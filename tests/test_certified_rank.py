@@ -577,14 +577,24 @@ def _built_and_ranked(monkeypatch):
     return built, ranked
 
 
-def test_lambda_rank_ranks_the_41_rows_mod_p_once(exact_rank_calls, monkeypatch):
-    # The first point has only a, b, f, k and s nonzero, so m = j = 0 and am = jd.
+def test_lambda_rank_ranks_all_41_rows_when_the_first_13_fall_short(exact_rank_calls,
+                                                                   monkeypatch):
+    # Where am = jd the first 13 rows mod P (the diagonal, dE20, dE20*, dE31
+    # and dE31*) have rank below 12, so the 41 rows are built and ranked once.
+    # The first point has only a, b, f, k and s nonzero, so m = j = 0, am = jd
+    # and the first 13 rows have rank 6.
     one, zero = GaussRat(1), GaussRat(0)
     sparse = SubfamilyParams(t=Fraction(0), x=Fraction(0), y=Fraction(0), a=one, b=one, c=zero,
                              f=one, j=zero, k=one, l=zero, m=zero, p=zero, s=one)
     assert lambda_rank(sparse) == 12
+    assert rank_mod_p(list(islice(counting._lambda_rows_mod(_residues_at_p(sparse), P), 13)),
+                      P) == 6
+    points = [sparse, _WALK_POINT] + [_am_equals_jd(sp) for sp in _sampled(10)]
+    for sp in points:
+        head = islice(counting._lambda_rows_mod(_residues_at_p(sp), P), 13)
+        assert rank_mod_p(list(head), P) < 12
     built, ranked = _built_and_ranked(monkeypatch)
-    for sp in [sparse, _WALK_POINT] + [_am_equals_jd(sp) for sp in _sampled(10)]:
+    for sp in points:
         built.clear()
         ranked.clear()
         assert jacobian_rank_lambda(sp) == 12
