@@ -37,6 +37,36 @@ above.  The count and the test run the same elimination,
 first (``_primitive``), which shrinks every step of a full elimination;
 a positive scale changes no sign, and the test, which mostly stops
 early on blocks of content 1, eliminates the block as given.
+
+Large coefficients make every step of that elimination a big-integer
+one, so a block whose first diagonal entry has more than 160 bits first
+tries a certificate on a truncated copy (``_truncated_inertia``), which
+needs only small integers; the count and the test take the exact path
+above only where it cannot decide.  The proof, for an n x n Hermitian
+block A and a shift s:
+
+- Build T from A/2^s by flooring each part of each entry on and below
+  the diagonal, and mirror it above, so that T is Hermitian.
+- Then E = A/2^s - T is Hermitian with every |E_rc|^2 < 2, since each
+  part of each entry on and below the diagonal lies in [0, 1); so
+  ||E||_2 <= ||E||_F < n sqrt(2).
+- Let F = sum |T_rc|^2 >= ||T||_2^2.  |det T| is the product of the
+  |lambda| of T, each at most sqrt(F), so every eigenvalue of T has
+  |lambda| >= |det T| / sqrt(F)^(n-1).  If det(T)^2 >= 2 n^2 F^(n-1),
+  that is at least n sqrt(2) > ||E||_2.
+- By Weyl's inequality the k-th eigenvalues of A/2^s and of T differ by
+  at most ||E||_2, so A has the inertia of T and no zero eigenvalue.
+- The elimination ``_inertia_parts`` run on T gives its inertia and, as
+  its last leading minor D_n, det T: the pivot order is a symmetric
+  permutation, which leaves the determinant unchanged.
+
+The shift keeps 64 bits of the first diagonal entry.  Failing the bound
+only means the exact path runs.  A singular block cannot pass it, and
+the certificate gives up early, at the first pivot of T with
+D_k^2 < 2 n^2 D_(k-1)^2: the rank-2 Gram blocks of a ppt-family
+rho^Gamma stop there, at their third or fourth pivot.  The entries of
+the blocks of default-sampler states have at most 130 bits, so those
+never reach the certificate.
 """
 
 from __future__ import annotations
@@ -161,13 +191,24 @@ def _primitive(rows) -> list:
     elimination on the smaller entries is cheaper.  The gcd is taken over
     the real parts of the diagonal and the entries strictly below it only:
     the diagonal is real, and each entry above is the conjugate of its
-    mirror, whose parts are the same up to sign.
+    mirror, whose parts are the same up to sign.  For the same reason only
+    those parts are divided, and each quotient is mirrored above.
     """
     lower = chain.from_iterable(row[:r] for r, row in enumerate(rows))
     content = gcd(*(row[r][0] for r, row in enumerate(rows)), *chain.from_iterable(lower))
     if content <= 1:
         return [list(row) for row in rows]
-    return [[(x // content, y // content) for x, y in row] for row in rows]
+    n = len(rows)
+    out = [[None] * n for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c in range(r):
+            x, y = row[c]
+            x //= content
+            y //= content
+            out[r][c] = (x, y)
+            out[c][r] = (x, -y)
+        out[r][r] = (row[r][0] // content, 0)
+    return out
 
 
 # The (neg, zero, pos) counts of one pivot.
@@ -180,19 +221,23 @@ def _inertia_parts(a):
     ``a`` is the block as mutable rows of (re, im) int pairs, which the
     elimination overwrites.
 
-    Yields (neg, zero, pos) counts: one count per pivot, then, if the
-    elimination stalls, the counts of the remainder; their sum is the
-    inertia of the block.  The pivot is the first remaining index with a
-    nonzero diagonal entry.  After pivots with leading principal minors
-    D_1, ..., D_k, every remaining entry is a (k+1)x(k+1) minor, a_ij <-
-    (p a_ij - a_ip a_pj) / D_(k-1) for the pivot value p = D_k, and the
-    division is exact.  A pivot is positive when D_k has the sign of
-    D_(k-1) (D_0 = 1) and negative otherwise; it is yielded before its
-    elimination step, so a caller that stops there skips the rest.  A step
-    after a minor D_(k-1) = 1, the first one always, divides by nothing.  If
-    elimination stalls, the remaining entries are D_k times the Schur
-    complement, so the counts of its characteristic polynomial are
-    swapped when D_k < 0.
+    Yields one ((neg, zero, pos), minor) pair per pivot, then, if the
+    elimination stalls, the counts of the remainder with the minor 0; the
+    counts sum to the inertia of the block.  The pivot is the first
+    remaining index with a nonzero diagonal entry.  After pivots with
+    leading principal minors D_1, ..., D_k, every remaining entry is a
+    (k+1)x(k+1) minor, a_ij <- (p a_ij - a_ip a_pj) / D_(k-1) for the pivot
+    value p = D_k, and the division is exact.  Every remaining block is
+    Hermitian, so a diagonal entry needs only its real part, with
+    a_pi = conj(a_ip): a_ii <- (p a_ii - |a_ip|^2) / D_(k-1).  A pivot is
+    positive when D_k has the sign of D_(k-1) (D_0 = 1) and negative
+    otherwise; it is yielded with D_k before its elimination step, so a
+    caller that stops there skips the rest.  After n pivots the last minor
+    D_n is the determinant: the pivot order is a symmetric permutation,
+    which leaves it unchanged.  A step after a minor D_(k-1) = 1, the
+    first one always, divides by nothing.  If elimination stalls, the
+    remaining entries are D_k times the Schur complement, so the counts of
+    its characteristic polynomial are swapped when D_k < 0.
     """
     rest = list(range(len(a)))
     prev = 1
@@ -202,16 +247,16 @@ def _inertia_parts(a):
             tail = ZMat(len(rest), len(rest), [GaussInt(*a[i][j]) for i in rest for j in rest])
             part = inertia_from_char_poly(char_poly(tail), len(rest))
             neg, pos = (part.n_pos, part.n_neg) if prev < 0 else (part.n_neg, part.n_pos)
-            yield neg, part.n_zero, pos
+            yield (neg, part.n_zero, pos), 0
             return
         piv = a[p][p][0]
-        yield _POSITIVE if (piv > 0) == (prev > 0) else _NEGATIVE
+        yield _POSITIVE if (piv > 0) == (prev > 0) else _NEGATIVE, piv
         rest.remove(p)
         row_p = a[p]
         for t, i in enumerate(rest):
             row_i = a[i]
             xr, xi = row_i[p]
-            for j in rest[:t + 1]:
+            for j in rest[:t]:
                 yr, yi = row_p[j]
                 zr, zi = row_i[j]
                 re = piv * zr - xr * yr + xi * yi
@@ -223,7 +268,64 @@ def _inertia_parts(a):
                         raise ArithmeticError("inexact division in fraction-free elimination")
                 row_i[j] = (re, im)
                 a[j][i] = (re, -im)
+            re = piv * row_i[i][0] - xr * xr - xi * xi
+            if prev != 1:
+                re, rem_re = divmod(re, prev)
+                if rem_re:
+                    raise ArithmeticError("inexact division in fraction-free elimination")
+            row_i[i] = (re, 0)
         prev = piv
+
+
+# Over 3000 default-sampler states of each family (seed 7), no entry of a block
+# of rho^Gamma or of a reduction matrix has more than 130 bits; at 5 digits the
+# full family's entries run to about 850 bits.
+_CERTIFY_BITS = 160
+_KEPT_BITS = 64
+
+
+def _truncated_inertia(rows):
+    """(neg, 0, pos) counts of a large Hermitian block proved from its truncation, or None.
+
+    None, for a block of at most _CERTIFY_BITS bits in its first diagonal
+    entry or one the certificate cannot decide, sends the block down the
+    exact path.  The truncation T is the block floored over 2^s, for the
+    shift s that leaves _KEPT_BITS bits of the first diagonal entry.  Its
+    elimination gives up at the first pivot with D_k^2 < 2 n^2 D_(k-1)^2;
+    otherwise it yields T's inertia and det T = D_n, and the counts are
+    proved when det(T)^2 >= 2 n^2 F^(n-1), F the squared Frobenius norm
+    of T (module docstring).
+    """
+    top = rows[0][0][0].bit_length()
+    if top <= _CERTIFY_BITS:
+        return None
+    shift = top - _KEPT_BITS
+    n = len(rows)
+    t = [[None] * n for _ in range(n)]
+    frob = 0
+    for r, row in enumerate(rows):
+        for c in range(r):
+            x, y = row[c]
+            x >>= shift
+            y >>= shift
+            t[r][c] = (x, y)
+            t[c][r] = (x, -y)
+            frob += 2 * (x * x + y * y)
+        d = row[r][0] >> shift
+        t[r][r] = (d, 0)
+        frob += d * d
+    bound = 2 * n * n
+    n_neg = n_pos = 0
+    prev = 1
+    for (neg, _, pos), minor in _inertia_parts(t):
+        if minor * minor < bound * prev * prev:
+            return None
+        n_neg += neg
+        n_pos += pos
+        prev = minor
+    if prev * prev < bound * frob ** (n - 1):
+        return None
+    return n_neg, 0, n_pos
 
 
 def blocks_inertia(blocks) -> Inertia:
@@ -231,11 +333,15 @@ def blocks_inertia(blocks) -> Inertia:
 
     Each block is rows of (re, im) int pairs, Hermitian by construction;
     the spectrum of the sum is the union of the blocks' spectra, so the
-    counts are the sums of every part of every block.
+    counts are the sums of every part of every block.  A large block whose
+    truncation certificate decides is counted from it; every other block
+    is divided by its content and eliminated exactly.
     """
     n_neg = n_zero = n_pos = 0
     for blk in blocks:
-        for neg, zero, pos in _inertia_parts(_primitive(blk)):
+        known = _truncated_inertia(blk)
+        parts = ((known, None),) if known else _inertia_parts(_primitive(blk))
+        for (neg, zero, pos), _ in parts:
             n_neg, n_zero, n_pos = n_neg + neg, n_zero + zero, n_pos + pos
     return Inertia(n_neg, n_zero, n_pos)
 
@@ -243,12 +349,19 @@ def blocks_inertia(blocks) -> Inertia:
 def has_negative_eigenvalue(blocks) -> bool:
     """True iff the direct sum of Hermitian blocks has a negative eigenvalue.
 
-    Stops at the first negative pivot.  The pivots taken so far index a
-    principal submatrix whose leading minors D_1, ..., D_k are all
+    A large block whose truncation certificate decides answers from its
+    proved inertia.  Every other block is eliminated as given, and the
+    test stops at the first negative pivot.  The pivots taken so far index
+    a principal submatrix whose leading minors D_1, ..., D_k are all
     nonzero, so by Jacobi's rule its negative eigenvalues number the sign
     changes of 1, D_1, ..., D_k; one sign change gives it a negative
     eigenvalue, and by Cauchy interlacing the smallest eigenvalue of the
     block is at most that of any principal submatrix.  A block with no
     negative pivot is counted in full, stalled remainder included.
     """
-    return any(neg for blk in blocks for neg, _, _ in _inertia_parts([list(row) for row in blk]))
+    for blk in blocks:
+        known = _truncated_inertia(blk)
+        parts = ((known, None),) if known else _inertia_parts([list(row) for row in blk])
+        if any(neg for (neg, _, _), _ in parts):
+            return True
+    return False

@@ -1,16 +1,24 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 from itertools import chain, permutations
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from checkerboard import charpoly, sampling
 from checkerboard.charpoly import (
+    _CERTIFY_BITS,
+    _KEPT_BITS,
     Inertia,
     _primitive,
+    _truncated_inertia,
     blocks_inertia,
     char_poly,
     has_negative_eigenvalue,
@@ -18,10 +26,13 @@ from checkerboard.charpoly import (
 )
 from checkerboard.criteria import reduction_matrices
 from checkerboard.errors import SingularParameterError, SymmetryError
+from checkerboard.io import parse_param_doc
 from checkerboard.family import build_state
 from checkerboard.subfamily import derive_full_params
 from checkerboard.gaussian import GaussInt, GaussRat
 from checkerboard.matrices import GMat, ZMat, rank
+from checkerboard.cli import main
+from checkerboard.report import classify
 
 from conftest import SIZED_POINTS, gauss_matrix, generate_only, hermitian_grid, sparse_gauss
 from linalg_reference import (
@@ -372,3 +383,224 @@ def test_primitive_content_from_half_of_each_block_is_the_whole_content(kind, si
                                          for x, y in row] for row in rows]
 
     check()
+
+
+def _descartes(rows) -> Inertia:
+    """The inertia of a block of (re, im) pairs from its char poly, no elimination."""
+    n = len(rows)
+    m = ZMat(n, n, [GaussInt(*z) for row in rows for z in row])
+    return inertia_from_char_poly(char_poly(m), n)
+
+
+@st.composite
+def lifted_blocks(draw):
+    """(kind, B, block) for Hermitian blocks of size 1-5 past the certificate's size threshold.
+
+    A block of small Gaussian integers B is taken times 2^k, k from 150 to
+    400, and, except for "gram", plus a Hermitian perturbation P whose
+    parts stay under 2^(k-64), below the truncation's last kept bit:
+    - "gram": B = V V* of an n x 2 matrix V of rank 2, n from 3, unperturbed,
+      so singular with n - 2 zeros, the shape of a ppt-family rho^Gamma block;
+    - "near-singular": B a signed sum of fewer than n rank-one terms, so
+      singular, and P moves its zero eigenvalues by less than the
+      truncation error;
+    - "entries": B entry by entry, its first diagonal entry nonzero, P as
+      for "near-singular".
+    """
+    kind = draw(st.sampled_from(["gram", "near-singular", "entries"]))
+    n = draw(st.integers(3 if kind == "gram" else 1, 5))
+    k = draw(st.integers(150, 400))
+    small = st.integers(-3, 3)
+
+    def vector():
+        return [GaussInt(draw(small), draw(small)) for _ in range(n)]
+
+    if kind == "entries":
+        b = [[GaussInt(0)] * n for _ in range(n)]
+        for r in range(n):
+            # a nonzero first diagonal entry lifts the block past the threshold
+            b[r][r] = GaussInt(draw(small.filter(bool) if r == 0 else small))
+            for c in range(r):
+                b[r][c] = GaussInt(draw(small), draw(small))
+                b[c][r] = b[r][c].conj()
+    else:
+        terms = 2 if kind == "gram" else draw(st.integers(1, n - 1) if n > 1 else st.just(0))
+        b = [[GaussInt(0)] * n for _ in range(n)]
+        vs = []
+        for _ in range(terms):
+            v = vector()
+            vs.append(v)
+            sign = GaussInt(1 if kind == "gram" else draw(st.sampled_from([-1, 1])))
+            b = [[b[r][c] + sign * v[r] * v[c].conj() for c in range(n)] for r in range(n)]
+        if kind == "gram":
+            # V has rank 2 iff its 2x2 Gram matrix V* V is nonsingular
+            g = [[sum((x.conj() * y for x, y in zip(vs[i], vs[j])), GaussInt(0)) for j in range(2)]
+                 for i in range(2)]
+            assume(g[0][0] * g[1][1] - g[0][1] * g[1][0] != GaussInt(0))
+    rows = [[(z.re << k, z.im << k) for z in row] for row in b]
+    if kind != "gram":
+        bits = draw(st.integers(0, k - 64))
+        part = st.integers(-(1 << bits), 1 << bits)
+        for r in range(n):
+            rows[r][r] = (rows[r][r][0] + draw(part), 0)
+            for c in range(r):
+                x, y = draw(part), draw(part)
+                rows[r][c] = (rows[r][c][0] + x, rows[r][c][1] + y)
+                rows[c][r] = (rows[r][c][0], -rows[r][c][1])
+    return kind, ZMat.from_rows(b), rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(lifted_blocks())
+def test_truncation_certificate_matches_the_exact_inertia(case):
+    """The count and the test agree with Descartes on blocks past the size threshold.
+
+    Singular rank-2 Gram blocks fall back to the exact path and count
+    n - 2 zeros.  A block of small integers with no zero leading minor is
+    scaled far past the truncation error, so the certificate decides it.
+    """
+    kind, b, rows = case
+    want = _descartes(rows)
+    assert blocks_inertia([rows]) == want
+    assert has_negative_eigenvalue([rows]) is (want.n_neg > 0)
+    got = _truncated_inertia(rows)
+    assert got is None or got == (want.n_neg, 0, want.n_pos)
+    if kind == "gram":
+        assert got is None and want.n_zero == len(rows) - 2
+    elif kind == "entries" and rows[0][0][0].bit_length() > _CERTIFY_BITS and all(
+            leibniz_det(submatrix(b, range(size), range(size))) for size in range(1, b.rows + 1)):
+        # The truncation is 2^(k-s) B + R with 2^(k-s) >= 2^61 and every part of R
+        # in {-1, 0, 1}; each leading minor of B is a nonzero Gaussian integer, so
+        # every pivot and det(T) stay far above the bounds.
+        assert got is not None
+
+
+def _certificate_cases():
+    """2x2 blocks A = 2^s T + P whose truncation T has the wrong inertia.
+
+    With s = 137 every first diagonal entry has 201 bits, so the truncation
+    keeps 64 of them, and P moves each part by c = floor(0.99 2^s) at most.
+    """
+    s = 137
+    c = 99 * 2 ** s // 100
+    h = 2 ** 63
+    # the bound's own example: det T = -(2^63 + 1), and T's second pivot fails
+    # D_2^2 >= 8 D_1^2, but A = 2^s T + c I is positive definite
+    yield "second pivot", s, [[(2 ** s * h + c, 0), (2 ** s * (h + 1), 0)],
+                              [(2 ** s * (h + 1), 0), (2 ** s * (h + 1) + c, 0)]], Inertia(0, 0, 2)
+    # T's pivots pass, and so would det(T)^2 >= 8 F^0, but not det(T)^2 >= 8 F: T's
+    # eigenvalue near -1/2 belongs to e_0, which c I lifts by 0.99
+    b, m = (2 * h + 1) * 8, 2 * (2 * h + 1) * 64
+    yield "unbalanced", s, [[(2 ** s * h + c, 0), (2 ** s * b, 0)],
+                            [(2 ** s * b, 0), (2 ** s * m + c, 0)]], Inertia(0, 0, 2)
+    # T = [[M, t(1 - i)], [t(1 + i), M]] is positive definite with smallest eigenvalue
+    # M - t sqrt(2) in [1, 1.3), so det(T)^2 >= F and D_2^2 >= D_1^2 hold, but not
+    # with the factor 8; the part below the diagonal adds 0.99 (1 + i) and makes A
+    # indefinite
+    t, m = 6917529027641081860, 9782863368999586666
+    assert (m - 1) ** 2 >= 2 * t * t and (10 * m - 13) ** 2 < 200 * t * t
+    z = 2 ** s * t + c
+    yield "balanced", s, [[(2 ** s * m, 0), (z, -z)], [(z, z), (2 ** s * m, 0)]], Inertia(1, 0, 1)
+
+
+@pytest.mark.parametrize("name,shift,rows,want", list(_certificate_cases()),
+                         ids=[case[0] for case in _certificate_cases()])
+def test_truncation_with_the_wrong_inertia_is_not_trusted(name, shift, rows, want):
+    """Each truncation has the other inertia of a 2x2 block, and the certificate gives up."""
+    (a, _), ((x, y), (d, _)) = rows[0][0], rows[1]
+    truncated = [[(a >> shift, 0), (x >> shift, -(y >> shift))],
+                 [(x >> shift, y >> shift), (d >> shift, 0)]]
+    assert rows[0][0][0].bit_length() - 64 == shift
+    assert _descartes(truncated) != want == _descartes(rows)
+    assert _truncated_inertia(rows) is None
+    assert blocks_inertia([rows]) == want
+    assert has_negative_eigenvalue([rows]) is (want.n_neg > 0)
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def _spy(monkeypatch) -> dict:
+    """Record each certificate's outcome, each elimination's first diagonal entry
+    size, its [size, parts taken], and the number of char polys, as ``classify`` runs."""
+    seen = {"outcomes": [], "eliminated": [], "parts": [], "char_polys": 0, "block_bits": 0}
+    certificate, eliminate, poly = (charpoly._truncated_inertia, charpoly._inertia_parts,
+                                    charpoly.char_poly)
+
+    def spy_certificate(rows):
+        seen["block_bits"] = max(seen["block_bits"], *(x.bit_length() for row in rows
+                                                        for z in row for x in z))
+        got = certificate(rows)
+        seen["outcomes"].append(got)
+        return got
+
+    def spy_eliminate(a):
+        seen["eliminated"].append(a[0][0][0].bit_length())
+        seen["parts"].append([len(a), 0])
+        for part in eliminate(a):
+            seen["parts"][-1][1] += 1
+            yield part
+
+    def spy_poly(m):
+        seen["char_polys"] += 1
+        return poly(m)
+
+    monkeypatch.setattr(charpoly, "_truncated_inertia", spy_certificate)
+    monkeypatch.setattr(charpoly, "_inertia_parts", spy_eliminate)
+    monkeypatch.setattr(charpoly, "char_poly", spy_poly)
+    return seen
+
+
+def _certify(name: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["certify", "--input", str(GOLDEN_INPUTS / name)]) == 0
+
+
+def test_full_family_100_digit_inertias_are_read_off_truncations(monkeypatch):
+    """Both rho^Gamma blocks and the reduction test of the 100-digit golden.
+
+    Every block of rho^Gamma and of both reduction matrices is decided by
+    its truncation, and in ``certify`` every elimination runs on one: a
+    first diagonal entry of exactly _KEPT_BITS bits.
+    """
+    seen = _spy(monkeypatch)
+    _certify("bigcoef100_full.json")
+    # rho^Gamma's two blocks, then the reduction test, which stops at a negative block
+    assert len(seen["outcomes"]) >= 3 and None not in seen["outcomes"]
+    assert set(seen["eliminated"]) == {_KEPT_BITS} and not seen["char_polys"]
+    kind, params = parse_param_doc(json.loads((GOLDEN_INPUTS / "bigcoef100_full.json").read_text()))
+    state = build_state(params)
+    blocks = [blk for pair in (state.gamma, *reduction_matrices(state)) for blk in pair]
+    assert kind == "full" and None not in map(_truncated_inertia, blocks)
+
+
+def test_ppt_family_100_digit_inertia_takes_the_exact_path(monkeypatch):
+    """rho^Gamma = rho of the 100-digit ppt golden is a pair of singular rank-2 Gram blocks."""
+    seen = _spy(monkeypatch)
+    _certify("bigcoef100_ppt.json")
+    assert seen["outcomes"] == [None, None]
+    # The pivot test stops each truncation at its fourth pivot, before the last of
+    # the 5x5 block; each block is then eliminated exactly: two pivots and the
+    # stalled zero remainder.
+    assert seen["eliminated"][::2] == [_KEPT_BITS] * 2 and seen["parts"][::2] == [[4, 4], [5, 4]]
+    assert min(seen["eliminated"][1::2]) > _CERTIFY_BITS and seen["parts"][1::2] == [[4, 3], [5, 3]]
+    assert seen["char_polys"] == 2
+
+
+@pytest.mark.parametrize("kind", ["full", "ppt"])
+def test_default_sampler_blocks_stay_on_the_exact_path(kind, monkeypatch):
+    """No block of a default-sampler state reaches the truncation certificate.
+
+    The ppt family's stalled remainders still reach ``char_poly``, through
+    which a ppt scan reaches it.
+    """
+    seen = _spy(monkeypatch)
+    rng = sampling.rng_for(7)
+    for _ in range(300):
+        if kind == "full":
+            classify(kind, sampling.random_checker_params(rng))
+        else:
+            classify(kind, sampling.random_subfamily_params(rng)[0])
+    assert seen["outcomes"] and set(seen["outcomes"]) == {None}
+    assert seen["block_bits"] <= _CERTIFY_BITS
+    assert (seen["char_polys"] > 0) is (kind == "ppt")

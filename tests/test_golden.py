@@ -56,6 +56,10 @@ CLI_CASES = {
     "certify_big_ppt": ["certify", "--input", "{big_ppt}"],
     "certify_big_full_witness": ["certify", "--input", "{big_full}", "--witness", "{big_witness}"],
     "certify_big_ppt_witness": ["certify", "--input", "{big_ppt}", "--witness", "{big_witness}"],
+    # 100-digit numerators and denominators: the blocks of rho^Gamma have entries
+    # of about 23,000 bits (full) and 45,000 bits (ppt)
+    "certify_huge_full": ["certify", "--input", "{huge_full}"],
+    "certify_huge_ppt": ["certify", "--input", "{huge_ppt}"],
     "build_big_full": ["build", "--input", "{big_full}", "--out", "{out}"],
     "build_big_ppt": ["build", "--input", "{big_ppt}", "--witness", "{big_witness}",
                       "--out", "{out}"],
@@ -86,6 +90,9 @@ def _write_inputs(tmp: Path) -> dict:
     # seeded parameter files kept next to the goldens (seed 17001, 5 digits)
     for name in ("full", "ppt", "witness"):
         paths[f"big_{name}"] = GOLDEN / "inputs" / f"bigcoef_{name}.json"
+    # and at 100 digits (seed 28100)
+    for name in ("full", "ppt"):
+        paths[f"huge_{name}"] = GOLDEN / "inputs" / f"bigcoef100_{name}.json"
     return {key: str(path) for key, path in paths.items()}
 
 
