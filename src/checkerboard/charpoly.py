@@ -33,10 +33,18 @@ negative eigenvalue (Sylvester, Jacobi), and by Cauchy interlacing the
 whole block then has one too.  A block with no negative pivot is counted
 in full, its stalled remainder by the characteristic polynomial as
 above.  The count and the test run the same elimination,
-``_inertia_parts``.  Only the count divides each block by its content
-first (``_primitive``), which shrinks every step of a full elimination;
-a positive scale changes no sign, and the test, which mostly stops
-early on blocks of content 1, eliminates the block as given.
+``_inertia_parts``.  A positive scale changes no sign, so the count may
+divide a block by its content first (``_primitive``), which shrinks
+every step of a full elimination.  It does so only where that pays: on
+a block whose first diagonal entry has more than 160 bits (below) and
+whose truncation does not decide it, such as the singular Gram blocks
+of a 5-digit ppt-family rho^Gamma.  A block whose first diagonal entry
+is positive and of at most 160 bits, as on every default-sampler state
+(at most 130 bits), is eliminated as given: there the gcd costs more
+than it saves.  A block whose first diagonal entry is 0 (or negative)
+does not show its size that way, so it is divided too.  The test,
+which mostly stops early on blocks of content 1, eliminates every
+block as given.
 
 Large coefficients make every step of that elimination a big-integer
 one, so a block whose first diagonal entry has more than 160 bits first
@@ -282,6 +290,8 @@ def _inertia_parts(a):
 # full family's entries run to about 850 bits.
 _CERTIFY_BITS = 160
 _KEPT_BITS = 64
+# A positive first diagonal entry below this has at most _CERTIFY_BITS bits.
+_CERTIFY_FROM = 1 << _CERTIFY_BITS
 
 
 def _truncated_inertia(rows):
@@ -334,13 +344,20 @@ def blocks_inertia(blocks) -> Inertia:
     Each block is rows of (re, im) int pairs, Hermitian by construction;
     the spectrum of the sum is the union of the blocks' spectra, so the
     counts are the sums of every part of every block.  A large block whose
-    truncation certificate decides is counted from it; every other block
-    is divided by its content and eliminated exactly.
+    truncation certificate decides is counted from it.  A block whose
+    first diagonal entry is positive and of at most _CERTIFY_BITS bits is
+    eliminated exactly as given; every other block is divided by its
+    content first.
     """
     n_neg = n_zero = n_pos = 0
     for blk in blocks:
         known = _truncated_inertia(blk)
-        parts = ((known, None),) if known else _inertia_parts(_primitive(blk))
+        if known:
+            parts = ((known, None),)
+        elif 0 < blk[0][0][0] < _CERTIFY_FROM:
+            parts = _inertia_parts([list(row) for row in blk])
+        else:
+            parts = _inertia_parts(_primitive(blk))
         for (neg, zero, pos), _ in parts:
             n_neg, n_zero, n_pos = n_neg + neg, n_zero + zero, n_pos + pos
     return Inertia(n_neg, n_zero, n_pos)

@@ -22,11 +22,18 @@ partial trace has one (``criteria.reduction_matrices``).  No 9x9 matrix is
 built: every command, ``reproduce`` included, reads the blocks.
 
 Classification computes on int pairs only.  ``CheckerParams.lifted``
-gives each letter as the (re, im) ints of D times its value, for D the
-least common denominator of the 36 parts.  The blocks (``build_state``),
-the rank (``state_rank``) and the factors of the Theorem 1 and 2
-products (``theorem_factors``) are read off those pairs.  A factor is
-taken over its D^k, a ``GaussRat``, only where its value is printed.
+gives each letter of a generating vector v_k as the (re, im) ints of D_k
+times its value, for D_k the least common denominator of the parts of
+that vector's letters.  The rank (``state_rank``) and the factors of the
+Theorem 1 and 2 products (``theorem_factors``) are read off those pairs:
+scaling a column leaves a rank alone, and each factor is homogeneous in
+each vector separately, so it is the factor of the parameters times a
+product of powers of the D_k.  A factor is taken over that product, a
+``GaussRat``, only where its value is printed (``factor_over``).  The
+blocks (``build_state``) mix the vectors, so they read one common lift
+over D = lcm(D_1, ..., D_4), derived from the per-vector one
+(``common_lift``).  Each D_k divides D, so a factor's divisor is never
+larger than the power of D it would have over the common lift.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
+from operator import attrgetter
 
 from .errors import DegenerateStateError
 from .gaussian import GaussRat, ZERO, conj, gauss_over
@@ -48,6 +56,10 @@ _VECTOR_SLOTS = (
     (("j", 0, 0), ("k", 2, 0), ("l", 1, 1), ("m", 0, 2), ("n", 2, 2)),
     (("p", 1, 0), ("q", 0, 1), ("r", 2, 1), ("s", 1, 2)),
 )
+
+# The letters of v1, v2, v3 and v4, and for each a getter of their values.
+VECTOR_LETTERS = tuple("".join(ch for ch, _, _ in slots) for slots in _VECTOR_SLOTS)
+_VECTOR_VALUES = tuple(attrgetter(*letters) for letters in VECTOR_LETTERS)
 
 ODD_POSITIONS = (1, 3, 5, 7)
 EVEN_POSITIONS = (0, 2, 4, 6, 8)
@@ -88,15 +100,23 @@ class CheckerParams:
 
     @cached_property
     def lifted(self) -> tuple:
-        """(parts, D): D is the least common denominator of the 36 parts, and
-        ``parts`` maps each letter to the (re, im) ints of D times its value.
+        """(parts, dens): dens = (D_1, D_2, D_3, D_4), D_k the least common
+        denominator of the parts of the letters of v_k, and ``parts`` maps each
+        letter of v_k to the (re, im) ints of D_k times its value.
 
         Computed once per instance; the state, its rank and the Theorem 1/2
         factors of a classification all come from it.
         """
-        values = [getattr(self, ch) for ch in PARAM_LETTERS]
-        d = lcm(*(z.d for z in values))
-        return {ch: (z.x * (q := d // z.d), z.y * q) for ch, z in zip(PARAM_LETTERS, values)}, d
+        parts = {}
+        dens = []
+        for letters, values_of in zip(VECTOR_LETTERS, _VECTOR_VALUES):
+            values = values_of(self)
+            d = lcm(*[z.d for z in values])
+            dens.append(d)
+            for ch, z in zip(letters, values):
+                q = d // z.d
+                parts[ch] = (z.x * q, z.y * q)
+        return parts, tuple(dens)
 
 
 BLOCK_POSITIONS = (ODD_POSITIONS, EVEN_POSITIONS)
@@ -208,15 +228,36 @@ def build_vectors(p: CheckerParams) -> tuple:
 
 def require_trace(p: CheckerParams) -> tuple:
     """``p.lifted``; DegenerateStateError if every parameter is zero, a state with no trace."""
-    parts, d = p.lifted
+    parts, dens = p.lifted
     if not any(map(any, parts.values())):
         raise DegenerateStateError("all parameters are zero; the state has no trace")
-    return parts, d
+    return parts, dens
+
+
+def common_lift(parts, dens) -> tuple:
+    """(parts over D, D) from ``CheckerParams.lifted``, for D = lcm(D_1, ..., D_4).
+
+    The letters of each v_k are taken times D/D_k, so every letter is D
+    times its value, with D the least common denominator of the 36 parts.
+    """
+    d = lcm(*dens)
+    common = dict(parts)
+    for letters, dk in zip(VECTOR_LETTERS, dens):
+        if dk != d:
+            q = d // dk
+            for ch in letters:
+                x, y = parts[ch]
+                common[ch] = (x * q, y * q)
+    return common, d
 
 
 def build_state(p: CheckerParams) -> StateMatrix:
-    """The state sum |v><v| as the blocks V V* of the lifted generator rows, scale D^2."""
-    parts, d = require_trace(p)
+    """The state sum |v><v| as the blocks V V* of the generator rows over D, scale D^2.
+
+    rho^Gamma mixes the two blocks, so their entries share one scale: the
+    rows are read off ``common_lift``, not off the per-vector lift.
+    """
+    parts, d = common_lift(*require_trace(p))
     return StateMatrix(tuple(_gram([(parts[u], parts[v]) for u, v in rows])
                              for rows in BLOCK_ROWS), d * d)
 
@@ -235,6 +276,8 @@ def state_rank(parts) -> int:
     """rank(N rho) = rank(V_odd) + rank(V_even), since rank(V V*) = rank(V).
 
     ``parts`` maps each letter to its (re, im) pair (``CheckerParams.lifted``).
+    The columns of V_odd are v2 and v4, and those of V_even v1 and v3, so
+    each column may be over its own D_k: scaling a column leaves the rank.
     """
     return sum(_two_column_rank([(parts[u], parts[v]) for u, v in rows]) for rows in BLOCK_ROWS)
 
@@ -272,8 +315,10 @@ def _form_at(c20, c11, c02, x, y) -> tuple:
     return _dot((c20, c02, c11), (_mul(x, x), _mul(y, y), (-xy_re, -xy_im)))
 
 
-# The degree of each factor that ``theorem_factors`` returns, each homogeneous.
-FACTOR_DEGREES = (2, 2, 4, 8, 5)
+# The degrees of each factor that ``theorem_factors`` returns in the letters of
+# v1, v2, v3 and v4 (its docstring proves them), and their total degrees.
+VECTOR_DEGREES = ((0, 1, 0, 1), (0, 1, 0, 1), (2, 0, 2, 0), (2, 2, 2, 2), (3, 1, 1, 0))
+FACTOR_DEGREES = tuple(map(sum, VECTOR_DEGREES))
 
 
 def theorem_factors(parts) -> tuple:
@@ -283,10 +328,21 @@ def theorem_factors(parts) -> tuple:
     is the one Theorem 2 adds, t2 = abf(ak-bj) t1.  The binary quadratic
     form is F(A1, A3) = (ae-bd) A1^2 + (an+ej-bm-dk) A1 A3 + (jn-km) A3^2,
     and lambda = a(hs-ir) + b(iq-gs) + d(fr-hp) + e(gp-fq),
-    mu = f(mr-nq) + g(np-ks) + h(js-mp) + i(kq-jr).  Each factor is
-    homogeneous of its degree in ``FACTOR_DEGREES`` (2, 2, 4, 8, 5), so on
-    the parts of ``CheckerParams.lifted`` it is D^k times the factor of the
-    parameters, and a product vanishes exactly when one of its factors does.
+    mu = f(mr-nq) + g(np-ks) + h(js-mp) + i(kq-jr).
+
+    Each factor is homogeneous separately in the letters of each vector,
+    of the degrees in ``VECTOR_DEGREES``.  Count a monomial's letters from
+    v1, v2, v3 and v4: fs, ip, gr and hq are (0,1,0,1); the coefficients
+    ae-bd, an+ej-bm-dk and jn-km of F are (2,0,0,0), (1,0,1,0) and
+    (0,0,2,0), so with l from v3 and c from v1 each term of F(l,-c) is
+    (2,0,2,0); every term of lambda is (1,1,0,1) and of mu (0,1,1,1), so
+    each term of F(mu,-lambda) is (2,0,0,0) + (0,2,2,2), (1,0,1,0) +
+    (0,1,1,1) + (1,1,0,1) or (0,0,2,0) + (2,2,0,2), all (2,2,2,2); and
+    abf(ak-bj) is (3,1,1,0).  So on the parts of ``CheckerParams.lifted``,
+    each letter of v_k being D_k times its value, a factor of degrees
+    (e_1, e_2, e_3, e_4) is D_1^e_1 D_2^e_2 D_3^e_3 D_4^e_4 times the factor
+    of the parameters, and a product vanishes exactly when one of its
+    factors does.
     """
     a, b, c, d, e, f, g, h, i, j, k, l, m, n, p, q, r, s = (parts[ch] for ch in PARAM_LETTERS)
     c20, c02 = _minor(a, e, b, d), _minor(j, n, k, m)
@@ -299,28 +355,30 @@ def theorem_factors(parts) -> tuple:
             _form_at(c20, c11, c02, mu, lam), _mul(_mul(_mul(a, b), f), _minor(a, k, b, j)))
 
 
-def factor_over(factor, degree: int, d: int) -> GaussRat:
-    """A factor of parameters lifted over d, divided by d^degree, in lowest terms."""
+def factor_over(factor, degrees, dens) -> GaussRat:
+    """A factor of the parts of ``CheckerParams.lifted`` as the factor of the
+    parameters: divided by D_1^e_1 D_2^e_2 D_3^e_3 D_4^e_4 for ``dens`` the D_k
+    and ``degrees`` its e_k (``VECTOR_DEGREES``), in lowest terms."""
     x, y = factor
-    return gauss_over(x, y, d ** degree)
+    return gauss_over(x, y, prod(d ** e for d, e in zip(dens, degrees)))
 
 
-def theorem1_from_factors(factors, d: int) -> GaussRat:
-    """t1 from ``theorem_factors`` of parameters lifted over d.
+def theorem1_from_factors(factors, dens) -> GaussRat:
+    """t1 from ``theorem_factors`` of the parts of ``CheckerParams.lifted``.
 
-    Each factor is taken over its own d^k and the four reduced values are
-    multiplied, which gives t1(w)/d^16 in lowest terms without reducing the
-    full product.
+    Each factor is taken over its own product of the D_k and the four
+    reduced values are multiplied, which gives t1 in lowest terms without
+    reducing the full product.
     """
-    first, second, third, fourth = (factor_over(z, k, d)
-                                    for z, k in zip(factors[:4], FACTOR_DEGREES))
+    first, second, third, fourth = (factor_over(z, e, dens)
+                                    for z, e in zip(factors[:4], VECTOR_DEGREES))
     return first * second * third * fourth
 
 
 def theorem1_product(p: CheckerParams) -> GaussRat:
     """The genericity product (fs-ip)(gr-hq) F(l,-c) F(mu,-lambda) of Theorem 1."""
-    parts, d = p.lifted
-    return theorem1_from_factors(theorem_factors(parts), d)
+    parts, dens = p.lifted
+    return theorem1_from_factors(theorem_factors(parts), dens)
 
 
 def prime_block_null_basis(p: CheckerParams) -> GMat:

@@ -6,7 +6,8 @@ per result.  Parameters, witnesses and every value a user reads or writes
 are ``GaussRat``s (or plain ``Fraction``s where a value is real by
 construction); ``re`` and ``im`` give their parts as Fractions.
 Classification uses no scalar objects: the parameters of a state are
-lifted once to (re, im) int pairs over one common denominator
+lifted once to (re, im) int pairs, each generating vector's letters
+over the common denominator of their own parts
 (``family.CheckerParams.lifted``), and every block and product built
 from them is plain int arithmetic; ``gauss_over`` turns a pair back into
 a ``GaussRat`` where a value is printed.  A ``GaussInt`` is the entry of

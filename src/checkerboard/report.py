@@ -34,10 +34,11 @@ from .subfamily import derive_full_params, theorem2_from_factors
 class Classification:
     """The exact facts about one state; ``t2`` and ``generic_t2`` are None outside the ppt family.
 
-    ``factors`` are ``family.theorem_factors`` of the full parameters lifted
-    over ``denominator``: unreduced (re, im) int pairs.  The genericity
-    flags read them as they are; ``t1`` and ``t2`` scale them back only
-    when a certificate prints them.
+    ``factors`` are ``family.theorem_factors`` of the full parameters
+    lifted per vector, each vector v_k over its own D_k in
+    ``denominators`` (``CheckerParams.lifted``): unreduced (re, im) int
+    pairs.  The genericity flags read them as they are; ``t1`` and ``t2``
+    scale them back only when a certificate prints them.
     """
 
     kind: str
@@ -45,7 +46,7 @@ class Classification:
     state: StateMatrix
     rank: int
     factors: tuple
-    denominator: int
+    denominators: tuple
     ppt: bool
     inertia: Inertia
     gamma_fixed: bool
@@ -67,35 +68,38 @@ class Classification:
 
     @cached_property
     def t1(self) -> GaussRat:
-        """Theorem 1's product, each factor taken over D^k before the four are multiplied."""
-        return theorem1_from_factors(self.factors, self.denominator)
+        """Theorem 1's product, each factor reduced on its own before the four are multiplied."""
+        return theorem1_from_factors(self.factors, self.denominators)
 
     @cached_property
     def t2(self) -> Optional[GaussRat]:
-        """Theorem 2's product abf(ak-bj) t1, its extra factor taken over D^5."""
+        """Theorem 2's product abf(ak-bj) t1, its extra factor taken over D_1^3 D_2 D_3."""
         if self.kind != "ppt":
             return None
-        return theorem2_from_factors(self.factors, self.denominator, self.t1)
+        return theorem2_from_factors(self.factors, self.denominators, self.t1)
 
 
 def classify(kind: str, params) -> Classification:
     """Every exact fact about the state of ``params``, each computed once.
 
     ``kind`` is "full" (CheckerParams) or "ppt" (SubfamilyParams, completed
-    first).  The 18 full parameters are lifted once to (re, im) int pairs
-    over their least common denominator D (``CheckerParams.lifted``), and
-    every fact comes from those pairs: the state is the block pair
-    V V* = D^2 N rho of the lifted generator rows, ``inertia`` is that of
-    the blocks of its partial transpose (built once per state,
-    ``StateMatrix.gamma``), ``gamma_fixed`` is whether those blocks equal
-    the state's, the rank is rank(V_odd) + rank(V_even), and the reduction
-    matrices are block pairs read off the state's blocks.  The factors of
-    the Theorem 1 and 2 products are evaluated once, on the pairs and left
-    unreduced: whether t1 or t2 vanishes is whether one of its factors
-    does, so ``scan`` never scales them back.  ``t1`` and ``t2`` take each
-    factor, homogeneous of degree k, over D^k on its own and multiply the
-    reduced values, so they equal t1/D^16 and t2/D^21 of the pairs in
-    lowest terms, and no full-size product is ever reduced.
+    first).  The 18 full parameters are lifted once to (re, im) int pairs,
+    the letters of each generating vector v_k over the least common
+    denominator D_k of their parts (``CheckerParams.lifted``), and every
+    fact comes from those pairs.  The state is the block pair
+    V V* = D^2 N rho of the generator rows over D = lcm(D_1, ..., D_4),
+    ``inertia`` is that of the blocks of its partial transpose (built once
+    per state, ``StateMatrix.gamma``), ``gamma_fixed`` is whether those
+    blocks equal the state's, the rank is rank(V_odd) + rank(V_even) of
+    the per-vector pairs, and the reduction matrices are block pairs read
+    off the state's blocks.  The factors of the Theorem 1 and 2 products
+    are evaluated once, on the per-vector pairs and left unreduced:
+    whether t1 or t2 vanishes is whether one of its factors does, so
+    ``scan`` never scales them back.  Each factor is homogeneous in each
+    vector separately (``family.theorem_factors``), so ``t1`` and ``t2``
+    take each factor over the product of the D_k to its degrees on its
+    own and multiply the reduced values; they equal the products of the
+    parameters in lowest terms, and no full-size product is ever reduced.
     """
     if kind == "ppt":
         full = derive_full_params(params)
@@ -104,7 +108,7 @@ def classify(kind: str, params) -> Classification:
     else:
         raise ValueError(f"unknown certificate kind {kind!r}")
     state = build_state(full)
-    parts, d = full.lifted
+    parts, dens = full.lifted
     ppt, inert = is_ppt(state)
     return Classification(
         kind=kind,
@@ -112,7 +116,7 @@ def classify(kind: str, params) -> Classification:
         state=state,
         rank=state_rank(parts),
         factors=theorem_factors(parts),
-        denominator=d,
+        denominators=dens,
         ppt=ppt,
         inertia=inert,
         gamma_fixed=state.gamma == state.blocks,

@@ -31,6 +31,7 @@ from .criteria import (
 from .family import (
     BLOCK_POSITIONS,
     PARAM_LETTERS,
+    VECTOR_DEGREES,
     CheckerParams,
     build_state,
     build_vectors,
@@ -224,10 +225,10 @@ def item10() -> ItemResult:
         if inert.n_neg:
             failures.append(f"sample {idx}: n_neg={inert.n_neg}")
             continue
-        parts, d = full.lifted
+        parts, dens = full.lifted
         factors = theorem_factors(parts)
-        t1 = theorem1_from_factors(factors, d)
-        if theorem2_from_factors(factors, d, t1) and not t1:
+        t1 = theorem1_from_factors(factors, dens)
+        if theorem2_from_factors(factors, dens, t1) and not t1:
             failures.append(f"sample {idx}: theorem2 holds but theorem1 fails")
     return _result(
         not failures,
@@ -266,7 +267,7 @@ def item11() -> ItemResult:
         full = derive_full_params(sp)
         t, x = GaussRat(bp.t), GaussRat(bp.x)
         a, b, c, f = bp.a, bp.b, bp.c, bp.f
-        parts, d = full.lifted
+        parts, dens = full.lifted
         _, _, form_l_c, form_mu_lam = theorem_factors(parts)[:4]
         weight = x * a.abs2() - t * f.abs2()
         claims = {
@@ -278,8 +279,9 @@ def item11() -> ItemResult:
             "g=tfc*/(xa*)": full.g == t * f * c.conj() / (x * a.conj()),
             "q=-f*": full.q == -f.conj(),
             "h=bc*/f*": full.h == b * c.conj() / f.conj(),
-            "F(l,-c)=-xba*": factor_over(form_l_c, 4, d) == -(x * b * a.conj()),
-            "F(mu,-lam) closed form": factor_over(form_mu_lam, 8, d)
+            "F(l,-c)=-xba*": factor_over(form_l_c, VECTOR_DEGREES[2], dens)
+            == -(x * b * a.conj()),
+            "F(mu,-lam) closed form": factor_over(form_mu_lam, VECTOR_DEGREES[3], dens)
             == x * b ** 3 * c.conj() * weight * weight
             / (a * c * GaussRat(f.abs2() ** 2)),
         }

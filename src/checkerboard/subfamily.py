@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import CheckerboardError, SingularParameterError
 from .family import (
-    FACTOR_DEGREES,
+    VECTOR_DEGREES,
     CheckerParams,
     factor_over,
     theorem1_from_factors,
@@ -103,20 +103,21 @@ def derive_full_params(sp: SubfamilyParams) -> CheckerParams:
     return CheckerParams.from_dict(values)
 
 
-def theorem2_from_factors(factors, d: int, t1: GaussRat) -> GaussRat:
+def theorem2_from_factors(factors, dens, t1: GaussRat) -> GaussRat:
     """Theorem 2's product abf(ak-bj) t1 from ``family.theorem_factors`` of a
-    completion lifted over d and t1 = ``theorem1_from_factors(factors, d)``.
+    completion's ``lifted`` pairs over ``dens`` and t1 = ``theorem1_from_factors(factors, dens)``.
 
-    The factor abf(ak-bj) is taken over d^5 on its own, as t1's factors are.
+    The factor abf(ak-bj) is taken over D_1^3 D_2 D_3 on its own, as t1's
+    factors are over theirs.
     """
-    return factor_over(factors[4], FACTOR_DEGREES[4], d) * t1
+    return factor_over(factors[4], VECTOR_DEGREES[4], dens) * t1
 
 
 def theorem2_product(sp: SubfamilyParams) -> GaussRat:
     """abf (fs-ip)(gr-hq)(ak-bj) F(l,-c) F(mu,-lambda) on the completed parameters."""
-    parts, d = derive_full_params(sp).lifted
+    parts, dens = derive_full_params(sp).lifted
     factors = theorem_factors(parts)
-    return theorem2_from_factors(factors, d, theorem1_from_factors(factors, d))
+    return theorem2_from_factors(factors, dens, theorem1_from_factors(factors, dens))
 
 
 def bruss_peres_embed(bp: BrussPeresParams, real_only: bool = False) -> SubfamilyParams:

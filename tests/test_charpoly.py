@@ -604,3 +604,89 @@ def test_default_sampler_blocks_stay_on_the_exact_path(kind, monkeypatch):
     assert seen["outcomes"] and set(seen["outcomes"]) == {None}
     assert seen["block_bits"] <= _CERTIFY_BITS
     assert (seen["char_polys"] > 0) is (kind == "ppt")
+
+
+def _spy_primitive(monkeypatch) -> list:
+    """The first diagonal entry of every block ``_primitive`` divides by its content."""
+    divided = []
+    primitive = charpoly._primitive
+
+    def spy(rows):
+        divided.append(rows[0][0][0])
+        return primitive(rows)
+
+    monkeypatch.setattr(charpoly, "_primitive", spy)
+    return divided
+
+
+@pytest.mark.parametrize("kind", ["full", "ppt"])
+def test_default_sampler_blocks_skip_the_content_division(kind, monkeypatch):
+    """Every rho^Gamma block of 200 default-sampler states is eliminated as given.
+
+    Its first diagonal entry is positive and of at most _CERTIFY_BITS bits,
+    where dividing by the content costs more than it saves.
+    """
+    seen, divided = _spy(monkeypatch), _spy_primitive(monkeypatch)
+    rng = sampling.rng_for(11)
+    for _ in range(200):
+        if kind == "full":
+            classify(kind, sampling.random_checker_params(rng))
+        else:
+            classify(kind, sampling.random_subfamily_params(rng)[0])
+    assert len(seen["eliminated"]) >= 400 and divided == []
+
+
+def test_large_blocks_keep_the_content_division(monkeypatch):
+    """The ppt family's rho^Gamma blocks past the size threshold are divided by their content.
+
+    Their truncations cannot decide these singular Gram blocks, at 5 digits
+    (``certify_big_ppt`` and sampled points) or at 100 (``certify_huge_ppt``).
+    The full family's blocks at those sizes are decided by their
+    truncations, so they reach neither the content nor the exact path.
+    """
+    divided = _spy_primitive(monkeypatch)
+    for name, calls in (("bigcoef_ppt.json", 2), ("bigcoef100_ppt.json", 2),
+                        ("bigcoef_full.json", 0), ("bigcoef100_full.json", 0)):
+        divided.clear()
+        _certify(name)
+        assert len(divided) == calls and all(x.bit_length() > _CERTIFY_BITS for x in divided), name
+
+    @generate_only(5)
+    @given(SIZED_POINTS["ppt"]["5-digit"])
+    def check(params):
+        divided.clear()
+        try:
+            classify("ppt", params)
+        except SingularParameterError:
+            assume(False)
+        assert len(divided) == 2 and min(x.bit_length() for x in divided) > _CERTIFY_BITS
+
+    check()
+
+
+def test_zero_first_diagonal_entry_keeps_the_content_division(monkeypatch):
+    """A block whose first diagonal entry is 0 does not show its size, small or large,
+    so the count divides it by its content and still matches Descartes."""
+    divided = _spy_primitive(monkeypatch)
+    for k in (6, 3 << 200):
+        rows = [[(0, 0), (k, k), (0, 0)], [(k, -k), (5 * k, 0), (k, 0)], [(0, 0), (k, 0), (-k, 0)]]
+        assert blocks_inertia([rows]) == _descartes(rows)
+    assert divided == [0, 0]
+
+
+def test_small_blocks_times_a_content_are_eliminated_as_given(monkeypatch):
+    """Small blocks times a content of 2, 6 or 10 match Descartes without the content division.
+
+    Only a block whose first diagonal entry is not positive is divided.
+    """
+    divided = _spy_primitive(monkeypatch)
+
+    @generate_only(200)
+    @given(hermitian_blocks(), st.sampled_from([2, 6, 10]))
+    def check(m, k):
+        rows = [[(k * x, k * y) for x, y in row] for row in _pairs(m)]
+        divided.clear()
+        assert blocks_inertia([rows]) == inertia_from_char_poly(char_poly(m), m.rows)
+        assert (divided == []) is (rows[0][0][0] > 0)
+
+    check()

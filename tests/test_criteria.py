@@ -29,6 +29,7 @@ from checkerboard.family import (
     StateMatrix,
     build_state,
     build_vectors,
+    common_lift,
     outer_sum_entries,
     placed_vectors,
     theorem1_product,
@@ -471,10 +472,11 @@ BLOCK_SPLIT_POINTS = {
 @pytest.mark.parametrize("kind,name", list(BLOCK_SPLIT_POINTS))
 def test_block_pairs_are_the_9x9_definitions(kind, name):
     """rho, rho^Gamma and both reduction matrices, each assembled from its block pair,
-    equal their 9x9 definitions on the lifted parameters: W W*, the partial
-    transpose of that grid, and rho_A (x) 1 - rho and 1 (x) rho_B - rho from the
-    partial traces.  So every entry outside the blocks is zero.  Each block is
-    Hermitian, and the block inertia is that of the whole matrix's char poly."""
+    equal their 9x9 definitions on the parameters over their common denominator
+    (``common_lift``): W W*, the partial transpose of that grid, and
+    rho_A (x) 1 - rho and 1 (x) rho_B - rho from the partial traces.  So every
+    entry outside the blocks is zero.  Each block is Hermitian, and the block
+    inertia is that of the whole matrix's char poly."""
     strategy, examples = BLOCK_SPLIT_POINTS[kind, name]
 
     @settings(max_examples=examples, deadline=None,
@@ -486,7 +488,7 @@ def test_block_pairs_are_the_9x9_definitions(kind, name):
             state = build_state(full)
         except (SingularParameterError, DegenerateStateError):
             assume(False)
-        parts, _ = full.lifted
+        parts, _ = common_lift(*full.lifted)
         lifted = ZMat.from_rows(outer_sum_entries(
             placed_vectors({ch: GaussInt(*z) for ch, z in parts.items()}), GaussInt(0)))
         m = over(lifted, 1)

@@ -1,8 +1,9 @@
 import functools
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from checkerboard import presets
@@ -10,9 +11,12 @@ from checkerboard.errors import DegenerateStateError
 from checkerboard.family import (
     FACTOR_DEGREES,
     PARAM_LETTERS,
+    VECTOR_DEGREES,
+    VECTOR_LETTERS,
     CheckerParams,
     build_state,
     build_vectors,
+    common_lift,
     factor_over,
     prime_block_null_basis,
     theorem1_product,
@@ -124,9 +128,40 @@ def test_state_positive_semidefinite():
 
 
 def _reduced_factors(p: CheckerParams) -> list:
-    """``theorem_factors`` of the lifted parameters, each taken over its own D^k."""
-    parts, d = p.lifted
-    return [factor_over(z, k, d) for z, k in zip(theorem_factors(parts), FACTOR_DEGREES)]
+    """``theorem_factors`` of the lifted parameters, each taken over its own product of the D_k."""
+    parts, dens = p.lifted
+    return [factor_over(z, e, dens) for z, e in zip(theorem_factors(parts), VECTOR_DEGREES)]
+
+
+# v2's letters over 3, every other letter over 2: D_2 = 3 is coprime to D_1 = D_3 = D_4 = 2.
+COPRIME_VECTOR_POINT = CheckerParams.from_dict(
+    {ch: GaussRat(k, Fraction(1, 3 if ch in VECTOR_LETTERS[1] else 2))
+     for k, ch in enumerate(PARAM_LETTERS)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(params_strategy)
+@example(COPRIME_VECTOR_POINT)
+@example(CheckerParams.from_dict({ch: GaussRat(Fraction(1, 4), 1) for ch in "abcdefghi"}))
+def test_each_vector_is_lifted_over_its_own_denominator(p):
+    """D_k is the lcm of the denominators of v_k's parts, and each letter of v_k is lifted by it.
+
+    ``common_lift`` gives every letter over D, the lcm of all 36 parts.
+    The examples are a vector over a denominator coprime to the others',
+    and v3 and v4 all zero, so D_3 = D_4 = 1.
+    """
+    parts, dens = p.lifted
+    assert len(dens) == len(VECTOR_LETTERS) == 4
+    for letters, dk in zip(VECTOR_LETTERS, dens):
+        values = [getattr(p, ch) for ch in letters]
+        assert dk == lcm(*(x.denominator for z in values for x in (z.re, z.im)))
+        for ch, z in zip(letters, values):
+            assert parts[ch] == (z.re * dk, z.im * dk)
+    common, d = common_lift(parts, dens)
+    assert d == lcm(*(x.denominator for z in p.as_dict().values() for x in (z.re, z.im)))
+    assert common == {ch: (z.re * d, z.im * d) for ch, z in p.as_dict().items()}
+    if p is COPRIME_VECTOR_POINT:
+        assert (dens, d) == ((2, 3, 2, 2), 6)
 
 
 def test_quad_form_first_example():
@@ -198,19 +233,29 @@ def test_theorem1_product_is_homogeneous_of_degree_16():
     assert any(t1) and t1_scaled == (3 ** 16 * t1[0], 3 ** 16 * t1[1])
 
 
-def test_theorem_factors_are_homogeneous_of_their_stated_degrees():
-    """Each factor is homogeneous of the degree it is taken over D to.
+def _vector_degrees(z) -> set:
+    """The degrees of each monomial of z in the generators of v1, v2, v3 and v4."""
+    columns = [[2 * PARAM_LETTERS.index(ch) + part for ch in letters for part in (0, 1)]
+               for letters in VECTOR_LETTERS]
+    return {tuple(sum(monomial[c] for c in cols) for cols in columns) for monomial in z.monoms()}
 
-    ``factor_over`` divides each factor of the lifted pairs by D^k for its
-    degree k in ``FACTOR_DEGREES``, which is exact only when every monomial
-    of both parts of the factor has degree k.
+
+def test_theorem_factors_are_homogeneous_of_their_stated_degrees():
+    """Each factor is homogeneous in each vector's letters, of the degrees it is taken over.
+
+    ``factor_over`` divides each factor of the per-vector lifted pairs by
+    D_1^e_1 D_2^e_2 D_3^e_3 D_4^e_4 for its degrees (e_1, ..., e_4) in
+    ``VECTOR_DEGREES``, which is exact only when every monomial of both
+    parts of the factor has degree e_k in the generators of v_k's letters.
+    The total degrees are ``FACTOR_DEGREES``.
     """
     factors = _generator_factors()
     assert FACTOR_DEGREES == (2, 2, 4, 8, 5)
-    assert len(factors) == len(FACTOR_DEGREES)
-    for (re, im), degree in zip(factors, FACTOR_DEGREES):
+    assert len(factors) == len(VECTOR_DEGREES) == len(FACTOR_DEGREES)
+    for (re, im), degrees, degree in zip(factors, VECTOR_DEGREES, FACTOR_DEGREES):
         assert re and im
         assert _degrees(re) == _degrees(im) == {degree}
+        assert _vector_degrees(re) == _vector_degrees(im) == {degrees}
 
 
 def test_theorem1_on_examples():

@@ -4,8 +4,11 @@
 before; every field of ``classify``, the state rank and the certificate
 with and without a witness must equal it, on both families, for the
 default sampler, 5-digit and 20-digit coefficients, sparse points and
-points with a single nonzero parameter.  A point either side rejects must
-be rejected by the other with the same error.
+points with a single nonzero parameter.  The full family also has points
+where one generating vector is zero (its D_k = 1) or has denominators
+coprime to the other vectors', so that the per-vector lift
+(``CheckerParams.lifted``) differs from the common one.  A point either
+side rejects must be rejected by the other with the same error.
 """
 
 import json
@@ -19,7 +22,7 @@ import reference
 from checkerboard.cli import main
 from checkerboard.criteria import WitnessVector
 from checkerboard.errors import CheckerboardError
-from checkerboard.family import CheckerParams
+from checkerboard.family import PARAM_LETTERS, VECTOR_LETTERS, CheckerParams
 from checkerboard.gaussian import GaussRat
 from checkerboard.io import checker_params_to_doc
 from checkerboard.matrices import rank
@@ -47,10 +50,24 @@ def _single_nonzero_subfamily(key, value):
     return SubfamilyParams(**values)
 
 
+def _one_vector_from(special, rest):
+    """Points whose letters come from ``rest``, except those of one vector, from ``special``."""
+    return st.sampled_from(VECTOR_LETTERS).flatmap(lambda letters: st.builds(
+        CheckerParams, **{ch: special if ch in letters else rest for ch in PARAM_LETTERS}))
+
+
+def _gauss_over(dens):
+    """Gaussian rationals whose parts have denominators in ``dens``."""
+    part = st.builds(Fraction, st.integers(-4, 4), st.sampled_from(dens))
+    return st.builds(GaussRat, part, part)
+
+
 FULL = {
     **SIZED_POINTS["full"],
     "sparse": checker_points(sparse_gauss),
     "single-nonzero": single_nonzero_points,
+    "zero-vector": _one_vector_from(st.just(GaussRat(0)), small_gauss),
+    "coprime-vector": _one_vector_from(_gauss_over((3, 9)), _gauss_over((1, 2, 4))),
 }
 
 PPT = {
@@ -63,7 +80,8 @@ PPT = {
     ),
 }
 
-EXAMPLES = {"default": 40, "5-digit": 10, "20-digit": 2, "sparse": 40, "single-nonzero": 20}
+EXAMPLES = {"default": 40, "5-digit": 10, "20-digit": 2, "sparse": 40, "single-nonzero": 20,
+            "zero-vector": 20, "coprime-vector": 20}
 
 
 def assert_matches_reference(kind, params, witness):
@@ -81,6 +99,8 @@ def assert_matches_reference(kind, params, witness):
     assert reference.normalized(rec.state) == ref.state.normalized()
     assert rec.rank == rank(ref.state.unnormalized)
     assert (rec.t1, rec.t2) == (ref.t1, ref.t2)
+    assert rec.generic_t1 is bool(ref.t1)
+    assert rec.generic_t2 is (None if ref.t2 is None else bool(ref.t2))
     assert (rec.ppt, rec.inertia, rec.pd_gamma) == (ref.ppt, ref.inertia, ref.pd_gamma)
     assert rec.gamma_fixed == ref.gamma_fixed
     assert rec.reduction_violated == ref.reduction_violated
