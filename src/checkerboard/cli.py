@@ -128,7 +128,7 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def _scan_row(family: str, target: str, seed: int, idx: int) -> tuple:
+def _scan_row(family: str, jacobian: bool, seed: int, idx: int) -> tuple:
     """One CSV row, the sample's classification (None if singular) and its Jacobian rank."""
     rng = sampling.rng_for(seed, idx)
     draw = sampling.random_checker_params if family == "full" else sampling.draw_subfamily_params
@@ -137,13 +137,12 @@ def _scan_row(family: str, target: str, seed: int, idx: int) -> tuple:
         rec = classify(family, params)
     except SingularParameterError as exc:
         return f"{idx},{idx},,,,,,,singular:{exc.denominator}", None, None
-    jrank = jacobian_report(family, params)["rank"] if target == "max-rank" else None
+    jrank = jacobian_report(family, params)["rank"] if jacobian else None
     row = ",".join([
         str(idx), str(idx), str(rec.generic_t1),
         "" if rec.generic_t2 is None else str(rec.generic_t2),
         str(rec.ppt), str(rec.inertia.n_neg), str(rec.reduction_violated),
-        str(rec.rank if jrank is None else jrank),
-        "pd-gamma" if rec.pd_gamma else "",
+        str(rec.rank if jrank is None else jrank), "",
     ])
     return row, rec, jrank
 
@@ -151,17 +150,16 @@ def _scan_row(family: str, target: str, seed: int, idx: int) -> tuple:
 def cmd_scan(args) -> int:
     if args.samples < 1:
         raise ParseError("samples must be >= 1")
-    results = [_scan_row(args.family, args.target, args.seed, idx)
+    results = [_scan_row(args.family, args.target == "max-rank", args.seed, idx)
                for idx in range(args.samples)]
     recs = [rec for _, rec, _ in results if rec is not None]
     ranks = [jrank for _, _, jrank in results if jrank is not None]
     ppt = sum(rec.ppt for rec in recs)
     summary = (
-        f"# summary: family={args.family} target={args.target} samples={args.samples}"
+        f"# summary: family={args.family} target={args.target or '-'} samples={args.samples}"
         f" seed={args.seed} valid={len(recs)} ppt={ppt} npt={len(recs) - ppt}"
         f" reduction_violated={sum(rec.reduction_violated for rec in recs)}"
         f" gamma_fixed={sum(rec.gamma_fixed for rec in recs)}"
-        f" pd_gamma={sum(rec.pd_gamma for rec in recs)}"
         f" max_jacobian_rank={max(ranks) if ranks else '-'}"
     )
     _write("\n".join([CSV_HEADER, *(row for row, _, _ in results), summary]) + "\n", args.out)
@@ -210,8 +208,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--family", choices=("full", "ppt"), required=True)
     p_scan.add_argument("--samples", type=int, required=True)
     p_scan.add_argument("--seed", type=int, default=0)
-    p_scan.add_argument("--target", choices=("ppt", "npt", "pd-gamma", "max-rank"),
-                        default="ppt")
+    p_scan.add_argument("--target", choices=("max-rank",),
+                        help="put each sample's Jacobian rank in the rank column")
     p_scan.add_argument("--out")
     p_scan.set_defaults(func=cmd_scan)
 

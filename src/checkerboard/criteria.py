@@ -76,7 +76,24 @@ def is_ppt(s: StateMatrix) -> tuple:
     """(PPT flag, inertia of rho^Gamma); PPT iff no negative eigenvalues.
 
     The inertia is that of the blocks of D^2 N rho^Gamma, a positive
-    multiple of rho^Gamma with the same sign counts.
+    multiple of rho^Gamma with the same sign counts.  It is never
+    (0, 0, 9): rho^Gamma is never positive definite, in either family.
+
+    Proof.  Since rho^Gamma[3i+j, 3i'+j'] = rho[3i+j', 3i'+j], every
+    product vector has <e (x) conj(f)|rho^Gamma|e (x) conj(f)> =
+    <e (x) f|rho|e (x) f>.  Take 2-vectors e and f (not the letters) on
+    the indices 0 and 2 of each qutrit, so that e (x) f lies on positions
+    0, 2, 6 and 8, where v2 and v4 are zero.  With M1 = [[a, d], [b, e]]
+    and M3 = [[j, m], [k, n]] the corners of v1 and v3 there (rows: first
+    index; columns: second), <v1|e (x) f> = u . f and <v3|e (x) f> = w . f
+    for u = e^T conj(M1) and w = e^T conj(M3).  The binary quadric
+    q(e) = det[u; w] vanishes identically or has a nonzero root over C:
+    take e != 0 with q(e) = 0.  If u != 0, f = (-u2, u0) gives u . f = 0
+    and w . f = q(e) = 0; if u = 0, take f != 0 with w . f = 0.  So
+    e (x) f != 0 and rho (e (x) f) = 0, and e (x) conj(f) is a nonzero
+    isotropic vector of rho^Gamma.  ``tests/test_criteria.py`` proves both
+    identities with sympy, through ``partial_transpose_blocks`` and
+    ``placed_vectors``.
     """
     inert = blocks_inertia(s.gamma)
     return inert.n_neg == 0, inert

@@ -73,13 +73,6 @@ def obj_to_gauss(obj) -> GaussRat:
 # Parameter documents.
 
 
-def checker_params_to_doc(p: CheckerParams) -> dict:
-    return {
-        "family": "full",
-        "params": {ch: gauss_to_obj(getattr(p, ch)) for ch in PARAM_LETTERS},
-    }
-
-
 def subfamily_params_to_doc(sp: SubfamilyParams) -> dict:
     params = {key: format_fraction(getattr(sp, key)) for key in PPT_REAL_KEYS}
     params.update({ch: gauss_to_obj(getattr(sp, ch)) for ch in COMPLEX_LETTERS})

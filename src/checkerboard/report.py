@@ -53,10 +53,6 @@ class Classification:
     reduction_violated: bool
 
     @property
-    def pd_gamma(self) -> bool:
-        return self.inertia == Inertia(0, 0, 9)
-
-    @property
     def generic_t1(self) -> bool:
         """t1 != 0: each of its four factors is nonzero."""
         return all(x or y for x, y in self.factors[:4])

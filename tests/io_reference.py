@@ -1,12 +1,13 @@
 """Document writers and a matrix reader that only the tests use.
 
-The package parses Bruss-Peres documents and witnesses and writes
-matrices; these are the other directions, for round trips and fixtures.
-``gmat_to_obj`` is the 9x9 dump the package wrote before ``matrix_to_obj``
-read the block pair.
+The package parses full-family, Bruss-Peres and witness documents and
+writes matrices; these are the other directions, for round trips and
+fixtures.  ``gmat_to_obj`` is the 9x9 dump the package wrote before
+``matrix_to_obj`` read the block pair.
 """
 
 from checkerboard.errors import ParseError
+from checkerboard.family import PARAM_LETTERS
 from checkerboard.io import (
     BRUSS_PERES_COMPLEX_KEYS,
     BRUSS_PERES_REAL_KEYS,
@@ -15,6 +16,13 @@ from checkerboard.io import (
     obj_to_gauss,
 )
 from checkerboard.matrices import GMat
+
+
+def checker_params_to_doc(p) -> dict:
+    return {
+        "family": "full",
+        "params": {ch: gauss_to_obj(getattr(p, ch)) for ch in PARAM_LETTERS},
+    }
 
 
 def bruss_peres_params_to_doc(bp) -> dict:

@@ -680,10 +680,6 @@ class Classification:
     gamma_fixed: bool
     reduction_violated: bool
 
-    @property
-    def pd_gamma(self) -> bool:
-        return self.inertia == Inertia(0, 0, 9)
-
 
 def classify(kind: str, params) -> Classification:
     """Every exact fact about the state of ``params``, each computed once.

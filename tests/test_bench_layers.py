@@ -63,8 +63,7 @@ def test_traced_scans_and_witness_certify_size_char_poly_inputs(monkeypatch, cap
 
     from checkerboard import presets
     from checkerboard.cli import main
-    from checkerboard.io import checker_params_to_doc
-    from io_reference import witness_to_doc
+    from io_reference import checker_params_to_doc, witness_to_doc
 
     params, witness = tmp_path / "full.json", tmp_path / "witness.json"
     params.write_text(json.dumps(checker_params_to_doc(presets.ONE_DISTILLABLE_PARAMS)))

