@@ -79,21 +79,25 @@ never reach the certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 
 from .gaussian import GaussInt
 from .matrices import ZMat, require_hermitian
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Inertia:
     """Eigenvalue sign counts (negative, zero, positive) of a Hermitian matrix."""
 
     n_neg: int
     n_zero: int
     n_pos: int
+
+    def __init__(self, n_neg: int, n_zero: int, n_pos: int):
+        fields = self.__dict__
+        fields["n_neg"], fields["n_zero"], fields["n_pos"] = n_neg, n_zero, n_pos
 
 
 # ---------------------------------------------------------------------------

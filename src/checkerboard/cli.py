@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-import traceback
 
 from . import sampling
 from .criteria import is_ppt  # noqa: F401 (bench/test_bench.py traces it in this namespace)
@@ -241,6 +240,8 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except Exception:
         # a crash must never read as exit 1, the golden-mismatch code
+        import traceback
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -16,17 +16,17 @@ block tables against it, and the benchmark's layer table still names it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
 from itertools import combinations, combinations_with_replacement, product
 from math import lcm
-from typing import Sequence
 
 from .charpoly import blocks_inertia, has_negative_eigenvalue
 from .errors import DegenerateStateError, DimensionError
 from .family import BLOCK_INDEX, BLOCK_POSITIONS, CheckerParams, StateMatrix, placed_vectors
 from .gaussian import GaussRat, gauss_over
 from .matrices import GMat, rank, rank_mod_p, split_prime_rank
+from .records import record
 
 
 class RangeCertificate(Enum):
@@ -34,7 +34,7 @@ class RangeCertificate(Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
+@record
 class WitnessVector:
     """A 9-component vector used unnormalized in expectation values."""
 

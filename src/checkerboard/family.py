@@ -38,7 +38,6 @@ larger than the power of D it would have over the common lift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
@@ -47,6 +46,7 @@ from operator import attrgetter
 from .errors import DegenerateStateError
 from .gaussian import GaussRat, ZERO, conj, gauss_over
 from .matrices import GMat
+from .records import record
 
 PARAM_LETTERS = "abcdefghijklmnpqrs"  # the letter "o" is unused
 
@@ -65,7 +65,7 @@ ODD_POSITIONS = (1, 3, 5, 7)
 EVEN_POSITIONS = (0, 2, 4, 6, 8)
 
 
-@dataclass(frozen=True)
+@record
 class CheckerParams:
     """The 18 complex parameters of the family (letter "o" intentionally absent)."""
 
@@ -154,7 +154,7 @@ def _gram(rows) -> tuple:
     return tuple(map(tuple, out))
 
 
-@dataclass(frozen=True)
+@record
 class StateMatrix:
     """A state as its 4x4 and 5x5 blocks on ``BLOCK_POSITIONS``, N*rho = blocks/scale.
 
@@ -165,6 +165,10 @@ class StateMatrix:
 
     blocks: tuple
     scale: int
+
+    def __init__(self, blocks: tuple, scale: int):
+        fields = self.__dict__
+        fields["blocks"], fields["scale"] = blocks, scale
 
     @property
     def trace(self) -> int:

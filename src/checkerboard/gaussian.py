@@ -72,7 +72,12 @@ class GaussRat:
 
     # -- involution and magnitude ----------------------------------
     def conj(self) -> "GaussRat":
-        return gauss_over(self.x, -self.y, self.d)
+        # Negating a part keeps gcd(x, y, d) = 1, so no reduction is needed.
+        z = _new(GaussRat)
+        _set_x(z, self.x)
+        _set_y(z, -self.y)
+        _set_d(z, self.d)
+        return z
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact nonnegative rational."""
@@ -134,7 +139,11 @@ class GaussRat:
         return o / self
 
     def __neg__(self):
-        return gauss_over(-self.x, -self.y, self.d)
+        z = _new(GaussRat)  # in lowest terms, as for ``conj``
+        _set_x(z, -self.x)
+        _set_y(z, -self.y)
+        _set_d(z, self.d)
+        return z
 
     def __pos__(self):
         return self

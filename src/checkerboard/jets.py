@@ -17,7 +17,7 @@ slots, has callers in the tests only.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DimensionError
 from .gaussian import gauss_over

@@ -21,9 +21,9 @@ holds no product vector.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionError, SymmetryError
 from .gaussian import GaussRat, gauss_over

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .charpoly import Inertia
 from .counting import (
@@ -27,10 +25,11 @@ from .family import (StateMatrix, build_state, require_trace, state_rank, theore
                      theorem_factors)
 from .gaussian import GaussRat
 from .io import format_fraction, gauss_to_obj
+from .records import record
 from .subfamily import derive_full_params, theorem2_from_factors
 
 
-@dataclass(frozen=True)
+@record
 class Classification:
     """The exact facts about one state; ``t2`` and ``generic_t2`` are None outside the ppt family.
 
@@ -58,7 +57,7 @@ class Classification:
         return all(x or y for x, y in self.factors[:4])
 
     @property
-    def generic_t2(self) -> Optional[bool]:
+    def generic_t2(self) -> bool | None:
         """t2 != 0: each of its five factors is nonzero."""
         return all(x or y for x, y in self.factors) if self.kind == "ppt" else None
 
@@ -68,7 +67,7 @@ class Classification:
         return theorem1_from_factors(self.factors, self.denominators)
 
     @cached_property
-    def t2(self) -> Optional[GaussRat]:
+    def t2(self) -> GaussRat | None:
         """Theorem 2's product abf(ak-bj) t1, its extra factor taken over D_1^3 D_2 D_3."""
         if self.kind != "ppt":
             return None
@@ -122,7 +121,7 @@ def classify(kind: str, params) -> Classification:
     )
 
 
-def format_certificate(rec: Classification, witness: Optional[WitnessVector] = None,
+def format_certificate(rec: Classification, witness: WitnessVector | None = None,
                        include_jacobian: bool = False) -> dict:
     """The certificate of a classified state; all exact values are fraction strings.
 
@@ -164,7 +163,7 @@ def format_certificate(rec: Classification, witness: Optional[WitnessVector] = N
     return cert
 
 
-def build_certificate(kind: str, params, witness: Optional[WitnessVector] = None,
+def build_certificate(kind: str, params, witness: WitnessVector | None = None,
                       include_jacobian: bool = False) -> dict:
     """Run every applicable certificate on the given parameters (see ``classify``)."""
     return format_certificate(classify(kind, params), witness, include_jacobian)

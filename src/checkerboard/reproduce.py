@@ -15,9 +15,8 @@ blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from . import presets, sampling
 from .charpoly import Inertia, blocks_inertia
@@ -45,6 +44,7 @@ from .family import (
 )
 from .gaussian import ZERO, GaussInt, GaussRat
 from .matrices import GMat, ZMat, det, rank
+from .records import record
 from .subfamily import bruss_peres_embed, derive_full_params, theorem2_from_factors
 
 GOLDEN = {
@@ -66,14 +66,14 @@ SEED_STRUCTURAL = 1109
 SEED_RANGE = 1111
 
 
-@dataclass(frozen=True)
+@record
 class ItemResult:
     ok: bool
     expected: str
     computed: str
 
 
-@dataclass(frozen=True)
+@record
 class ReproItem:
     number: int
     title: str

@@ -9,7 +9,6 @@ hitting a zero one raises SingularParameterError naming the culprit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CheckerboardError, SingularParameterError
@@ -21,11 +20,12 @@ from .family import (
     theorem_factors,
 )
 from .gaussian import GaussRat, conj
+from .records import record
 
 COMPLEX_LETTERS = "abcfjklmps"
 
 
-@dataclass(frozen=True)
+@record
 class SubfamilyParams:
     """Free parameters of the fixed-point subfamily: reals t, x, y plus ten complex."""
 
@@ -44,7 +44,7 @@ class SubfamilyParams:
     s: GaussRat
 
 
-@dataclass(frozen=True)
+@record
 class BrussPeresParams:
     """Inputs of the embedded five/seven-parameter family: t, x real; a, b, c, f complex."""
 
@@ -100,7 +100,7 @@ def derive_full_params(sp: SubfamilyParams) -> CheckerParams:
         GaussRat(sp.t), GaussRat(sp.x), GaussRat(sp.y),
         sp.a, sp.b, sp.c, sp.f, sp.j, sp.k, sp.l, sp.m, sp.p, sp.s,
     )
-    return CheckerParams.from_dict(values)
+    return CheckerParams(**values)
 
 
 def theorem2_from_factors(factors, dens, t1: GaussRat) -> GaussRat:

@@ -34,6 +34,11 @@ big_fractions = digit_fractions(20)
 big_gauss = st.builds(GaussRat, big_fractions, big_fractions)
 
 
+def replace(rec, **changes):
+    """A copy of the record ``rec`` (``checkerboard.records.record``) with ``changes`` applied."""
+    return type(rec)(**{**{name: getattr(rec, name) for name in rec._fields}, **changes})
+
+
 def checker_points(entries):
     return st.builds(CheckerParams, **{ch: entries for ch in PARAM_LETTERS})
 

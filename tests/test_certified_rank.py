@@ -20,7 +20,6 @@ draws either way.
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -64,6 +63,7 @@ from conftest import (
     checker_points,
     digit_fractions,
     nonzero_gauss,
+    replace,
     single_nonzero_points,
     small_fractions,
     small_gauss,

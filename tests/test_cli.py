@@ -221,6 +221,22 @@ def test_parser_loads_neither_reproduce_nor_presets():
     assert proc.stdout == "[]\n"
 
 
+def test_fresh_import_loads_no_introspection_modules():
+    """Under ``python -S`` the CLI's start-up loads none of the standard library's heavy helpers.
+
+    No record class compiles methods (``records``), no annotation needs
+    ``typing``, and ``traceback`` is imported only when a command crashes.
+    """
+    unwanted = ("dataclasses", "inspect", "typing", "traceback", "tokenize", "textwrap")
+    code = ("import sys, checkerboard.cli as cli; cli.make_parser(); "
+            f"print([m for m in {unwanted!r} if m in sys.modules])")
+    src = Path(checkerboard.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_reproduce_runs_without_numpy():
     """No golden item needs numpy: with its import blocked, reproduce still passes."""
     code = ("import runpy, sys; sys.modules['numpy'] = None; "

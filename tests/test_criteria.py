@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, islice, product
 
@@ -51,6 +50,7 @@ from conftest import (
     generate_only,
     hermitian_matrix,
     nonzero_gauss,
+    replace,
     small_fractions,
     sparse_gauss,
     subfamily_points,

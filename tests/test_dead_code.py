@@ -21,6 +21,10 @@ The subfamily's Jacobian has one row builder and one derivative model:
 only ``counting._lambda_rows`` iterates the entries' letter pairs, and no
 real-slot jet or second chain rule is left in ``src/``.
 
+No module imports ``dataclasses`` or ``typing``: records come from
+``records.record``, and annotations use built-in and ``collections.abc``
+forms, so neither enters the CLI's start-up.
+
 The files are parsed, never imported, so nothing is written next to them.
 """
 
@@ -110,3 +114,19 @@ def test_one_lambda_row_builder():
                     if isinstance(node, (ast.For, ast.comprehension))):
                 iterating.add(f"{path.stem}.{fn.name}")
     assert iterating == {"counting._lambda_rows"}
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    banned = {"dataclasses", "typing"}
+    importers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                modules = {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = {node.module.partition(".")[0]}
+            else:
+                continue
+            if modules & banned:
+                importers.setdefault(path.name, set()).update(modules & banned)
+    assert not importers

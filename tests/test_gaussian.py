@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from checkerboard.errors import ParseError
-from checkerboard.gaussian import GaussInt, GaussRat, IUNIT, conj, parse_gauss
+from checkerboard.gaussian import GaussInt, GaussRat, IUNIT, conj, gauss_over, parse_gauss
 
 from conftest import big_fractions, small_fractions, small_gauss
 from reference import FractionGaussRat
@@ -163,6 +163,15 @@ def _agrees(z, ref):
     assert type(z.re) is Fraction and type(z.im) is Fraction
     assert (z.re, z.im) == (ref.re, ref.im)
     assert (str(z), repr(z), bool(z)) == (str(ref), repr(ref), bool(ref))
+
+
+@given(st.one_of(pairs, st.tuples(big_fractions, big_fractions)))
+def test_conj_and_negation_equal_gauss_over_of_the_same_triple(p):
+    """``conj`` and ``-`` skip the gcd: negating a part of a lowest-terms triple keeps it lowest."""
+    z = GaussRat(*p)
+    for got, want in ((z.conj(), gauss_over(z.x, -z.y, z.d)), (-z, gauss_over(-z.x, -z.y, z.d))):
+        assert type(got) is GaussRat
+        assert (got.x, got.y, got.d) == (want.x, want.y, want.d)
 
 
 @settings(max_examples=300)

@@ -16,7 +16,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,6 +25,7 @@ from checkerboard import presets
 from checkerboard.cli import main
 from checkerboard.gaussian import GaussRat
 from checkerboard.io import subfamily_params_to_doc
+from conftest import replace
 from io_reference import checker_params_to_doc, witness_to_doc
 
 GOLDEN = Path(__file__).parent / "golden"
