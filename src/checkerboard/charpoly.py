@@ -23,7 +23,8 @@ times the Schur complement, whose inertia adds to that of the pivots
 remainder, so no 2x2 pivots are needed.  The remainder is most often the
 zero matrix: a block of a ppt-family state, where rho^Gamma = rho = V V*,
 is a rank-2 Gram matrix that stalls after two pivots on zeros, and
-``char_poly`` returns lambda^n for it without a recursion.
+``char_poly`` returns lambda^n for it without a recursion, before its
+Hermitian check.
 
 The reduction criterion needs only whether a block pair has a negative
 eigenvalue, so ``has_negative_eigenvalue`` stops at the first negative
@@ -133,12 +134,13 @@ def _hermitian_product(a, b, n):
 def char_poly(m: ZMat) -> tuple:
     """Integer coefficients of det(lambda*I - m) for Hermitian m, lowest degree first.
 
-    The last coefficient is 1.  The zero matrix gives lambda^n at once.
+    The last coefficient is 1.  A square zero matrix, Hermitian as it
+    stands, gives lambda^n before the Hermitian check scans its entries.
     """
-    require_hermitian(m, "char_poly input")
     n = m.rows
-    if not any(m.data):
+    if n == m.cols and not any(m.data):
         return (0,) * n + (1,)
+    require_hermitian(m, "char_poly input")
     a = [[(z.re, z.im) for z in m.row(r)] for r in range(n)]
     # Every B_k is a real polynomial in A, so A B_k is Hermitian.
     ab = a  # A B_1, with B_1 = I

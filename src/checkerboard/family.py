@@ -18,21 +18,21 @@ pair and nothing else; rho^Gamma and the reduction matrices are block
 pairs too, read off it through tables of block entries built once at
 import: rho^Gamma permutes the entries of rho (``partial_transpose_blocks``),
 and each reduction matrix adds one partial-trace entry to -rho where the
-partial trace has one (``criteria.reduction_matrices``).  No 9x9 matrix is
+partial trace has one (``criteria.reduction_blocks``).  No 9x9 matrix is
 built: every command, ``reproduce`` included, reads the blocks.
 
 Classification computes on int pairs only.  ``CheckerParams.lifted``
 gives each letter of a generating vector v_k as the (re, im) ints of D_k
 times its value, for D_k the least common denominator of the parts of
-that vector's letters.  The rank (``state_rank``) and the factors of the
-Theorem 1 and 2 products (``theorem_factors``) are read off those pairs:
-scaling a column leaves a rank alone, and each factor is homogeneous in
-each vector separately, so it is the factor of the parameters times a
-product of powers of the D_k.  A factor is taken over that product, a
-``GaussRat``, only where its value is printed (``factor_over``).  The
-blocks (``build_state``) mix the vectors, so they read one common lift
-over D = lcm(D_1, ..., D_4), derived from the per-vector one
-(``common_lift``).  Each D_k divides D, so a factor's divisor is never
+that vector's letters.  The rank of a full-family state (``state_rank``)
+and the factors of the Theorem 1 and 2 products (``theorem_factors``) are
+read off those pairs: scaling a column leaves a rank alone, and each
+factor is homogeneous in each vector separately, so it is the factor of
+the parameters times a product of powers of the D_k.  A factor is taken
+over that product, a ``GaussRat``, only where its value is printed
+(``factor_over``).  The blocks (``build_state``) mix the vectors, so
+they read one common lift over D = lcm(D_1, ..., D_4), derived from the
+per-vector one (``common_lift``).  Each D_k divides D, so a factor's divisor is never
 larger than the power of D it would have over the common lift.
 """
 
@@ -184,6 +184,20 @@ class StateMatrix:
     def normalizer(self) -> Fraction:
         """N = trace(N*rho)."""
         return Fraction(self.trace, self.scale)
+
+
+def gamma_fixed_state(s: StateMatrix) -> StateMatrix:
+    """``s``, the state of a completed point, with its own blocks cached as rho^Gamma's.
+
+    Every completed point is Gamma-fixed: the eight fixed-point defects of
+    ``subfamily.complete_parameters`` cancel to zero as rational functions
+    wherever the completion is defined
+    (tests/test_subfamily.py::test_completion_satisfies_the_fixed_point_conditions_symbolic).
+    So rho^Gamma = rho entry by entry, and the blocks of D^2 N rho^Gamma
+    are those of D^2 N rho: ``gamma`` is not built by permuting them.
+    """
+    s.__dict__["gamma"] = s.blocks
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,10 @@ class GaussRat:
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
+    def __reduce__(self):
+        # copy and pickle would restore the slots through __setattr__; rebuild instead.
+        return gauss_over, (self.x, self.y, self.d)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self.x, self.d)

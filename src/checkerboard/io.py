@@ -14,7 +14,7 @@ from math import gcd
 from .criteria import WitnessVector
 from .errors import ParseError
 from .family import BLOCK_POSITIONS, CheckerParams, PARAM_LETTERS, StateMatrix
-from .gaussian import GaussRat
+from .gaussian import GaussRat, gauss_over
 from .subfamily import BrussPeresParams, COMPLEX_LETTERS, SubfamilyParams
 
 # ASCII digits only, matched against the whole string: "3\n" and "٣/٤" are not fractions.
@@ -46,7 +46,8 @@ def format_fraction(value: Fraction) -> str:
     return _ratio_to_str(value.numerator, value.denominator)
 
 
-def parse_fraction(text) -> Fraction:
+def _parse_ratio(text) -> tuple:
+    """(numerator, denominator) ints of a fraction string, the denominator positive, unreduced."""
     if not isinstance(text, str) or not _FRACTION_RE.fullmatch(text):
         raise ParseError(f"bad fraction string {text!r}")
     num, _, den = text.partition("/")
@@ -56,7 +57,11 @@ def parse_fraction(text) -> Fraction:
         raise ParseError(f"fraction string too long ({len(text)} characters)") from exc
     if den == 0:
         raise ParseError(f"zero denominator in {text!r}")
-    return Fraction(num, den)
+    return num, den
+
+
+def parse_fraction(text) -> Fraction:
+    return Fraction(*_parse_ratio(text))
 
 
 def gauss_to_obj(z: GaussRat) -> dict:
@@ -64,9 +69,12 @@ def gauss_to_obj(z: GaussRat) -> dict:
 
 
 def obj_to_gauss(obj) -> GaussRat:
+    """The GaussRat of a {re, im} object: xn/xd + i yn/yd is (xn yd + i yn xd)/(xd yd), reduced."""
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise ParseError(f"complex value must be an object with keys re, im: {obj!r}")
-    return GaussRat(parse_fraction(obj["re"]), parse_fraction(obj["im"]))
+    xn, xd = _parse_ratio(obj["re"])
+    yn, yd = _parse_ratio(obj["im"])
+    return gauss_over(xn * yd, yn * xd, xd * yd)
 
 
 # ---------------------------------------------------------------------------

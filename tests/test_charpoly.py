@@ -24,7 +24,6 @@ from checkerboard.charpoly import (
     has_negative_eigenvalue,
     inertia_from_char_poly,
 )
-from checkerboard.criteria import reduction_matrices
 from checkerboard.errors import SingularParameterError, SymmetryError
 from checkerboard.io import parse_param_doc
 from checkerboard.family import build_state
@@ -43,6 +42,7 @@ from linalg_reference import (
     integer_lift,
     matmul,
     over,
+    reduction_matrices,
     scale,
     submatrix,
     trace,
@@ -92,6 +92,13 @@ def test_char_poly_requires_hermitian():
     m = zmat([[0, 1], [2, 0]])
     with pytest.raises(SymmetryError):
         char_poly(m)
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 3), (3, 2), (1, 0)])
+def test_char_poly_rejects_a_non_square_zero_matrix(rows, cols):
+    """The lambda^n shortcut is for a square zero matrix only; any other shape is not Hermitian."""
+    with pytest.raises(SymmetryError):
+        char_poly(ZMat(rows, cols, [GaussInt(0)] * (rows * cols)))
 
 
 @settings(max_examples=25, deadline=None)

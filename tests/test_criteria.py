@@ -17,7 +17,6 @@ from checkerboard.criteria import (
     range_certificate,
     range_has_no_product_vector,
     reduction_criterion,
-    reduction_matrices,
     schmidt_rank,
     witness_expectation,
 )
@@ -39,7 +38,7 @@ from checkerboard.gaussian import GaussInt, GaussRat
 from checkerboard.matrices import GMat, ZMat, kron, primes, rank
 from checkerboard.subfamily import derive_full_params
 
-from linalg_reference import identity, integer_lift, over, sub, trace, transpose
+from linalg_reference import identity, integer_lift, over, reduction_matrices, sub, trace, transpose
 from reference import grid, normalized, search_product_vector_numeric, state_from_grid, unnormalized
 from conftest import (
     SIZED_POINTS,
@@ -246,6 +245,32 @@ def test_reduction_criterion_examples():
 def test_reduction_criterion_maximally_mixed():
     m = identity(9)
     assert reduction_criterion(_state_from(m)) is False
+
+
+@pytest.mark.parametrize("index,built", [
+    (0, [4]),              # the 4x4 block of rho_A (x) 1 - rho has a negative eigenvalue
+    (2, [4, 5]),           # its 5x5 block does
+    (225, [4, 5, 4]),      # only the 4x4 block of 1 (x) rho_B - rho does
+    (115, [4, 5, 4, 5]),   # only its 5x5 block does
+])
+def test_reduction_criterion_builds_blocks_until_one_fails(monkeypatch, index, built):
+    """Seed-7 full samples: the test builds each block when it reaches it and stops at a
+    negative one; 54 of the first 3,000 samples, 115 and 225 among them, violate only
+    1 (x) rho_B - rho, so the test must get past rho_A (x) 1 - rho."""
+    sizes = []
+    original = criteria.reduction_blocks
+
+    def counted(s):
+        for blk in original(s):
+            sizes.append(len(blk))
+            yield blk
+
+    monkeypatch.setattr(criteria, "reduction_blocks", counted)
+    state = build_state(sampling.random_checker_params(sampling.rng_for(7, index)))
+    assert reduction_criterion(state) is True
+    assert sizes == built
+    negative = [blocks_inertia([blk]).n_neg > 0 for pair in reduction_matrices(state) for blk in pair]
+    assert negative.index(True) == len(built) - 1
 
 
 def test_schmidt_rank_cases():

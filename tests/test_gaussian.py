@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checkerboard import presets
 from checkerboard.errors import ParseError
 from checkerboard.gaussian import GaussInt, GaussRat, IUNIT, conj, gauss_over, parse_gauss
 
@@ -144,6 +147,20 @@ def test_constructor_types_and_immutability():
     for name in ("x", "y", "d", "re", "im"):
         with pytest.raises(AttributeError):
             setattr(z, name, 1)
+
+
+def test_copy_and_pickle_rebuild_the_canonical_value():
+    z = GaussRat(Fraction(-3, 4), Fraction(10 ** 30, 7))
+    for back in (copy.copy(z), copy.deepcopy(z),
+                 *(pickle.loads(pickle.dumps(z, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+        assert type(back) is GaussRat and (back.x, back.y, back.d) == (z.x, z.y, z.d)
+        with pytest.raises(AttributeError):
+            back.x = 1
+
+
+def test_params_holding_gauss_rats_deep_copy():
+    p = presets.ONE_DISTILLABLE_PARAMS
+    assert copy.deepcopy(p) == p
 
 
 # Parts of the values compared with the reference: the default sampler's

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from checkerboard import presets
 from checkerboard.errors import ParseError, SingularParameterError
@@ -78,6 +79,32 @@ def test_gauss_obj_strictness():
         obj_to_gauss({"re": "1", "im": "0", "extra": "1"})
     with pytest.raises(ParseError):
         obj_to_gauss("1+i")
+
+
+# Fraction strings as a document may spell them: signed zeros, leading zeros, unreduced.
+fraction_strings = st.from_regex(r"-?[0-9]{1,25}(/0{0,2}[1-9][0-9]{0,24})?", fullmatch=True)
+
+
+@given(fraction_strings, fraction_strings)
+@example("-0", "0/7")
+@example("007/0010", "-00/03")
+@example("0/7", "-0")
+def test_obj_to_gauss_is_the_gauss_rat_of_the_parsed_parts(re, im):
+    z = obj_to_gauss({"re": re, "im": im})
+    want = GaussRat(parse_fraction(re), parse_fraction(im))
+    assert type(z) is GaussRat and (z.x, z.y, z.d) == (want.x, want.y, want.d)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "-0/00", "0.5", "1/-2", " 1", None, 3, "1" * 5000,
+                                 "1/" + "2" * 5000])
+def test_obj_to_gauss_raises_the_fraction_errors(bad):
+    """A bad part raises the ParseError, message included, that parse_fraction raises."""
+    with pytest.raises(ParseError) as want:
+        parse_fraction(bad)
+    for obj in ({"re": bad, "im": "1"}, {"re": "1/2", "im": bad}, {"re": bad, "im": "1/0"}):
+        with pytest.raises(ParseError) as got:
+            obj_to_gauss(obj)
+        assert str(got.value) == str(want.value)
 
 
 def test_full_param_doc_round_trip():

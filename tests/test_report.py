@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import pickle
 import sys
 from collections import Counter
 
@@ -12,7 +13,7 @@ from checkerboard import family, presets, reproduce, sampling
 from checkerboard.cli import main
 from checkerboard.criteria import is_ppt, partial_transpose_matrix, reduction_criterion
 from checkerboard.errors import SingularParameterError
-from checkerboard.family import build_state, theorem1_product
+from checkerboard.family import build_state, partial_transpose_blocks, state_rank, theorem1_product
 from checkerboard.io import subfamily_params_to_doc
 from checkerboard.report import Classification, build_certificate, classify
 from checkerboard.subfamily import derive_full_params, theorem2_product
@@ -28,6 +29,7 @@ COUNTED = (
     ("family", "build_state"),
     ("family", "partial_transpose_blocks"),
     ("family", "theorem_factors"),
+    ("family", "state_rank"),
 )
 
 
@@ -61,8 +63,10 @@ def calls(monkeypatch):
 
 
 def _expected(states: int, ppt_states: int) -> Counter:
+    """A ppt-kind state takes its own blocks as rho^Gamma's and its rank from the inertia."""
     return Counter(derive_full_params=ppt_states, build_state=states,
-                   partial_transpose_blocks=states, theorem_factors=states)
+                   partial_transpose_blocks=states - ppt_states, theorem_factors=states,
+                   state_rank=states - ppt_states)
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -148,6 +152,44 @@ def test_t1_and_t2_from_reduced_factors_equal_the_products(kind, size, examples)
             assert rec.t2 is None and rec.generic_t2 is None
 
     check()
+
+
+@pytest.mark.parametrize("size,examples", [("default", 20), ("5-digit", 10), ("20-digit", 2)])
+def test_completed_points_are_gamma_fixed_and_ranked_by_their_positive_count(size, examples):
+    """classify takes a completed point's blocks as rho^Gamma's and its rank from the inertia.
+
+    Both are exact on sampled points: permuting the blocks gives them back,
+    the inertia equals that of a state whose rho^Gamma is built by the
+    permutation, and the positive count is the rank of the generator rows.
+    """
+    @generate_only(examples)
+    @given(SIZED_POINTS["ppt"][size])
+    def check(params):
+        try:
+            full = derive_full_params(params)
+        except SingularParameterError:
+            assume(False)
+        state = build_state(full)
+        assert partial_transpose_blocks(state.blocks) == state.blocks
+        rec = classify("ppt", params)
+        assert rec.state == state and rec.gamma_fixed and rec.ppt
+        assert (rec.ppt, rec.inertia) == is_ppt(state)
+        assert rec.rank == state_rank(full.lifted[0]) == rec.inertia.n_pos
+
+    check()
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("full", presets.ONE_DISTILLABLE_PARAMS),
+    ("ppt", presets.SUBFAMILY_RANK_POINT),
+])
+def test_classification_pickles(kind, params):
+    rec = classify(kind, params)
+    t1 = rec.t1
+    back = pickle.loads(pickle.dumps(rec))
+    assert back == rec
+    assert all(getattr(back, name) == getattr(rec, name) for name in rec._fields)
+    assert back.t1 == t1
 
 
 def _forbid_values(monkeypatch) -> None:
