@@ -184,12 +184,14 @@ def test_completed_points_are_gamma_fixed_and_ranked_by_their_positive_count(siz
     ("ppt", presets.SUBFAMILY_RANK_POINT),
 ])
 def test_classification_pickles(kind, params):
+    """Before and after t1 is cached: the copy's fields are equal, and so is the t1 it computes."""
     rec = classify(kind, params)
-    t1 = rec.t1
-    back = pickle.loads(pickle.dumps(rec))
-    assert back == rec
-    assert all(getattr(back, name) == getattr(rec, name) for name in rec._fields)
-    assert back.t1 == t1
+    fresh = pickle.loads(pickle.dumps(rec))
+    cached = pickle.loads(pickle.dumps((rec.t1, rec)))[1]
+    for back in (fresh, cached):
+        assert back == rec
+        assert all(getattr(back, name) == getattr(rec, name) for name in rec._fields)
+        assert back.t1 == rec.t1 and back.t2 == rec.t2
 
 
 def _forbid_values(monkeypatch) -> None:
