@@ -179,8 +179,8 @@ def cmd_jacobian(args) -> int:
 
 
 @functools.cache
-def make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: ``parse_args`` leaves it unchanged."""
+def _parser_and_commands() -> tuple:
+    """The argument parser, its subparsers action, and each subcommand's ``add_argument`` actions."""
     parser = argparse.ArgumentParser(
         prog="checkerboard",
         description="Exact construction and certification of checkerboard two-qutrit states.",
@@ -188,47 +188,126 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="build a state and dump matrix + certificate")
-    p_build.add_argument("--input", required=True, help="parameter file (JSON)")
-    p_build.add_argument("--out", required=True, help="output path for the matrix dump")
-    p_build.add_argument("--witness", help="optional witness file (JSON)")
+    build = [
+        p_build.add_argument("--input", required=True, help="parameter file (JSON)"),
+        p_build.add_argument("--out", required=True, help="output path for the matrix dump"),
+        p_build.add_argument("--witness", help="optional witness file (JSON)"),
+    ]
     p_build.set_defaults(func=cmd_build)
 
     p_cert = sub.add_parser("certify", help="print the certificate for a parameter file")
-    p_cert.add_argument("--input", required=True)
-    p_cert.add_argument("--witness")
-    p_cert.add_argument("--jacobian", action="store_true",
-                        help="include the exact Jacobian rank")
+    cert = [
+        p_cert.add_argument("--input", required=True),
+        p_cert.add_argument("--witness"),
+        p_cert.add_argument("--jacobian", action="store_true",
+                            help="include the exact Jacobian rank"),
+    ]
     p_cert.set_defaults(func=cmd_certify)
 
     p_repro = sub.add_parser("reproduce", help="re-derive every golden value")
     p_repro.set_defaults(func=cmd_reproduce)
 
     p_scan = sub.add_parser("scan", help="classify random samples, CSV output")
-    p_scan.add_argument("--family", choices=("full", "ppt"), required=True)
-    p_scan.add_argument("--samples", type=int, required=True)
-    p_scan.add_argument("--seed", type=int, default=0)
-    p_scan.add_argument("--target", choices=("max-rank",),
-                        help="put each sample's Jacobian rank in the rank column")
-    p_scan.add_argument("--out")
+    scan = [
+        p_scan.add_argument("--family", choices=("full", "ppt"), required=True),
+        p_scan.add_argument("--samples", type=int, required=True),
+        p_scan.add_argument("--seed", type=int, default=0),
+        p_scan.add_argument("--target", choices=("max-rank",),
+                            help="put each sample's Jacobian rank in the rank column"),
+        p_scan.add_argument("--out"),
+    ]
     p_scan.set_defaults(func=cmd_scan)
 
     p_embed = sub.add_parser("embed-bp", help="expand embedded-family parameters to a ppt file")
-    p_embed.add_argument("--input", required=True)
-    p_embed.add_argument("--out")
-    p_embed.add_argument("--real", action="store_true",
-                         help="require a, b, c, f real (five-parameter variant)")
+    embed = [
+        p_embed.add_argument("--input", required=True),
+        p_embed.add_argument("--out"),
+        p_embed.add_argument("--real", action="store_true",
+                             help="require a, b, c, f real (five-parameter variant)"),
+    ]
     p_embed.set_defaults(func=cmd_embed_bp)
 
     p_jac = sub.add_parser("jacobian", help="exact Jacobian rank of the applicable map")
-    p_jac.add_argument("--input", required=True)
+    jac = [p_jac.add_argument("--input", required=True)]
     p_jac.set_defaults(func=cmd_jacobian)
 
-    return parser
+    return parser, sub, {"build": build, "certify": cert, "reproduce": [], "scan": scan,
+                         "embed-bp": embed, "jacobian": jac}
+
+
+def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` leaves it unchanged."""
+    return _parser_and_commands()[0]
+
+
+@functools.cache
+def _plain_tables() -> dict:
+    """Per subcommand: its Namespace defaults, its actions by option string, its required actions.
+
+    Read from the public attributes of the actions ``make_parser`` created
+    (the help action is not among them), once per process, on the first
+    call that needs them.
+    """
+    _, sub, commands = _parser_and_commands()
+    return {
+        name: ({sub.dest: name, **{a.dest: a.default for a in actions},
+                "func": sub.choices[name].get_default("func")},
+               {option: a for a in actions for option in a.option_strings},
+               [a for a in actions if a.required])
+        for name, actions in commands.items()
+    }
+
+
+def _plain_namespace(argv) -> argparse.Namespace | None:
+    """The Namespace ``parse_args(argv)`` returns when ``argv`` is plain, else None.
+
+    A line is plain when it starts with a subcommand, every other token is
+    one of that subcommand's exact option strings, each valued option is
+    followed by one value that does not start with "-", each value passes
+    the option's ``type`` and ``choices``, and every required option is
+    given.  Anything else (help, abbreviations, "--opt=value", "--",
+    negative numbers, errors) is left to argparse.
+    """
+    table = _plain_tables().get(argv[0]) if argv else None
+    if table is None:
+        return None
+    defaults, options, required = table
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            given[action] = action.const
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    if not all(a in given for a in required):
+        return None
+    return argparse.Namespace(**(defaults | {a.dest: value for a, value in given.items()}))
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None); return its exit code.
+
+    A plain line (see ``_plain_namespace``) is read from the parser's own
+    actions without argparse's parse; every other line goes to
+    ``parse_args``, so help, usage, error messages and exit code 2 are
+    argparse's.
+    """
+    args = _plain_namespace(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except SingularParameterError as exc:

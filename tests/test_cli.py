@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -9,12 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import checkerboard
 from checkerboard import presets, reproduce
-from checkerboard.cli import _dump, main
+from checkerboard.cli import _dump, _plain_namespace, main, make_parser
 from checkerboard.criteria import WitnessVector
 from checkerboard.family import CheckerParams, build_state
 from checkerboard.gaussian import GaussRat
@@ -364,6 +365,16 @@ def test_repeated_commands_in_one_process_match_fresh_runs(tmp_path, full_file, 
         ["jacobian", "--input", ppt_file],
         ["certify", "--input", str(tmp_path / "nope.json")],
         ["scan", "--family", "full", "--samples", "2"],
+        # lines the plain path leaves to argparse: help, usage and errors are its bytes
+        [],
+        ["-h"],
+        ["scan", "-h"],
+        ["scan", "--fam", "full", "--samples", "1"],
+        ["scan", "--family=full", "--samples", "1"],
+        ["scan", "--family", "full", "--samples", "1", "extra"],
+        ["scan", "--family", "full", "--samples", "x"],
+        ["scan", "--family", "full", "--samples", "1", "--seed", "-5"],
+        ["certify"],
     ]
     in_process = [_in_process(argv) for argv in commands]
     assert make_parser() is make_parser()
@@ -373,7 +384,121 @@ def test_repeated_commands_in_one_process_match_fresh_runs(tmp_path, full_file, 
                               capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
-    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 2, 0]
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 2, 0, 2, 0, 0, 0, 0, 2, 2, 0, 2]
+
+
+def _parse_args(argv):
+    """``vars(parse_args(argv))``, or None where argparse exits (help or an error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(make_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# The vocabulary: each subcommand's options with values they take, and tokens that
+# argparse reads otherwise (abbreviations, "=", help, "--", dashed and odd numbers).
+COMMAND_OPTIONS = {
+    "build": ("--input", "--out", "--witness"),
+    "certify": ("--input", "--witness", "--jacobian"),
+    "reproduce": (),
+    "scan": ("--family", "--samples", "--seed", "--target", "--out"),
+    "embed-bp": ("--input", "--out", "--real"),
+    "jacobian": ("--input",),
+}
+FLAGS = ("--jacobian", "--real")
+OPTION_VALUES = {"--input": ("a.json", ""), "--out": ("o.csv",), "--witness": ("w.json",),
+                 "--family": ("full", "ppt"), "--samples": ("1", "1_0", "\u0663", " 5"),
+                 "--seed": ("7", "0"), "--target": ("max-rank",)}
+OPTIONS = tuple(OPTION_VALUES) + FLAGS
+VALUES = ("full", "ppt", "max-rank", "bogus", "1", "0", "-2", "1_0", "\u0663", " 5", "", "x")
+ODD = ("--fam", "--s", "--sa", "--family=full", "-h", "--help", "--", "-", "extra")
+TOKENS = tuple(COMMAND_OPTIONS) + OPTIONS + VALUES + ODD
+
+
+def _option_items(options, values):
+    """An option and, unless it is a flag, a value: one it takes, or any from ``values``."""
+    def item(option):
+        if option in FLAGS:
+            return st.just((option,))
+        return st.tuples(st.just(option), st.sampled_from(OPTION_VALUES.get(option, values)))
+    return st.sampled_from(options).flatmap(item)
+
+
+def _command_line(first):
+    """``first``, its own options with values they take, and up to two near misses put in."""
+    own = COMMAND_OPTIONS.get(first) or OPTIONS
+    noise = st.one_of(_option_items(own, VALUES).map(lambda item: (item[0], "x")[:len(item)]),
+                      _option_items(OPTIONS + ODD, VALUES), st.tuples(st.sampled_from(TOKENS)))
+    return st.builds(
+        lambda items, extra, at: [first, *(token for item in items[:at] + extra + items[at:]
+                                           for token in item)],
+        st.lists(_option_items(own, VALUES), max_size=5), st.lists(noise, max_size=2),
+        st.integers(0, 5))
+
+
+COMMAND_LINES = st.sampled_from(tuple(COMMAND_OPTIONS) + ("-h", "--", "", "extra")).flatmap(
+    _command_line)
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@example([])
+@example(["certify"])
+@example(["scan", "--family", "full"])
+@example(["certify", "--input", "--jacobian"])
+@example(["certify", "--input", "-h"])
+@example(["scan", "--family", "bogus", "--samples", "1"])
+@example(["scan", "--family", "full", "--samples", "1", "--target", "full"])
+@example(["scan", "--family", "full", "--s", "1"])
+@example(["scan", "--family", "full", "--samples", "1", "-"])
+@example(["scan", "--family", "ppt", "--samples", "\u0663", "--seed", "1_0", "--seed", " 5"])
+@example(["embed-bp", "--input", "", "--real", "--real", "--out", "x"])
+@given(COMMAND_LINES)
+def test_plain_path_parses_as_argparse_does(argv):
+    """Whatever the plain path accepts, argparse parses to the same Namespace, and it
+    accepts nothing that argparse rejects or answers with help."""
+    plain = _plain_namespace(argv)
+    expected = _parse_args(argv)
+    if expected is None:
+        assert plain is None
+    elif plain is not None:
+        assert vars(plain) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--fam", "full", "--samples", "1"],
+    ["scan", "--family=full", "--samples", "1"],
+    ["scan", "--family", "full", "--sa", "1"],
+    ["scan", "--family", "full", "--samples", "1", "--seed", "-5"],
+    ["certify", "--in", "a.json"],
+    ["certify", "--input", "-"],
+])
+def test_plain_path_leaves_abbreviations_and_dashed_values_to_argparse(argv):
+    """Lines argparse accepts but the plain path does not read: exact options, undashed values."""
+    assert _parse_args(argv) is not None
+    assert _plain_namespace(argv) is None
+
+
+def _load_bench_workloads(monkeypatch):
+    # read-only: no bytecode cache is written next to the benchmark sources
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_request_takes_the_plain_path(tmp_path, monkeypatch):
+    """Each generated request line is plain and parses to argparse's Namespace."""
+    workloads = _load_bench_workloads(monkeypatch)
+    for workload in workloads.WORKLOADS:
+        requests, _ = workloads.generate(workload, 1, tmp_path / workload)
+        assert requests
+        for request in requests:
+            plain = _plain_namespace(request["argv"])
+            assert plain is not None, request["argv"]
+            assert vars(plain) == _parse_args(request["argv"]), request["argv"]
 
 
 def test_missing_file_is_parse_error(tmp_path):

@@ -6,7 +6,11 @@ A definition counts as used when its name is referenced in ``src/``
 (outside its own definition and outside ``__init__.py``, whose exports
 are not uses), in ``scripts/``, in ``bench/*.py``, or in the ``LAYERS``
 table of ``bench/tracing.py``, whose names the benchmark wraps by
-string.  Code that only the tests call belongs in ``tests/``.
+string.  In ``scripts/`` and ``bench/`` an attribute read or a ``from
+checkerboard... import`` counts; a bare name counts only where that file
+does not bind it itself (``bench/gate.py``'s own ``reduction_matrices``
+is no use of a ``src/`` one).  Code that only the tests call belongs in
+``tests/``.
 
 The primes are walked in one place: only ``matrices`` reads ``primes``,
 ``PRIME_BUDGET`` or ``split_residue``, and every other module takes a
@@ -48,6 +52,32 @@ def _names(node) -> set:
     return out
 
 
+def _outside_names(tree: ast.Module) -> set:
+    """The names a ``scripts/`` or ``bench/`` file may read from the package.
+
+    Attribute reads, names imported from ``checkerboard``, and bare names
+    the file does not bind itself by a ``def``, ``class``, assignment or
+    parameter.
+    """
+    own = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(sub.name)
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+            own.add(sub.id)
+        elif isinstance(sub, ast.arg):
+            own.add(sub.arg)
+    out = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Name) and sub.id not in own:
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom) and (sub.module or "").startswith("checkerboard"):
+            out |= {alias.name for alias in sub.names}
+    return out
+
+
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -67,7 +97,7 @@ def _definitions(stmt) -> list:
 def test_every_definition_in_src_has_a_caller_outside_the_tests():
     outside = _layer_names()
     for path in [*ROOT.glob("scripts/*.py"), *ROOT.glob("bench/*.py")]:
-        outside |= _names(_parse(path))
+        outside |= _outside_names(_parse(path))
     # (module, top-level definition name or None, names read by that statement)
     reads = []
     defined = []
