@@ -1,5 +1,8 @@
 """Shared strategies and fixtures."""
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, settings
@@ -122,6 +125,22 @@ def hermitian_grid(n, entries=small_gauss):
     from linalg_reference import integer_lift
 
     return hermitian_matrix(n, entries).map(lambda m: integer_lift(m)[0])
+
+
+@pytest.fixture
+def bench_module(monkeypatch):
+    """A loader of ``bench/<name>.py`` as a module, by name."""
+    # read-only: no bytecode cache is written next to the benchmark sources
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+
+    def load(name):
+        path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load
 
 
 @pytest.fixture

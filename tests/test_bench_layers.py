@@ -1,26 +1,12 @@
 """The benchmark's tracer wraps layer functions by name; each must still exist and run."""
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
-
-def _load_tracing(monkeypatch):
-    # read-only: no bytecode cache is written next to the benchmark sources
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_every_traced_layer_resolves(monkeypatch):
-    layers = _load_tracing(monkeypatch).LAYERS
+def test_every_traced_layer_resolves(bench_module):
+    layers = bench_module("tracing").LAYERS
     missing = [f"{mod}.{fn}" for mod, fns in layers.items() for fn in fns
                if not callable(getattr(importlib.import_module(f"checkerboard.{mod}"), fn, None))]
     assert not missing
@@ -29,19 +15,19 @@ def test_every_traced_layer_resolves(monkeypatch):
     assert {"theorem2_product"} <= set(layers["subfamily"])
 
 
-def test_every_sized_input_is_a_traced_layer(monkeypatch):
-    tracing = _load_tracing(monkeypatch)
+def test_every_sized_input_is_a_traced_layer(bench_module):
+    tracing = bench_module("tracing")
     assert set(tracing.INPUT_BITS) <= set(tracing.SPAN_NAMES)
 
 
 @pytest.mark.parametrize("family", ["full", "ppt"])
-def test_traced_max_rank_scan_sizes_every_rank_input(monkeypatch, capsys, family):
+def test_traced_max_rank_scan_sizes_every_rank_input(bench_module, capsys, family):
     """The tracer sizes ``rank``'s argument as a GMat, on the certified path and the fallback."""
     from checkerboard import counting
     from checkerboard.cli import main
     from checkerboard.family import CheckerParams
 
-    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer = bench_module("tracing").Tracer()
     tracer.install()
     try:
         assert main(["scan", "--family", family, "--samples", "2", "--target", "max-rank"]) == 0
@@ -57,7 +43,7 @@ def test_traced_max_rank_scan_sizes_every_rank_input(monkeypatch, capsys, family
     assert "max_jacobian_rank=" + ("28" if family == "full" else "12") in capsys.readouterr().out
 
 
-def test_traced_scans_and_witness_certify_size_char_poly_inputs(monkeypatch, capsys, tmp_path):
+def test_traced_scans_and_witness_certify_size_char_poly_inputs(bench_module, capsys, tmp_path):
     """The tracer runs over the integer-grid classification and sizes char_poly's input."""
     import json
 
@@ -68,7 +54,7 @@ def test_traced_scans_and_witness_certify_size_char_poly_inputs(monkeypatch, cap
     params, witness = tmp_path / "full.json", tmp_path / "witness.json"
     params.write_text(json.dumps(checker_params_to_doc(presets.ONE_DISTILLABLE_PARAMS)))
     witness.write_text(json.dumps(witness_to_doc(presets.ONE_DISTILLABLE_WITNESS)))
-    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer = bench_module("tracing").Tracer()
     tracer.install()
     try:
         for family in ("full", "ppt"):
@@ -83,11 +69,11 @@ def test_traced_scans_and_witness_certify_size_char_poly_inputs(monkeypatch, cap
     assert tracer.input_bits["charpoly"] > 0
 
 
-def test_traced_golden_determinants_size_det_inputs(monkeypatch):
+def test_traced_golden_determinants_size_det_inputs(bench_module):
     """Golden items 3 and 4 reach the traced ``det`` and the char poly under it."""
     from checkerboard import reproduce
 
-    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer = bench_module("tracing").Tracer()
     tracer.install()
     try:
         assert reproduce.item03().ok and reproduce.item04().ok

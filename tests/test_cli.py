@@ -1,5 +1,4 @@
 import contextlib
-import importlib.util
 import io
 import json
 import os
@@ -409,7 +408,7 @@ COMMAND_OPTIONS = {
 FLAGS = ("--jacobian", "--real")
 OPTION_VALUES = {"--input": ("a.json", ""), "--out": ("o.csv",), "--witness": ("w.json",),
                  "--family": ("full", "ppt"), "--samples": ("1", "1_0", "\u0663", " 5"),
-                 "--seed": ("7", "0"), "--target": ("max-rank",)}
+                 "--seed": ("7", "0", "-2"), "--target": ("max-rank",)}
 OPTIONS = tuple(OPTION_VALUES) + FLAGS
 VALUES = ("full", "ppt", "max-rank", "bogus", "1", "0", "-2", "1_0", "\u0663", " 5", "", "x")
 ODD = ("--fam", "--s", "--sa", "--family=full", "-h", "--help", "--", "-", "extra")
@@ -479,19 +478,9 @@ def test_plain_path_leaves_abbreviations_and_dashed_values_to_argparse(argv):
     assert _plain_namespace(argv) is None
 
 
-def _load_bench_workloads(monkeypatch):
-    # read-only: no bytecode cache is written next to the benchmark sources
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_every_benchmark_request_takes_the_plain_path(tmp_path, monkeypatch):
+def test_every_benchmark_request_takes_the_plain_path(tmp_path, bench_module):
     """Each generated request line is plain and parses to argparse's Namespace."""
-    workloads = _load_bench_workloads(monkeypatch)
+    workloads = bench_module("workloads")
     for workload in workloads.WORKLOADS:
         requests, _ = workloads.generate(workload, 1, tmp_path / workload)
         assert requests
